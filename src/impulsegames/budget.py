@@ -1,15 +1,25 @@
-"""Budget-capped play via state augmentation.
+"""Budget-capped play: remaining-intervention counters join the state.
 
 Each player gets a counter of remaining interventions; the counter rides
 along in the state, drops by one whenever that player's costly action
 executes, and once it hits zero the player's non-null actions are masked
-out of the augmented game.  Masking (rather than punishing violations with
-infinite rewards) keeps every trajectory feasible by construction.
+out.  Masking (rather than punishing violations with infinite rewards)
+keeps every trajectory feasible by construction.
+
+The budgeted game lives on states ``(s, y, z)``, but its kernel factors
+exactly into the base kernel times deterministic counter bookkeeping.  So
+the solver and the rollout run on the base game (``solve`` and ``simulate``
+with ``caps``): one sweep is one matmul of the base kernel against the
+``(S, (n1+1)*(n2+1))`` value grid, then a shift of the acting player's
+counter axis.  :func:`augment` is the reference construction: its ``game``
+is the dense model over the product space, which tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -18,89 +28,115 @@ from .game import ImpulseGame
 from .sim import Trajectory, simulate
 from .solver import EquilibriumPolicy, SolveReport, solve
 
+# Largest augmented action table S*(n1+1)*(n2+1)*A*B accepted: the solver
+# holds a few float arrays of this size (80 MB each at the limit).
+MAX_AUGMENTED_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class AugmentedGame:
     """A base game lifted onto states ``(s, y, z)``.
 
     ``y`` counts Player 1's remaining interventions (``0..n1``), ``z``
-    Player 2's.  ``game`` is the materialised dense model over the product
-    space; ``labels[x]`` recovers the triple behind flat index ``x``.
+    Player 2's.  ``labels[x]`` recovers the triple behind flat index ``x``.
+    ``game`` is the materialised dense model over the product space, built
+    on first access; nothing else here builds it.
     """
 
     base: ImpulseGame
     n1: int
     n2: int
-    game: ImpulseGame
-    labels: tuple
+
+    def __post_init__(self):
+        if self.n1 < 0 or self.n2 < 0:
+            raise ValueError("budgets must be nonnegative")
+        cells = self.num_states * self.base.num_actions1 * self.base.num_actions2
+        if cells > MAX_AUGMENTED_CELLS:
+            raise ValueError(
+                f"caps ({self.n1}, {self.n2}) give an augmented table of {cells} "
+                f"cells, above the limit of {MAX_AUGMENTED_CELLS}")
+
+    @property
+    def caps(self) -> tuple[int, int]:
+        return self.n1, self.n2
 
     def index(self, s: int, y: int, z: int) -> int:
         return (s * (self.n1 + 1) + y) * (self.n2 + 1) + z
 
     @property
     def num_states(self) -> int:
-        return self.game.num_states
+        return self.base.num_states * (self.n1 + 1) * (self.n2 + 1)
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(product(range(self.base.num_states), range(self.n1 + 1),
+                             range(self.n2 + 1)))
 
     def value_grid(self, value) -> np.ndarray:
         """Reshape a flat augmented field to ``(s, y, z)`` axes."""
         return np.asarray(value).reshape(
             self.base.num_states, self.n1 + 1, self.n2 + 1)
 
-
-def augment(base: ImpulseGame, n1: int, n2: int) -> AugmentedGame:
-    """Materialise the budgeted game over the counter-augmented state space.
-
-    Transitions factor as the base kernel times deterministic counter
-    bookkeeping; actions that would overdraw a counter are masked at those
-    states, so the counters can never go negative.
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("budgets must be nonnegative")
-    ns, na, nb = base.num_states, base.num_actions1, base.num_actions2
-    ny, nz = n1 + 1, n2 + 1
-    nx = ns * ny * nz
-    kernel = np.zeros((nx, na, nb, nx))
-    reward = np.empty((nx, na, nb))
-    cost1 = np.empty((nx, na))
-    cost2 = np.empty((nx, nb))
-    mask1 = np.zeros((nx, na), dtype=bool)
-    mask2 = np.zeros((nx, nb), dtype=bool)
-    labels = []
-    rows = np.arange(ns)
-    for s in range(ns):
+    @cached_property
+    def game(self) -> ImpulseGame:
+        """The dense budgeted model: transitions are the base kernel times
+        deterministic counter bookkeeping; actions that would overdraw a
+        counter are masked at those states, so counters never go negative.
+        """
+        base = self.base
+        ns, na, nb = base.num_states, base.num_actions1, base.num_actions2
+        ny, nz = self.n1 + 1, self.n2 + 1
+        nx = self.num_states
+        kernel = np.zeros((nx, na, nb, nx))
+        reward = np.empty((nx, na, nb))
+        cost1 = np.empty((nx, na))
+        cost2 = np.empty((nx, nb))
+        mask1 = np.zeros((nx, na), dtype=bool)
+        mask2 = np.zeros((nx, nb), dtype=bool)
+        rows = np.arange(ns)
+        idx = lambda y, z: (rows * ny + y) * nz + z
         for y in range(ny):
             for z in range(nz):
-                labels.append((s, y, z))
-    idx = lambda y, z: (rows * ny + y) * nz + z
-    for y in range(ny):
-        for z in range(nz):
-            src = idx(y, z)
-            reward[src] = base.reward
-            cost1[src] = base.cost1
-            cost2[src] = base.cost2
-            mask1[src, 0] = True
-            mask2[src, 0] = True
-            if y > 0:
-                mask1[src, 1:] = base.mask1[:, 1:]
-            if z > 0:
-                mask2[src, 1:] = base.mask2[:, 1:]
-            for a in range(na):
-                y2 = max(y - 1, 0) if a != 0 else y
-                for b in range(nb):
-                    z2 = max(z - 1, 0) if b != 0 else z
-                    dst = idx(y2, z2)
-                    kernel[src[:, None], a, b, dst[None, :]] = base.kernel[:, a, b, :]
-    game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
-                       cost_floor=base.cost_floor, discount=base.discount,
-                       mask1=mask1, mask2=mask2)
-    return AugmentedGame(base=base, n1=n1, n2=n2, game=game, labels=tuple(labels))
+                src = idx(y, z)
+                reward[src] = base.reward
+                cost1[src] = base.cost1
+                cost2[src] = base.cost2
+                mask1[src, 0] = True
+                mask2[src, 0] = True
+                if y > 0:
+                    mask1[src, 1:] = base.mask1[:, 1:]
+                if z > 0:
+                    mask2[src, 1:] = base.mask2[:, 1:]
+                for a in range(na):
+                    y2 = max(y - 1, 0) if a != 0 else y
+                    for b in range(nb):
+                        z2 = max(z - 1, 0) if b != 0 else z
+                        dst = idx(y2, z2)
+                        kernel[src[:, None], a, b, dst[None, :]] = base.kernel[:, a, b, :]
+        return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
+                           cost_floor=base.cost_floor, discount=base.discount,
+                           mask1=mask1, mask2=mask2)
+
+
+def augment(base: ImpulseGame, n1: int, n2: int) -> AugmentedGame:
+    """The budgeted game as a reference construction.
+
+    Its ``game`` is the dense model over the counter-augmented state space,
+    which the factored solver and rollout must agree with.  The library's
+    own budgeted paths never build it.
+    """
+    return AugmentedGame(base, n1, n2)
 
 
 def solve_budgeted(base: ImpulseGame, n1: int, n2: int, tol: float = 1e-9,
                    max_sweeps: int = 100_000) -> tuple[SolveReport, AugmentedGame]:
-    """Solve the augmented game; the policy is Markov in ``(s, y, z)``."""
-    aug = augment(base, n1, n2)
-    return solve(aug.game, tol=tol, max_sweeps=max_sweeps), aug
+    """Solve the budgeted game on the base kernel; the policy is Markov in
+    ``(s, y, z)`` and indexed by :meth:`AugmentedGame.index`.
+
+    Raises ``ValueError`` before any work on negative or oversized caps.
+    """
+    aug = AugmentedGame(base, n1, n2)
+    return solve(base, tol=tol, max_sweeps=max_sweeps, caps=aug.caps), aug
 
 
 class BudgetRun(NamedTuple):
@@ -111,14 +147,15 @@ class BudgetRun(NamedTuple):
 
 def simulate_budgeted(aug: AugmentedGame, policy: EquilibriumPolicy, steps: int,
                       seed=0, start=None) -> BudgetRun:
-    """Roll the augmented policy forward and hard-check budget feasibility.
+    """Roll the budgeted policy forward and hard-check budget feasibility.
 
     ``start`` is a base-game state (counters begin full) or None for state 0.
-    A masked-action attempt or an intervention count beyond its budget
-    raises: both indicate a solver bug rather than bad data.
+    Trajectory states are flat ``(s, y, z)`` indices.  A masked-action
+    attempt or an intervention count beyond its budget raises: both
+    indicate a solver bug rather than bad data.
     """
     s0 = aug.index(int(start) if start is not None else 0, aug.n1, aug.n2)
-    traj = simulate(aug.game, policy, steps, seed=seed, start=s0)
+    traj = simulate(aug.base, policy, steps, seed=seed, start=s0, caps=aug.caps)
     used1 = int(np.count_nonzero(traj.actions1))
     used2 = int(np.count_nonzero(traj.actions2))
     if used1 > aug.n1 or used2 > aug.n2:

@@ -19,26 +19,39 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import (GameFormatError, GameValidationError, load_basis, load_game,
-                   random_game, save_game)
+from .game import load_basis, load_game, random_game, save_game
 from .sim import simulate
-from .solver import (EnumerationBudgetError, intervention_times, minimax_oracle,
-                     solve)
+from .solver import intervention_times, minimax_oracle, solve
 
 log = logging.getLogger("impulsegames")
 
 
+def _write_whole(path, write, newline=None) -> None:
+    """Write through a temporary file renamed into place, so a write that
+    fails part-way leaves no partial output behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+            write(f)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    def write(f):
         json.dump(obj, f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
+    _write_whole(path, write)
 
 
 def _write_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    def write(f):
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+    _write_whole(path, write, newline="")
 
 
 def _parse_gen(spec: str):
@@ -57,6 +70,12 @@ def _obtain_game(args):
         return build_duopoly_game(duopoly_params_from_dict(doc))
     s, a, b, seed = _parse_gen(args.gen)
     return random_game(s, a, b, seed, gamma=args.gamma)
+
+
+def _check_start(args, game) -> None:
+    if not 0 <= args.start < game.num_states:
+        raise ValueError(f"--start {args.start} is not a state of this "
+                         f"{game.num_states}-state game")
 
 
 def _outdir(args) -> str:
@@ -100,6 +119,7 @@ def cmd_learn(args) -> int:
 
 def cmd_simulate(args) -> int:
     game = _obtain_game(args)
+    _check_start(args, game)
     report = solve(game, tol=args.tol, max_sweeps=args.max_sweeps)
     if not report.converged:
         log.error("solver did not converge; not simulating")
@@ -133,6 +153,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_budget(args) -> int:
     game = _obtain_game(args)
+    _check_start(args, game)
     report, aug = budget_mod.solve_budgeted(game, args.n1, args.n2, tol=args.tol,
                                             max_sweeps=args.max_sweeps)
     out = _outdir(args)
@@ -272,16 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GameFormatError, GameValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

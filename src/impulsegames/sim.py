@@ -31,37 +31,54 @@ class Trajectory:
 
 
 def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
-             seed=0, start: int = 0, rng=None) -> Trajectory:
+             seed=0, start: int = 0, rng=None, caps=None) -> Trajectory:
     """Roll the policy forward ``steps`` steps from ``start``.
 
     Player 2's action takes precedence wherever both flags are raised.  An
     attempt to execute a masked action is a hard fault, since a correctly
     extracted policy never selects one.
+
+    With ``caps=(n1, n2)`` the rollout runs on the budgeted game of
+    :mod:`impulsegames.budget`: ``start``, the recorded states and the
+    policy's index are flat ``(s, y, z)`` indices, the next ``s`` is drawn
+    from the base kernel and an executed costly action moves its player's
+    counter down by one.  A costly action on a spent counter counts as masked.
     """
     rng = np.random.default_rng(seed) if rng is None else rng
+    ny, nz, spend = (1, 1, 0) if caps is None else (caps[0] + 1, caps[1] + 1, 1)
     cum_kernel = np.cumsum(game.kernel, axis=3)
-    s = int(start)
+    # A row whose sum rounds below 1 can draw past its end; such a draw
+    # lands on the row's last state with positive mass.
+    ns = game.num_states
+    last = (ns - 1 - np.argmax(game.kernel[..., ::-1] > 0, axis=3)).tolist()
+    x = int(start)
     states = np.empty(steps + 1, dtype=int)
     acts1 = np.empty(steps, dtype=int)
     acts2 = np.empty(steps, dtype=int)
     rewards = np.empty(steps)
-    states[0] = s
+    states[0] = x
     g = game.discount
     disc = 1.0
     cumulative = np.empty(steps)
     total = 0.0
     for t in range(steps):
-        a, b = policy.executed_pair(s)
-        if (a != 0 and not game.mask1[s, a]) or (b != 0 and not game.mask2[s, b]):
+        a, b = policy.executed_pair(x)
+        s, yz = divmod(x, ny * nz)
+        y, z = divmod(yz, nz)
+        if ((a != 0 and (y < spend or not game.mask1[s, a]))
+                or (b != 0 and (z < spend or not game.mask2[s, b]))):
             raise RuntimeError(
-                f"policy executed a masked action ({a}, {b}) at state {s}")
+                f"policy executed a masked action ({a}, {b}) at state {x}")
         r = effective_reward(game, s, (a, b))
         acts1[t], acts2[t], rewards[t] = a, b, r
         total += disc * r
         cumulative[t] = total
         disc *= g
-        s = int(np.searchsorted(cum_kernel[s, a, b], rng.random(), side="right"))
-        s = min(s, game.num_states - 1)
-        states[t + 1] = s
+        nxt = int(np.searchsorted(cum_kernel[s, a, b], rng.random(), side="right"))
+        nxt = min(nxt, last[s][a][b])
+        y -= spend * (a != 0)
+        z -= spend * (b != 0)
+        x = (nxt * ny + y) * nz + z
+        states[t + 1] = x
     return Trajectory(states=states, actions1=acts1, actions2=acts2,
                       rewards=rewards, cumulative=cumulative)

@@ -50,12 +50,56 @@ def expected_next_values(game: ImpulseGame, v: np.ndarray) -> np.ndarray:
     return (game.kernel.reshape(-1, s) @ np.asarray(v, dtype=float)).reshape(game.reward.shape)
 
 
-def operator_terms(game: ImpulseGame, v) -> OperatorTerms:
-    v = np.asarray(v, dtype=float)
-    ev = expected_next_values(game, v)
+class _CounterCells(NamedTuple):
+    """The budgeted game's tables on axes ``(s, action..., y, z)``."""
+
+    reward: np.ndarray
+    cost1: np.ndarray
+    cost2: np.ndarray
+    mask1: np.ndarray
+    mask2: np.ndarray
+    discount: float
+    num_actions1: int
+    num_actions2: int
+
+
+def _next_values(game: ImpulseGame, v, caps):
+    """E[v(next) | cell] on axes ``(S, A, B, ...)``, and the cells' tables.
+
+    Without caps the cells are the game's own.  With ``caps=(n1, n2)``, ``v``
+    is flat over ``(s, y, z)``, index ``(s * (n1+1) + y) * (n2+1) + z``, the
+    trailing axes are ``(y, z)``, and a costly action moves its player's
+    counter down by one.  The base kernel carries ``s``, so one matmul
+    against the ``(S, Y*Z)`` value grid plus a shift of the counter axes
+    stands in for the augmented kernel.  A spent counter masks its player's
+    costly actions.
+    """
+    if caps is None:
+        return expected_next_values(game, v), game
+    ns, na, nb = game.reward.shape
+    ny, nz = caps[0] + 1, caps[1] + 1
+    grid = np.asarray(v, dtype=float).reshape(ns, ny * nz)
+    ev = (game.kernel.reshape(-1, ns) @ grid).reshape(ns, na, nb, ny, nz)
+    ev[:, 1:] = ev[:, 1:, :, np.maximum(np.arange(ny) - 1, 0)]
+    ev[:, :, 1:] = ev[:, :, 1:, :, np.maximum(np.arange(nz) - 1, 0)]
+    mask1 = np.broadcast_to(game.mask1[:, :, None, None], (ns, na, ny, nz)).copy()
+    mask2 = np.broadcast_to(game.mask2[:, :, None, None], (ns, nb, ny, nz)).copy()
+    mask1[:, 1:, 0, :] = False
+    mask2[:, 1:, :, 0] = False
+    cells = _CounterCells(game.reward[..., None, None], game.cost1[..., None, None],
+                          game.cost2[..., None, None], mask1, mask2, game.discount, na, nb)
+    return ev, cells
+
+
+def operator_terms(game: ImpulseGame, v, caps=None) -> OperatorTerms:
+    """The operator's pieces at every state, flat like ``v``.
+
+    ``caps=(n1, n2)`` evaluates them on the budgeted game over states
+    ``(s, y, z)`` from the base game's tables; see :func:`_next_values`.
+    """
+    ev, game = _next_values(game, v, caps)
     g = game.discount
     noop = game.reward[:, 0, 0] + g * ev[:, 0, 0]
-    ns = game.num_states
     if game.num_actions1 > 1:
         cont = game.reward[:, 1:, 0] - game.cost1[:, 1:] + g * ev[:, 1:, 0]
         cont = np.where(game.mask1[:, 1:], cont, -np.inf)
@@ -63,9 +107,9 @@ def operator_terms(game: ImpulseGame, v) -> OperatorTerms:
         act1 = cont.argmax(axis=1) + 1
         has1 = game.mask1[:, 1:].any(axis=1)
     else:
-        m1 = np.full(ns, -np.inf)
-        act1 = np.zeros(ns, dtype=int)
-        has1 = np.zeros(ns, dtype=bool)
+        m1 = np.full(noop.shape, -np.inf)
+        act1 = np.zeros(noop.shape, dtype=int)
+        has1 = np.zeros(noop.shape, dtype=bool)
     if game.num_actions2 > 1:
         cont = game.reward[:, 0, 1:] + game.cost2[:, 1:] + g * ev[:, 0, 1:]
         cont = np.where(game.mask2[:, 1:], cont, np.inf)
@@ -73,10 +117,11 @@ def operator_terms(game: ImpulseGame, v) -> OperatorTerms:
         act2 = cont.argmin(axis=1) + 1
         has2 = game.mask2[:, 1:].any(axis=1)
     else:
-        m2 = np.full(ns, np.inf)
-        act2 = np.zeros(ns, dtype=int)
-        has2 = np.zeros(ns, dtype=bool)
-    return OperatorTerms(noop, m1, act1, has1, m2, act2, has2)
+        m2 = np.full(noop.shape, np.inf)
+        act2 = np.zeros(noop.shape, dtype=int)
+        has2 = np.zeros(noop.shape, dtype=bool)
+    terms = OperatorTerms(noop, m1, act1, has1, m2, act2, has2)
+    return terms if caps is None else OperatorTerms(*(x.ravel() for x in terms))
 
 
 def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
@@ -110,14 +155,23 @@ def _combine(t: OperatorTerms) -> np.ndarray:
     return np.where(t.has2, np.minimum(inner, t.m2), inner)
 
 
-def bellman(game: ImpulseGame, v) -> np.ndarray:
-    """One application of the value operator.  A gamma-contraction."""
-    return _combine(operator_terms(game, v))
+def bellman(game: ImpulseGame, v, caps=None) -> np.ndarray:
+    """One application of the value operator.  A gamma-contraction.
+
+    ``caps=(n1, n2)`` applies the budgeted game's operator; see
+    :func:`operator_terms`.
+    """
+    return _combine(operator_terms(game, v, caps))
 
 
-def q_from_value(game: ImpulseGame, v) -> np.ndarray:
-    """Cost-exclusive action values: reward plus discounted expectation of v."""
-    return game.reward + game.discount * expected_next_values(game, v)
+def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
+    """Cost-exclusive action values: reward plus discounted expectation of v.
+
+    Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
+    """
+    ev, cells = _next_values(game, v, caps)
+    q = cells.reward + cells.discount * ev
+    return q if caps is None else q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
 
 
 @dataclass(frozen=True)
@@ -165,14 +219,14 @@ class EquilibriumPolicy:
         return rows
 
 
-def extract_policy(game: ImpulseGame, v) -> EquilibriumPolicy:
+def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
     """Greedy equilibrium policy at a solved value field.
 
     A player's flag is raised only on a strict improvement beyond
     ``TIE_EPS``; exact ties resolve to not acting, since acting costs money
-    for no gain.
+    for no gain.  ``caps`` selects the budgeted game, as in :func:`bellman`.
     """
-    t = operator_terms(game, v)
+    t = operator_terms(game, v, caps)
     inner = np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
     p1 = t.has1 & (t.m1 > t.noop + TIE_EPS)
     p2 = t.has2 & (t.m2 < inner - TIE_EPS)
@@ -180,6 +234,11 @@ def extract_policy(game: ImpulseGame, v) -> EquilibriumPolicy:
         p1_acts=p1, p1_action=np.where(p1, t.act1, 0),
         p2_acts=p2, p2_action=np.where(p2, t.act2, 0),
     )
+
+
+def _finite_or_none(x: float):
+    """JSON has no infinity: a diagnostic that never became finite is null."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -198,30 +257,33 @@ class SolveReport:
             "q": self.q.tolist(),
             "policy": self.policy.to_records(labels),
             "sweeps": self.sweeps,
-            "residual": self.residual,
-            "error_bound": self.error_bound,
+            "residual": _finite_or_none(self.residual),
+            "error_bound": _finite_or_none(self.error_bound),
             "converged": self.converged,
         }
 
 
 def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
-          v0=None) -> SolveReport:
+          v0=None, caps=None) -> SolveReport:
     """Iterate the operator to its unique fixed point.
 
     Stops when the sweep residual drops below ``tol * (1 - gamma) / gamma``,
     which guarantees a sup-norm error of at most ``tol``.  A report that ran
-    out of sweeps comes back flagged ``converged=False``.
+    out of sweeps comes back flagged ``converged=False``.  With
+    ``caps=(n1, n2)`` it solves the budgeted game of
+    :mod:`impulsegames.budget` from the base game's tables.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = game.discount
     threshold = tol * (1.0 - g) / g if g > 0 else tol
-    v = np.zeros(game.num_states) if v0 is None else np.array(v0, dtype=float)
+    size = game.num_states if caps is None else game.num_states * (caps[0] + 1) * (caps[1] + 1)
+    v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
     residual = math.inf
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
-        nv = bellman(game, v)
+        nv = bellman(game, v, caps)
         residual = float(np.abs(nv - v).max())
         v = nv
         sweeps += 1
@@ -230,7 +292,7 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
             break
     error_bound = g * residual / (1.0 - g)
     return SolveReport(
-        value=v, q=q_from_value(game, v), policy=extract_policy(game, v),
+        value=v, q=q_from_value(game, v, caps), policy=extract_policy(game, v, caps),
         sweeps=sweeps, residual=residual, error_bound=error_bound,
         converged=converged,
     )

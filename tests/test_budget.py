@@ -122,3 +122,56 @@ def test_budgeted_qlearning_converges_small():
                            reference_q=rep.q)
         seen = diag.visits > 0
         assert np.abs(q[seen] - rep.q[seen]).max() <= tol
+
+
+def _masked(game, seed):
+    rng = np.random.default_rng(seed)
+    mask1 = rng.random(game.cost1.shape) < 0.6
+    mask2 = rng.random(game.cost2.shape) < 0.6
+    mask1[:, 0] = mask2[:, 0] = True
+    return ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                          cost2=game.cost2, cost_floor=game.cost_floor,
+                          discount=game.discount, mask1=mask1, mask2=mask2)
+
+
+@pytest.mark.parametrize("caps", [(0, 0), (2, 3), (3, 1), (0, 2)])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seed,ns,na,nb", [(0, 4, 2, 2), (1, 5, 0, 2), (2, 5, 3, 0),
+                                           (3, 6, 1, 1)])
+def test_factored_budget_matches_dense_augmentation(seed, ns, na, nb, masked, caps):
+    base = ig.random_game(ns, na, nb, seed=1100 + seed)
+    if masked:
+        base = _masked(base, seed)
+    rep, aug = ig.solve_budgeted(base, *caps, tol=1e-10)
+    dense = ig.solve(ig.augment(base, *caps).game, tol=1e-10)
+    assert rep.sweeps == dense.sweeps
+    assert np.abs(rep.value - dense.value).max() <= 1e-12
+    assert rep.q.shape == dense.q.shape
+    assert np.abs(rep.q - dense.q).max() <= 1e-12
+    assert np.abs(rep.q - ig.q_from_value(aug.game, rep.value)).max() <= 1e-12
+    for field in ("p1_acts", "p1_action", "p2_acts", "p2_action"):
+        np.testing.assert_array_equal(getattr(rep.policy, field),
+                                      getattr(dense.policy, field))
+    start = seed % ns
+    run = ig.simulate_budgeted(aug, rep.policy, 300, seed=seed, start=start)
+    ref = ig.simulate(aug.game, dense.policy, 300, seed=seed,
+                      start=aug.index(start, *caps))
+    for field in ("states", "actions1", "actions2", "rewards"):
+        np.testing.assert_array_equal(getattr(run.trajectory, field), getattr(ref, field))
+
+
+def test_budgeted_paths_never_build_the_dense_model():
+    base = ig.random_game(5, 2, 2, seed=3)
+    rep, aug = ig.solve_budgeted(base, 3, 2, tol=1e-9)
+    aug.index(4, 3, 2), aug.labels, aug.value_grid(rep.value), aug.num_states
+    ig.simulate_budgeted(aug, rep.policy, 50, seed=0, start=4)
+    assert "game" not in vars(aug)
+    assert aug.num_states == aug.game.num_states == len(aug.labels) == 5 * 4 * 3
+
+
+def test_oversized_caps_refused_before_any_work():
+    base = ig.random_game(3, 1, 1, seed=0)
+    with pytest.raises(ValueError, match="above the limit"):
+        ig.solve_budgeted(base, 10**9, 10**9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ig.solve_budgeted(base, -1, 0)

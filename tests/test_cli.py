@@ -164,3 +164,37 @@ def test_monte_carlo_return_matches_value(tmp_path):
     ])
     se = returns.std(ddof=1) / np.sqrt(len(returns))
     assert abs(returns.mean() - rep.value[0]) <= 3 * se + 1e-6
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["budget", "--n1", "1", "--n2", "1"]])
+@pytest.mark.parametrize("start", ["99", "-1"])
+def test_start_out_of_range_exits_1_no_output(tmp_path, capsys, command, start):
+    out = tmp_path / "out"
+    code = main(command + ["--gen", "3,1,1,0", "--start", start, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --start") and err.count("\n") == 1
+
+
+def test_budget_oversized_caps_exit_1_no_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["budget", "--gen", "3,1,1,0", "--n1", str(10**12), "--n2", "5",
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "above the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,report", [
+    (["solve"], "solve_report.json"),
+    (["budget", "--n1", "1", "--n2", "2", "--steps", "5"], "budget_report.json"),
+])
+def test_zero_sweeps_exit_2_with_whole_report(tmp_path, command, report):
+    out = tmp_path / "out"
+    code = main(command + ["--gen", "3,1,1,0", "--max-sweeps", "0", "--out", str(out)])
+    assert code == 2
+    doc = json.loads((out / report).read_text())
+    assert doc["sweeps"] == 0 and not doc["converged"]
+    assert doc["residual"] is None and doc["error_bound"] is None
+    assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
