@@ -64,7 +64,7 @@ def _parse_gen(spec: str):
 def _obtain_game(args):
     if args.game is not None:
         return load_game(args.game)
-    if getattr(args, "duopoly", None) is not None:
+    if args.duopoly is not None:
         with open(args.duopoly, encoding="utf-8") as f:
             doc = json.load(f)
         return build_duopoly_game(duopoly_params_from_dict(doc))
@@ -186,12 +186,13 @@ def cmd_fit(args) -> int:
     basis = (linfa.FeatureBasis(basis_matrix) if basis_matrix is not None
              else linfa.identity_basis(game.num_states))
     config = linfa.FitConfig(samples=args.steps, seed=args.seed,
-                             combinator=args.combinator)
+                             combinator=args.combinator, compute_reference=False)
     r, report = linfa.fit(game, basis, config)
-    bound = linfa.verify_bound(game, basis, r)
+    value = solve(game, tol=1e-10).value
+    bound = linfa.verify_bound(game, basis, r, value=value)
     polished, _ = linfa.projected_iteration(game, basis, bound.weights,
                                             combinator=args.combinator)
-    bound = linfa.verify_bound(game, basis, polished)
+    bound = linfa.verify_bound(game, basis, polished, value=value)
     out = _outdir(args)
     _write_json(os.path.join(out, "fit_report.json"), {
         "r": polished.tolist(),
@@ -204,18 +205,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    out = _outdir(args)
-    if getattr(args, "duopoly", None) is not None:
-        with open(args.duopoly, encoding="utf-8") as f:
-            doc = json.load(f)
-        game = build_duopoly_game(duopoly_params_from_dict(doc))
-    elif args.gen is not None:
-        s, a, b, seed = _parse_gen(args.gen)
-        game = random_game(s, a, b, seed, gamma=args.gamma)
-    else:
+    if args.gen is None and args.duopoly is None:
         log.error("gen requires --gen \"S,A,B,seed\" or --duopoly PARAMS.json")
         return 1
-    save_game(game, os.path.join(out, "game.json"))
+    game = _obtain_game(args)
+    save_game(game, os.path.join(_outdir(args), "game.json"))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ImpulseGame
+from .game import ImpulseGame, _scalar
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,28 @@ class DuopolyParams:
 
 
 def duopoly_params_from_dict(doc: dict) -> DuopolyParams:
-    """Build parameters from a plain config block (e.g. parsed JSON)."""
+    """Build parameters from a plain config block (e.g. parsed JSON).
+
+    Each value must have its default's type: an integer, a number, or a
+    list of numbers for the investment levels.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"duopoly parameters must be an object, got {doc!r}")
     known = set(DuopolyParams.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown duopoly parameter(s): {sorted(unknown)}")
-    doc = dict(doc)
-    for key in ("investments1", "investments2"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    return DuopolyParams(**doc)
+    defaults = DuopolyParams()
+    parsed = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"duopoly parameter '{key}' must be a list, got {value!r}")
+            parsed[key] = tuple(_scalar(v, f"{key}[{i}]", float) for i, v in enumerate(value))
+        else:
+            parsed[key] = _scalar(value, key, type(default))
+    return DuopolyParams(**parsed)
 
 
 def duopoly_step_mean(params: DuopolyParams, s1: float, s2: float,
@@ -147,12 +159,17 @@ class SamplingEnv:
 
     Exposes the static knowledge a learner legitimately owns (action counts,
     its own costs, masks, discount) while transitions and rewards are only
-    reachable by sampling through :meth:`step`.
+    reachable by sampling through :meth:`step`, which is also the package's
+    one next-state sampler: ``fit`` and ``simulate`` draw through it too.
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None, reset_states=None):
-        self._game = game
         self._cum = np.cumsum(game.kernel, axis=3)
+        self._reward = game.reward.tolist()
+        # A row whose sum rounds below 1 can draw past its end; such a draw
+        # lands on the row's last state with positive mass.
+        ns = game.num_states
+        self._last = (ns - 1 - np.argmax(game.kernel[..., ::-1] > 0, axis=3)).tolist()
         self._rng = np.random.default_rng(seed) if rng is None else rng
         self._reset_states = (np.arange(game.num_states) if reset_states is None
                               else np.asarray(reset_states, dtype=int))
@@ -170,13 +187,13 @@ class SamplingEnv:
         return int(self._reset_states[self._rng.integers(len(self._reset_states))])
 
     def step(self, s: int, pair) -> tuple[int, float]:
-        """Sample the next state and return the raw (cost-exclusive) reward."""
+        """Sample the next state (one uniform draw) and return the raw
+        (cost-exclusive) reward.  A masked action is a hard fault."""
         a, b = pair
         if (a != 0 and not self.mask1[s, a]) or (b != 0 and not self.mask2[s, b]):
             raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
-        nxt = int(np.searchsorted(self._cum[s, a, b], self._rng.random(), side="right"))
-        nxt = min(nxt, self.num_states - 1)
-        return nxt, float(self._game.reward[s, a, b])
+        nxt = int(self._cum[s, a, b].searchsorted(self._rng.random(), side="right"))
+        return min(nxt, self._last[s][a][b]), self._reward[s][a][b]
 
 
 def sampling_env(game: ImpulseGame, seed=0, reset_states=None) -> SamplingEnv:

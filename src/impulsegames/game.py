@@ -11,6 +11,7 @@ with the null action in slot 0 of each action axis.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -288,16 +289,20 @@ def _shaped(doc, key, shape):
     return arr
 
 
+def _scalar(x, key, kind):
+    """``x`` as a Python ``int`` or ``float``; a bool, a string, null or (for
+    an int) a fractional number is a format error naming ``key``."""
+    abc, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+    if isinstance(x, bool) or not isinstance(x, abc):
+        raise GameFormatError(f"key '{key}' must be {noun}, got {x!r}")
+    return kind(x)
+
+
 def game_from_dict(doc: dict) -> ImpulseGame:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise GameFormatError(f"missing key '{key}'")
-    try:
-        s = int(doc["states"])
-        na = int(doc["actions1"])
-        nb = int(doc["actions2"])
-    except (TypeError, ValueError):
-        raise GameFormatError("keys 'states'/'actions1'/'actions2' must be integers") from None
+    s, na, nb = (_scalar(doc[key], key, int) for key in ("states", "actions1", "actions2"))
     if s < 1 or na < 1 or nb < 1:
         raise GameFormatError("state and action counts must be positive")
     reward = _shaped(doc, "rewards", (s, na, nb))
@@ -314,7 +319,8 @@ def game_from_dict(doc: dict) -> ImpulseGame:
     if "mask2" in doc:
         mask2 = _shaped(doc, "mask2", (s, nb)).astype(bool)
     game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
-                       cost_floor=float(doc["cost_floor"]), discount=float(doc["gamma"]),
+                       cost_floor=_scalar(doc["cost_floor"], "cost_floor", float),
+                       discount=_scalar(doc["gamma"], "gamma", float),
                        mask1=mask1, mask2=mask2)
     violations = validate(game)
     if violations:

@@ -3,10 +3,12 @@ operator on feature-parameterised fields, projected fixed points, a sampled
 weight-space iteration, and the approximation-error bound check.
 
 Two nestings of the operator are kept side by side behind a ``combinator``
-switch: ``"T"`` is min-outside (identical to the solver's operator, so its
-fixed point is the game value) and ``"F"`` is the flipped max-outside form.
-Both are gamma-contractions; they differ in which player the middle
-do-nothing term shelters.
+switch: ``"T"`` is min-outside (the solver's own nesting, so its fixed point
+is the game value) and ``"F"`` is the flipped max-outside form.  Both are
+gamma-contractions; they differ in which player the middle do-nothing term
+shelters.  The sampled fit's behaviour trajectory takes the learner's
+exploration draw (:func:`impulsegames.qlearn.explore`) and the sampler of
+:class:`impulsegames.envs.SamplingEnv`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .envs import SamplingEnv
 from .game import ImpulseGame
-from .solver import extract_policy, operator_terms, solve
+from .qlearn import explore
+from .solver import _combine, extract_policy, operator_terms, solve
 
 RANK_TOL = 1e-10
 
@@ -101,8 +104,7 @@ def project(basis: FeatureBasis, weights, target) -> np.ndarray:
 def _operator_on_field(game: ImpulseGame, lam, combinator: str) -> np.ndarray:
     t = operator_terms(game, lam)
     if combinator == "T":
-        inner = np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
-        return np.where(t.has2, np.minimum(inner, t.m2), inner)
+        return _combine(t)
     if combinator == "F":
         inner = np.where(t.has1, np.minimum(t.m1, t.noop), t.noop)
         return np.where(t.has2, np.maximum(inner, t.m2), inner)
@@ -194,6 +196,8 @@ class FitConfig:
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
             raise ValueError(f"combinator must be one of {COMBINATORS}")
+        if self.episode_len <= 0 or self.epoch <= 0:
+            raise ValueError("episode_len and epoch must be positive")
 
 
 class FitDivergenceError(RuntimeError):
@@ -256,7 +260,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
                 stopped = True
                 break
         if config.epsilon > 0.0 and rng.random() < config.epsilon:
-            pair = _explore_pair(game, s, rng)
+            pair = explore(game, s, rng)
         else:
             pair = policy.executed_pair(s)
         s, _ = env.step(s, pair)
@@ -268,22 +272,6 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
         dist = float(np.abs(basis.field(r) - vhat).max())
     return r, FitReport(samples_run=steps_run, final_epoch_delta=final_delta,
                         sup_dist_to_value=dist, stopped_early=stopped)
-
-
-def _explore_pair(game: ImpulseGame, s: int, rng) -> tuple[int, int]:
-    slots = [0]
-    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
-        slots.append(1)
-    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
-        slots.append(2)
-    slot = slots[rng.integers(len(slots))]
-    if slot == 1:
-        choices = np.flatnonzero(game.mask1[s, 1:]) + 1
-        return int(choices[rng.integers(len(choices))]), 0
-    if slot == 2:
-        choices = np.flatnonzero(game.mask2[s, 1:]) + 1
-        return 0, int(choices[rng.integers(len(choices))])
-    return 0, 0
 
 
 class BoundReport(NamedTuple):

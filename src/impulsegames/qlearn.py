@@ -60,6 +60,33 @@ class LearnConfig:
             raise ValueError("omega must lie in (0.5, 1]")
         if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_end <= 1.0):
             raise ValueError("exploration rates must lie in [0, 1]")
+        if self.episode_len <= 0 or self.eval_every <= 0:
+            raise ValueError("episode_len and eval_every must be positive")
+
+
+def _read_off(q: np.ndarray, game, s: int) -> tuple[float, tuple[int, int]]:
+    """Greedy value at ``s`` and the pair it executes, by ``extract_policy``'s rule."""
+    # The solver's nesting, per state: a vectorised call on one row costs more per step.
+    noop = float(q[s, 0, 0])
+    inner, a = noop, 0
+    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
+        vals = np.where(game.mask1[s, 1:], q[s, 1:, 0] - game.cost1[s, 1:], -np.inf)
+        i = int(vals.argmax())
+        best = float(vals[i])
+        if best > inner:
+            inner = best
+        if best > noop + TIE_EPS:
+            a = i + 1
+    out = inner
+    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
+        vals = np.where(game.mask2[s, 1:], q[s, 0, 1:] + game.cost2[s, 1:], np.inf)
+        j = int(vals.argmin())
+        best = float(vals[j])
+        if best < out:
+            out = best
+        if best < inner - TIE_EPS:
+            return out, (0, j + 1)
+    return out, (a, 0)
 
 
 def greedy_value(q: np.ndarray, game, s: int) -> float:
@@ -69,22 +96,26 @@ def greedy_value(q: np.ndarray, game, s: int) -> float:
          best costly P2 cell plus its cost ), with absent (or fully masked)
     sides dropping out of the nesting.
     """
-    noop = float(q[s, 0, 0])
-    inner = noop
-    if game.num_actions1 > 1:
-        m1 = game.mask1[s, 1:]
-        if m1.any():
-            best = np.max((q[s, 1:, 0] - game.cost1[s, 1:])[m1])
-            if best > inner:
-                inner = float(best)
-    out = inner
-    if game.num_actions2 > 1:
-        m2 = game.mask2[s, 1:]
-        if m2.any():
-            best = np.min((q[s, 0, 1:] + game.cost2[s, 1:])[m2])
-            if best < out:
-                out = float(best)
-    return out
+    return _read_off(q, game, s)[0]
+
+
+def explore(game, s: int, rng) -> tuple[int, int]:
+    """A uniform exploration draw at ``s``: a slot among P1 action / P2
+    action / no-op (a side with no available costly action drops out), then
+    a uniform available action within it."""
+    slots = [0]
+    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
+        slots.append(1)
+    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
+        slots.append(2)
+    slot = slots[rng.integers(len(slots))]
+    if slot == 1:
+        choices = np.flatnonzero(game.mask1[s, 1:]) + 1
+        return int(choices[rng.integers(len(choices))]), 0
+    if slot == 2:
+        choices = np.flatnonzero(game.mask2[s, 1:]) + 1
+        return 0, int(choices[rng.integers(len(choices))])
+    return 0, 0
 
 
 def act(q: np.ndarray, game, s: int, epsilon: float, rng) -> tuple[int, int]:
@@ -93,41 +124,11 @@ def act(q: np.ndarray, game, s: int, epsilon: float, rng) -> tuple[int, int]:
     With probability ``1 - epsilon``: raise Player 2's action where its
     combinator term strictly beats the inner max (precedence), else Player
     1's where it strictly beats doing nothing, else the null pair.  With
-    probability ``epsilon``: a uniformly chosen slot (P1 action / P2 action /
-    no-op), then a uniform available action within it.
+    probability ``epsilon``: an :func:`explore` draw.
     """
-    has1 = game.num_actions1 > 1 and game.mask1[s, 1:].any()
-    has2 = game.num_actions2 > 1 and game.mask2[s, 1:].any()
     if epsilon > 0.0 and rng.random() < epsilon:
-        slots = [0]
-        if has1:
-            slots.append(1)
-        if has2:
-            slots.append(2)
-        slot = slots[rng.integers(len(slots))]
-        if slot == 1:
-            choices = np.flatnonzero(game.mask1[s, 1:]) + 1
-            return int(choices[rng.integers(len(choices))]), 0
-        if slot == 2:
-            choices = np.flatnonzero(game.mask2[s, 1:]) + 1
-            return 0, int(choices[rng.integers(len(choices))])
-        return 0, 0
-    noop = float(q[s, 0, 0])
-    best1 = -np.inf
-    act1 = 0
-    if has1:
-        vals = np.where(game.mask1[s, 1:], q[s, 1:, 0] - game.cost1[s, 1:], -np.inf)
-        act1 = int(np.argmax(vals)) + 1
-        best1 = float(vals[act1 - 1])
-    inner = max(best1, noop)
-    if has2:
-        vals = np.where(game.mask2[s, 1:], q[s, 0, 1:] + game.cost2[s, 1:], np.inf)
-        act2 = int(np.argmin(vals)) + 1
-        if float(vals[act2 - 1]) < inner - TIE_EPS:
-            return 0, act2
-    if has1 and best1 > noop + TIE_EPS:
-        return act1, 0
-    return 0, 0
+        return explore(game, s, rng)
+    return _read_off(q, game, s)[1]
 
 
 def step_update(q: np.ndarray, game, tr: Transition, alpha: float) -> StepResult:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import SamplingEnv
 from .game import ImpulseGame, effective_reward
 from .solver import EquilibriumPolicy
 
@@ -34,9 +35,10 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
              seed=0, start: int = 0, rng=None, caps=None) -> Trajectory:
     """Roll the policy forward ``steps`` steps from ``start``.
 
-    Player 2's action takes precedence wherever both flags are raised.  An
-    attempt to execute a masked action is a hard fault, since a correctly
-    extracted policy never selects one.
+    Player 2's action takes precedence wherever both flags are raised.  Next
+    states are drawn through :meth:`SamplingEnv.step` on ``rng``.  An attempt
+    to execute a masked action is a hard fault, since a correctly extracted
+    policy never selects one.
 
     With ``caps=(n1, n2)`` the rollout runs on the budgeted game of
     :mod:`impulsegames.budget`: ``start``, the recorded states and the
@@ -45,12 +47,8 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     counter down by one.  A costly action on a spent counter counts as masked.
     """
     rng = np.random.default_rng(seed) if rng is None else rng
+    env = SamplingEnv(game, rng=rng)
     ny, nz, spend = (1, 1, 0) if caps is None else (caps[0] + 1, caps[1] + 1, 1)
-    cum_kernel = np.cumsum(game.kernel, axis=3)
-    # A row whose sum rounds below 1 can draw past its end; such a draw
-    # lands on the row's last state with positive mass.
-    ns = game.num_states
-    last = (ns - 1 - np.argmax(game.kernel[..., ::-1] > 0, axis=3)).tolist()
     x = int(start)
     states = np.empty(steps + 1, dtype=int)
     acts1 = np.empty(steps, dtype=int)
@@ -65,17 +63,15 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
         a, b = policy.executed_pair(x)
         s, yz = divmod(x, ny * nz)
         y, z = divmod(yz, nz)
-        if ((a != 0 and (y < spend or not game.mask1[s, a]))
-                or (b != 0 and (z < spend or not game.mask2[s, b]))):
+        if (a != 0 and y < spend) or (b != 0 and z < spend):
             raise RuntimeError(
                 f"policy executed a masked action ({a}, {b}) at state {x}")
+        nxt, _ = env.step(s, (a, b))
         r = effective_reward(game, s, (a, b))
         acts1[t], acts2[t], rewards[t] = a, b, r
         total += disc * r
         cumulative[t] = total
         disc *= g
-        nxt = int(np.searchsorted(cum_kernel[s, a, b], rng.random(), side="right"))
-        nxt = min(nxt, last[s][a][b])
         y -= spend * (a != 0)
         z -= spend * (b != 0)
         x = (nxt * ny + y) * nz + z

@@ -150,8 +150,14 @@ def noop_continuation(game: ImpulseGame, v) -> np.ndarray:
     return game.reward[:, 0, 0] + game.discount * ev
 
 
+def _inner(t: OperatorTerms) -> np.ndarray:
+    """Player 1's side of the nesting: max(best costly action, do-nothing)."""
+    return np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
+
+
 def _combine(t: OperatorTerms) -> np.ndarray:
-    inner = np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
+    """The whole nesting: min(inner, best costly Player-2 action)."""
+    inner = _inner(t)
     return np.where(t.has2, np.minimum(inner, t.m2), inner)
 
 
@@ -227,7 +233,7 @@ def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
     for no gain.  ``caps`` selects the budgeted game, as in :func:`bellman`.
     """
     t = operator_terms(game, v, caps)
-    inner = np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
+    inner = _inner(t)
     p1 = t.has1 & (t.m1 > t.noop + TIE_EPS)
     p2 = t.has2 & (t.m2 < inner - TIE_EPS)
     return EquilibriumPolicy(

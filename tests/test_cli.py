@@ -198,3 +198,48 @@ def test_zero_sweeps_exit_2_with_whole_report(tmp_path, command, report):
     assert doc["sweeps"] == 0 and not doc["converged"]
     assert doc["residual"] is None and doc["error_bound"] is None
     assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+@pytest.mark.parametrize("source,doc", [
+    ("--game", {"gamma": None}),
+    ("--game", {"cost_floor": None}),
+    ("--game", {"states": 3.7}),
+    ("--duopoly", 3),
+    ("--duopoly", {"grid_size": "x"}),
+    ("--duopoly", {"investments1": 5}),
+])
+def test_bad_scalar_in_input_exits_1_no_output(tmp_path, capsys, source, doc):
+    if source == "--game":
+        doc = {**ig.game_to_dict(ig.random_game(3, 1, 1, seed=0)), **doc}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["solve", source, str(path), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", [[], ["--game"]])
+def test_gen_without_gen_or_duopoly_exits_1_no_output(tmp_path, g1_file, source):
+    out = tmp_path / "out"
+    code = main(["gen"] + source + [str(g1_file)] * len(source) + ["--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_fit_command_solves_once(tmp_path, g1_file, monkeypatch):
+    import impulsegames.cli as cli
+    import impulsegames.linfa as linfa
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ig.solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setattr(linfa, "solve", counted)
+    assert main(["fit", "--game", str(g1_file), "--steps", "2000",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

@@ -157,3 +157,9 @@ def test_stationary_distribution_self_loop(g1):
     policy = ig.extract_policy(g1, ig.solve(g1, tol=1e-10).value)
     res = ig.stationary_distribution(g1, policy)
     assert res.ergodic and np.allclose(res.weights, [1.0])
+
+
+@pytest.mark.parametrize("field", ["episode_len", "epoch"])
+def test_fit_config_rejects_nonpositive_periods(field):
+    with pytest.raises(ValueError, match=field):
+        ig.FitConfig(samples=10, **{field: 0})

@@ -141,3 +141,43 @@ def test_learn_stop_delta_stops_early(g3):
     _, diag = ig.learn(g3, cfg)
     assert diag.stopped_early
     assert diag.steps_run < 200_000
+
+
+def _masked_random_game():
+    base = ig.random_game(8, 3, 2, seed=31)
+    mask1 = np.ones((8, 4), dtype=bool)
+    mask1[1, 1:] = False
+    mask1[2, 2] = False
+    mask2 = np.ones((8, 3), dtype=bool)
+    mask2[3, 1:] = False
+    return ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
+                          cost2=base.cost2, cost_floor=base.cost_floor,
+                          discount=base.discount, mask1=mask1, mask2=mask2)
+
+
+def test_greedy_read_off_matches_solver_nesting():
+    game = _masked_random_game()
+    v = np.random.default_rng(2).normal(size=game.num_states)
+    q = ig.q_from_value(game, v)
+    value = ig.bellman(game, v)
+    policy = ig.extract_policy(game, v)
+    rng = np.random.default_rng(0)
+    for s in range(game.num_states):
+        assert ig.greedy_value(q, game, s) == pytest.approx(value[s], abs=1e-12)
+        assert ig.act(q, game, s, 0.0, rng) == policy.executed_pair(s)
+
+
+def test_act_explores_through_explore():
+    game = _masked_random_game()
+    q = np.zeros((8, 4, 3))
+    for s in range(game.num_states):
+        rng1, rng2 = np.random.default_rng(s), np.random.default_rng(s)
+        rng2.random()
+        assert ig.act(q, game, s, 1.0, rng1) == ig.qlearn.explore(game, s, rng2)
+        assert rng1.random() == rng2.random()
+
+
+@pytest.mark.parametrize("field", ["episode_len", "eval_every"])
+def test_learn_config_rejects_nonpositive_periods(field):
+    with pytest.raises(ValueError, match=field):
+        ig.LearnConfig(steps=10, **{field: 0})

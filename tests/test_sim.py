@@ -34,6 +34,8 @@ def test_draw_past_row_end_lands_on_last_state_with_mass():
     assert np.cumsum(game.kernel[0, 0, 0])[-1] <= u
     traj = ig.simulate(game, _idle(4), 5, rng=_FixedDraw(u))
     assert traj.states.tolist() == [0, 2, 2, 2, 2, 2]
+    env = ig.SamplingEnv(game, rng=_FixedDraw(u))
+    assert [env.step(s, (0, 0))[0] for s in range(4)] == [2, 2, 2, 2]
 
 
 def test_draw_past_row_end_keeps_budget_counters():
