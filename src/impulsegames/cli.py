@@ -19,7 +19,7 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import load_basis, load_game, random_game, save_game
+from .game import GameValidationError, load_basis, load_game, random_game, save_game, validate
 from .sim import simulate
 from .solver import intervention_times, minimax_oracle, solve
 
@@ -67,7 +67,11 @@ def _obtain_game(args):
     if args.duopoly is not None:
         with open(args.duopoly, encoding="utf-8") as f:
             doc = json.load(f)
-        return build_duopoly_game(duopoly_params_from_dict(doc))
+        game = build_duopoly_game(duopoly_params_from_dict(doc))
+        violations = validate(game)
+        if violations:
+            raise GameValidationError(violations)
+        return game
     s, a, b, seed = _parse_gen(args.gen)
     return random_game(s, a, b, seed, gamma=args.gamma)
 

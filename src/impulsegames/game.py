@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,22 @@ class ImpulseGame:
     def num_actions2(self) -> int:
         return self.kernel.shape[2]
 
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel rows ``(S, A+B-1, S)`` and net rewards ``(S, A+B-1)`` of the
+        pairs that can execute under Player 2's precedence, built on first use:
+        column ``a`` is ``(a, 0)``, ``A - 1 + b`` is ``(0, b)``.  A masked cell's
+        net reward is -inf for Player 1 and +inf for Player 2."""
+        k, r = self.kernel, self.reward
+        kernel = np.concatenate([k[:, :, 0], k[:, 0, 1:]], axis=1)
+        net = np.concatenate([r[:, :1, 0],
+                              np.where(self.mask1[:, 1:], r[:, 1:, 0] - self.cost1[:, 1:], -np.inf),
+                              np.where(self.mask2[:, 1:], r[:, 0, 1:] + self.cost2[:, 1:], np.inf)],
+                             axis=1)
+        kernel.setflags(write=False)
+        net.setflags(write=False)
+        return kernel, net
+
 
 def validate(game: ImpulseGame) -> list[Violation]:
     """Check every model invariant; violations come back as data, not raises.
@@ -215,6 +232,8 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
         raise ValueError("num_states must be >= 1")
     if num_actions1 < 0 or num_actions2 < 0:
         raise ValueError("action counts must be >= 0")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
     na, nb = num_actions1 + 1, num_actions2 + 1
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))

@@ -6,8 +6,9 @@ Two nestings of the operator are kept side by side behind a ``combinator``
 switch: ``"T"`` is min-outside (the solver's own nesting, so its fixed point
 is the game value) and ``"F"`` is the flipped max-outside form.  Both are
 gamma-contractions; they differ in which player the middle do-nothing term
-shelters.  The sampled fit's behaviour trajectory takes the learner's
-exploration draw (:func:`impulsegames.qlearn.explore`) and the sampler of
+shelters.  The sampled fit evaluates them at the visited state only; its
+behaviour trajectory takes the learner's exploration draw
+(:func:`impulsegames.qlearn.explore`) and the sampler of
 :class:`impulsegames.envs.SamplingEnv`.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from .envs import SamplingEnv
 from .game import ImpulseGame
 from .qlearn import explore
-from .solver import _combine, extract_policy, operator_terms, solve
+from .solver import _combine, _executed_chain, extract_policy, operator_terms, solve
 
 RANK_TOL = 1e-10
 
@@ -101,8 +102,8 @@ def project(basis: FeatureBasis, weights, target) -> np.ndarray:
     return basis.field(projection_weights(basis, weights, target))
 
 
-def _operator_on_field(game: ImpulseGame, lam, combinator: str) -> np.ndarray:
-    t = operator_terms(game, lam)
+def _operator_on_field(game: ImpulseGame, lam, combinator: str, rows=None) -> np.ndarray:
+    t = operator_terms(game, lam, _rows=rows)
     if combinator == "T":
         return _combine(t)
     if combinator == "F":
@@ -137,10 +138,9 @@ def stationary_distribution(game: ImpulseGame, policy, tol: float = 1e-12,
     callers then fall back to uniform weights.
     """
     ns = game.num_states
-    p = np.empty((ns, ns))
-    for s in range(ns):
-        a, b = policy.executed_pair(s)
-        p[s] = game.kernel[s, a, b]
+    acts1 = np.where(policy.p1_acts & ~policy.p2_acts, policy.p1_action, 0)
+    acts2 = np.where(policy.p2_acts, policy.p2_action, 0)
+    p, _ = _executed_chain(game, acts1, acts2)
     lazy = 0.5 * (np.eye(ns) + p)
     w = np.full(ns, 1.0 / ns)
     for _ in range(max_iter):
@@ -246,9 +246,9 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     steps_run = 0
     for t in range(config.samples):
         lam = phi @ r
-        target = _operator_on_field(game, lam, config.combinator)
+        target = _operator_on_field(game, lam, config.combinator, rows=slice(s, s + 1))[0]
         alpha = (1.0 + t) ** -config.step_power
-        r = r + alpha * phi[s] * (target[s] - lam[s])
+        r = r + alpha * phi[s] * (target - lam[s])
         steps_run = t + 1
         if np.abs(r).max() > config.divergence_limit:
             raise FitDivergenceError(t, r)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import SamplingEnv
-from .game import ImpulseGame, effective_reward
+from .game import ImpulseGame
 from .solver import EquilibriumPolicy
 
 
@@ -55,6 +55,8 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     acts2 = np.empty(steps, dtype=int)
     rewards = np.empty(steps)
     states[0] = x
+    net = game.cells[1].tolist()
+    off2 = game.num_actions1 - 1
     g = game.discount
     disc = 1.0
     cumulative = np.empty(steps)
@@ -67,7 +69,7 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
             raise RuntimeError(
                 f"policy executed a masked action ({a}, {b}) at state {x}")
         nxt, _ = env.step(s, (a, b))
-        r = effective_reward(game, s, (a, b))
+        r = net[s][off2 + b if b else a]
         acts1[t], acts2[t], rewards[t] = a, b, r
         total += disc * r
         cumulative[t] = total

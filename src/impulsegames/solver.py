@@ -8,7 +8,8 @@ The one-step operator applied to a value field ``v`` at state ``s`` is
 where the Player-1 term subtracts its action cost, the Player-2 term adds
 its cost, and the do-nothing term is the null-pair reward plus the
 discounted expectation of ``v``.  When both players' action conditions
-trigger at the same state, only Player 2's action executes.
+trigger at the same state, only Player 2's action executes, so only the
+pairs of :attr:`ImpulseGame.cells` (null, ``(a, 0)``, ``(0, b)``) are read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, effective_reward
+from .game import ImpulseGame
 
 TIE_EPS = 1e-10
 
@@ -44,83 +45,52 @@ class OperatorTerms(NamedTuple):
     has2: np.ndarray
 
 
-def expected_next_values(game: ImpulseGame, v: np.ndarray) -> np.ndarray:
-    """E[v(s') | s, a, b] for every cell, shape (S, A, B)."""
-    s = game.num_states
-    return (game.kernel.reshape(-1, s) @ np.asarray(v, dtype=float)).reshape(game.reward.shape)
+def _next_values(v, kernel, caps=None, acts1=(), acts2=()):
+    """E[v(next) | cell] for the cells of ``kernel``, axes ``(s, cell..., s')``.
 
-
-class _CounterCells(NamedTuple):
-    """The budgeted game's tables on axes ``(s, action..., y, z)``."""
-
-    reward: np.ndarray
-    cost1: np.ndarray
-    cost2: np.ndarray
-    mask1: np.ndarray
-    mask2: np.ndarray
-    discount: float
-    num_actions1: int
-    num_actions2: int
-
-
-def _next_values(game: ImpulseGame, v, caps):
-    """E[v(next) | cell] on axes ``(S, A, B, ...)``, and the cells' tables.
-
-    Without caps the cells are the game's own.  With ``caps=(n1, n2)``, ``v``
-    is flat over ``(s, y, z)``, index ``(s * (n1+1) + y) * (n2+1) + z``, the
-    trailing axes are ``(y, z)``, and a costly action moves its player's
-    counter down by one.  The base kernel carries ``s``, so one matmul
-    against the ``(S, Y*Z)`` value grid plus a shift of the counter axes
-    stands in for the augmented kernel.  A spent counter masks its player's
-    costly actions.
+    With ``caps=(n1, n2)``, ``v`` is flat over ``(s, y, z)`` (see
+    :meth:`impulsegames.budget.AugmentedGame.index`), the result gains
+    trailing axes ``(y, z)``, and the cells ``acts1``/``acts2`` (where Player
+    1/2 acts) read their next value one step down that player's counter.
     """
+    ns = kernel.shape[-1]
     if caps is None:
-        return expected_next_values(game, v), game
-    ns, na, nb = game.reward.shape
+        return (kernel.reshape(-1, ns) @ np.asarray(v, dtype=float)).reshape(kernel.shape[:-1])
     ny, nz = caps[0] + 1, caps[1] + 1
     grid = np.asarray(v, dtype=float).reshape(ns, ny * nz)
-    ev = (game.kernel.reshape(-1, ns) @ grid).reshape(ns, na, nb, ny, nz)
-    ev[:, 1:] = ev[:, 1:, :, np.maximum(np.arange(ny) - 1, 0)]
-    ev[:, :, 1:] = ev[:, :, 1:, :, np.maximum(np.arange(nz) - 1, 0)]
-    mask1 = np.broadcast_to(game.mask1[:, :, None, None], (ns, na, ny, nz)).copy()
-    mask2 = np.broadcast_to(game.mask2[:, :, None, None], (ns, nb, ny, nz)).copy()
-    mask1[:, 1:, 0, :] = False
-    mask2[:, 1:, :, 0] = False
-    cells = _CounterCells(game.reward[..., None, None], game.cost1[..., None, None],
-                          game.cost2[..., None, None], mask1, mask2, game.discount, na, nb)
-    return ev, cells
+    ev = (kernel.reshape(-1, ns) @ grid).reshape(kernel.shape[:-1] + (ny, nz))
+    ev[acts1] = ev[acts1][..., np.maximum(np.arange(ny) - 1, 0), :]
+    ev[acts2] = ev[acts2][..., np.maximum(np.arange(nz) - 1, 0)]
+    return ev
 
 
-def operator_terms(game: ImpulseGame, v, caps=None) -> OperatorTerms:
-    """The operator's pieces at every state, flat like ``v``.
+def expected_next_values(game: ImpulseGame, v) -> np.ndarray:
+    """E[v(s') | s, a, b] for every cell, shape (S, A, B)."""
+    return _next_values(v, game.kernel)
+
+
+def operator_terms(game: ImpulseGame, v, caps=None, *, _rows=None) -> OperatorTerms:
+    """The operator's pieces at every state, flat like ``v``, from the net
+    reward plus discounted E[v(next)] of each of :attr:`ImpulseGame.cells`.
 
     ``caps=(n1, n2)`` evaluates them on the budgeted game over states
-    ``(s, y, z)`` from the base game's tables; see :func:`_next_values`.
+    ``(s, y, z)`` (see :func:`_next_values`); a spent counter masks its
+    player's cells.  ``_rows`` picks base states, for single-state callers.
     """
-    ev, game = _next_values(game, v, caps)
-    g = game.discount
-    noop = game.reward[:, 0, 0] + g * ev[:, 0, 0]
-    if game.num_actions1 > 1:
-        cont = game.reward[:, 1:, 0] - game.cost1[:, 1:] + g * ev[:, 1:, 0]
-        cont = np.where(game.mask1[:, 1:], cont, -np.inf)
-        m1 = cont.max(axis=1)
-        act1 = cont.argmax(axis=1) + 1
-        has1 = game.mask1[:, 1:].any(axis=1)
-    else:
-        m1 = np.full(noop.shape, -np.inf)
-        act1 = np.zeros(noop.shape, dtype=int)
-        has1 = np.zeros(noop.shape, dtype=bool)
-    if game.num_actions2 > 1:
-        cont = game.reward[:, 0, 1:] + game.cost2[:, 1:] + g * ev[:, 0, 1:]
-        cont = np.where(game.mask2[:, 1:], cont, np.inf)
-        m2 = cont.min(axis=1)
-        act2 = cont.argmin(axis=1) + 1
-        has2 = game.mask2[:, 1:].any(axis=1)
-    else:
-        m2 = np.full(noop.shape, np.inf)
-        act2 = np.zeros(noop.shape, dtype=int)
-        has2 = np.zeros(noop.shape, dtype=bool)
-    terms = OperatorTerms(noop, m1, act1, has1, m2, act2, has2)
+    kernel, net = game.cells if _rows is None else (x[_rows] for x in game.cells)
+    na = game.num_actions1
+    ev = _next_values(v, kernel, caps, np.s_[:, 1:na], np.s_[:, na:])
+    q = (net if caps is None else net[:, :, None, None]) + game.discount * ev
+    if caps is not None:
+        q[:, 1:na, 0] = -np.inf
+        q[:, na:, :, 0] = np.inf
+    noop, p1, p2 = q[:, 0], q[:, 1:na], q[:, na:]
+    m1 = p1.max(axis=1, initial=-np.inf)
+    m2 = p2.min(axis=1, initial=np.inf)
+    none = np.zeros(noop.shape, dtype=int)
+    act1 = p1.argmax(axis=1) + 1 if p1.shape[1] else none
+    act2 = p2.argmin(axis=1) + 1 if p2.shape[1] else none
+    terms = OperatorTerms(noop, m1, act1, m1 > -np.inf, m2, act2, m2 < np.inf)
     return terms if caps is None else OperatorTerms(*(x.ravel() for x in terms))
 
 
@@ -129,36 +99,34 @@ def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
 
     Returns ``(-inf, None)`` when Player 1 has no available non-null action.
     """
-    t = operator_terms(game, v)
-    if not t.has1[s]:
+    t = operator_terms(game, v, _rows=[s])
+    if not t.has1[0]:
         return InterventionResult(-math.inf, None)
-    return InterventionResult(float(t.m1[s]), int(t.act1[s]))
+    return InterventionResult(float(t.m1[0]), int(t.act1[0]))
 
 
 def min_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
     """Best immediate costly Player-2 action value at ``s`` (a held null)."""
-    t = operator_terms(game, v)
-    if not t.has2[s]:
+    t = operator_terms(game, v, _rows=[s])
+    if not t.has2[0]:
         return InterventionResult(math.inf, None)
-    return InterventionResult(float(t.m2[s]), int(t.act2[s]))
+    return InterventionResult(float(t.m2[0]), int(t.act2[0]))
 
 
 def noop_continuation(game: ImpulseGame, v) -> np.ndarray:
     """Do-nothing continuation value for every state."""
-    v = np.asarray(v, dtype=float)
-    ev = game.kernel[:, 0, 0, :] @ v
-    return game.reward[:, 0, 0] + game.discount * ev
+    kernel, net = game.cells
+    return net[:, 0] + game.discount * (kernel[:, 0] @ np.asarray(v, dtype=float))
 
 
 def _inner(t: OperatorTerms) -> np.ndarray:
     """Player 1's side of the nesting: max(best costly action, do-nothing)."""
-    return np.where(t.has1, np.maximum(t.m1, t.noop), t.noop)
+    return np.maximum(t.m1, t.noop)
 
 
 def _combine(t: OperatorTerms) -> np.ndarray:
     """The whole nesting: min(inner, best costly Player-2 action)."""
-    inner = _inner(t)
-    return np.where(t.has2, np.minimum(inner, t.m2), inner)
+    return np.minimum(_inner(t), t.m2)
 
 
 def bellman(game: ImpulseGame, v, caps=None) -> np.ndarray:
@@ -174,10 +142,13 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     """Cost-exclusive action values: reward plus discounted expectation of v.
 
     Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
+    The one reader of the cells where both players act.
     """
-    ev, cells = _next_values(game, v, caps)
-    q = cells.reward + cells.discount * ev
-    return q if caps is None else q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
+    if caps is None:
+        return game.reward + game.discount * expected_next_values(game, v)
+    ev = _next_values(v, game.kernel, caps, np.s_[:, 1:], np.s_[:, :, 1:])
+    q = game.reward[..., None, None] + game.discount * ev
+    return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
 
 
 @dataclass(frozen=True)
@@ -233,9 +204,8 @@ def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
     for no gain.  ``caps`` selects the budgeted game, as in :func:`bellman`.
     """
     t = operator_terms(game, v, caps)
-    inner = _inner(t)
-    p1 = t.has1 & (t.m1 > t.noop + TIE_EPS)
-    p2 = t.has2 & (t.m2 < inner - TIE_EPS)
+    p1 = t.m1 > t.noop + TIE_EPS
+    p2 = t.m2 < _inner(t) - TIE_EPS
     return EquilibriumPolicy(
         p1_acts=p1, p1_action=np.where(p1, t.act1, 0),
         p2_acts=p2, p2_action=np.where(p2, t.act2, 0),
@@ -304,26 +274,35 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     )
 
 
+def _executed_chain(game: ImpulseGame, pol1, pol2) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel rows and net rewards of the pairs a deterministic policy pair
+    executes, one per state; Player 2's non-null action suppresses Player 1's."""
+    ns, na, nb = game.reward.shape
+    a = np.asarray(pol1, dtype=int)
+    b = np.asarray(pol2, dtype=int)
+    if a.shape != (ns,) or b.shape != (ns,):
+        raise ValueError(f"policies must have shape ({ns},)")
+    for name, xs, n in (("1", a.tolist(), na), ("2", b.tolist(), nb)):
+        if not 0 <= min(xs) <= max(xs) < n:  # builtins: cheaper than numpy's on a few states
+            raise IndexError(f"policy selects a Player-{name} action outside 0..{n - 1}")
+    col = np.where(b, b + (na - 1), a)
+    states = np.arange(ns)
+    kernel, net = game.cells
+    r = net[states, col]
+    masked = np.flatnonzero(np.isinf(r))
+    if masked.size:
+        raise ValueError(f"policy selects a masked action at state {masked[0]}")
+    return kernel[states, col], r
+
+
 def evaluate_policies(game: ImpulseGame, pol1, pol2) -> np.ndarray:
     """Exact value of a fixed deterministic stationary policy pair.
 
     Player 2's choice suppresses Player 1's at states where both are
     non-null.  Solves the linear system (I - gamma * P) v = r directly.
     """
-    pol1 = np.asarray(pol1, dtype=int)
-    pol2 = np.asarray(pol2, dtype=int)
-    ns = game.num_states
-    p = np.empty((ns, ns))
-    r = np.empty(ns)
-    for s in range(ns):
-        a, b = (0, int(pol2[s])) if pol2[s] != 0 else (int(pol1[s]), 0)
-        if a != 0 and not game.mask1[s, a]:
-            raise ValueError(f"policy selects masked Player-1 action {a} at state {s}")
-        if b != 0 and not game.mask2[s, b]:
-            raise ValueError(f"policy selects masked Player-2 action {b} at state {s}")
-        p[s] = game.kernel[s, a, b]
-        r[s] = effective_reward(game, s, (a, b))
-    return np.linalg.solve(np.eye(ns) - game.discount * p, r)
+    p, r = _executed_chain(game, pol1, pol2)
+    return np.linalg.solve(np.eye(game.num_states) - game.discount * p, r)
 
 
 class EnumerationBudgetError(ValueError):

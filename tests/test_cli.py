@@ -243,3 +243,24 @@ def test_fit_command_solves_once(tmp_path, g1_file, monkeypatch):
     assert main(["fit", "--game", str(g1_file), "--steps", "2000",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source,doc", [
+    ("--duopoly", {"grid_size": 3, "gamma": 1.5}),
+    ("--duopoly", {"grid_size": 3, "kappa1": float("nan")}),
+    ("--gen", None),
+])
+def test_bad_discount_or_cost_exits_1_no_output(tmp_path, capsys, recwarn, source, doc):
+    if source == "--gen":
+        argv = ["--gen", "3,1,1,0", "--gamma", "1.5"]
+    else:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        argv = [source, str(path)]
+    out = tmp_path / "out"
+    code = main(["solve"] + argv + ["--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

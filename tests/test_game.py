@@ -82,6 +82,34 @@ def test_random_game_zero_states_rejected():
         ig.random_game(0, 1, 1, seed=0)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
+def test_random_game_discount_out_of_range_rejected(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        ig.random_game(3, 1, 1, seed=0, gamma=gamma)
+
+
+def test_executable_cells_table(g1):
+    kernel, net = g1.cells
+    assert kernel.shape == (1, 3, 1) and net.tolist() == [[1.0, 2.0 - 0.5, 0.0 + 0.3]]
+    game = ig.random_game(4, 2, 3, seed=5)
+    mask1 = game.mask1.copy()
+    mask1[1, 2] = False
+    game = ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                          cost2=game.cost2, cost_floor=game.cost_floor,
+                          discount=game.discount, mask1=mask1, mask2=~np.eye(4, 4, 1, dtype=bool))
+    kernel, net = game.cells
+    pairs = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)]
+    for s in range(4):
+        for col, pair in enumerate(pairs):
+            assert np.array_equal(kernel[s, col], game.kernel[s][pair])
+            a, b = pair
+            if (a and not game.mask1[s, a]) or (b and not game.mask2[s, b]):
+                assert net[s, col] == (-np.inf if a else np.inf)
+            else:
+                assert net[s, col] == ig.effective_reward(game, s, pair)
+    assert game.cells is game.cells
+
+
 def test_random_game_same_seed_identical_bytes(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     ig.save_game(ig.random_game(4, 2, 1, seed=11), p1)

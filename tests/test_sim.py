@@ -48,3 +48,20 @@ def test_draw_past_row_end_keeps_budget_counters():
                        rng=_FixedDraw(0.9999999999999999), caps=aug.caps)
     assert [aug.labels[x] for x in traj.states] == [(0, 2, 0), (2, 1, 0), (2, 1, 0),
                                                     (2, 1, 0)]
+
+
+def test_rewards_are_the_executed_pairs_net_rewards():
+    base = ig.random_game(5, 2, 2, seed=21)
+    mask1 = base.mask1.copy()
+    mask1[0, 1:] = False
+    game = ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
+                          cost2=base.cost2, cost_floor=base.cost_floor,
+                          discount=base.discount, mask1=mask1)
+    for caps in (None, (2, 1)):
+        rep = ig.solve(game, tol=1e-10, caps=caps)
+        traj = ig.simulate(game, rep.policy, 200, seed=4, caps=caps)
+        ny_nz = 1 if caps is None else (caps[0] + 1) * (caps[1] + 1)
+        for t in range(200):
+            pair = (int(traj.actions1[t]), int(traj.actions2[t]))
+            s = int(traj.states[t]) // ny_nz
+            assert traj.rewards[t] == ig.effective_reward(game, s, pair)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames import solver
 
-from _oracles import mrp_value, single_agent_impulse_vi
+from _oracles import loop_chain, loop_operator, mrp_value, single_agent_impulse_vi
 from conftest import micro_game
 
 
@@ -220,3 +221,103 @@ def test_simulate_discounted_return_matches_partial_sum(g2):
     expected = sum(0.5 ** t * 1.5 for t in range(10))
     assert traj.discounted_return == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(2.9971, abs=5e-4)
+
+
+def _cross_game(seed, ns, na, nb, masked):
+    """A random game; ``masked`` drops some costly actions at random, all of
+    Player 1's at state 0 and all of Player 2's at state 1."""
+    game = ig.random_game(ns, na, nb, seed=seed)
+    if not masked:
+        return game
+    rng = np.random.default_rng(seed)
+    mask1 = rng.random(game.mask1.shape) < 0.6
+    mask2 = rng.random(game.mask2.shape) < 0.6
+    mask1[:, 0] = mask2[:, 0] = True
+    mask1[0, 1:] = mask2[1, 1:] = False
+    return ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                          cost2=game.cost2, cost_floor=game.cost_floor,
+                          discount=game.discount, mask1=mask1, mask2=mask2)
+
+
+CROSS_GAMES = [(5, 2, 2, False), (6, 0, 3, False), (6, 3, 0, False), (4, 0, 0, False),
+               (5, 2, 2, True), (7, 1, 3, True), (6, 3, 1, True), (5, 0, 2, True)]
+
+
+@pytest.mark.parametrize("caps", [None, (2, 1), (0, 3)])
+@pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
+def test_operator_matches_per_state_loop(k, shape, caps):
+    game = _cross_game(1500 + k, *shape)
+    size = game.num_states * (1 if caps is None else (caps[0] + 1) * (caps[1] + 1))
+    rng = np.random.default_rng(k)
+    fields = [rng.uniform(-5, 5, size) for _ in range(3)]
+    fields.append(ig.solve(game, tol=1e-12, caps=caps).value)
+    for v in fields:
+        value, p1, a1, p2, a2 = loop_operator(game, v, caps)
+        np.testing.assert_allclose(ig.bellman(game, v, caps=caps), value, rtol=0, atol=1e-12)
+        pol = ig.extract_policy(game, v, caps=caps)
+        assert pol.p1_acts.tolist() == p1.tolist() and pol.p2_acts.tolist() == p2.tolist()
+        assert pol.p1_action.tolist() == a1.tolist() and pol.p2_action.tolist() == a2.tolist()
+
+
+@pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
+def test_single_state_answers_match_all_states(k, shape):
+    game = _cross_game(1600 + k, *shape)
+    v = np.random.default_rng(k).uniform(-5, 5, game.num_states)
+    t = solver.operator_terms(game, v)
+    noop = ig.noop_continuation(game, v)
+    np.testing.assert_allclose(noop, t.noop, rtol=0, atol=1e-12)
+    for s in range(game.num_states):
+        best1, best2 = ig.max_intervention(game, v, s), ig.min_intervention(game, v, s)
+        assert (best1.action is not None) == bool(t.has1[s])
+        assert (best2.action is not None) == bool(t.has2[s])
+        if t.has1[s]:
+            assert best1.action == t.act1[s] and abs(best1.value - t.m1[s]) <= 1e-12
+        else:
+            assert best1.value == -math.inf
+        if t.has2[s]:
+            assert best2.action == t.act2[s] and abs(best2.value - t.m2[s]) <= 1e-12
+        else:
+            assert best2.value == math.inf
+
+
+@pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
+def test_policy_chains_match_per_state_loop(k, shape):
+    game = _cross_game(1700 + k, *shape)
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        pols = []
+        for mask in (game.mask1, game.mask2):
+            pols.append([int(rng.choice(np.flatnonzero(row))) for row in mask])
+        p, r = loop_chain(game, *pols)
+        np.testing.assert_allclose(ig.evaluate_policies(game, *pols),
+                                   mrp_value(p, r, game.discount), rtol=0, atol=1e-10)
+        pol = ig.EquilibriumPolicy(
+            p1_acts=np.array(pols[0]) > 0, p1_action=np.array(pols[0]),
+            p2_acts=np.array(pols[1]) > 0, p2_action=np.array(pols[1]))
+        w = ig.stationary_distribution(game, pol).weights
+        assert np.abs(w @ p - w).max() <= 1e-9
+
+
+def test_evaluate_policies_refuses_masked_negative_and_out_of_range():
+    game = _cross_game(1800, 4, 2, 3, True)  # Player 1 masked at state 0, Player 2 at 1
+    null = [0] * 4
+
+    def with_action(s, x):
+        pol = list(null)
+        pol[s] = x
+        return pol
+
+    with pytest.raises(ValueError, match="shape"):
+        ig.evaluate_policies(game, [0], null)
+    with pytest.raises(ValueError, match="masked action at state 0"):
+        ig.evaluate_policies(game, with_action(0, 1), null)
+    with pytest.raises(ValueError, match="masked action at state 1"):
+        ig.evaluate_policies(game, null, with_action(1, 2))
+    # a Player-1 action that Player 2 suppresses is not executed, masked or not
+    assert game.mask2[0, 1]
+    ig.evaluate_policies(game, with_action(0, 1), with_action(0, 1))
+    for pol1, pol2 in [(with_action(2, -1), null), (null, with_action(2, -1)),
+                       (with_action(2, 3), null), (null, with_action(2, 4)),
+                       (with_action(2, 3), with_action(2, 1))]:
+        with pytest.raises(IndexError, match="outside"):
+            ig.evaluate_policies(game, pol1, pol2)
