@@ -19,7 +19,7 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import GameValidationError, load_basis, load_game, random_game, save_game, validate
+from .game import load_basis, load_game, random_game, save_game
 from .sim import simulate
 from .solver import intervention_times, minimax_oracle, solve
 
@@ -67,11 +67,7 @@ def _obtain_game(args):
     if args.duopoly is not None:
         with open(args.duopoly, encoding="utf-8") as f:
             doc = json.load(f)
-        game = build_duopoly_game(duopoly_params_from_dict(doc))
-        violations = validate(game)
-        if violations:
-            raise GameValidationError(violations)
-        return game
+        return build_duopoly_game(duopoly_params_from_dict(doc))
     s, a, b, seed = _parse_gen(args.gen)
     return random_game(s, a, b, seed, gamma=args.gamma)
 
@@ -291,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

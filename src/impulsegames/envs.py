@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ImpulseGame, _scalar
+from .game import GameValidationError, ImpulseGame, _scalar, validate
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,9 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     States enumerate lattice pairs row-major: state ``i*G + j`` holds
     ``(S1, S2) = (grid[i], grid[j])``.  Rewards are ``h_slope * (S1 - S2)``
     for every action pair; costs route through the game's cost tables and
-    are not double counted inside the reward.
+    are not double counted inside the reward.  Raises ``GameValidationError``
+    when the parameters give a game that breaks a model invariant (say a
+    discount outside [0, 1) or a NaN cost).
     """
     g = params.grid_size
     grid = np.linspace(0.0, params.market_size, g)
@@ -150,15 +152,20 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
 
     floor = min(params.kappa1 + min(levels1[1:], default=1.0),
                 params.kappa2 + min(levels2[1:], default=1.0))
-    return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
+    game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=floor, discount=params.gamma)
+    violations = validate(game)
+    if violations:
+        raise GameValidationError(violations)
+    return game
 
 
 class SamplingEnv:
     """Model-free access to a game: seeded reset/step, probabilities hidden.
 
     Exposes the static knowledge a learner legitimately owns (action counts,
-    its own costs, masks, discount) while transitions and rewards are only
+    masks, discount, and what each executable cell's costs add to its reward,
+    the game's ``cell_costs``) while transitions and rewards are only
     reachable by sampling through :meth:`step`, which is also the package's
     one next-state sampler: ``fit`` and ``simulate`` draw through it too.
     """
@@ -176,8 +183,7 @@ class SamplingEnv:
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
         self.num_actions2 = game.num_actions2
-        self.cost1 = game.cost1
-        self.cost2 = game.cost2
+        self.cell_costs = game.cell_costs
         self.mask1 = game.mask1
         self.mask2 = game.mask2
         self.discount = game.discount

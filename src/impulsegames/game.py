@@ -45,7 +45,10 @@ class GameValidationError(ValueError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("; ".join(v.message for v in self.violations))
+        shown = [v.message for v in self.violations[:3]]
+        if len(self.violations) > 3:
+            shown[-1] += f" ({len(self.violations) - 3} more)"
+        super().__init__("; ".join(shown))
 
 
 def _frozen_array(values, dtype=float):
@@ -132,17 +135,32 @@ class ImpulseGame:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Kernel rows ``(S, A+B-1, S)`` and net rewards ``(S, A+B-1)`` of the
         pairs that can execute under Player 2's precedence, built on first use:
-        column ``a`` is ``(a, 0)``, ``A - 1 + b`` is ``(0, b)``.  A masked cell's
-        net reward is -inf for Player 1 and +inf for Player 2."""
-        k, r = self.kernel, self.reward
-        kernel = np.concatenate([k[:, :, 0], k[:, 0, 1:]], axis=1)
-        net = np.concatenate([r[:, :1, 0],
-                              np.where(self.mask1[:, 1:], r[:, 1:, 0] - self.cost1[:, 1:], -np.inf),
-                              np.where(self.mask2[:, 1:], r[:, 0, 1:] + self.cost2[:, 1:], np.inf)],
-                             axis=1)
+        column ``a`` is ``(a, 0)``, ``A - 1 + b`` is ``(0, b)``.  A net reward
+        is the raw reward plus :attr:`cell_costs`."""
+        kernel = to_cells(self.kernel)
+        net = to_cells(self.reward) + self.cell_costs
         kernel.setflags(write=False)
         net.setflags(write=False)
         return kernel, net
+
+    @cached_property
+    def cell_costs(self) -> np.ndarray:
+        """What executing each cell of :attr:`cells` adds to its raw reward,
+        ``(S, A+B-1)``: ``-cost1`` for ``(a, 0)``, ``+cost2`` for ``(0, b)``,
+        -inf / +inf where the action is masked, and -0.0 for the null pair
+        (the zero that leaves every reward's bits as they are)."""
+        costs = np.concatenate([np.full((self.num_states, 1), -0.0),
+                                np.where(self.mask1[:, 1:], -self.cost1[:, 1:], -np.inf),
+                                np.where(self.mask2[:, 1:], self.cost2[:, 1:], np.inf)],
+                               axis=1)
+        costs.setflags(write=False)
+        return costs
+
+
+def to_cells(table: np.ndarray) -> np.ndarray:
+    """``table[:, a, b, ...]`` at the pairs that can execute, in the layout of
+    :attr:`ImpulseGame.cells`: shape ``(S, A+B-1, ...)``."""
+    return np.concatenate([table[:, :, 0], table[:, 0, 1:]], axis=1)
 
 
 def validate(game: ImpulseGame) -> list[Violation]:
@@ -156,7 +174,7 @@ def validate(game: ImpulseGame) -> list[Violation]:
     for s, a, b in bad:
         out.append(Violation(
             "kernel-row-sum", (int(s), int(a), int(b)),
-            f"kernel row (s={s}, a={a}, b={b}) sums to {row_sums[s, a, b]!r}, expected 1",
+            f"kernel row (s={s}, a={a}, b={b}) sums to {float(row_sums[s, a, b])!r}, expected 1",
         ))
     neg = np.argwhere(game.kernel < 0)
     for s, a, b, t in neg:
@@ -176,7 +194,7 @@ def validate(game: ImpulseGame) -> list[Violation]:
             for s, j in low:
                 out.append(Violation(
                     "cost-below-floor", (name, int(s), int(j) + 1),
-                    f"cost{name}(s={s}, action={j + 1}) = {costs[s, j + 1]!r} "
+                    f"cost{name}(s={s}, action={j + 1}) = {float(costs[s, j + 1])!r} "
                     f"is below the floor {game.cost_floor}",
                 ))
     if not np.isfinite(game.reward).all():
@@ -298,11 +316,15 @@ def _reject_constant(token):
     raise GameFormatError(f"non-finite literal {token!r} is not allowed in game files")
 
 
-def _shaped(doc, key, shape):
+def _numeric(doc, key):
     try:
-        arr = np.asarray(doc[key], dtype=float)
+        return np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFormatError(f"key '{key}' is not a numeric array: {exc}") from None
+
+
+def _shaped(doc, key, shape):
+    arr = _numeric(doc, key)
     if arr.shape != shape:
         raise GameFormatError(f"key '{key}' has shape {arr.shape}, expected {shape}")
     return arr
@@ -371,7 +393,7 @@ def load_basis(path):
         doc = json.loads(f.read(), parse_constant=_reject_constant)
     if "basis" not in doc:
         return None
-    arr = np.asarray(doc["basis"], dtype=float)
+    arr = _numeric(doc, "basis")
     if arr.ndim != 2 or arr.shape[0] != int(doc.get("states", arr.shape[0])):
         raise GameFormatError("key 'basis' must be a (states x features) matrix")
     return arr

@@ -1,32 +1,34 @@
 """Model-free learning of the game's action values by simulated play.
 
-The learner keeps a cost-exclusive joint table ``Q[s, a, b]``; action costs
-are applied on the fly when the table is read back through the greedy
-combinator.  Each step executes exactly one of: a costly Player-1 action, a
-costly Player-2 action (precedence when both trigger), or the null pair, and
-updates only the executed cell with a sampled one-step bootstrap target.
+Each step executes exactly one of: a costly Player-1 action, a costly
+Player-2 action (precedence when both trigger), or the null pair, and updates
+only the executed cell toward a sampled one-step bootstrap target on the raw
+(cost-exclusive) reward.  The learner keeps one value per executable cell, in
+the layout of ``ImpulseGame.cells``, reads it back through the greedy
+combinator by adding the game's ``cell_costs``, and returns ``Q[s, a, b]``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame
+from .game import ImpulseGame, to_cells
 from .envs import SamplingEnv
 from .solver import TIE_EPS
 
 
 class Transition(NamedTuple):
-    """One executed step; the pair never has both entries non-null."""
+    """One executed step and its raw reward; the pair never has both entries non-null."""
 
     state: int
     a: int
     b: int
-    net_reward: float
+    reward: float
     next_state: int
 
 
@@ -64,29 +66,32 @@ class LearnConfig:
             raise ValueError("episode_len and eval_every must be positive")
 
 
-def _read_off(q: np.ndarray, game, s: int) -> tuple[float, tuple[int, int]]:
-    """Greedy value at ``s`` and the pair it executes, by ``extract_policy``'s rule."""
-    # The solver's nesting, per state: a vectorised call on one row costs more per step.
-    noop = float(q[s, 0, 0])
-    inner, a = noop, 0
-    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
-        vals = np.where(game.mask1[s, 1:], q[s, 1:, 0] - game.cost1[s, 1:], -np.inf)
-        i = int(vals.argmax())
-        best = float(vals[i])
-        if best > inner:
-            inner = best
-        if best > noop + TIE_EPS:
-            a = i + 1
-    out = inner
-    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
-        vals = np.where(game.mask2[s, 1:], q[s, 0, 1:] + game.cost2[s, 1:], np.inf)
-        j = int(vals.argmin())
-        best = float(vals[j])
-        if best < out:
-            out = best
-        if best < inner - TIE_EPS:
-            return out, (0, j + 1)
-    return out, (a, 0)
+def _greedy(q_row, cost_row, na: int) -> tuple[float, tuple[int, int]]:
+    """Greedy value at one state and the pair it executes, by ``extract_policy``'s
+    rule, from plain lists in the layout of ``ImpulseGame.cells``: the raw cell
+    values and what each cell's costs add to them (``cell_costs``)."""
+    # The solver's nesting on Python floats: a vectorised call on one row costs more per step.
+    noop = q_row[0] + cost_row[0]
+    best1, i = -math.inf, 0
+    for c in range(1, na):
+        v = q_row[c] + cost_row[c]
+        if v > best1:
+            best1, i = v, c
+    inner = best1 if best1 > noop else noop
+    best2, j = math.inf, 0
+    for c in range(na, len(q_row)):
+        v = q_row[c] + cost_row[c]
+        if v < best2:
+            best2, j = v, c
+    out = best2 if best2 < inner else inner
+    if best2 < inner - TIE_EPS:
+        return out, (0, j - na + 1)
+    return out, (i if best1 > noop + TIE_EPS else 0, 0)
+
+
+def _greedy_at(q: np.ndarray, game, s: int) -> tuple[float, tuple[int, int]]:
+    row = to_cells(q[s:s + 1])[0]
+    return _greedy(row.tolist(), game.cell_costs[s].tolist(), game.num_actions1)
 
 
 def greedy_value(q: np.ndarray, game, s: int) -> float:
@@ -96,7 +101,7 @@ def greedy_value(q: np.ndarray, game, s: int) -> float:
          best costly P2 cell plus its cost ), with absent (or fully masked)
     sides dropping out of the nesting.
     """
-    return _read_off(q, game, s)[0]
+    return _greedy_at(q, game, s)[0]
 
 
 def explore(game, s: int, rng) -> tuple[int, int]:
@@ -128,21 +133,14 @@ def act(q: np.ndarray, game, s: int, epsilon: float, rng) -> tuple[int, int]:
     """
     if epsilon > 0.0 and rng.random() < epsilon:
         return explore(game, s, rng)
-    return _read_off(q, game, s)[1]
+    return _greedy_at(q, game, s)[1]
 
 
 def step_update(q: np.ndarray, game, tr: Transition, alpha: float) -> StepResult:
-    """Move the executed cell toward its sampled bootstrap target, in place.
-
-    The target uses the raw (cost-exclusive) reward, recovered from the
-    transition's net reward: the table itself never stores action costs.
-    """
-    raw = tr.net_reward
-    if tr.a != 0:
-        raw += float(game.cost1[tr.state, tr.a])
-    if tr.b != 0:
-        raw -= float(game.cost2[tr.state, tr.b])
-    target = raw + game.discount * greedy_value(q, game, tr.next_state)
+    """Move the executed cell of an ``(S, A, B)`` table toward its sampled
+    bootstrap target, in place.  The table never stores action costs, so the
+    target uses the transition's raw reward."""
+    target = tr.reward + game.discount * greedy_value(q, game, tr.next_state)
     delta = alpha * (target - float(q[tr.state, tr.a, tr.b]))
     q[tr.state, tr.a, tr.b] += delta
     return StepResult(delta=delta, target=target)
@@ -167,63 +165,58 @@ class LearnDiagnostics:
             writer.writerows(self.rows)
 
 
-def _as_env(game_or_env, rng) -> SamplingEnv:
-    if isinstance(game_or_env, ImpulseGame):
-        return SamplingEnv(game_or_env, rng=rng)
-    return game_or_env
-
-
 def learn(game_or_env, config: LearnConfig, q0=None,
           reference_q=None) -> tuple[np.ndarray, LearnDiagnostics]:
     """Run the simulated-play learner for the configured step budget.
 
     Accepts either a game (wrapped behind the sampling contract) or an
     environment exposing ``reset``/``step`` plus the static action metadata.
-    When ``reference_q`` is given, the diagnostics track the sup-norm
-    distance to it over the cells executed so far.
+    The table and visit counts come back as ``(S, A, B)`` arrays, where cells
+    in which both players act keep their ``q0`` value.  When ``reference_q``
+    is given, the diagnostics track the sup-norm distance to it over the
+    cells executed so far.
     """
     rng = np.random.default_rng(config.seed)
-    env = _as_env(game_or_env, rng)
-    shape = (env.num_states, env.num_actions1, env.num_actions2)
-    q = np.zeros(shape) if q0 is None else np.array(q0, dtype=float)
-    if q.shape != shape:
-        raise ValueError(f"q0 must have shape {shape}")
-    visits = np.zeros(shape, dtype=np.int64)
-    diag = LearnDiagnostics(visits=visits)
+    env = (SamplingEnv(game_or_env, rng=rng) if isinstance(game_or_env, ImpulseGame)
+           else game_or_env)
+    ns, na, nb = env.num_states, env.num_actions1, env.num_actions2
+    q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
+    if q.shape != (ns, na, nb):
+        raise ValueError(f"q0 must have shape {(ns, na, nb)}")
+    diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64))
     steps = config.steps
-    if steps <= 0:
-        return q, diag
+    table = to_cells(q).tolist()
+    counts = [[0] * len(row) for row in table]
+    costs = env.cell_costs.tolist()
+    ref = None if reference_q is None else to_cells(np.asarray(reference_q))
     eps_span = config.epsilon_end - config.epsilon_start
     s = env.reset()
     epoch_sup = 0.0
     for t in range(steps):
         epsilon = config.epsilon_start + eps_span * (t / steps)
-        a, b = act(q, env, s, epsilon, rng)
+        if epsilon > 0.0 and rng.random() < epsilon:
+            a, b = explore(env, s, rng)
+        else:
+            a, b = _greedy(table[s], costs[s], na)[1]
+        c = na - 1 + b if b else a
         s2, raw = env.step(s, (a, b))
-        net = raw
-        if a != 0:
-            net -= float(env.cost1[s, a])
-        if b != 0:
-            net += float(env.cost2[s, b])
-        tr = Transition(s, a, b, net, s2)
-        alpha = (1.0 + visits[s, a, b]) ** -config.omega
-        visits[s, a, b] += 1
-        res = step_update(q, env, tr, alpha)
-        if not np.isfinite(res.target):
+        counts[s][c] += 1
+        alpha = counts[s][c] ** -config.omega
+        target = raw + env.discount * _greedy(table[s2], costs[s2], na)[0]
+        if not math.isfinite(target):
             raise FloatingPointError(
                 f"non-finite update target at step {t}: check the reward model")
-        delta = abs(res.delta)
-        if delta > epoch_sup:
-            epoch_sup = delta
-        if abs(res.target) > diag.max_abs_target:
-            diag.max_abs_target = abs(res.target)
+        delta = alpha * (target - table[s][c])
+        table[s][c] += delta
+        epoch_sup = max(epoch_sup, abs(delta))
+        diag.max_abs_target = max(diag.max_abs_target, abs(target))
         diag.steps_run = t + 1
         if (t + 1) % config.eval_every == 0 or t + 1 == steps:
             dist = ""
-            if reference_q is not None:
-                seen = visits > 0
+            if ref is not None:
+                seen = np.array(counts) > 0
                 if seen.any():
-                    dist = float(np.abs(q[seen] - np.asarray(reference_q)[seen]).max())
+                    dist = float(np.abs(np.array(table)[seen] - ref[seen]).max())
             diag.rows.append({
                 "step": t + 1,
                 "sup_norm_delta": epoch_sup,
@@ -237,4 +230,7 @@ def learn(game_or_env, config: LearnConfig, q0=None,
                 break
             epoch_sup = 0.0
         s = s2 if (t + 1) % config.episode_len else env.reset()
+    table, counts = np.array(table), np.array(counts, dtype=np.int64)
+    q[:, :, 0], q[:, 0, 1:] = table[:, :na], table[:, na:]
+    diag.visits[:, :, 0], diag.visits[:, 0, 1:] = counts[:, :na], counts[:, na:]
     return q, diag

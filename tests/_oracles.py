@@ -136,3 +136,79 @@ def loop_chain(game, pol1, pol2):
         r[s] = game.reward[s, a, b] - (game.cost1[s, a] if a else 0.0) + (
             game.cost2[s, b] if b else 0.0)
     return p, r
+
+
+def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
+    """The simulated-play learner as a per-step loop on the joint ``(S, A, B)``
+    table, updating with the raw reward.
+
+    It takes the same random draws in the same order as ``qlearn.learn`` on a
+    game (reset state, exploration coin, slot and action, next-state uniform)
+    but does its own greedy read-off, sampling and update.  Returns
+    ``(q, visits, rows, max_abs_target)``.
+    """
+    rng = np.random.default_rng(config.seed)
+    ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
+    q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
+    visits = np.zeros((ns, na, nb), dtype=np.int64)
+    rows, max_abs = [], 0.0
+
+    def read_off(s):
+        noop = q[s, 0, 0]
+        inner, pair = noop, (0, 0)
+        if na > 1 and game.mask1[s, 1:].any():
+            vals = np.where(game.mask1[s, 1:], q[s, 1:, 0] - game.cost1[s, 1:], -np.inf)
+            i = int(vals.argmax())
+            inner = max(inner, vals[i])
+            if vals[i] > noop + tie_eps:
+                pair = (i + 1, 0)
+        out = inner
+        if nb > 1 and game.mask2[s, 1:].any():
+            vals = np.where(game.mask2[s, 1:], q[s, 0, 1:] + game.cost2[s, 1:], np.inf)
+            j = int(vals.argmin())
+            out = min(out, vals[j])
+            if vals[j] < inner - tie_eps:
+                pair = (0, j + 1)
+        return float(out), pair
+
+    def explore(s):
+        slots = [0]
+        if na > 1 and game.mask1[s, 1:].any():
+            slots.append(1)
+        if nb > 1 and game.mask2[s, 1:].any():
+            slots.append(2)
+        slot = slots[rng.integers(len(slots))]
+        if slot == 0:
+            return 0, 0
+        mask = game.mask1 if slot == 1 else game.mask2
+        choices = np.flatnonzero(mask[s, 1:]) + 1
+        x = int(choices[rng.integers(len(choices))])
+        return (x, 0) if slot == 1 else (0, x)
+
+    s = int(rng.integers(ns))
+    epoch_sup = 0.0
+    for t in range(config.steps):
+        eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * (
+            t / config.steps)
+        a, b = explore(s) if eps > 0.0 and rng.random() < eps else read_off(s)[1]
+        row = game.kernel[s, a, b]
+        drawn = int(np.cumsum(row).searchsorted(rng.random(), side="right"))
+        s2 = min(drawn, ns - 1 - int(np.argmax(row[::-1] > 0)))
+        alpha = (1.0 + visits[s, a, b]) ** -config.omega
+        visits[s, a, b] += 1
+        target = float(game.reward[s, a, b]) + game.discount * read_off(s2)[0]
+        delta = alpha * (target - q[s, a, b])
+        q[s, a, b] += delta
+        epoch_sup = max(epoch_sup, abs(delta))
+        max_abs = max(max_abs, abs(target))
+        if (t + 1) % config.eval_every == 0 or t + 1 == config.steps:
+            dist = ""
+            if reference_q is not None and (visits > 0).any():
+                dist = float(np.abs(q - reference_q)[visits > 0].max())
+            rows.append({"step": t + 1, "sup_norm_delta": epoch_sup, "dist_to_qhat": dist,
+                         "epsilon": eps, "seed": config.seed})
+            if 0.0 < config.stop_delta and epoch_sup <= config.stop_delta:
+                break
+            epoch_sup = 0.0
+        s = s2 if (t + 1) % config.episode_len else int(rng.integers(ns))
+    return q, visits, rows, max_abs

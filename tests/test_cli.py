@@ -264,3 +264,25 @@ def test_bad_discount_or_cost_exits_1_no_output(tmp_path, capsys, recwarn, sourc
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_invalid_default_duopoly_message_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kappa1": float("nan")}))
+    out = tmp_path / "out"
+    assert main(["solve", "--duopoly", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 400
+    assert "more)" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("basis", [{}, "x", [[1.0, 2.0], [3.0]]])
+def test_fit_bad_basis_exits_1_no_output(tmp_path, capsys, basis):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**ig.game_to_dict(ig.random_game(3, 1, 1, seed=0)),
+                                "basis": basis}))
+    out = tmp_path / "out"
+    assert main(["fit", "--game", str(path), "--steps", "100", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: key 'basis'")

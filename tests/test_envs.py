@@ -146,3 +146,16 @@ def test_duopoly_game_round_trips_through_spec_file(tmp_path):
     path = tmp_path / "duopoly.json"
     ig.save_game(game, path)
     assert ig.games_equal(game, ig.load_game(path))
+
+
+@pytest.mark.parametrize("params", [{"gamma": 1.5}, {"kappa1": float("nan")}])
+def test_build_duopoly_game_rejects_invalid_games(params):
+    with pytest.raises(ig.GameValidationError):
+        ig.build_duopoly_game(ig.DuopolyParams(grid_size=3, **params))
+
+
+def test_sampling_env_exposes_cell_costs_not_cost_tables():
+    game = ig.random_game(3, 2, 1, seed=4)
+    env = ig.sampling_env(game)
+    assert env.cell_costs is game.cell_costs
+    assert not hasattr(env, "cost1") and not hasattr(env, "cost2")

@@ -31,6 +31,16 @@ def test_cost_below_floor_is_reported():
     assert codes == ["cost-below-floor"]
 
 
+def test_validation_error_message_shows_first_three_violations():
+    game = ig.random_game(3, 2, 1, seed=0)
+    bad = ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1 * np.nan,
+                         cost2=game.cost2, cost_floor=game.cost_floor, discount=game.discount)
+    err = ig.GameValidationError(ig.validate(bad))
+    assert len(err.violations) == 6
+    assert str(err) == "; ".join(v.message for v in err.violations[:3]) + " (3 more)"
+    assert "= nan is below" in str(err)
+
+
 def test_discount_out_of_range_is_reported():
     game = micro_game(0.5, 0.3, gamma=1.0)
     codes = [v.code for v in ig.validate(game)]
@@ -108,6 +118,29 @@ def test_executable_cells_table(g1):
             else:
                 assert net[s, col] == ig.effective_reward(game, s, pair)
     assert game.cells is game.cells
+
+
+def test_cell_net_rewards_are_raw_rewards_plus_cell_costs():
+    base = ig.random_game(5, 3, 2, seed=12)
+    mask1, mask2 = base.mask1.copy(), base.mask2.copy()
+    mask1[0, 1:] = False
+    mask1[2, 3] = False
+    mask2[4, 2] = False
+    game = ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
+                          cost2=base.cost2, cost_floor=base.cost_floor,
+                          discount=base.discount, mask1=mask1, mask2=mask2)
+    r, costs = game.reward, game.cell_costs
+    raw = np.concatenate([r[:, :, 0], r[:, 0, 1:]], axis=1)
+    assert game.cells[1].tobytes() == (raw + costs).tobytes()
+    assert np.isneginf(game.cells[1][[0, 0, 0, 2], [1, 2, 3, 3]]).all()
+    assert np.isposinf(game.cells[1][4, 5])
+    for s in range(5):
+        assert costs[s, 0] == 0.0
+        for a in range(1, 4):
+            assert costs[s, a] == (-game.cost1[s, a] if mask1[s, a] else -np.inf)
+        for b in range(1, 3):
+            assert costs[s, 3 + b] == (game.cost2[s, b] if mask2[s, b] else np.inf)
+    assert game.cell_costs is costs and not costs.flags.writeable
 
 
 def test_random_game_same_seed_identical_bytes(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import impulsegames as ig
 
-from _oracles import mrp_value
+from _oracles import loop_learn, mrp_value
 
 
 def test_greedy_value_micro(g1):
@@ -19,14 +19,14 @@ def test_greedy_value_at_solved_table_recovers_value(g1, g2, g3):
 
 def test_step_update_zero_target_keeps_zero(g1):
     q = np.zeros((1, 2, 2))
-    tr = ig.Transition(0, 0, 1, 0.3, 0)  # net reward of the (0, b1) pair
+    tr = ig.Transition(0, 0, 1, 0.0, 0)  # raw reward of the (0, b1) pair
     ig.step_update(q, g1, tr, 0.1)
     assert q[0, 0, 1] == 0.0
 
 
 def test_step_update_hand_value(g1):
     q = np.ones((1, 2, 2))
-    tr = ig.Transition(0, 1, 0, 1.5, 0)
+    tr = ig.Transition(0, 1, 0, 2.0, 0)  # raw reward of the (a1, 0) pair
     res = ig.step_update(q, g1, tr, 0.1)
     assert res.target == pytest.approx(2.5)
     assert q[0, 1, 0] == pytest.approx(1.15)
@@ -181,3 +181,34 @@ def test_act_explores_through_explore():
 def test_learn_config_rejects_nonpositive_periods(field):
     with pytest.raises(ValueError, match=field):
         ig.LearnConfig(steps=10, **{field: 0})
+
+
+def _learner_case(case):
+    """(game, learn keyword arguments, stop_delta) of one loop-reference case."""
+    if case in ("3x0x0", "5x1x1", "30x3x3"):
+        spec = tuple(int(n) for n in case.split("x"))
+        return ig.random_game(*spec, seed=spec[0]), {}, 0.0
+    if case == "budget":
+        return ig.augment(ig.random_game(4, 2, 1, seed=9), 2, 1).game, {}, 0.0
+    if case == "stop_delta":
+        return ig.random_game(2, 1, 1, seed=8), {}, 0.02
+    game = _masked_random_game()
+    if case == "reference_q":
+        return game, {"reference_q": ig.solve(game, tol=1e-10).q}, 0.0
+    if case == "q0":
+        return game, {"q0": np.random.default_rng(1).normal(size=(8, 4, 3))}, 0.0
+    return game, {}, 0.0
+
+
+@pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "30x3x3", "masked", "budget",
+                                  "reference_q", "q0", "stop_delta"])
+def test_learn_matches_loop_reference_bit_for_bit(case):
+    game, kwargs, stop = _learner_case(case)
+    cfg = ig.LearnConfig(steps=4000, seed=7, eval_every=500, episode_len=50, stop_delta=stop)
+    q, diag = ig.learn(game, cfg, **kwargs)
+    ref_q, ref_visits, ref_rows, ref_max = loop_learn(game, cfg, **kwargs)
+    assert q.tobytes() == ref_q.tobytes()
+    assert np.array_equal(diag.visits, ref_visits)
+    assert diag.rows == ref_rows
+    assert diag.max_abs_target == ref_max
+    assert diag.stopped_early == (case == "stop_delta")
