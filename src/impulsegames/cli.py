@@ -46,10 +46,11 @@ def _write_json(path, obj) -> None:
     _write_whole(path, write)
 
 
-def _write_csv(path, fieldnames, rows) -> None:
+def _write_csv(path, header, rows) -> None:
+    """``rows`` are tuples in the order of ``header``."""
     def write(f):
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(f)
+        writer.writerow(header)
         writer.writerows(rows)
     _write_whole(path, write, newline="")
 
@@ -88,9 +89,8 @@ def cmd_solve(args) -> int:
     report = solve(game, tol=args.tol, max_sweeps=args.max_sweeps)
     out = _outdir(args)
     _write_json(os.path.join(out, "solve_report.json"), report.to_dict())
-    rows = report.policy.to_records()
-    for row, v in zip(rows, report.value):
-        row["value"] = float(v)
+    rows = [(*row.values(), v) for row, v in
+            zip(report.policy.to_records(), report.value.tolist())]
     _write_csv(os.path.join(out, "policy.csv"),
                ["state", "p1_acts", "p1_action", "p2_acts", "p2_action",
                 "executed_a", "executed_b", "value"], rows)
@@ -128,14 +128,8 @@ def cmd_simulate(args) -> int:
                     start=args.start)
     taus, rhos = intervention_times(game, report.policy, traj.states[:-1])
     out = _outdir(args)
-    rows = [{
-        "t": t,
-        "s": int(traj.states[t]),
-        "executed_a": int(traj.actions1[t]),
-        "executed_b": int(traj.actions2[t]),
-        "reward": float(traj.rewards[t]),
-        "cumulative_return": float(traj.cumulative[t]),
-    } for t in range(args.steps)]
+    rows = zip(range(len(traj.rewards)), traj.states[:-1].tolist(), traj.actions1.tolist(),
+               traj.actions2.tolist(), traj.rewards.tolist(), traj.cumulative.tolist())
     _write_csv(os.path.join(out, "trajectory.csv"),
                ["t", "s", "executed_a", "executed_b", "reward", "cumulative_return"],
                rows)
@@ -162,14 +156,9 @@ def cmd_budget(args) -> int:
     run = budget_mod.simulate_budgeted(aug, report.policy, steps=args.steps,
                                        seed=args.seed, start=args.start)
     traj = run.trajectory
-    rows = [{
-        "t": t,
-        "state": labels[traj.states[t]],
-        "executed_a": int(traj.actions1[t]),
-        "executed_b": int(traj.actions2[t]),
-        "reward": float(traj.rewards[t]),
-        "cumulative_return": float(traj.cumulative[t]),
-    } for t in range(len(traj.rewards))]
+    rows = zip(range(len(traj.rewards)), [labels[s] for s in traj.states[:-1].tolist()],
+               traj.actions1.tolist(), traj.actions2.tolist(), traj.rewards.tolist(),
+               traj.cumulative.tolist())
     _write_csv(os.path.join(out, "budget_trajectory.csv"),
                ["t", "state", "executed_a", "executed_b", "reward",
                 "cumulative_return"], rows)

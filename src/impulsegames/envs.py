@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameValidationError, ImpulseGame, _scalar, validate
+from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, validate
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,7 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     discount outside [0, 1) or a NaN cost).
     """
     g = params.grid_size
+    check_kernel_size(g * g, len(params.investments1) + 1, len(params.investments2) + 1)
     grid = np.linspace(0.0, params.market_size, g)
     s1 = np.repeat(grid, g)
     s2 = np.tile(grid, g)

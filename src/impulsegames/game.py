@@ -22,6 +22,10 @@ KAPPA_DEFAULT = 0.1
 
 KERNEL_ROW_TOL = 1e-12
 
+# Largest transition kernel S*A*B*S (float64 entries, 128 MB at the limit) a
+# game may have; checked from the counts before any table is built.
+MAX_KERNEL_ENTRIES = 16_000_000
+
 
 class JointAction(NamedTuple):
     a: int
@@ -157,6 +161,16 @@ class ImpulseGame:
         return costs
 
 
+def check_kernel_size(num_states: int, num_actions1: int, num_actions2: int) -> None:
+    """Refuse a game whose kernel would exceed ``MAX_KERNEL_ENTRIES``, before
+    anything is allocated.  Action counts include the null action."""
+    entries = num_states * num_states * num_actions1 * num_actions2
+    if entries > MAX_KERNEL_ENTRIES:
+        raise ValueError(
+            f"a game of {num_states} states and {num_actions1}x{num_actions2} action pairs "
+            f"has {entries} kernel entries, above the limit of {MAX_KERNEL_ENTRIES}")
+
+
 def to_cells(table: np.ndarray) -> np.ndarray:
     """``table[:, a, b, ...]`` at the pairs that can execute, in the layout of
     :attr:`ImpulseGame.cells`: shape ``(S, A+B-1, ...)``."""
@@ -253,6 +267,7 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
     na, nb = num_actions1 + 1, num_actions2 + 1
+    check_kernel_size(num_states, na, nb)
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))
     kernel = raw / raw.sum(axis=3, keepdims=True)
@@ -346,6 +361,7 @@ def game_from_dict(doc: dict) -> ImpulseGame:
     s, na, nb = (_scalar(doc[key], key, int) for key in ("states", "actions1", "actions2"))
     if s < 1 or na < 1 or nb < 1:
         raise GameFormatError("state and action counts must be positive")
+    check_kernel_size(s, na, nb)
     reward = _shaped(doc, "rewards", (s, na, nb))
     kernel = _shaped(doc, "kernel", (s, na, nb, s))
     cost1 = np.zeros((s, na))

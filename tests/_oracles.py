@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the library.
 
 Everything here is written with plain per-state loops, deliberately sharing
-no code with the vectorised solver.
+no code with the vectorised solver; ``loop_vi`` iterates whatever operator
+it is handed.
 """
 
 import itertools
@@ -38,6 +39,21 @@ def single_agent_impulse_vi(game, tol=1e-13, max_sweeps=1_000_000):
         if delta <= tol:
             break
     return np.array(v)
+
+
+def loop_vi(operator, v0, gamma, tol=1e-9, max_sweeps=100_000):
+    """Plain value iteration, sweeps only: apply ``operator`` until the sweep
+    residual drops below ``tol * (1 - gamma) / gamma``.  Returns
+    ``(value, sweeps, residual)``."""
+    threshold = tol * (1.0 - gamma) / gamma if gamma > 0 else tol
+    v = np.array(v0, dtype=float)
+    residual, sweeps = float("inf"), 0
+    while sweeps < max_sweeps and not residual <= threshold:
+        nv = operator(v)
+        residual = float(np.abs(nv - v).max())
+        v = nv
+        sweeps += 1
+    return v, sweeps, residual
 
 
 def mrp_value(p, r, gamma):

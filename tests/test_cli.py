@@ -186,6 +186,19 @@ def test_budget_oversized_caps_exit_1_no_output(tmp_path, capsys):
     assert "above the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--gen", "--duopoly"])
+def test_oversized_game_exits_1_no_output(tmp_path, capsys, source):
+    argv = [source, "5000,3,3,0"]
+    if source == "--duopoly":
+        argv[1] = str(tmp_path / "in.json")
+        (tmp_path / "in.json").write_text(json.dumps({"grid_size": 100}))
+    out = tmp_path / "out"
+    assert main(["solve"] + argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the limit" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,report", [
     (["solve"], "solve_report.json"),
     (["budget", "--n1", "1", "--n2", "2", "--steps", "5"], "budget_report.json"),

@@ -159,3 +159,8 @@ def test_sampling_env_exposes_cell_costs_not_cost_tables():
     env = ig.sampling_env(game)
     assert env.cell_costs is game.cell_costs
     assert not hasattr(env, "cost1") and not hasattr(env, "cost2")
+
+
+def test_oversized_duopoly_refused_before_any_table():
+    with pytest.raises(ValueError, match="above the limit"):
+        ig.build_duopoly_game(ig.DuopolyParams(grid_size=100))

@@ -221,3 +221,15 @@ def test_masks_round_trip(tmp_path):
 def test_tables_are_immutable(g1):
     with pytest.raises(ValueError):
         g1.kernel[0, 0, 0, 0] = 0.5
+
+
+def test_oversized_games_refused_before_any_table():
+    from impulsegames.game import check_kernel_size
+    check_kernel_size(800, 4, 4)  # 800x(3+3), the largest game the benchmark builds
+    with pytest.raises(ValueError, match="above the limit"):
+        ig.random_game(5000, 3, 3, seed=0)
+    # the counts are checked before the (far too small) tables are read
+    doc = {**ig.game_to_dict(ig.random_game(2, 1, 1, seed=0)),
+           "states": 5000, "actions1": 4, "actions2": 4}
+    with pytest.raises(ValueError, match="above the limit"):
+        ig.game_from_dict(doc)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import impulsegames as ig
 from impulsegames import solver
 
-from _oracles import loop_chain, loop_operator, mrp_value, single_agent_impulse_vi
+from _oracles import loop_chain, loop_operator, loop_vi, mrp_value, single_agent_impulse_vi
 from conftest import micro_game
 
 
@@ -321,3 +322,151 @@ def test_evaluate_policies_refuses_masked_negative_and_out_of_range():
                        (with_action(2, 3), with_action(2, 1))]:
         with pytest.raises(IndexError, match="outside"):
             ig.evaluate_policies(game, pol1, pol2)
+
+
+def _with_gamma(game, gamma):
+    return ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                          cost2=game.cost2, cost_floor=game.cost_floor, discount=gamma,
+                          mask1=game.mask1, mask2=game.mask2)
+
+
+def _margins(game, v, caps):
+    """Per state of ``v`` (flat like ``solve``'s), the smallest gap between
+    values the greedy policy compares: acting against not acting, and each
+    player's best action against its runner-up."""
+    q = ig.q_from_value(game, v, caps)
+    ny, nz = (1, 1) if caps is None else (caps[0] + 1, caps[1] + 1)
+    x = np.arange(q.shape[0])
+    s, y, z = x // (ny * nz), x // nz % ny, x % nz
+    live1 = game.mask1[s, 1:] & ((y > 0) | (caps is None))[:, None]
+    live2 = game.mask2[s, 1:] & ((z > 0) | (caps is None))[:, None]
+    p1 = np.where(live1, q[:, 1:, 0] - game.cost1[s, 1:], -np.inf)
+    p2 = np.where(live2, q[:, 0, 1:] + game.cost2[s, 1:], np.inf)
+    noop = q[:, 0, 0]
+    m1 = p1.max(axis=1, initial=-np.inf)
+    m2 = p2.min(axis=1, initial=np.inf)
+    gaps = [m1 - noop, m2 - np.maximum(m1, noop)]
+    for side in (-np.sort(-p1, axis=1), np.sort(p2, axis=1)):
+        if side.shape[1] > 1:
+            with np.errstate(invalid="ignore"):  # two unavailable actions: inf - inf
+                gaps.append(side[:, 0] - side[:, 1])
+    return np.min([np.nan_to_num(np.abs(g), nan=np.inf) for g in gaps], axis=0)
+
+
+SOLVE_GAMES = [(6, 2, 2), (5, 0, 2), (7, 3, 1)]
+
+
+@pytest.mark.parametrize("caps", [None, (0, 0), (2, 3), (3, 1)])
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("masked", [False, True])
+def test_solve_matches_plain_value_iteration(masked, gamma, caps):
+    tol = 1e-9
+    for k, shape in enumerate(SOLVE_GAMES):
+        game = _with_gamma(_cross_game(2000 + k, *shape, masked), gamma)
+        rep = ig.solve(game, tol=tol, caps=caps)
+        size = len(rep.value)
+        ref, ref_sweeps, _ = loop_vi(lambda v: ig.bellman(game, v, caps=caps),
+                                     np.zeros(size), gamma, tol=tol)
+        assert rep.converged
+        assert np.abs(rep.value - ref).max() <= 2 * tol
+        # the certificate: the reported value is one sweep past the iterate
+        # whose residual is reported
+        assert rep.residual <= tol * (1 - gamma) / gamma
+        assert rep.error_bound == gamma * rep.residual / (1 - gamma)
+        recomputed = np.abs(ig.bellman(game, rep.value, caps=caps) - rep.value).max()
+        assert recomputed <= gamma * rep.residual + 1e-12
+        if gamma == 0.99:
+            assert rep.sweeps < ref_sweeps
+        decided = _margins(game, ref, caps) > 1e-7
+        expected = ig.extract_policy(game, ref, caps=caps)
+        for field in ("p1_acts", "p1_action", "p2_acts", "p2_action"):
+            np.testing.assert_array_equal(getattr(rep.policy, field)[decided],
+                                          getattr(expected, field)[decided])
+
+
+@pytest.mark.parametrize("limit,caps", [("FINISH_MAX_STATES", None),
+                                        ("FINISH_MAX_STATES", (2, 3)),
+                                        ("FINISH_MAX_DIAGONALS", (2, 3))])
+def test_solve_above_the_finish_limits_only_sweeps(monkeypatch, limit, caps):
+    monkeypatch.setattr(solver, limit, 0)
+    for k, shape in enumerate(SOLVE_GAMES):
+        game = _with_gamma(_cross_game(2100 + k, *shape, True), 0.9)
+        rep = ig.solve(game, tol=1e-9, caps=caps)
+        ref, sweeps, residual = loop_vi(lambda v: ig.bellman(game, v, caps=caps),
+                                        np.zeros(len(rep.value)), 0.9, tol=1e-9)
+        assert rep.sweeps == sweeps
+        assert rep.residual == residual
+        np.testing.assert_array_equal(rep.value, ref)
+
+
+def _deterministic_game(seed, ns, na, nb, gamma):
+    """Every pair moves to one next state: greedy policy pairs of such games
+    can be worth far less than the iterate they came from."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((ns, na, nb, ns))
+    np.put_along_axis(kernel, rng.integers(ns, size=(ns, na, nb, 1)), 1.0, axis=3)
+    cost1, cost2 = np.zeros((ns, na)), np.zeros((ns, nb))
+    cost1[:, 1:] = rng.uniform(0.01, 0.02, (ns, na - 1))
+    cost2[:, 1:] = rng.uniform(0.01, 0.02, (ns, nb - 1))
+    return ig.ImpulseGame(kernel=kernel, reward=rng.uniform(-1, 1, (ns, na, nb)),
+                          cost1=cost1, cost2=cost2, cost_floor=0.01, discount=gamma)
+
+
+def test_finish_never_raises_the_residual(monkeypatch):
+    # A finish whose residual is not below the iterate's is dropped, so the
+    # sweeps inside `solve` keep contracting by gamma.
+    residuals = []
+    sweep = solver.bellman
+
+    def recording(game, v, caps=None):
+        nv = sweep(game, v, caps)
+        residuals.append(float(np.abs(nv - v).max()))
+        return nv
+
+    monkeypatch.setattr(solver, "bellman", recording)
+    for seed in range(12):
+        gamma = (0.9, 0.99)[seed % 2]
+        game = _deterministic_game(seed, 3 + seed % 3, 3, 3, gamma)
+        residuals.clear()
+        rep = ig.solve(game, tol=1e-9)
+        for before, after in zip(residuals, residuals[1:]):
+            assert after <= gamma * before + 1e-12
+        ref, _, _ = loop_vi(lambda v: sweep(game, v), np.zeros(game.num_states), gamma)
+        assert rep.converged and np.abs(rep.value - ref).max() <= 2e-9
+
+
+@pytest.mark.parametrize("caps", [(0, 0), (2, 3), (3, 1), (0, 2)])
+@pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
+def test_layered_policy_value_matches_dense_augmented_chain(k, shape, caps):
+    game = _cross_game(2200 + k, *shape)
+    dense = ig.augment(game, *caps).game
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        pol = ig.extract_policy(game, rng.uniform(-5, 5, dense.num_states), caps=caps)
+        np.testing.assert_allclose(
+            solver._policy_values(game, pol, caps),
+            ig.evaluate_policies(dense, pol.p1_action, pol.p2_action), rtol=0, atol=1e-10)
+
+
+def _per_pair_oracle(game):
+    """Upper and lower values from one ``evaluate_policies`` call per pair."""
+    allowed = [[[x for x in range(mask.shape[1]) if x == 0 or mask[s, x]]
+                for s in range(game.num_states)] for mask in (game.mask1, game.mask2)]
+    values = np.array([[ig.evaluate_policies(game, p1, p2)
+                        for p2 in itertools.product(*allowed[1])]
+                       for p1 in itertools.product(*allowed[0])])
+    return values.max(axis=0).min(axis=0), values.min(axis=1).max(axis=0)
+
+
+@pytest.mark.parametrize("chunk_pairs", [None, 1, 7])
+@pytest.mark.parametrize("seed,ns,masked", [(0, 3, False), (1, 4, False), (2, 3, True),
+                                            (3, 4, True)])
+def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chunk_pairs):
+    game = _cross_game(2300 + seed, ns, 2, 2, masked)
+    if chunk_pairs is not None:
+        monkeypatch.setattr(solver, "CHAIN_BATCH_BYTES", chunk_pairs * 8 * ns * ns)
+    rep = ig.minimax_oracle(game)
+    upper, lower = _per_pair_oracle(game)
+    np.testing.assert_array_equal(rep.upper, upper)
+    np.testing.assert_array_equal(rep.lower, lower)
+    assert rep.certified
