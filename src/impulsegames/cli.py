@@ -89,11 +89,9 @@ def cmd_solve(args) -> int:
     report = solve(game, tol=args.tol, max_sweeps=args.max_sweeps)
     out = _outdir(args)
     _write_json(os.path.join(out, "solve_report.json"), report.to_dict())
-    rows = [(*row.values(), v) for row, v in
-            zip(report.policy.to_records(), report.value.tolist())]
-    _write_csv(os.path.join(out, "policy.csv"),
-               ["state", "p1_acts", "p1_action", "p2_acts", "p2_action",
-                "executed_a", "executed_b", "value"], rows)
+    records = report.policy.to_records()
+    rows = [(*row.values(), v) for row, v in zip(records, report.value.tolist())]
+    _write_csv(os.path.join(out, "policy.csv"), [*records[0], "value"], rows)
     if not report.converged:
         log.warning("stopped after %d sweeps with residual %.3g", report.sweeps,
                     report.residual)

@@ -41,17 +41,13 @@ CERT_TOL = 1e-8
 # `solve` tries its exact finish after every this many sweeps.
 FINISH_EVERY = 10
 
-# Largest solved state count (S, or S*(n1+1)*(n2+1) under caps) that gets the
-# finish; above it a dense S x S solve costs more than the sweeps it saves.
+# Largest base state count S that gets the finish; its solves are S x S,
+# under caps too.  Above it the finish saves little time on games with few
+# actions and adds three S x S arrays to peak memory.
 FINISH_MAX_STATES = 2000
 
-# Most counter diagonals (n1 + n2 + 1) that get the finish under caps: it
-# solves them one after another, and on long counter chains of small games
-# that sequence costs more than the sweeps.
-FINISH_MAX_DIAGONALS = 100
-
-# Bytes of stacked chain kernels (S x S each) one oracle solve takes at once;
-# the solve holds a few arrays of this size.
+# Bytes of stacked chain kernels (S x S each) one solve takes at once; the
+# solve holds a few arrays of this size.
 CHAIN_BATCH_BYTES = 16 * 2**20
 
 
@@ -276,9 +272,8 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     exactly and applies one sweep to that value (the finish, which counts as
     a sweep); the result replaces the iterate only when its residual is
     smaller, so the residual never grows and convergence rests on the sweeps.
-    Games above ``FINISH_MAX_STATES`` states, or with caps spanning more than
-    ``FINISH_MAX_DIAGONALS`` counter diagonals, only sweep.  A report that
-    ran out of sweeps comes back flagged ``converged=False``.  With
+    Games with more than ``FINISH_MAX_STATES`` base states only sweep.  A
+    report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
     :mod:`impulsegames.budget` from the base game's tables.
     """
@@ -287,7 +282,7 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     g = game.discount
     threshold = tol * (1.0 - g) / g if g > 0 else tol
     size = game.num_states if caps is None else game.num_states * (caps[0] + 1) * (caps[1] + 1)
-    finish = size <= FINISH_MAX_STATES and (caps is None or sum(caps) < FINISH_MAX_DIAGONALS)
+    finish = game.num_states <= FINISH_MAX_STATES
     v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
     residual = math.inf
     sweeps = 0
@@ -348,13 +343,21 @@ def _chain_values(game: ImpulseGame, p, r) -> np.ndarray:
     return np.linalg.solve(lhs, r[..., None])[..., 0]
 
 
+def _batches(n: int, ns: int):
+    """Index runs over ``range(n)``, each holding at most
+    ``CHAIN_BATCH_BYTES`` of stacked S x S chain kernels."""
+    step = max(1, CHAIN_BATCH_BYTES // (8 * ns * ns))
+    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> np.ndarray:
     """Exact value of the chain ``policy`` executes, flat like ``solve``'s.
 
     Under ``caps`` an executed action moves its player's counter down, so the
     chain is block-triangular over counter layers ``(y, z)``: the layers of
-    one diagonal ``y + z`` take one stacked S x S solve, lower diagonals
-    first, and nothing is solved over the whole augmented space.
+    one diagonal ``y + z`` take stacked S x S solves (see :func:`_batches`),
+    lower diagonals first, and nothing is solved over the whole augmented
+    space.
     """
     if caps is None:
         return _chain_values(game, *_executed_chain(game, policy.p1_action, policy.p2_action))
@@ -363,14 +366,17 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
             for x in (policy.p1_action, policy.p2_action))
     v = np.zeros((ny, nz, ns))
     for d in range(ny + nz - 1):
-        y = np.arange(max(0, d - nz + 1), min(d, ny - 1) + 1)
-        z = d - y
-        p, r = _executed_chain(game, a[y, z], b[y, z])
-        acts2 = b[y, z] > 0
-        acts1 = (a[y, z] > 0) & ~acts2
-        below = p @ np.stack([v[np.maximum(y - 1, 0), z], v[y, np.maximum(z - 1, 0)]], axis=-1)
-        r = r + game.discount * np.where(acts1, below[..., 0], np.where(acts2, below[..., 1], 0.0))
-        v[y, z] = _chain_values(game, p * ~(acts1 | acts2)[..., None], r)
+        diagonal = np.arange(max(0, d - nz + 1), min(d, ny - 1) + 1)
+        for k in _batches(len(diagonal), ns):
+            y = diagonal[k]
+            z = d - y
+            p, r = _executed_chain(game, a[y, z], b[y, z])
+            acts2 = b[y, z] > 0
+            acts1 = (a[y, z] > 0) & ~acts2
+            below = p @ np.stack([v[np.maximum(y - 1, 0), z], v[y, np.maximum(z - 1, 0)]], axis=-1)
+            r = r + game.discount * np.where(acts1, below[..., 0],
+                                             np.where(acts2, below[..., 1], 0.0))
+            v[y, z] = _chain_values(game, p * ~(acts1 | acts2)[..., None], r)
     return v.transpose(2, 0, 1).ravel()
 
 
@@ -380,6 +386,9 @@ def evaluate_policies(game: ImpulseGame, pol1, pol2) -> np.ndarray:
     Player 2's choice suppresses Player 1's at states where both are
     non-null.  Solves the linear system (I - gamma * P) v = r directly.
     """
+    ns = game.num_states
+    if np.shape(pol1) != (ns,) or np.shape(pol2) != (ns,):
+        raise ValueError(f"policies must have shape ({ns},)")
     return _chain_values(game, *_executed_chain(game, pol1, pol2))
 
 
@@ -422,9 +431,7 @@ def minimax_oracle(game: ImpulseGame, max_enumeration: int = 1_000_000) -> Oracl
     pols2 = np.array(list(itertools.product(*allowed2)))
     ns, pairs = game.num_states, count1 * count2
     values = np.empty((pairs, ns))
-    chunk = max(1, CHAIN_BATCH_BYTES // (8 * ns * ns))
-    for lo in range(0, pairs, chunk):
-        k = np.arange(lo, min(lo + chunk, pairs))
+    for k in _batches(pairs, ns):
         values[k] = _chain_values(game, *_executed_chain(game, pols1[k // count2],
                                                          pols2[k % count2]))
     values = values.reshape(count1, count2, ns)

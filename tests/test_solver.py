@@ -324,6 +324,15 @@ def test_evaluate_policies_refuses_masked_negative_and_out_of_range():
             ig.evaluate_policies(game, pol1, pol2)
 
 
+def test_evaluate_policies_refuses_batched_policies():
+    game = _cross_game(1810, 3, 2, 2, False)
+    null = np.zeros(3, int)
+    for pol1, pol2 in [(np.zeros((2, 3), int), null), (null, np.zeros((2, 3), int)),
+                       (np.zeros((0, 3), int), null)]:
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            ig.evaluate_policies(game, pol1, pol2)
+
+
 def _with_gamma(game, gamma):
     return ig.ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
                           cost2=game.cost2, cost_floor=game.cost_floor, discount=gamma,
@@ -384,19 +393,29 @@ def test_solve_matches_plain_value_iteration(masked, gamma, caps):
                                           getattr(expected, field)[decided])
 
 
-@pytest.mark.parametrize("limit,caps", [("FINISH_MAX_STATES", None),
-                                        ("FINISH_MAX_STATES", (2, 3)),
-                                        ("FINISH_MAX_DIAGONALS", (2, 3))])
-def test_solve_above_the_finish_limits_only_sweeps(monkeypatch, limit, caps):
-    monkeypatch.setattr(solver, limit, 0)
+@pytest.mark.parametrize("caps", [None, (2, 3)])
+def test_solve_above_the_state_limit_only_sweeps(monkeypatch, caps):
     for k, shape in enumerate(SOLVE_GAMES):
         game = _with_gamma(_cross_game(2100 + k, *shape, True), 0.9)
+        monkeypatch.setattr(solver, "FINISH_MAX_STATES", game.num_states - 1)
         rep = ig.solve(game, tol=1e-9, caps=caps)
         ref, sweeps, residual = loop_vi(lambda v: ig.bellman(game, v, caps=caps),
                                         np.zeros(len(rep.value)), 0.9, tol=1e-9)
         assert rep.sweeps == sweeps
         assert rep.residual == residual
         np.testing.assert_array_equal(rep.value, ref)
+
+
+def test_state_limit_counts_base_states_under_caps(monkeypatch):
+    # each layered solve is S x S, however many counter layers the caps add
+    for k, shape in enumerate(SOLVE_GAMES):
+        game = _with_gamma(_cross_game(2100 + k, *shape, True), 0.99)
+        monkeypatch.setattr(solver, "FINISH_MAX_STATES", game.num_states)
+        rep = ig.solve(game, tol=1e-9, caps=(2, 3))
+        assert len(rep.value) > solver.FINISH_MAX_STATES
+        _, sweeps, _ = loop_vi(lambda v: ig.bellman(game, v, caps=(2, 3)),
+                               np.zeros(len(rep.value)), 0.99, tol=1e-9)
+        assert rep.converged and rep.sweeps < sweeps
 
 
 def _deterministic_game(seed, ns, na, nb, gamma):
@@ -437,15 +456,19 @@ def test_finish_never_raises_the_residual(monkeypatch):
 
 @pytest.mark.parametrize("caps", [(0, 0), (2, 3), (3, 1), (0, 2)])
 @pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
-def test_layered_policy_value_matches_dense_augmented_chain(k, shape, caps):
+def test_layered_policy_value_matches_dense_augmented_chain(monkeypatch, k, shape, caps):
     game = _cross_game(2200 + k, *shape)
     dense = ig.augment(game, *caps).game
     rng = np.random.default_rng(k)
     for _ in range(3):
         pol = ig.extract_policy(game, rng.uniform(-5, 5, dense.num_states), caps=caps)
-        np.testing.assert_allclose(
-            solver._policy_values(game, pol, caps),
-            ig.evaluate_policies(dense, pol.p1_action, pol.p2_action), rtol=0, atol=1e-10)
+        expected = ig.evaluate_policies(dense, pol.p1_action, pol.p2_action)
+        for batch_bytes in (solver.CHAIN_BATCH_BYTES, 8 * game.num_states ** 2):
+            # the default takes each diagonal at once, the second one layer at a time
+            monkeypatch.setattr(solver, "CHAIN_BATCH_BYTES", batch_bytes)
+            np.testing.assert_allclose(solver._policy_values(game, pol, caps), expected,
+                                       rtol=0, atol=1e-10)
+        monkeypatch.undo()
 
 
 def _per_pair_oracle(game):
