@@ -9,11 +9,13 @@ identity rather than an assumption.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, validate
+from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, to_cells, validate
 
 
 @dataclass(frozen=True)
@@ -169,15 +171,24 @@ class SamplingEnv:
     the game's ``cell_costs``) while transitions and rewards are only
     reachable by sampling through :meth:`step`, which is also the package's
     one next-state sampler: ``fit`` and ``simulate`` draw through it too.
+
+    The sampler's tables are plain per-state Python lists in the layout of
+    :attr:`ImpulseGame.cells`, built once: each cell's cumulative kernel row
+    (an ``array('d')``, read with ``bisect``), its raw reward, its
+    availability and the last next state with positive mass.
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None, reset_states=None):
-        self._cum = np.cumsum(game.kernel, axis=3)
-        self._reward = game.reward.tolist()
+        kernel = game.cells[0]
+        self._cum = [[array("d", row.tobytes()) for row in np.cumsum(rows, axis=1)]
+                     for rows in kernel]
+        self._reward = to_cells(game.reward).tolist()
+        self._ok = np.concatenate([np.ones((game.num_states, 1), dtype=bool),
+                                   game.mask1[:, 1:], game.mask2[:, 1:]], axis=1).tolist()
         # A row whose sum rounds below 1 can draw past its end; such a draw
         # lands on the row's last state with positive mass.
         ns = game.num_states
-        self._last = (ns - 1 - np.argmax(game.kernel[..., ::-1] > 0, axis=3)).tolist()
+        self._last = (ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)).tolist()
         self._rng = np.random.default_rng(seed) if rng is None else rng
         self._reset_states = (np.arange(game.num_states) if reset_states is None
                               else np.asarray(reset_states, dtype=int))
@@ -195,12 +206,26 @@ class SamplingEnv:
 
     def step(self, s: int, pair) -> tuple[int, float]:
         """Sample the next state (one uniform draw) and return the raw
-        (cost-exclusive) reward.  A masked action is a hard fault."""
+        (cost-exclusive) reward.  A masked action is a hard fault.  A pair
+        that can never execute is refused: an action outside its player's
+        range (``IndexError``) or two non-null actions (``ValueError``)."""
         a, b = pair
-        if (a != 0 and not self.mask1[s, a]) or (b != 0 and not self.mask2[s, b]):
+        if b:
+            if a:
+                raise ValueError(f"pair ({a}, {b}) never executes: Player 2's action takes "
+                                 "precedence")
+            if not 0 < b < self.num_actions2:
+                raise IndexError(f"Player-2 action {b} outside 0..{self.num_actions2 - 1}")
+            c = self.num_actions1 - 1 + b
+        elif 0 <= a < self.num_actions1:
+            c = a
+        else:
+            raise IndexError(f"Player-1 action {a} outside 0..{self.num_actions1 - 1}")
+        if not self._ok[s][c]:
             raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
-        nxt = int(self._cum[s, a, b].searchsorted(self._rng.random(), side="right"))
-        return min(nxt, self._last[s][a][b]), self._reward[s][a][b]
+        nxt = bisect_right(self._cum[s][c], self._rng.random())
+        last = self._last[s][c]
+        return (nxt if nxt < last else last), self._reward[s][c]
 
 
 def sampling_env(game: ImpulseGame, seed=0, reset_states=None) -> SamplingEnv:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envs import SamplingEnv
 from .game import ImpulseGame
-from .qlearn import explore
+from .qlearn import _explore, _greedy, _slots
 from .solver import _combine, _executed_chain, extract_policy, operator_terms, solve
 
 RANK_TOL = 1e-10
@@ -112,6 +112,18 @@ def _operator_on_field(game: ImpulseGame, lam, combinator: str, rows=None) -> np
     raise ValueError(f"combinator must be one of {COMBINATORS}, got {combinator!r}")
 
 
+def _sample_target(game: ImpulseGame, lam, s: int, combinator: str) -> float:
+    """The selected operator's value at the one state ``s``: ``"T"`` through
+    the learner's scalar read-off on the row's Python floats (one vectorised
+    call on one row costs more), ``"F"`` through :func:`_operator_on_field`."""
+    if combinator != "T":
+        return _operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
+    kernel, net = game.cells
+    row = (net[s] + game.discount * (kernel[s] @ lam)).tolist()
+    # `net` holds the costs already, so the read-off adds -0.0 to each cell.
+    return _greedy(row, [-0.0] * len(row), game.num_actions1)[0]
+
+
 def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
                    combinator: str = "F") -> np.ndarray:
     """One application of the selected operator nesting to the field ``Phi r``.
@@ -138,9 +150,7 @@ def stationary_distribution(game: ImpulseGame, policy, tol: float = 1e-12,
     callers then fall back to uniform weights.
     """
     ns = game.num_states
-    acts1 = np.where(policy.p1_acts & ~policy.p2_acts, policy.p1_action, 0)
-    acts2 = np.where(policy.p2_acts, policy.p2_action, 0)
-    p, _ = _executed_chain(game, acts1, acts2)
+    p, _ = _executed_chain(game, *np.array(policy.executed_pairs()).T)
     lazy = 0.5 * (np.eye(ns) + p)
     w = np.full(ns, 1.0 / ns)
     for _ in range(max_iter):
@@ -233,20 +243,27 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     weighting.  The behaviour policy is refreshed from the current field
     once per epoch.  Intervention terms are expectations under the model;
     only the trajectory is sampled.
+
+    Per sample the work runs on tables built once: the ``"T"`` target is
+    the visited state's row of the operator, read off on Python floats by
+    the learner's scalar nesting (``"F"`` takes the one-row vectorised
+    operator), the executed pair comes from a per-state list rebuilt with
+    the policy, and the exploration slots are built once per run.
     """
     rng = np.random.default_rng(config.seed)
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
+    slots = _slots(game.cell_costs.tolist(), game.num_actions1)
     r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
     s = env.reset()
-    policy = extract_policy(game, basis.field(r))
+    pairs = extract_policy(game, basis.field(r)).executed_pairs()
     r_epoch = r.copy()
     final_delta = math.inf
     stopped = False
     steps_run = 0
     for t in range(config.samples):
         lam = phi @ r
-        target = _operator_on_field(game, lam, config.combinator, rows=slice(s, s + 1))[0]
+        target = _sample_target(game, lam, s, config.combinator)
         alpha = (1.0 + t) ** -config.step_power
         r = r + alpha * phi[s] * (target - lam[s])
         steps_run = t + 1
@@ -255,14 +272,14 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
         if (t + 1) % config.epoch == 0:
             final_delta = float(np.abs(r - r_epoch).max())
             r_epoch = r.copy()
-            policy = extract_policy(game, phi @ r)
+            pairs = extract_policy(game, phi @ r).executed_pairs()
             if config.tol > 0.0 and final_delta <= config.tol:
                 stopped = True
                 break
         if config.epsilon > 0.0 and rng.random() < config.epsilon:
-            pair = explore(game, s, rng)
+            pair = _explore(slots[s], rng)
         else:
-            pair = policy.executed_pair(s)
+            pair = pairs[s]
         s, _ = env.step(s, pair)
         if (t + 1) % config.episode_len == 0:
             s = env.reset()

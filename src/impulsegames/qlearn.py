@@ -104,23 +104,31 @@ def greedy_value(q: np.ndarray, game, s: int) -> float:
     return _greedy_at(q, game, s)[0]
 
 
+def _slots(cost_rows, na: int) -> list[list[list[tuple[int, int]]]]:
+    """Per state, the exploration slots: the no-op slot (an empty list), then
+    the available costly pairs of Player 1 and of Player 2, each side only
+    when it has one.  ``cost_rows`` are ``cell_costs`` rows as lists; an
+    action is available where its entry is not the masked -inf / +inf."""
+    slots = []
+    for row in cost_rows:
+        p1 = [(a, 0) for a in range(1, na) if row[a] != -math.inf]
+        p2 = [(0, c - na + 1) for c in range(na, len(row)) if row[c] != math.inf]
+        slots.append([[], *(side for side in (p1, p2) if side)])
+    return slots
+
+
+def _explore(slots, rng) -> tuple[int, int]:
+    """One exploration draw from one state's :func:`_slots`."""
+    side = slots[rng.integers(len(slots))]
+    return side[rng.integers(len(side))] if side else (0, 0)
+
+
 def explore(game, s: int, rng) -> tuple[int, int]:
     """A uniform exploration draw at ``s``: a slot among P1 action / P2
     action / no-op (a side with no available costly action drops out), then
-    a uniform available action within it."""
-    slots = [0]
-    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
-        slots.append(1)
-    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
-        slots.append(2)
-    slot = slots[rng.integers(len(slots))]
-    if slot == 1:
-        choices = np.flatnonzero(game.mask1[s, 1:]) + 1
-        return int(choices[rng.integers(len(choices))]), 0
-    if slot == 2:
-        choices = np.flatnonzero(game.mask2[s, 1:]) + 1
-        return 0, int(choices[rng.integers(len(choices))])
-    return 0, 0
+    a uniform available action within it.  Loops build the per-state slots
+    once with :func:`_slots` and draw with :func:`_explore`."""
+    return _explore(_slots(game.cell_costs[s:s + 1].tolist(), game.num_actions1)[0], rng)
 
 
 def act(q: np.ndarray, game, s: int, epsilon: float, rng) -> tuple[int, int]:
@@ -188,6 +196,9 @@ def learn(game_or_env, config: LearnConfig, q0=None,
     table = to_cells(q).tolist()
     counts = [[0] * len(row) for row in table]
     costs = env.cell_costs.tolist()
+    slots = _slots(costs, na)
+    # Each state's read-off; only the row a step updates is read off again.
+    best = [_greedy(row, cost, na) for row, cost in zip(table, costs)]
     ref = None if reference_q is None else to_cells(np.asarray(reference_q))
     eps_span = config.epsilon_end - config.epsilon_start
     s = env.reset()
@@ -195,19 +206,20 @@ def learn(game_or_env, config: LearnConfig, q0=None,
     for t in range(steps):
         epsilon = config.epsilon_start + eps_span * (t / steps)
         if epsilon > 0.0 and rng.random() < epsilon:
-            a, b = explore(env, s, rng)
+            a, b = _explore(slots[s], rng)
         else:
-            a, b = _greedy(table[s], costs[s], na)[1]
+            a, b = best[s][1]
         c = na - 1 + b if b else a
         s2, raw = env.step(s, (a, b))
         counts[s][c] += 1
         alpha = counts[s][c] ** -config.omega
-        target = raw + env.discount * _greedy(table[s2], costs[s2], na)[0]
+        target = raw + env.discount * best[s2][0]
         if not math.isfinite(target):
             raise FloatingPointError(
                 f"non-finite update target at step {t}: check the reward model")
         delta = alpha * (target - table[s][c])
         table[s][c] += delta
+        best[s] = _greedy(table[s], costs[s], na)
         epoch_sup = max(epoch_sup, abs(delta))
         diag.max_abs_target = max(diag.max_abs_target, abs(target))
         diag.steps_run = t + 1

@@ -56,13 +56,14 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     rewards = np.empty(steps)
     states[0] = x
     net = game.cells[1].tolist()
+    pairs = policy.executed_pairs()
     off2 = game.num_actions1 - 1
     g = game.discount
     disc = 1.0
     cumulative = np.empty(steps)
     total = 0.0
     for t in range(steps):
-        a, b = policy.executed_pair(x)
+        a, b = pairs[x]
         s, yz = divmod(x, ny * nz)
         y, z = divmod(yz, nz)
         if (a != 0 and y < spend) or (b != 0 and z < spend):

@@ -203,10 +203,15 @@ class EquilibriumPolicy:
             return int(self.p1_action[s]), 0
         return 0, 0
 
+    def executed_pairs(self) -> list[tuple[int, int]]:
+        """:meth:`executed_pair` at every state, as one plain list."""
+        a = np.where(self.p1_acts & ~self.p2_acts, self.p1_action, 0)
+        b = np.where(self.p2_acts, self.p2_action, 0)
+        return list(zip(a.tolist(), b.tolist()))
+
     def to_records(self, labels=None) -> list[dict]:
         rows = []
-        for s in range(len(self.p1_acts)):
-            a, b = self.executed_pair(s)
+        for s, (a, b) in enumerate(self.executed_pairs()):
             rows.append({
                 "state": str(labels[s]) if labels is not None else s,
                 "p1_acts": bool(self.p1_acts[s]),
@@ -275,11 +280,14 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     Games with more than ``FINISH_MAX_STATES`` base states only sweep.  A
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
-    :mod:`impulsegames.budget` from the base game's tables.
+    :mod:`impulsegames.budget` from the base game's tables.  A discount
+    outside [0, 1) is refused with ``ValueError`` before any sweep.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = game.discount
+    if not 0.0 <= g < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {g}")
     threshold = tol * (1.0 - g) / g if g > 0 else tol
     size = game.num_states if caps is None else game.num_states * (caps[0] + 1) * (caps[1] + 1)
     finish = game.num_states <= FINISH_MAX_STATES
@@ -453,13 +461,10 @@ def intervention_times(game: ImpulseGame, policy: EquilibriumPolicy,
     Player 2's interventions collect every visit to its region; Player 1's
     only where its own region is visited outside Player 2's (precedence).
     """
-    taus, rhos = [], []
-    for t, s in enumerate(trajectory):
-        s = int(s)
-        if not (0 <= s < game.num_states):
-            raise IndexError(f"trajectory state {s} out of range")
-        if policy.p2_acts[s]:
-            rhos.append(t)
-        elif policy.p1_acts[s]:
-            taus.append(t)
-    return taus, rhos
+    states = np.asarray(trajectory).astype(int)
+    outside = (states < 0) | (states >= game.num_states)
+    if outside.any():
+        raise IndexError(f"trajectory state {states[outside.argmax()]} out of range")
+    p2 = policy.p2_acts[states]
+    p1 = policy.p1_acts[states] & ~p2
+    return np.flatnonzero(p1).tolist(), np.flatnonzero(p2).tolist()

@@ -154,6 +154,58 @@ def loop_chain(game, pol1, pol2):
     return p, r
 
 
+def mask_explore(game, s, rng):
+    """The exploration draw read from the mask rows at ``s``: a uniform slot
+    among no-op / Player 1 / Player 2 (a side with no available costly action
+    drops out), then a uniform available action within it."""
+    slots = [0]
+    if game.num_actions1 > 1 and game.mask1[s, 1:].any():
+        slots.append(1)
+    if game.num_actions2 > 1 and game.mask2[s, 1:].any():
+        slots.append(2)
+    slot = slots[rng.integers(len(slots))]
+    if slot == 0:
+        return 0, 0
+    mask = game.mask1 if slot == 1 else game.mask2
+    choices = np.flatnonzero(mask[s, 1:]) + 1
+    x = int(choices[rng.integers(len(choices))])
+    return (x, 0) if slot == 1 else (0, x)
+
+
+class SearchsortedSampler:
+    """The next-state sampler on the joint ``(S, A, B, S)`` tables: a mask
+    check by array indexing, then ``searchsorted`` on the pair's cumulative
+    kernel row, clamped to the row's last state with positive mass."""
+
+    def __init__(self, game, rng):
+        self.game, self.rng = game, rng
+        self.cum = np.cumsum(game.kernel, axis=3)
+        self.last = game.num_states - 1 - np.argmax(game.kernel[..., ::-1] > 0, axis=3)
+
+    def step(self, s, pair):
+        a, b = pair
+        game = self.game
+        if (a != 0 and not game.mask1[s, a]) or (b != 0 and not game.mask2[s, b]):
+            raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
+        nxt = int(self.cum[s, a, b].searchsorted(self.rng.random(), side="right"))
+        return min(nxt, int(self.last[s, a, b])), float(game.reward[s, a, b])
+
+
+def loop_intervention_times(game, policy, trajectory):
+    """Indices along a state trajectory where each player's action executes,
+    one state at a time: ``(taus, rhos)`` for Player 1 and Player 2."""
+    taus, rhos = [], []
+    for t, s in enumerate(trajectory):
+        s = int(s)
+        if not (0 <= s < game.num_states):
+            raise IndexError(f"trajectory state {s} out of range")
+        if policy.p2_acts[s]:
+            rhos.append(t)
+        elif policy.p1_acts[s]:
+            taus.append(t)
+    return taus, rhos
+
+
 def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
     """The simulated-play learner as a per-step loop on the joint ``(S, A, B)``
     table, updating with the raw reward.
@@ -187,26 +239,12 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
                 pair = (0, j + 1)
         return float(out), pair
 
-    def explore(s):
-        slots = [0]
-        if na > 1 and game.mask1[s, 1:].any():
-            slots.append(1)
-        if nb > 1 and game.mask2[s, 1:].any():
-            slots.append(2)
-        slot = slots[rng.integers(len(slots))]
-        if slot == 0:
-            return 0, 0
-        mask = game.mask1 if slot == 1 else game.mask2
-        choices = np.flatnonzero(mask[s, 1:]) + 1
-        x = int(choices[rng.integers(len(choices))])
-        return (x, 0) if slot == 1 else (0, x)
-
     s = int(rng.integers(ns))
     epoch_sup = 0.0
     for t in range(config.steps):
         eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * (
             t / config.steps)
-        a, b = explore(s) if eps > 0.0 and rng.random() < eps else read_off(s)[1]
+        a, b = mask_explore(game, s, rng) if eps > 0.0 and rng.random() < eps else read_off(s)[1]
         row = game.kernel[s, a, b]
         drawn = int(np.cumsum(row).searchsorted(rng.random(), side="right"))
         s2 = min(drawn, ns - 1 - int(np.argmax(row[::-1] > 0)))

@@ -20,6 +20,19 @@ def micro_game(cost1: float, cost2: float, gamma: float = 0.5) -> ImpulseGame:
     )
 
 
+def randomly_masked(game: ImpulseGame, seed: int) -> ImpulseGame:
+    """``game`` with about 40% of its costly actions masked at random, all of
+    Player 1's masked at state 0 and all of Player 2's at state 1."""
+    rng = np.random.default_rng(seed)
+    mask1 = rng.random(game.mask1.shape) < 0.6
+    mask2 = rng.random(game.mask2.shape) < 0.6
+    mask1[:, 0] = mask2[:, 0] = True
+    mask1[0, 1:] = mask2[1, 1:] = False
+    return ImpulseGame(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                       cost2=game.cost2, cost_floor=game.cost_floor,
+                       discount=game.discount, mask1=mask1, mask2=mask2)
+
+
 @pytest.fixture
 def g1() -> ImpulseGame:
     """Low costs both sides; Player 2 intervenes, value 0.6."""

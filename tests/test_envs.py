@@ -164,3 +164,16 @@ def test_sampling_env_exposes_cell_costs_not_cost_tables():
 def test_oversized_duopoly_refused_before_any_table():
     with pytest.raises(ValueError, match="above the limit"):
         ig.build_duopoly_game(ig.DuopolyParams(grid_size=100))
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+def test_sampling_env_refuses_an_action_out_of_range(pair):
+    env = ig.sampling_env(ig.random_game(3, 2, 2, seed=0))
+    with pytest.raises(IndexError, match="outside 0..2"):
+        env.step(0, pair)
+
+
+def test_sampling_env_refuses_two_non_null_actions():
+    env = ig.sampling_env(ig.random_game(3, 2, 2, seed=0))
+    with pytest.raises(ValueError, match="never executes"):
+        env.step(0, (1, 1))

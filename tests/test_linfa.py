@@ -3,6 +3,9 @@ import pytest
 from scipy_free_bisect import bisect_scalar
 
 import impulsegames as ig
+from impulsegames import linfa
+
+from conftest import randomly_masked
 
 
 def test_identity_basis_projection_is_identity():
@@ -163,3 +166,18 @@ def test_stationary_distribution_self_loop(g1):
 def test_fit_config_rejects_nonpositive_periods(field):
     with pytest.raises(ValueError, match=field):
         ig.FitConfig(samples=10, **{field: 0})
+
+
+@pytest.mark.parametrize("combinator", ["T", "F"])
+@pytest.mark.parametrize("case", ["duopoly", "masked-30x3x2"])
+def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator):
+    game = (ig.build_duopoly_game(ig.DuopolyParams()) if case == "duopoly"
+            else randomly_masked(ig.random_game(30, 3, 2, seed=17), 17))
+    rng = np.random.default_rng(8)
+    fields = [ig.solve(game, tol=1e-9).value, np.zeros(game.num_states)]
+    fields += [rng.normal(scale=10.0, size=game.num_states) for _ in range(3)]
+    for lam in fields:
+        for s in range(game.num_states):
+            got = linfa._sample_target(game, lam, s, combinator)
+            want = linfa._operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
+            assert np.float64(got).tobytes() == want.tobytes(), (s, got, want)

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
 import impulsegames as ig
+from impulsegames.qlearn import explore
+
+from _oracles import SearchsortedSampler, mask_explore
+from conftest import randomly_masked
 
 
 class _FixedDraw:
@@ -65,3 +70,51 @@ def test_rewards_are_the_executed_pairs_net_rewards():
             pair = (int(traj.actions1[t]), int(traj.actions2[t]))
             s = int(traj.states[t]) // ny_nz
             assert traj.rewards[t] == ig.effective_reward(game, s, pair)
+
+
+def _draw_streams(game, rng, ref_rng, steps):
+    """Walk ``steps`` explore-and-step draws with the library and with the
+    mask-and-searchsorted reference on equally seeded generators."""
+    env, ref = ig.SamplingEnv(game, rng=rng), SearchsortedSampler(game, ref_rng)
+    s = t = 0
+    got, want = [], []
+    for _ in range(steps):
+        pair, ref_pair = explore(game, s, rng), mask_explore(game, t, ref_rng)
+        s, r = env.step(s, pair)
+        t, ref_r = ref.step(t, ref_pair)
+        got.append((pair, s, r))
+        want.append((ref_pair, t, ref_r))
+    return got, want
+
+
+@pytest.mark.parametrize("case", ["1x0x0", "6x3x2", "30x1x1", "masked-8x3x2", "masked-30x3x2"])
+def test_step_and_explore_match_the_mask_and_searchsorted_reference(case):
+    name, _, spec = case.rpartition("-")
+    n, a, b = (int(x) for x in spec.split("x"))
+    game = ig.random_game(n, a, b, seed=n + a)
+    if name:
+        game = randomly_masked(game, n)
+    got, want = _draw_streams(game, np.random.default_rng(n), np.random.default_rng(n), 3000)
+    assert got == want
+    if not name:
+        assert len({pair for pair, _, _ in got}) == 1 + a + b
+
+
+class _NearOneEveryThird:
+    """A seeded generator whose every third uniform draw is the largest float below 1."""
+
+    def __init__(self, seed):
+        self.gen, self.calls = np.random.default_rng(seed), 0
+
+    def random(self):
+        self.calls += 1
+        return 0.9999999999999999 if self.calls % 3 == 0 else self.gen.random()
+
+    def integers(self, n):
+        return self.gen.integers(n)
+
+
+def test_step_and_explore_match_the_reference_on_short_rows():
+    got, want = _draw_streams(_short_row_game(), _NearOneEveryThird(3), _NearOneEveryThird(3), 600)
+    assert got == want
+    assert {s for _, s, _ in got} == {0, 1, 2}

@@ -7,7 +7,8 @@ import pytest
 import impulsegames as ig
 from impulsegames import solver
 
-from _oracles import loop_chain, loop_operator, loop_vi, mrp_value, single_agent_impulse_vi
+from _oracles import (loop_chain, loop_intervention_times, loop_operator, loop_vi, mrp_value,
+                      single_agent_impulse_vi)
 from conftest import micro_game
 
 
@@ -173,6 +174,50 @@ def test_intervention_times(g1, g2, g3):
     assert ig.intervention_times(g3, pol3, [0, 0]) == ([], [])
     pol1 = ig.solve(g1, tol=1e-10).policy
     assert ig.intervention_times(g1, pol1, [0]) == ([], [0])
+
+
+def _random_policy(n, na, nb, rng):
+    return ig.EquilibriumPolicy(
+        p1_acts=rng.random(n) < 0.5, p1_action=rng.integers(na, size=n),
+        p2_acts=rng.random(n) < 0.3, p2_action=rng.integers(nb, size=n))
+
+
+def test_intervention_times_match_loop_reference():
+    game = ig.random_game(12, 2, 3, seed=4)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        policy = _random_policy(12, 3, 4, rng)
+        traj = rng.integers(12, size=int(rng.integers(0, 200)))
+        expected = loop_intervention_times(game, policy, traj)
+        assert ig.intervention_times(game, policy, traj) == expected
+        assert ig.intervention_times(game, policy, traj.tolist()) == expected
+    duopoly = ig.build_duopoly_game(ig.DuopolyParams(grid_size=5))
+    policy = ig.solve(duopoly, tol=1e-8).policy
+    traj = ig.simulate(duopoly, policy, 500, seed=2).states[:-1]
+    expected = loop_intervention_times(duopoly, policy, traj)
+    assert expected[0] or expected[1]
+    assert ig.intervention_times(duopoly, policy, traj) == expected
+
+
+@pytest.mark.parametrize("bad", [12, -1, 40])
+def test_intervention_times_name_the_first_state_out_of_range(bad):
+    game = ig.random_game(12, 1, 1, seed=4)
+    policy = _random_policy(12, 2, 2, np.random.default_rng(0))
+    traj = [3, 7, bad, 0, 13, -2]
+    with pytest.raises(IndexError) as ref:
+        loop_intervention_times(game, policy, traj)
+    with pytest.raises(IndexError, match=f"^trajectory state {bad} out of range$") as got:
+        ig.intervention_times(game, policy, np.array(traj))
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("discount", [1.0, 1.5, -0.1, float("nan")])
+def test_solve_refuses_a_discount_outside_the_unit_interval(discount):
+    base = ig.random_game(3, 1, 1, seed=0)
+    game = ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
+                          cost2=base.cost2, cost_floor=base.cost_floor, discount=discount)
+    with pytest.raises(ValueError, match="discount must lie in"):
+        ig.solve(game, max_sweeps=50)
 
 
 def test_report_error_bound_formula(g1):
