@@ -31,8 +31,8 @@ print(f"\nfinal sup-distance on executed cells: {err:.5f} (tolerance {tol:.5f})"
 print(f"visit counts sum to the step budget: {diag.visits.sum()} == {config.steps}")
 
 print("\ngreedy play recovered from the learned table:")
-rng = np.random.default_rng(0)
+_, learned = ig.read_off(game, q)
 for s in range(game.num_states):
-    pair = ig.act(q, game, s, 0.0, rng)
+    pair = learned.executed_pair(s)
     exact = reference.policy.executed_pair(s)
     print(f"    state {s}: learned {pair}, exact {exact}")

@@ -13,7 +13,6 @@ from .game import (
     GameFormatError,
     GameValidationError,
     ImpulseGame,
-    JointAction,
     Violation,
     effective_reward,
     game_from_dict,
@@ -33,7 +32,6 @@ from .solver import (
     SolveReport,
     bellman,
     evaluate_policies,
-    expected_next_values,
     extract_policy,
     intervention_times,
     max_intervention,
@@ -41,10 +39,11 @@ from .solver import (
     minimax_oracle,
     noop_continuation,
     q_from_value,
+    read_off,
     solve,
 )
 from .sim import Trajectory, simulate
-from .qlearn import LearnConfig, LearnDiagnostics, Transition, act, greedy_value, learn, step_update
+from .qlearn import LearnConfig, LearnDiagnostics, learn
 from .linfa import (
     BoundReport,
     FeatureBasis,
@@ -69,7 +68,6 @@ from .envs import (
     build_duopoly_game,
     duopoly_params_from_dict,
     duopoly_step_mean,
-    sampling_env,
 )
 
 __version__ = "0.1.0"

@@ -78,14 +78,13 @@ def duopoly_params_from_dict(doc: dict) -> DuopolyParams:
     return DuopolyParams(**parsed)
 
 
-def duopoly_step_mean(params: DuopolyParams, s1: float, s2: float,
-                      u1: float, u2: float) -> tuple[float, float]:
-    """Deterministic next sales levels (noise handled separately), clamped."""
+def duopoly_step_mean(params: DuopolyParams, s1, s2, u1, u2):
+    """Deterministic next sales levels (noise handled separately), clamped; arrays work too."""
     m = params.market_size
     untapped = (m - s1 - s2) / m
     n1 = s1 + params.b1 * u1 * untapped - params.r1 * s1
     n2 = s2 + params.b2 * u2 * untapped - params.r2 * s2
-    return (min(max(n1, 0.0), m), min(max(n2, 0.0), m))
+    return np.clip(n1, 0.0, m), np.clip(n2, 0.0, m)
 
 
 def _axis_distribution(mean, sigma, grid, nodes, weights):
@@ -142,12 +141,9 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     cost2[:, 1:] = params.kappa2 + np.asarray(params.investments2)[None, :]
 
     kernel = np.empty((ns, na, nb, ns))
-    m = params.market_size
-    untapped = (m - s1 - s2) / m
     for ai, u1 in enumerate(levels1):
         for bi, u2 in enumerate(levels2):
-            d1 = np.clip(s1 + params.b1 * u1 * untapped - params.r1 * s1, 0.0, m)
-            d2 = np.clip(s2 + params.b2 * u2 * untapped - params.r2 * s2, 0.0, m)
+            d1, d2 = duopoly_step_mean(params, s1, s2, u1, u2)
             p1 = _axis_distribution(d1, params.sigma1, grid, nodes, weights)
             p2 = _axis_distribution(d2, params.sigma2, grid, nodes, weights)
             joint = np.einsum("si,sj->sij", p1, p2).reshape(ns, ns)
@@ -164,7 +160,7 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
 
 
 class SamplingEnv:
-    """Model-free access to a game: seeded reset/step, probabilities hidden.
+    """Model-free access to a game: seeded uniform reset and step, probabilities hidden.
 
     Exposes the static knowledge a learner legitimately owns (action counts,
     masks, discount, and what each executable cell's costs add to its reward,
@@ -178,7 +174,7 @@ class SamplingEnv:
     availability and the last next state with positive mass.
     """
 
-    def __init__(self, game: ImpulseGame, seed=0, rng=None, reset_states=None):
+    def __init__(self, game: ImpulseGame, seed=0, rng=None):
         kernel = game.cells[0]
         self._cum = [[array("d", row.tobytes()) for row in np.cumsum(rows, axis=1)]
                      for rows in kernel]
@@ -190,8 +186,6 @@ class SamplingEnv:
         ns = game.num_states
         self._last = (ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)).tolist()
         self._rng = np.random.default_rng(seed) if rng is None else rng
-        self._reset_states = (np.arange(game.num_states) if reset_states is None
-                              else np.asarray(reset_states, dtype=int))
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
         self.num_actions2 = game.num_actions2
@@ -201,14 +195,14 @@ class SamplingEnv:
         self.discount = game.discount
 
     def reset(self) -> int:
-        """Draw a fresh start state (uniform over the reset set by default)."""
-        return int(self._reset_states[self._rng.integers(len(self._reset_states))])
+        """Draw a fresh start state, uniform over the states."""
+        return int(self._rng.integers(self.num_states))
 
     def step(self, s: int, pair) -> tuple[int, float]:
         """Sample the next state (one uniform draw) and return the raw
-        (cost-exclusive) reward.  A masked action is a hard fault.  A pair
-        that can never execute is refused: an action outside its player's
-        range (``IndexError``) or two non-null actions (``ValueError``)."""
+        (cost-exclusive) reward.  A masked action is a hard fault.  Refused: a
+        state outside ``0 .. S-1`` or an action outside its player's range
+        (``IndexError``), and two non-null actions (``ValueError``)."""
         a, b = pair
         if b:
             if a:
@@ -221,13 +215,11 @@ class SamplingEnv:
             c = a
         else:
             raise IndexError(f"Player-1 action {a} outside 0..{self.num_actions1 - 1}")
+        if s < 0:
+            raise IndexError(f"state {s} outside 0..{self.num_states - 1}")
         if not self._ok[s][c]:
             raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
         nxt = bisect_right(self._cum[s][c], self._rng.random())
         last = self._last[s][c]
         return (nxt if nxt < last else last), self._reward[s][c]
 
-
-def sampling_env(game: ImpulseGame, seed=0, reset_states=None) -> SamplingEnv:
-    """Wrap a game behind the sampling-only environment contract."""
-    return SamplingEnv(game, seed=seed, reset_states=reset_states)

@@ -27,11 +27,6 @@ KERNEL_ROW_TOL = 1e-12
 MAX_KERNEL_ENTRIES = 16_000_000
 
 
-class JointAction(NamedTuple):
-    a: int
-    b: int
-
-
 class Violation(NamedTuple):
     """One broken model invariant: a short code, offending indices, message."""
 

@@ -8,7 +8,7 @@ is the game value) and ``"F"`` is the flipped max-outside form.  Both are
 gamma-contractions; they differ in which player the middle do-nothing term
 shelters.  The sampled fit evaluates them at the visited state only; its
 behaviour trajectory takes the learner's exploration draw
-(:func:`impulsegames.qlearn.explore`) and the sampler of
+(:func:`impulsegames.qlearn._explore`) and the sampler of
 :class:`impulsegames.envs.SamplingEnv`.
 """
 

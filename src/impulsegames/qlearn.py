@@ -6,6 +6,8 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 (cost-exclusive) reward.  The learner keeps one value per executable cell, in
 the layout of ``ImpulseGame.cells``, reads it back through the greedy
 combinator by adding the game's ``cell_costs``, and returns ``Q[s, a, b]``.
+It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
+the value and policy off a learned table.
 """
 
 from __future__ import annotations
@@ -13,28 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .game import ImpulseGame, to_cells
 from .envs import SamplingEnv
 from .solver import TIE_EPS
-
-
-class Transition(NamedTuple):
-    """One executed step and its raw reward; the pair never has both entries non-null."""
-
-    state: int
-    a: int
-    b: int
-    reward: float
-    next_state: int
-
-
-class StepResult(NamedTuple):
-    delta: float
-    target: float
 
 
 @dataclass(frozen=True)
@@ -70,7 +57,7 @@ def _greedy(q_row, cost_row, na: int) -> tuple[float, tuple[int, int]]:
     """Greedy value at one state and the pair it executes, by ``extract_policy``'s
     rule, from plain lists in the layout of ``ImpulseGame.cells``: the raw cell
     values and what each cell's costs add to them (``cell_costs``)."""
-    # The solver's nesting on Python floats: a vectorised call on one row costs more per step.
+    # `solver.read_off` on Python floats: a vectorised call on one row costs more per step.
     noop = q_row[0] + cost_row[0]
     best1, i = -math.inf, 0
     for c in range(1, na):
@@ -89,21 +76,6 @@ def _greedy(q_row, cost_row, na: int) -> tuple[float, tuple[int, int]]:
     return out, (i if best1 > noop + TIE_EPS else 0, 0)
 
 
-def _greedy_at(q: np.ndarray, game, s: int) -> tuple[float, tuple[int, int]]:
-    row = to_cells(q[s:s + 1])[0]
-    return _greedy(row.tolist(), game.cell_costs[s].tolist(), game.num_actions1)
-
-
-def greedy_value(q: np.ndarray, game, s: int) -> float:
-    """Value of the greedy combinator read off the stored table at ``s``.
-
-    min( max( best costly P1 cell minus its cost, null-pair cell ),
-         best costly P2 cell plus its cost ), with absent (or fully masked)
-    sides dropping out of the nesting.
-    """
-    return _greedy_at(q, game, s)[0]
-
-
 def _slots(cost_rows, na: int) -> list[list[list[tuple[int, int]]]]:
     """Per state, the exploration slots: the no-op slot (an empty list), then
     the available costly pairs of Player 1 and of Player 2, each side only
@@ -118,40 +90,9 @@ def _slots(cost_rows, na: int) -> list[list[list[tuple[int, int]]]]:
 
 
 def _explore(slots, rng) -> tuple[int, int]:
-    """One exploration draw from one state's :func:`_slots`."""
+    """One exploration draw from a state's :func:`_slots`: a uniform slot, then an action in it."""
     side = slots[rng.integers(len(slots))]
     return side[rng.integers(len(side))] if side else (0, 0)
-
-
-def explore(game, s: int, rng) -> tuple[int, int]:
-    """A uniform exploration draw at ``s``: a slot among P1 action / P2
-    action / no-op (a side with no available costly action drops out), then
-    a uniform available action within it.  Loops build the per-state slots
-    once with :func:`_slots` and draw with :func:`_explore`."""
-    return _explore(_slots(game.cell_costs[s:s + 1].tolist(), game.num_actions1)[0], rng)
-
-
-def act(q: np.ndarray, game, s: int, epsilon: float, rng) -> tuple[int, int]:
-    """Choose the executed pair at ``s`` from the current table.
-
-    With probability ``1 - epsilon``: raise Player 2's action where its
-    combinator term strictly beats the inner max (precedence), else Player
-    1's where it strictly beats doing nothing, else the null pair.  With
-    probability ``epsilon``: an :func:`explore` draw.
-    """
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return explore(game, s, rng)
-    return _greedy_at(q, game, s)[1]
-
-
-def step_update(q: np.ndarray, game, tr: Transition, alpha: float) -> StepResult:
-    """Move the executed cell of an ``(S, A, B)`` table toward its sampled
-    bootstrap target, in place.  The table never stores action costs, so the
-    target uses the transition's raw reward."""
-    target = tr.reward + game.discount * greedy_value(q, game, tr.next_state)
-    delta = alpha * (target - float(q[tr.state, tr.a, tr.b]))
-    q[tr.state, tr.a, tr.b] += delta
-    return StepResult(delta=delta, target=target)
 
 
 @dataclass

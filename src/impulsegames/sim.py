@@ -45,11 +45,14 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     policy's index are flat ``(s, y, z)`` indices, the next ``s`` is drawn
     from the base kernel and an executed costly action moves its player's
     counter down by one.  A costly action on a spent counter counts as masked.
+    A ``start`` outside the (budgeted) game's states raises ``IndexError``.
     """
     rng = np.random.default_rng(seed) if rng is None else rng
     env = SamplingEnv(game, rng=rng)
     ny, nz, spend = (1, 1, 0) if caps is None else (caps[0] + 1, caps[1] + 1, 1)
     x = int(start)
+    if not 0 <= x < game.num_states * ny * nz:
+        raise IndexError(f"start state {x} outside 0..{game.num_states * ny * nz - 1}")
     states = np.empty(steps + 1, dtype=int)
     acts1 = np.empty(steps, dtype=int)
     acts2 = np.empty(steps, dtype=int)

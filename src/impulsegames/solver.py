@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame
+from .game import ImpulseGame, to_cells
 
 TIE_EPS = 1e-10
 
@@ -87,11 +87,6 @@ def _next_values(v, kernel, caps=None, acts1=(), acts2=()):
     return ev
 
 
-def expected_next_values(game: ImpulseGame, v) -> np.ndarray:
-    """E[v(s') | s, a, b] for every cell, shape (S, A, B)."""
-    return _next_values(v, game.kernel)
-
-
 def operator_terms(game: ImpulseGame, v, caps=None, *, _rows=None) -> OperatorTerms:
     """The operator's pieces at every state, flat like ``v``, from the net
     reward plus discounted E[v(next)] of each of :attr:`ImpulseGame.cells`.
@@ -107,14 +102,19 @@ def operator_terms(game: ImpulseGame, v, caps=None, *, _rows=None) -> OperatorTe
     if caps is not None:
         q[:, 1:na, 0] = -np.inf
         q[:, na:, :, 0] = np.inf
+    terms = _reduce(q, na)
+    return terms if caps is None else OperatorTerms(*(x.ravel() for x in terms))
+
+
+def _reduce(q, na: int) -> OperatorTerms:
+    """The operator's pieces from net values ``q`` of :attr:`ImpulseGame.cells` (axis 1)."""
     noop, p1, p2 = q[:, 0], q[:, 1:na], q[:, na:]
     m1 = p1.max(axis=1, initial=-np.inf)
     m2 = p2.min(axis=1, initial=np.inf)
     none = np.zeros(noop.shape, dtype=int)
     act1 = p1.argmax(axis=1) + 1 if p1.shape[1] else none
     act2 = p2.argmin(axis=1) + 1 if p2.shape[1] else none
-    terms = OperatorTerms(noop, m1, act1, m1 > -np.inf, m2, act2, m2 < np.inf)
-    return terms if caps is None else OperatorTerms(*(x.ravel() for x in terms))
+    return OperatorTerms(noop, m1, act1, m1 > -np.inf, m2, act2, m2 < np.inf)
 
 
 def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
@@ -168,7 +168,7 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     The one reader of the cells where both players act.
     """
     if caps is None:
-        return game.reward + game.discount * expected_next_values(game, v)
+        return game.reward + game.discount * _next_values(v, game.kernel)
     ev = _next_values(v, game.kernel, caps, np.s_[:, 1:], np.s_[:, :, 1:])
     q = game.reward[..., None, None] + game.discount * ev
     return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
@@ -231,13 +231,25 @@ def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
     ``TIE_EPS``; exact ties resolve to not acting, since acting costs money
     for no gain.  ``caps`` selects the budgeted game, as in :func:`bellman`.
     """
-    t = operator_terms(game, v, caps)
+    return _policy(operator_terms(game, v, caps))
+
+
+def _policy(t: OperatorTerms) -> EquilibriumPolicy:
+    """The flag rule of :func:`extract_policy` on the operator's pieces."""
     p1 = t.m1 > t.noop + TIE_EPS
     p2 = t.m2 < _inner(t) - TIE_EPS
     return EquilibriumPolicy(
         p1_acts=p1, p1_action=np.where(p1, t.act1, 0),
         p2_acts=p2, p2_action=np.where(p2, t.act2, 0),
     )
+
+
+def read_off(game: ImpulseGame, q) -> tuple[np.ndarray, EquilibriumPolicy]:
+    """Greedy value and policy of a cost-exclusive ``(S, A, B)`` table, learned or from
+    :func:`q_from_value`: the nesting of :func:`bellman` and the flag rule of
+    :func:`extract_policy` on its executable cells plus ``cell_costs``."""
+    t = _reduce(to_cells(np.asarray(q, dtype=float)) + game.cell_costs, game.num_actions1)
+    return _combine(t), _policy(t)
 
 
 def _finite_or_none(x: float):
@@ -460,8 +472,12 @@ def intervention_times(game: ImpulseGame, policy: EquilibriumPolicy,
 
     Player 2's interventions collect every visit to its region; Player 1's
     only where its own region is visited outside Player 2's (precedence).
+    A state that is not a whole number is refused with ``ValueError``.
     """
-    states = np.asarray(trajectory).astype(int)
+    raw = np.asarray(trajectory, dtype=float)
+    if not (np.isfinite(raw) & (np.floor(raw) == raw)).all():
+        raise ValueError("trajectory states must be integers")
+    states = raw.astype(int)
     outside = (states < 0) | (states >= game.num_states)
     if outside.any():
         raise IndexError(f"trajectory state {states[outside.argmax()]} out of range")

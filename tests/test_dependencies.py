@@ -1,0 +1,27 @@
+"""numpy is the package's only runtime dependency: every module of
+``src/impulsegames`` imports only the standard library, numpy and the
+package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impulsegames"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "impulsegames"}
+
+
+def _imports(path):
+    """``(line, top-level module)`` of every absolute import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    outside = [f"{path.name}:{line} imports {name}" for path in modules
+               for line, name in _imports(path) if name not in ALLOWED]
+    assert outside == []

@@ -20,6 +20,26 @@ def test_step_mean_identity_when_inert():
     assert ig.duopoly_step_mean(p, 33.0, 21.0, 0.0, 0.0) == (33.0, 21.0)
 
 
+def test_step_mean_hand_values():
+    p = ig.DuopolyParams()  # market 100, b 0.6, r 0.05
+    # untapped share (100 - 40 - 20) / 100 = 0.4
+    s1, s2 = ig.duopoly_step_mean(p, 40.0, 20.0, 2.5, 0.0)
+    assert (s1, s2) == (pytest.approx(40.0 + 0.6 * 2.5 * 0.4 - 2.0), pytest.approx(19.0))
+    # a negative untapped share drives Player 1 below 0; Player 2 is clamped above
+    assert ig.duopoly_step_mean(p, 0.0, 200.0, 4.0, 0.0) == (0.0, 100.0)
+
+
+def test_step_mean_array_form_equals_scalar_form():
+    p = ig.DuopolyParams(grid_size=5)
+    grid = np.linspace(0.0, p.market_size, p.grid_size)
+    s1, s2 = np.repeat(grid, 5), np.tile(grid, 5)
+    for u1, u2 in [(0.0, 0.0), (2.5, 1.0), (4.0, 4.0)]:
+        d1, d2 = ig.duopoly_step_mean(p, s1, s2, u1, u2)
+        pairs = [ig.duopoly_step_mean(p, float(a), float(b), u1, u2) for a, b in zip(s1, s2)]
+        assert d1.tolist() == [x for x, _ in pairs]
+        assert d2.tolist() == [y for _, y in pairs]
+
+
 def test_step_mean_clamps_to_market():
     p = ig.DuopolyParams(market_size=50.0, r1=0.0)
     s1, s2 = ig.duopoly_step_mean(p, 50.0, 50.0, 0.0, 0.0)
@@ -87,7 +107,7 @@ def test_sampling_env_deterministic_rows():
     game = ig.ImpulseGame(kernel=kernel, reward=base.reward, cost1=base.cost1,
                           cost2=base.cost2, cost_floor=base.cost_floor,
                           discount=base.discount)
-    env = ig.sampling_env(game, seed=0)
+    env = ig.SamplingEnv(game, seed=0)
     assert env.step(0, (0, 0))[0] == 1
     assert env.step(1, (0, 0))[0] == 0
 
@@ -96,7 +116,7 @@ def test_sampling_env_seeded_repeatability():
     game = ig.random_game(4, 1, 1, seed=5)
     runs = []
     for _ in range(2):
-        env = ig.sampling_env(game, seed=11)
+        env = ig.SamplingEnv(game, seed=11)
         s = env.reset()
         path = [s]
         for _ in range(20):
@@ -108,7 +128,7 @@ def test_sampling_env_seeded_repeatability():
 
 def test_sampling_env_frequencies_match_kernel():
     game = ig.random_game(3, 1, 1, seed=8)
-    env = ig.sampling_env(game, seed=0)
+    env = ig.SamplingEnv(game, seed=0)
     n = 100_000
     counts = np.zeros(3)
     for _ in range(n):
@@ -122,21 +142,21 @@ def test_sampling_env_frequencies_match_kernel():
 
 def test_sampling_env_returns_raw_reward():
     game = ig.random_game(3, 1, 1, seed=9)
-    env = ig.sampling_env(game, seed=1)
+    env = ig.SamplingEnv(game, seed=1)
     _, r = env.step(1, (1, 0))
     assert r == game.reward[1, 1, 0]
 
 
 def test_sampling_env_reset_default_uniform():
     game = ig.random_game(5, 0, 0, seed=2)
-    env = ig.sampling_env(game, seed=123)
+    env = ig.SamplingEnv(game, seed=123)
     seen = {env.reset() for _ in range(300)}
     assert seen == set(range(5))
 
 
 def test_sampling_env_masked_step_raises(g2):
     aug = ig.augment(g2, 0, 0)
-    env = ig.sampling_env(aug.game, seed=0)
+    env = ig.SamplingEnv(aug.game, seed=0)
     with pytest.raises(RuntimeError, match="masked"):
         env.step(0, (1, 0))
 
@@ -156,7 +176,7 @@ def test_build_duopoly_game_rejects_invalid_games(params):
 
 def test_sampling_env_exposes_cell_costs_not_cost_tables():
     game = ig.random_game(3, 2, 1, seed=4)
-    env = ig.sampling_env(game)
+    env = ig.SamplingEnv(game)
     assert env.cell_costs is game.cell_costs
     assert not hasattr(env, "cost1") and not hasattr(env, "cost2")
 
@@ -168,12 +188,19 @@ def test_oversized_duopoly_refused_before_any_table():
 
 @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, -1), (0, 3)])
 def test_sampling_env_refuses_an_action_out_of_range(pair):
-    env = ig.sampling_env(ig.random_game(3, 2, 2, seed=0))
+    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0))
     with pytest.raises(IndexError, match="outside 0..2"):
         env.step(0, pair)
 
 
+@pytest.mark.parametrize("s", [-1, -3, 3])
+def test_sampling_env_refuses_a_state_out_of_range(s):
+    env = ig.SamplingEnv(ig.random_game(3, 1, 1, seed=0))
+    with pytest.raises(IndexError):
+        env.step(s, (0, 0))
+
+
 def test_sampling_env_refuses_two_non_null_actions():
-    env = ig.sampling_env(ig.random_game(3, 2, 2, seed=0))
+    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0))
     with pytest.raises(ValueError, match="never executes"):
         env.step(0, (1, 1))

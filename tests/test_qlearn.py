@@ -2,68 +2,89 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames import qlearn, solver
+from impulsegames.game import to_cells
 
 from _oracles import loop_learn, mrp_value
+from conftest import randomly_masked
 
 
 def test_greedy_value_micro(g1):
-    assert ig.greedy_value(np.zeros((1, 2, 2)), g1, 0) == 0.0
-    assert ig.greedy_value(np.ones((1, 2, 2)), g1, 0) == 1.0
+    assert ig.read_off(g1, np.zeros((1, 2, 2)))[0].tolist() == [0.0]
+    assert ig.read_off(g1, np.ones((1, 2, 2)))[0].tolist() == [1.0]
 
 
 def test_greedy_value_at_solved_table_recovers_value(g1, g2, g3):
     for game in (g1, g2, g3):
         rep = ig.solve(game, tol=1e-12)
-        assert ig.greedy_value(rep.q, game, 0) == pytest.approx(rep.value[0], abs=1e-9)
+        assert ig.read_off(game, rep.q)[0][0] == pytest.approx(rep.value[0], abs=1e-9)
+
+
+def _one_run(game, steps, q0=None, epsilon=0.0, seed=0, omega=0.85):
+    cfg = ig.LearnConfig(steps=steps, epsilon_start=epsilon, epsilon_end=epsilon,
+                         seed=seed, omega=omega)
+    return ig.learn(game, cfg, q0=q0)
 
 
 def test_step_update_zero_target_keeps_zero(g1):
-    q = np.zeros((1, 2, 2))
-    tr = ig.Transition(0, 0, 1, 0.0, 0)  # raw reward of the (0, b1) pair
-    ig.step_update(q, g1, tr, 0.1)
-    assert q[0, 0, 1] == 0.0
+    # an exploring step executes (0, b1): raw reward 0, and the zero table reads 0
+    q, diag = _one_run(g1, 1, epsilon=1.0, seed=1)
+    assert np.argwhere(diag.visits).tolist() == [[0, 0, 1]]
+    assert diag.max_abs_target == 0.0
+    assert not q.any()
 
 
 def test_step_update_hand_value(g1):
-    q = np.ones((1, 2, 2))
-    tr = ig.Transition(0, 1, 0, 2.0, 0)  # raw reward of the (a1, 0) pair
-    res = ig.step_update(q, g1, tr, 0.1)
-    assert res.target == pytest.approx(2.5)
-    assert q[0, 1, 0] == pytest.approx(1.15)
+    # cells (null, a1, b1) = (1, 2, 3) plus costs (0, -0.5, +0.3) read off as
+    # (1, 1.5, 3.3): Player 1 acts, value 1.5.  Raw reward 2, gamma 0.5.
+    q0 = np.array([[[1.0, 3.0], [2.0, 9.0]]])
+    q, diag = _one_run(g1, 1, q0=q0, omega=1.0)
+    assert diag.max_abs_target == 2.75  # 2 + 0.5 * 1.5, first step size 1
+    assert q[0, 1, 0] == 2.75
+    # the row now reads off 2.25 and Player 1 still acts: step size 1/2
+    q, diag = _one_run(g1, 2, q0=q0, omega=1.0)
+    assert diag.max_abs_target == 3.125  # 2 + 0.5 * 2.25
+    assert q[0, 1, 0] == 2.75 + 0.5 * (3.125 - 2.75)
+    assert diag.visits[0, 1, 0] == 2
 
 
-def test_step_update_alpha_zero_is_identity(g1):
-    q = np.full((1, 2, 2), 0.7)
-    before = q.copy()
-    ig.step_update(q, g1, ig.Transition(0, 1, 0, 1.5, 0), 0.0)
-    assert np.array_equal(q, before)
+def test_learn_step_at_its_own_target_keeps_the_table(g1):
+    # the null cell 2 reads off as the value 2, and 1 + 0.5 * 2 = 2
+    q0 = np.array([[[2.0, 5.0], [0.0, 7.0]]])
+    q, diag = _one_run(g1, 1, q0=q0)
+    assert diag.visits[0, 0, 0] == 1
+    assert q.tobytes() == q0.tobytes()
 
 
 def test_step_update_touches_one_cell(g1):
-    q = np.zeros((1, 2, 2))
-    ig.step_update(q, g1, ig.Transition(0, 1, 0, 1.5, 0), 0.5)
+    q, _ = _one_run(g1, 1)
     changed = np.argwhere(q != 0.0)
-    assert changed.tolist() == [[0, 1, 0]]
+    assert changed.tolist() == [[0, 0, 0]]
 
 
 def test_act_greedy_on_solved_tables(g1, g2, g3):
-    rng = np.random.default_rng(0)
-    assert ig.act(ig.solve(g2, tol=1e-12).q, g2, 0, 0.0, rng) == (1, 0)
-    assert ig.act(ig.solve(g3, tol=1e-12).q, g3, 0, 0.0, rng) == (0, 0)
-    assert ig.act(ig.solve(g1, tol=1e-12).q, g1, 0, 0.0, rng) == (0, 1)
+    for game, pair in ((g2, (1, 0)), (g3, (0, 0)), (g1, (0, 1))):
+        assert ig.read_off(game, ig.solve(game, tol=1e-12).q)[1].executed_pair(0) == pair
+
+
+def _slots(game):
+    return qlearn._slots(game.cell_costs.tolist(), game.num_actions1)
 
 
 def test_act_exploration_is_reproducible(g1):
-    q = np.zeros((1, 2, 2))
-    seq1 = [ig.act(q, g1, 0, 1.0, np.random.default_rng(42)) for _ in range(5)]
-    seq2 = [ig.act(q, g1, 0, 1.0, np.random.default_rng(42)) for _ in range(5)]
+    slots = _slots(g1)[0]
+    rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
+    seq1 = [qlearn._explore(slots, rng1) for _ in range(20)]
+    seq2 = [qlearn._explore(slots, rng2) for _ in range(20)]
     assert seq1 == seq2
+    assert set(seq1) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_act_never_returns_joint_nonnull(g1):
     rng = np.random.default_rng(7)
+    slots = _slots(g1)[0]
     for _ in range(200):
-        a, b = ig.act(np.zeros((1, 2, 2)), g1, 0, 1.0, rng)
+        a, b = qlearn._explore(slots, rng)
         assert a == 0 or b == 0
 
 
@@ -111,14 +132,14 @@ def test_learn_target_boundedness():
 
 def test_fixed_point_has_zero_mean_increment(g1):
     # at the solved table, sampled update increments average to zero
-    ref = ig.solve(g1, tol=1e-12).q
-    env = ig.sampling_env(g1, seed=8)
+    rep = ig.solve(g1, tol=1e-12)
+    env = ig.SamplingEnv(g1, seed=8)
     increments = {pair: [] for pair in [(0, 0), (1, 0), (0, 1)]}
     for pair in increments:
         for _ in range(4000):
             s2, raw = env.step(0, pair)
-            target = raw + g1.discount * ig.greedy_value(ref, g1, s2)
-            increments[pair].append(target - ref[0, pair[0], pair[1]])
+            target = raw + g1.discount * rep.value[s2]
+            increments[pair].append(target - rep.q[0, pair[0], pair[1]])
     for pair, vals in increments.items():
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals)) + 1e-12
@@ -158,23 +179,60 @@ def _masked_random_game():
 def test_greedy_read_off_matches_solver_nesting():
     game = _masked_random_game()
     v = np.random.default_rng(2).normal(size=game.num_states)
-    q = ig.q_from_value(game, v)
-    value = ig.bellman(game, v)
-    policy = ig.extract_policy(game, v)
-    rng = np.random.default_rng(0)
-    for s in range(game.num_states):
-        assert ig.greedy_value(q, game, s) == pytest.approx(value[s], abs=1e-12)
-        assert ig.act(q, game, s, 0.0, rng) == policy.executed_pair(s)
+    value, policy = ig.read_off(game, ig.q_from_value(game, v))
+    assert np.abs(value - ig.bellman(game, v)).max() <= 1e-12
+    assert policy.executed_pairs() == ig.extract_policy(game, v).executed_pairs()
+
+
+def _exact_game(seed):
+    """A randomly masked game on which every sum is exact: integer rewards and
+    costs, deterministic transitions and discount 1/2, so that integer value
+    fields give exact ties between the nesting's terms."""
+    rng = np.random.default_rng(seed)
+    ns, na, nb = (int(n) for n in rng.integers([2, 1, 1], [7, 4, 4]))
+    kernel = np.zeros((ns, na, nb, ns))
+    np.put_along_axis(kernel, rng.integers(ns, size=(ns, na, nb, 1)), 1.0, axis=3)
+    cost1, cost2 = rng.integers(1, 3, size=(ns, na)), rng.integers(1, 3, size=(ns, nb))
+    cost1[:, 0] = cost2[:, 0] = 0
+    game = ig.ImpulseGame(kernel=kernel, reward=rng.integers(-2, 3, size=(ns, na, nb)),
+                          cost1=cost1, cost2=cost2, cost_floor=1.0, discount=0.5)
+    return randomly_masked(game, seed), rng
+
+
+def test_read_off_matches_operator_and_learner_bit_for_bit():
+    ties = 0
+    for seed in range(200):
+        game, rng = _exact_game(seed)
+        v = rng.integers(-3, 4, size=game.num_states).astype(float)
+        q = ig.q_from_value(game, v)
+        value, policy = ig.read_off(game, q)
+        assert value.tobytes() == ig.bellman(game, v).tobytes()
+        ref = ig.extract_policy(game, v)
+        for name in ("p1_acts", "p1_action", "p2_acts", "p2_action"):
+            assert np.array_equal(getattr(policy, name), getattr(ref, name))
+        t = solver.operator_terms(game, v)
+        ties += int(((t.m1 == t.noop) | (t.m2 == np.maximum(t.m1, t.noop))).sum())
+        # the learner's per-state read-off, on this table and on a random one
+        for table in (q, rng.normal(size=q.shape)):
+            value, policy = ig.read_off(game, table)
+            rows, costs = to_cells(table).tolist(), game.cell_costs.tolist()
+            for s in range(game.num_states):
+                got, pair = qlearn._greedy(rows[s], costs[s], game.num_actions1)
+                assert np.float64(got).tobytes() == value[s].tobytes()
+                assert pair == policy.executed_pair(s)
+    assert ties > 0  # 59 states with an exact tie
 
 
 def test_act_explores_through_explore():
     game = _masked_random_game()
-    q = np.zeros((8, 4, 3))
-    for s in range(game.num_states):
-        rng1, rng2 = np.random.default_rng(s), np.random.default_rng(s)
-        rng2.random()
-        assert ig.act(q, game, s, 1.0, rng1) == ig.qlearn.explore(game, s, rng2)
-        assert rng1.random() == rng2.random()
+    slots = _slots(game)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(game.num_states))  # the learner's reset
+        rng.random()  # its exploration coin
+        a, b = qlearn._explore(slots[s], rng)
+        _, diag = _one_run(game, 1, epsilon=1.0, seed=seed)
+        assert np.argwhere(diag.visits).tolist() == [[s, a, b]]
 
 
 @pytest.mark.parametrize("field", ["episode_len", "eval_every"])

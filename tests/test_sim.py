@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
-from impulsegames.qlearn import explore
+from impulsegames.qlearn import _explore, _slots
 
 from _oracles import SearchsortedSampler, mask_explore
 from conftest import randomly_masked
@@ -76,10 +76,11 @@ def _draw_streams(game, rng, ref_rng, steps):
     """Walk ``steps`` explore-and-step draws with the library and with the
     mask-and-searchsorted reference on equally seeded generators."""
     env, ref = ig.SamplingEnv(game, rng=rng), SearchsortedSampler(game, ref_rng)
+    slots = _slots(game.cell_costs.tolist(), game.num_actions1)
     s = t = 0
     got, want = [], []
     for _ in range(steps):
-        pair, ref_pair = explore(game, s, rng), mask_explore(game, t, ref_rng)
+        pair, ref_pair = _explore(slots[s], rng), mask_explore(game, t, ref_rng)
         s, r = env.step(s, pair)
         t, ref_r = ref.step(t, ref_pair)
         got.append((pair, s, r))
@@ -118,3 +119,20 @@ def test_step_and_explore_match_the_reference_on_short_rows():
     got, want = _draw_streams(_short_row_game(), _NearOneEveryThird(3), _NearOneEveryThird(3), 600)
     assert got == want
     assert {s for _, s, _ in got} == {0, 1, 2}
+
+
+class _NoDraws:
+    """An ``rng`` stand-in that fails the test on any draw."""
+
+    def random(self):
+        raise AssertionError("a step was taken")
+
+
+@pytest.mark.parametrize("start, caps", [(-1, None), (3, None), (-1, (1, 2)), (18, (1, 2))])
+def test_simulate_refuses_a_start_outside_the_states(start, caps):
+    game = ig.random_game(3, 1, 1, seed=0)
+    n = 3 if caps is None else 18
+    with pytest.raises(IndexError, match="outside 0.."):
+        ig.simulate(game, _idle(n), 3, start=start, rng=_NoDraws(), caps=caps)
+    # the first or last state is a valid start
+    assert len(ig.simulate(game, _idle(n), 3, start=start % n, caps=caps).states) == 4

@@ -74,7 +74,7 @@ def test_solve_max_sweeps_flags_nonconverged(g1):
 
 def test_q_fixed_point_identity(g1):
     rep = ig.solve(g1, tol=1e-12)
-    expected = g1.reward + g1.discount * ig.expected_next_values(g1, rep.value)
+    expected = g1.reward + g1.discount * (g1.kernel @ rep.value)
     assert np.allclose(rep.q, expected, atol=0)
 
 
@@ -174,6 +174,16 @@ def test_intervention_times(g1, g2, g3):
     assert ig.intervention_times(g3, pol3, [0, 0]) == ([], [])
     pol1 = ig.solve(g1, tol=1e-10).policy
     assert ig.intervention_times(g1, pol1, [0]) == ([], [0])
+
+
+def test_intervention_times_refuses_non_integer_states():
+    game = ig.random_game(3, 1, 1, seed=0)
+    policy = ig.solve(game, tol=1e-10).policy
+    for bad in ([0.7, 1.9, 2.2], [0, 0.5], [0.0, float("nan")], np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="integers"):
+            ig.intervention_times(game, policy, bad)
+    for ok in ([], np.array([], dtype=int), [2, 0, 1], np.arange(3), np.arange(3.0)):
+        assert ig.intervention_times(game, policy, ok) == loop_intervention_times(game, policy, ok)
 
 
 def _random_policy(n, na, nb, rng):
