@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import ImpulseGame
+from .game import ImpulseGame, _freeze, check_kernel_size
 from .sim import Trajectory, simulate
 from .solver import EquilibriumPolicy, SolveReport, solve
 
@@ -82,11 +82,14 @@ class AugmentedGame:
         """The dense budgeted model: transitions are the base kernel times
         deterministic counter bookkeeping; actions that would overdraw a
         counter are masked at those states, so counters never go negative.
+        A kernel above ``game.MAX_KERNEL_ENTRIES`` is refused with
+        ``ValueError`` before anything is allocated.
         """
         base = self.base
         ns, na, nb = base.num_states, base.num_actions1, base.num_actions2
         ny, nz = self.n1 + 1, self.n2 + 1
         nx = self.num_states
+        check_kernel_size(nx, na, nb)
         kernel = np.zeros((nx, na, nb, nx))
         reward = np.empty((nx, na, nb))
         cost1 = np.empty((nx, na))
@@ -113,6 +116,7 @@ class AugmentedGame:
                         z2 = max(z - 1, 0) if b != 0 else z
                         dst = idx(y2, z2)
                         kernel[src[:, None], a, b, dst[None, :]] = base.kernel[:, a, b, :]
+        _freeze(kernel, reward, cost1, cost2, mask1, mask2)
         return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                            cost_floor=base.cost_floor, discount=base.discount,
                            mask1=mask1, mask2=mask2)

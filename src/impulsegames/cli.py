@@ -19,7 +19,7 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import load_basis, load_game, random_game, save_game
+from .game import game_to_dict, load_basis, load_game, random_game
 from .sim import simulate
 from .solver import intervention_times, minimax_oracle, solve
 
@@ -111,7 +111,9 @@ def cmd_learn(args) -> int:
         "steps": diag.steps_run,
         "final_sup_delta": diag.final_sup_delta,
     })
-    diag.to_csv(os.path.join(out, "learn_diagnostics.csv"))
+    fields = diag.CSV_FIELDS
+    _write_csv(os.path.join(out, "learn_diagnostics.csv"), fields,
+               [tuple(row[k] for k in fields) for row in diag.rows])
     return 0
 
 
@@ -196,7 +198,7 @@ def cmd_gen(args) -> int:
         log.error("gen requires --gen \"S,A,B,seed\" or --duopoly PARAMS.json")
         return 1
     game = _obtain_game(args)
-    save_game(game, os.path.join(_outdir(args), "game.json"))
+    _write_json(os.path.join(_outdir(args), "game.json"), game_to_dict(game))
     return 0
 
 

@@ -51,9 +51,34 @@ class GameValidationError(ValueError):
 
 
 def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a read-only C-contiguous ``dtype`` array, copied only when
+    the caller could still write to its memory.  An array made here (from a
+    list, or by a dtype or layout change) is frozen in place; a read-only
+    array with no writeable base is kept as it is; any other array the caller
+    passed in is copied, so later writes to it leave the game unchanged."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if (arr is values or not arr.flags.owndata) and _writeable_memory(arr):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _writeable_memory(arr) -> bool:
+    """Whether ``arr`` or an array it views is writeable, or it views a
+    buffer that is not a numpy array."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return arr is not None
+
+
+def _freeze(*tables) -> None:
+    """Mark tables a builder has just made read-only, so :class:`ImpulseGame`
+    takes them without a copy; ``None`` entries are skipped."""
+    for table in tables:
+        if table is not None:
+            table.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +103,12 @@ class ImpulseGame:
         Per-state action availability.  The null action must stay available
         everywhere; defaults to everything allowed.  Used by the budgeted
         construction to remove actions once a budget is spent.
+
+    Every table is stored read-only and built once.  A read-only C-contiguous
+    array of the right dtype whose memory no writeable array reaches (another
+    game's table, say) is shared, not copied; a writeable array is copied, so
+    the caller may go on changing it; a list or an array of another dtype is
+    converted once and the conversion is kept.
     """
 
     kernel: np.ndarray
@@ -264,8 +295,8 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     na, nb = num_actions1 + 1, num_actions2 + 1
     check_kernel_size(num_states, na, nb)
     rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))
-    kernel = raw / raw.sum(axis=3, keepdims=True)
+    kernel = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))
+    kernel /= kernel.sum(axis=3, keepdims=True)
     reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
     cost1 = np.zeros((num_states, na))
     if num_actions1:
@@ -273,6 +304,7 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     cost2 = np.zeros((num_states, nb))
     if num_actions2:
         cost2[:, 1:] = rng.uniform(cost_floor, 2 * cost_floor, size=(num_states, num_actions2))
+    _freeze(kernel, reward, cost1, cost2)
     return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=cost_floor, discount=gamma)
 
@@ -328,7 +360,7 @@ def _reject_constant(token):
 
 def _numeric(doc, key):
     try:
-        return np.asarray(doc[key], dtype=float)
+        return np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFormatError(f"key '{key}' is not a numeric array: {exc}") from None
 
@@ -370,6 +402,7 @@ def game_from_dict(doc: dict) -> ImpulseGame:
         mask1 = _shaped(doc, "mask1", (s, na)).astype(bool)
     if "mask2" in doc:
         mask2 = _shaped(doc, "mask2", (s, nb)).astype(bool)
+    _freeze(kernel, reward, cost1, cost2, mask1, mask2)
     game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=_scalar(doc["cost_floor"], "cost_floor", float),
                        discount=_scalar(doc["gamma"], "gamma", float),

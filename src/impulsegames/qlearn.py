@@ -99,6 +99,8 @@ def _explore(slots, rng) -> tuple[int, int]:
 class LearnDiagnostics:
     """Learning-run telemetry: per-epoch rows plus summary counters."""
 
+    CSV_FIELDS = ("step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed")
+
     rows: list = field(default_factory=list)
     visits: Optional[np.ndarray] = None
     steps_run: int = 0
@@ -108,8 +110,7 @@ class LearnDiagnostics:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(
-                f, fieldnames=["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"])
+            writer = csv.DictWriter(f, fieldnames=self.CSV_FIELDS)
             writer.writeheader()
             writer.writerows(self.rows)
 

@@ -191,6 +191,25 @@ class SearchsortedSampler:
         return min(nxt, int(self.last[s, a, b])), float(game.reward[s, a, b])
 
 
+def copying_random_game_tables(num_states, num_actions1, num_actions2, seed,
+                               cost_floor=0.1):
+    """The draws of ``random_game`` built the way it first built them: an
+    out-of-place quotient of the drawn kernel by its row sums, then the
+    game's own copy of every table.  Returns ``(kernel, reward, cost1, cost2)``."""
+    na, nb = num_actions1 + 1, num_actions2 + 1
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))
+    kernel = raw / raw.sum(axis=3, keepdims=True)
+    reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
+    cost1 = np.zeros((num_states, na))
+    if num_actions1:
+        cost1[:, 1:] = rng.uniform(cost_floor, 2 * cost_floor, size=(num_states, num_actions1))
+    cost2 = np.zeros((num_states, nb))
+    if num_actions2:
+        cost2[:, 1:] = rng.uniform(cost_floor, 2 * cost_floor, size=(num_states, num_actions2))
+    return tuple(np.array(t, dtype=float) for t in (kernel, reward, cost1, cost2))
+
+
 def loop_intervention_times(game, policy, trajectory):
     """Indices along a state trajectory where each player's action executes,
     one state at a time: ``(taus, rhos)`` for Player 1 and Player 2."""

@@ -175,3 +175,10 @@ def test_oversized_caps_refused_before_any_work():
         ig.solve_budgeted(base, 10**9, 10**9)
     with pytest.raises(ValueError, match="nonnegative"):
         ig.solve_budgeted(base, -1, 0)
+
+
+def test_dense_reference_refuses_an_oversized_kernel_before_building_it():
+    aug = ig.augment(ig.random_game(20, 2, 2, seed=0), 20, 20)  # 8,820 augmented states
+    with pytest.raises(ValueError, match="above the limit"):
+        aug.game
+    assert "game" not in vars(aug)

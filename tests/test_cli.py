@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -299,3 +300,50 @@ def test_fit_bad_basis_exits_1_no_output(tmp_path, capsys, basis):
     assert main(["fit", "--game", str(path), "--steps", "100", "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: key 'basis'")
+
+
+def test_gen_and_learn_write_the_library_bytes(tmp_path, g1_file):
+    out = tmp_path / "out"
+    assert main(["gen", "--gen", "4,2,1,3", "--out", str(out)]) == 0
+    ig.save_game(ig.random_game(4, 2, 1, 3), tmp_path / "lib.json")
+    assert (out / "game.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+    assert main(["learn", "--game", str(g1_file), "--steps", "3000", "--out", str(out)]) == 0
+    game = ig.load_game(g1_file)
+    _, diag = ig.learn(game, ig.LearnConfig(steps=3000, epsilon_start=0.2, omega=0.85, seed=0),
+                       reference_q=ig.solve(game, tol=1e-9).q)
+    diag.to_csv(tmp_path / "lib.csv")
+    assert (out / "learn_diagnostics.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+class _BrokenWriter:
+    """A csv writer whose rows fail after the header went out."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def writerow(self, row):
+        self.f.write(",".join(map(str, row)) + "\r\n")
+
+    def writerows(self, rows):
+        self.f.write("1,")
+        raise OSError("disk full")
+
+
+def _dump_then_fail(obj, f, **kwargs):
+    f.write("{")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("command, target, module, name, broken", [
+    (["gen", "--gen", "3,1,1,0"], "game.json", json, "dump", _dump_then_fail),
+    (["learn", "--gen", "3,1,1,0", "--steps", "200"], "learn_diagnostics.csv", csv,
+     "writer", _BrokenWriter),
+])
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatch, command,
+                                                     target, module, name, broken):
+    out = tmp_path / "out"
+    monkeypatch.setattr(module, name, broken)
+    assert main(command + ["--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not (out / target).exists()
+    assert not list(out.glob("*.tmp"))

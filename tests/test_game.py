@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import impulsegames as ig
 
+from _oracles import copying_random_game_tables
 from conftest import micro_game
 
 
@@ -233,3 +235,106 @@ def test_oversized_games_refused_before_any_table():
            "states": 5000, "actions1": 4, "actions2": 4}
     with pytest.raises(ValueError, match="above the limit"):
         ig.game_from_dict(doc)
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 2, 1), (4, 0, 3), (4, 2, 0), (7, 1, 1),
+                                   (60, 7, 7)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 97])
+def test_random_game_draws_match_the_copying_construction(shape, seed):
+    """The in-place quotient keeps the seed contract bit for bit."""
+    game = ig.random_game(*shape, seed)
+    expected = copying_random_game_tables(*shape, seed)
+    for table, ref in zip((game.kernel, game.reward, game.cost1, game.cost2), expected):
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_random_game_holds_one_kernel_at_its_peak(seed):
+    tracemalloc.start()
+    try:
+        game = ig.random_game(200, 3, 3, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * game.kernel.nbytes
+
+
+def _rebuilt(game, **tables):
+    fields = dict(kernel=game.kernel, reward=game.reward, cost1=game.cost1,
+                  cost2=game.cost2, mask1=game.mask1, mask2=game.mask2)
+    return ig.ImpulseGame(cost_floor=game.cost_floor, discount=game.discount,
+                          **{**fields, **tables})
+
+
+def test_a_game_built_from_another_games_tables_shares_them():
+    game = ig.random_game(100, 3, 3, seed=0)
+    tracemalloc.start()
+    try:
+        twin = _rebuilt(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("kernel", "reward", "cost1", "cost2", "mask1", "mask2"):
+        assert getattr(twin, name) is getattr(game, name)
+    assert peak < game.cost1.nbytes  # no table, not even the smallest, was allocated
+
+
+def test_writeable_caller_arrays_are_copied():
+    game = ig.random_game(4, 2, 2, seed=1)
+    kernel, reward = np.array(game.kernel), np.array(game.reward)
+    mask1 = np.array(game.mask1)
+    own = _rebuilt(game, kernel=kernel, reward=reward, mask1=mask1)
+    kernel[...] = 0.0
+    reward[...] = 7.0
+    mask1[...] = False
+    assert ig.games_equal(own, game)
+    assert kernel.flags.writeable and reward.flags.writeable and mask1.flags.writeable
+
+
+def test_read_only_views_of_writeable_memory_are_copied():
+    game = ig.random_game(3, 1, 1, seed=2)
+    row = np.full(3, 1 / 3)
+    broadcast = np.broadcast_to(row, game.kernel.shape)
+    reward = np.array(game.reward)
+    frozen_view = reward[:]
+    frozen_view.setflags(write=False)
+    own = _rebuilt(game, kernel=broadcast, reward=frozen_view)
+    assert not np.shares_memory(own.kernel, row)
+    assert not np.shares_memory(own.reward, reward)
+    row[0] = 5.0
+    reward[...] = 9.0
+    np.testing.assert_array_equal(own.kernel, np.full(game.kernel.shape, 1 / 3))
+    np.testing.assert_array_equal(own.reward, game.reward)
+
+
+def test_converted_tables_are_frozen_once():
+    game = ig.random_game(3, 1, 1, seed=3)
+    own = _rebuilt(game, kernel=game.kernel.tolist(), cost1=game.cost1.astype(np.float32),
+                   mask1=game.mask1.astype(int))
+    assert ig.validate(own) == []
+    for table in (own.kernel, own.cost1, own.mask1):
+        assert not table.flags.writeable and table.flags.c_contiguous
+    assert own.cost1.dtype == float and own.mask1.dtype == bool
+
+
+def test_loaded_and_built_tables_are_read_only(tmp_path):
+    masked = _rebuilt(ig.random_game(4, 2, 1, seed=4),
+                      mask1=np.array([[True, False, True]] * 4))
+    path = tmp_path / "g.json"
+    ig.save_game(masked, path)
+    duopoly = ig.build_duopoly_game(ig.DuopolyParams(grid_size=4))
+    budgeted = ig.augment(ig.random_game(3, 1, 1, seed=0), 1, 1).game
+    for game in (ig.load_game(path), duopoly, budgeted):
+        for table in (game.kernel, game.reward, game.cost1, game.cost2, game.mask1,
+                      game.mask2):
+            assert not table.flags.writeable
+
+
+def test_game_from_dict_leaves_the_callers_arrays_writeable():
+    doc = ig.game_to_dict(ig.random_game(3, 1, 1, seed=5))
+    doc["kernel"] = np.array(doc["kernel"])
+    game = ig.game_from_dict(doc)
+    assert doc["kernel"].flags.writeable
+    doc["kernel"][...] = 0.0
+    assert ig.validate(game) == []
