@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import ImpulseGame, _freeze, check_kernel_size
+from .game import ImpulseGame, check_kernel_size
 from .sim import Trajectory, simulate
 from .solver import EquilibriumPolicy, SolveReport, solve
 
@@ -116,7 +116,6 @@ class AugmentedGame:
                         z2 = max(z - 1, 0) if b != 0 else z
                         dst = idx(y2, z2)
                         kernel[src[:, None], a, b, dst[None, :]] = base.kernel[:, a, b, :]
-        _freeze(kernel, reward, cost1, cost2, mask1, mask2)
         return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                            cost_floor=base.cost_floor, discount=base.discount,
                            mask1=mask1, mask2=mask2)

@@ -19,31 +19,11 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import game_to_dict, load_basis, load_game, random_game
+from .game import _write_json, _write_whole, load_basis, load_game, random_game, save_game
 from .sim import simulate
 from .solver import intervention_times, minimax_oracle, solve
 
 log = logging.getLogger("impulsegames")
-
-
-def _write_whole(path, write, newline=None) -> None:
-    """Write through a temporary file renamed into place, so a write that
-    fails part-way leaves no partial output behind."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
-            write(f)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _write_json(path, obj) -> None:
-    def write(f):
-        json.dump(obj, f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
-    _write_whole(path, write)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -111,9 +91,7 @@ def cmd_learn(args) -> int:
         "steps": diag.steps_run,
         "final_sup_delta": diag.final_sup_delta,
     })
-    fields = diag.CSV_FIELDS
-    _write_csv(os.path.join(out, "learn_diagnostics.csv"), fields,
-               [tuple(row[k] for k in fields) for row in diag.rows])
+    diag.to_csv(os.path.join(out, "learn_diagnostics.csv"))
     return 0
 
 
@@ -198,7 +176,7 @@ def cmd_gen(args) -> int:
         log.error("gen requires --gen \"S,A,B,seed\" or --duopoly PARAMS.json")
         return 1
     game = _obtain_game(args)
-    _write_json(os.path.join(_outdir(args), "game.json"), game_to_dict(game))
+    save_game(game, os.path.join(_outdir(args), "game.json"))
     return 0
 
 

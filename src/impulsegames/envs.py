@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (GameValidationError, ImpulseGame, _freeze, _scalar, check_kernel_size,
-                   to_cells, validate)
+from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, to_cells, validate
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
 
     floor = min(params.kappa1 + min(levels1[1:], default=1.0),
                 params.kappa2 + min(levels2[1:], default=1.0))
-    _freeze(kernel, reward, cost1, cost2)
     game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=floor, discount=params.gamma)
     violations = validate(game)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,34 +52,36 @@ class GameValidationError(ValueError):
 
 
 def _frozen_array(values, dtype=float):
-    """``values`` as a read-only C-contiguous ``dtype`` array, copied only when
-    the caller could still write to its memory.  An array made here (from a
-    list, or by a dtype or layout change) is frozen in place; a read-only
-    array with no writeable base is kept as it is; any other array the caller
-    passed in is copied, so later writes to it leave the game unchanged."""
+    """``values`` as a read-only C-contiguous ``dtype`` array.  A read-only
+    array that owns its memory (another game's table, say) is kept as it is;
+    an array made here from a list or by a dtype or layout change is frozen
+    in place; a view, or a writeable array the caller passed in, is copied,
+    so later writes to it leave the game unchanged."""
     arr = np.asarray(values, dtype=dtype, order="C")
-    if (arr is values or not arr.flags.owndata) and _writeable_memory(arr):
+    if not arr.flags.owndata or (arr is values and arr.flags.writeable):
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
-def _writeable_memory(arr) -> bool:
-    """Whether ``arr`` or an array it views is writeable, or it views a
-    buffer that is not a numpy array."""
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return True
-        arr = arr.base
-    return arr is not None
+def _write_whole(path, write, newline=None) -> None:
+    """Write through a temporary file renamed into place, so a write that
+    fails part-way leaves no partial output behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+            write(f)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _freeze(*tables) -> None:
-    """Mark tables a builder has just made read-only, so :class:`ImpulseGame`
-    takes them without a copy; ``None`` entries are skipped."""
-    for table in tables:
-        if table is not None:
-            table.setflags(write=False)
+def _write_json(path, obj) -> None:
+    def write(f):
+        json.dump(obj, f, sort_keys=True, indent=2, allow_nan=False)
+        f.write("\n")
+    _write_whole(path, write)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +107,13 @@ class ImpulseGame:
         everywhere; defaults to everything allowed.  Used by the budgeted
         construction to remove actions once a budget is spent.
 
-    Every table is stored read-only and built once.  A read-only C-contiguous
-    array of the right dtype whose memory no writeable array reaches (another
-    game's table, say) is shared, not copied; a writeable array is copied, so
-    the caller may go on changing it; a list or an array of another dtype is
-    converted once and the conversion is kept.
+    Every table is stored read-only.  A read-only C-contiguous array of the
+    right dtype that owns its memory (another game's table, say) is shared,
+    not copied; a view or a writeable array is copied, so the caller may go
+    on changing it; a list or an array of another dtype is converted once
+    and the conversion is kept.  Only the array's own flags are checked: a
+    caller that hands over a read-only array must not make it writeable
+    again or keep a writeable view of it, or every game sharing it changes.
     """
 
     kernel: np.ndarray
@@ -304,7 +309,8 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     cost2 = np.zeros((num_states, nb))
     if num_actions2:
         cost2[:, 1:] = rng.uniform(cost_floor, 2 * cost_floor, size=(num_states, num_actions2))
-    _freeze(kernel, reward, cost1, cost2)
+    for table in (kernel, reward, cost1, cost2):
+        table.setflags(write=False)
     return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=cost_floor, discount=gamma)
 
@@ -349,9 +355,7 @@ def game_to_dict(game: ImpulseGame) -> dict:
 
 def save_game(game: ImpulseGame, path) -> None:
     """Write the game-spec JSON document (UTF-8, row-major dense arrays)."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(game_to_dict(game), f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+    _write_json(path, game_to_dict(game))
 
 
 def _reject_constant(token):
@@ -360,7 +364,7 @@ def _reject_constant(token):
 
 def _numeric(doc, key):
     try:
-        return np.array(doc[key], dtype=float)
+        return np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFormatError(f"key '{key}' is not a numeric array: {exc}") from None
 
@@ -402,7 +406,6 @@ def game_from_dict(doc: dict) -> ImpulseGame:
         mask1 = _shaped(doc, "mask1", (s, na)).astype(bool)
     if "mask2" in doc:
         mask2 = _shaped(doc, "mask2", (s, nb)).astype(bool)
-    _freeze(kernel, reward, cost1, cost2, mask1, mask2)
     game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=_scalar(doc["cost_floor"], "cost_floor", float),
                        discount=_scalar(doc["gamma"], "gamma", float),

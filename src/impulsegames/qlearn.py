@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game import ImpulseGame, to_cells
+from .game import ImpulseGame, _write_whole, to_cells
 from .envs import SamplingEnv
 from .solver import TIE_EPS
 
@@ -99,8 +99,6 @@ def _explore(slots, rng) -> tuple[int, int]:
 class LearnDiagnostics:
     """Learning-run telemetry: per-epoch rows plus summary counters."""
 
-    CSV_FIELDS = ("step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed")
-
     rows: list = field(default_factory=list)
     visits: Optional[np.ndarray] = None
     steps_run: int = 0
@@ -109,10 +107,12 @@ class LearnDiagnostics:
     stopped_early: bool = False
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=self.CSV_FIELDS)
+        def write(f):
+            writer = csv.DictWriter(
+                f, fieldnames=["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"])
             writer.writeheader()
             writer.writerows(self.rows)
+        _write_whole(path, write, newline="")
 
 
 def learn(game_or_env, config: LearnConfig, q0=None,

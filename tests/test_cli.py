@@ -302,23 +302,10 @@ def test_fit_bad_basis_exits_1_no_output(tmp_path, capsys, basis):
     assert capsys.readouterr().err.startswith("error: key 'basis'")
 
 
-def test_gen_and_learn_write_the_library_bytes(tmp_path, g1_file):
-    out = tmp_path / "out"
-    assert main(["gen", "--gen", "4,2,1,3", "--out", str(out)]) == 0
-    ig.save_game(ig.random_game(4, 2, 1, 3), tmp_path / "lib.json")
-    assert (out / "game.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
-    assert main(["learn", "--game", str(g1_file), "--steps", "3000", "--out", str(out)]) == 0
-    game = ig.load_game(g1_file)
-    _, diag = ig.learn(game, ig.LearnConfig(steps=3000, epsilon_start=0.2, omega=0.85, seed=0),
-                       reference_q=ig.solve(game, tol=1e-9).q)
-    diag.to_csv(tmp_path / "lib.csv")
-    assert (out / "learn_diagnostics.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
-
-
 class _BrokenWriter:
     """A csv writer whose rows fail after the header went out."""
 
-    def __init__(self, f):
+    def __init__(self, f, *args, **kwargs):
         self.f = f
 
     def writerow(self, row):
@@ -347,3 +334,13 @@ def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatc
     assert "disk full" in capsys.readouterr().err
     assert not (out / target).exists()
     assert not list(out.glob("*.tmp"))
+
+
+def test_library_writers_leave_no_file_when_a_write_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    monkeypatch.setattr(csv, "writer", _BrokenWriter)
+    with pytest.raises(OSError, match="disk full"):
+        ig.save_game(ig.random_game(3, 1, 1, seed=0), tmp_path / "game.json")
+    with pytest.raises(OSError, match="disk full"):
+        ig.LearnDiagnostics(rows=[{"step": 1}]).to_csv(tmp_path / "diag.csv")
+    assert list(tmp_path.iterdir()) == []
