@@ -26,11 +26,7 @@ import numpy as np
 
 from .game import ImpulseGame, check_kernel_size
 from .sim import Trajectory, simulate
-from .solver import EquilibriumPolicy, SolveReport, solve
-
-# Largest augmented action table S*(n1+1)*(n2+1)*A*B accepted: the solver
-# holds a few float arrays of this size (80 MB each at the limit).
-MAX_AUGMENTED_CELLS = 10_000_000
+from .solver import MAX_AUGMENTED_CELLS, EquilibriumPolicy, SolveReport, _layers, solve
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,7 @@ class AugmentedGame:
     n2: int
 
     def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("budgets must be nonnegative")
-        cells = self.num_states * self.base.num_actions1 * self.base.num_actions2
-        if cells > MAX_AUGMENTED_CELLS:
-            raise ValueError(
-                f"caps ({self.n1}, {self.n2}) give an augmented table of {cells} "
-                f"cells, above the limit of {MAX_AUGMENTED_CELLS}")
+        _layers(self.base, self.caps)
 
     @property
     def caps(self) -> tuple[int, int]:
@@ -150,19 +140,13 @@ class BudgetRun(NamedTuple):
 
 def simulate_budgeted(aug: AugmentedGame, policy: EquilibriumPolicy, steps: int,
                       seed=0, start=None) -> BudgetRun:
-    """Roll the budgeted policy forward and hard-check budget feasibility.
+    """Roll the budgeted policy forward and count each player's interventions.
 
     ``start`` is a base-game state (counters begin full) or None for state 0.
-    Trajectory states are flat ``(s, y, z)`` indices.  A masked-action
-    attempt or an intervention count beyond its budget raises: both
-    indicate a solver bug rather than bad data.
+    Trajectory states are flat ``(s, y, z)`` indices.  ``simulate`` raises on a
+    masked action (a solver bug) before it runs, so counts never exceed the caps.
     """
     s0 = aug.index(int(start) if start is not None else 0, aug.n1, aug.n2)
     traj = simulate(aug.base, policy, steps, seed=seed, start=s0, caps=aug.caps)
-    used1 = int(np.count_nonzero(traj.actions1))
-    used2 = int(np.count_nonzero(traj.actions2))
-    if used1 > aug.n1 or used2 > aug.n2:
-        raise RuntimeError(
-            f"budget violated: ({used1}, {used2}) interventions against "
-            f"budgets ({aug.n1}, {aug.n2})")
-    return BudgetRun(trajectory=traj, p1_interventions=used1, p2_interventions=used2)
+    return BudgetRun(trajectory=traj, p1_interventions=int(np.count_nonzero(traj.actions1)),
+                     p2_interventions=int(np.count_nonzero(traj.actions2)))

@@ -19,7 +19,8 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import _write_json, _write_whole, load_basis, load_game, random_game, save_game
+from .game import (_basis_from_dict, _read_spec, _write_json, _write_whole, game_from_dict,
+                   load_game, random_game, save_game)
 from .sim import simulate
 from .solver import intervention_times, minimax_oracle, solve
 
@@ -128,11 +129,12 @@ def cmd_budget(args) -> int:
     _check_start(args, game)
     report, aug = budget_mod.solve_budgeted(game, args.n1, args.n2, tol=args.tol,
                                             max_sweeps=args.max_sweeps)
+    # Roll out before any write, so that a refused flag leaves no file.
+    run = budget_mod.simulate_budgeted(aug, report.policy, steps=args.steps,
+                                       seed=args.seed, start=args.start)
     out = _outdir(args)
     labels = [f"({s},{y},{z})" for s, y, z in aug.labels]
     _write_json(os.path.join(out, "budget_report.json"), report.to_dict(labels))
-    run = budget_mod.simulate_budgeted(aug, report.policy, steps=args.steps,
-                                       seed=args.seed, start=args.start)
     traj = run.trajectory
     rows = zip(range(len(traj.rewards)), [labels[s] for s in traj.states[:-1].tolist()],
                traj.actions1.tolist(), traj.actions2.tolist(), traj.rewards.tolist(),
@@ -147,14 +149,23 @@ def cmd_budget(args) -> int:
 
 def cmd_fit(args) -> int:
     """Sampled weight fit, polished to the projected fixed point for the
-    bound check (the bound is a statement about the limit coefficients)."""
-    game = _obtain_game(args)
-    basis_matrix = load_basis(args.game) if args.game else None
+    bound check (the bound is a statement about the limit coefficients).
+    A game file is parsed once, for both the game and its optional basis; a
+    diverging weight iteration ends the run with exit 2 and no file."""
+    if args.game is not None:
+        doc = _read_spec(args.game)
+        game, basis_matrix = game_from_dict(doc), _basis_from_dict(doc)
+    else:
+        game, basis_matrix = _obtain_game(args), None
     basis = (linfa.FeatureBasis(basis_matrix) if basis_matrix is not None
              else linfa.identity_basis(game.num_states))
     config = linfa.FitConfig(samples=args.steps, seed=args.seed,
                              combinator=args.combinator, compute_reference=False)
-    r, report = linfa.fit(game, basis, config)
+    try:
+        r, report = linfa.fit(game, basis, config)
+    except linfa.FitDivergenceError as exc:
+        log.error("%s; no fit report written", exc)
+        return 2
     value = solve(game, tol=1e-10).value
     bound = linfa.verify_bound(game, basis, r, value=value)
     polished, _ = linfa.projected_iteration(game, basis, bound.weights,

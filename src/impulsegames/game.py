@@ -416,12 +416,10 @@ def game_from_dict(doc: dict) -> ImpulseGame:
     return game
 
 
-def load_game(path) -> ImpulseGame:
-    """Parse and validate a game-spec JSON file.
-
-    Raises ``GameFormatError`` naming the offending key on schema problems
-    and ``GameValidationError`` carrying the violation list on semantic ones.
-    """
+def _read_spec(path) -> dict:
+    """The top-level JSON object of a game-spec file, read strictly: bad JSON,
+    a non-finite literal or a top-level value other than an object raises
+    ``GameFormatError``."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     try:
@@ -431,16 +429,28 @@ def load_game(path) -> ImpulseGame:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise GameFormatError("top-level JSON value must be an object")
-    return game_from_dict(doc)
+    return doc
+
+
+def load_game(path) -> ImpulseGame:
+    """Parse and validate a game-spec JSON file.
+
+    Raises ``GameFormatError`` naming the offending key on schema problems
+    and ``GameValidationError`` carrying the violation list on semantic ones.
+    """
+    return game_from_dict(_read_spec(path))
+
+
+def _basis_from_dict(doc: dict):
+    """The optional `basis` matrix of a parsed game-spec document, or None."""
+    if "basis" not in doc:
+        return None
+    arr = _numeric(doc, "basis")
+    if arr.ndim != 2 or arr.shape[0] != _scalar(doc.get("states", arr.shape[0]), "states", int):
+        raise GameFormatError("key 'basis' must be a (states x features) matrix")
+    return arr
 
 
 def load_basis(path):
     """Read the optional `basis` matrix from a game-spec file, or None."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.loads(f.read(), parse_constant=_reject_constant)
-    if "basis" not in doc:
-        return None
-    arr = _numeric(doc, "basis")
-    if arr.ndim != 2 or arr.shape[0] != int(doc.get("states", arr.shape[0])):
-        raise GameFormatError("key 'basis' must be a (states x features) matrix")
-    return arr
+    return _basis_from_dict(_read_spec(path))

@@ -150,7 +150,7 @@ def stationary_distribution(game: ImpulseGame, policy, tol: float = 1e-12,
     callers then fall back to uniform weights.
     """
     ns = game.num_states
-    p, _ = _executed_chain(game, *np.array(policy.executed_pairs()).T)
+    p, _ = _executed_chain(game, policy.p1_action, policy.p2_action)
     lazy = 0.5 * (np.eye(ns) + p)
     w = np.full(ns, 1.0 / ns)
     for _ in range(max_iter):

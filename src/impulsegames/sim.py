@@ -8,7 +8,7 @@ import numpy as np
 
 from .envs import SamplingEnv
 from .game import ImpulseGame
-from .solver import EquilibriumPolicy
+from .solver import EquilibriumPolicy, _layers
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     policy's index are flat ``(s, y, z)`` indices, the next ``s`` is drawn
     from the base kernel and an executed costly action moves its player's
     counter down by one.  A costly action on a spent counter counts as masked.
-    A ``start`` outside the (budgeted) game's states raises ``IndexError``.
+    Bad caps raise ``ValueError``, a ``start`` outside the states ``IndexError``.
     """
+    ny, nz, spend = _layers(game, caps)
     rng = np.random.default_rng(seed) if rng is None else rng
     env = SamplingEnv(game, rng=rng)
-    ny, nz, spend = (1, 1, 0) if caps is None else (caps[0] + 1, caps[1] + 1, 1)
     x = int(start)
     if not 0 <= x < game.num_states * ny * nz:
         raise IndexError(f"start state {x} outside 0..{game.num_states * ny * nz - 1}")

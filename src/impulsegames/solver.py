@@ -50,6 +50,10 @@ FINISH_MAX_STATES = 2000
 # solve holds a few arrays of this size.
 CHAIN_BATCH_BYTES = 16 * 2**20
 
+# Largest augmented action table S*(n1+1)*(n2+1)*A*B that caps may give: the
+# solver holds a few float arrays of this size (80 MB each at the limit).
+MAX_AUGMENTED_CELLS = 10_000_000
+
 
 class InterventionResult(NamedTuple):
     value: float
@@ -68,22 +72,35 @@ class OperatorTerms(NamedTuple):
     has2: np.ndarray
 
 
-def _next_values(v, kernel, caps=None, acts1=(), acts2=()):
+def _layers(game: ImpulseGame, caps) -> tuple[int, int, int]:
+    """Counter layers ``(n1 + 1, n2 + 1, 1)`` of ``caps=(n1, n2)``, or ``(1, 1, 0)``
+    (one layer that never spends) for ``None``; bad caps raise ``ValueError``."""
+    if caps is None:
+        return 1, 1, 0
+    n1, n2 = caps
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (n1, n2)):
+        raise ValueError(f"caps must be nonnegative integers, got ({n1!r}, {n2!r})")
+    ny, nz = int(n1) + 1, int(n2) + 1
+    cells = game.num_states * ny * nz * game.num_actions1 * game.num_actions2
+    if cells > MAX_AUGMENTED_CELLS:
+        raise ValueError(f"caps ({n1}, {n2}) give an augmented table of {cells} cells, "
+                         f"above the limit of {MAX_AUGMENTED_CELLS}")
+    return ny, nz, 1
+
+
+def _next_values(v, kernel, ny, nz, acts1, acts2):
     """E[v(next) | cell] for the cells of ``kernel``, axes ``(s, cell..., s')``.
 
-    With ``caps=(n1, n2)``, ``v`` is flat over ``(s, y, z)`` (see
-    :meth:`impulsegames.budget.AugmentedGame.index`), the result gains
-    trailing axes ``(y, z)``, and the cells ``acts1``/``acts2`` (where Player
-    1/2 acts) read their next value one step down that player's counter.
+    ``v`` is flat over ``(s, y, z)`` on the counter layers of :func:`_layers`,
+    the result gains trailing axes ``(y, z)``, and the cells ``acts1``/``acts2``
+    (where Player 1/2 acts) read their next value one counter step down.
     """
     ns = kernel.shape[-1]
-    if caps is None:
-        return (kernel.reshape(-1, ns) @ np.asarray(v, dtype=float)).reshape(kernel.shape[:-1])
-    ny, nz = caps[0] + 1, caps[1] + 1
     grid = np.asarray(v, dtype=float).reshape(ns, ny * nz)
     ev = (kernel.reshape(-1, ns) @ grid).reshape(kernel.shape[:-1] + (ny, nz))
-    ev[acts1] = ev[acts1][..., np.maximum(np.arange(ny) - 1, 0), :]
-    ev[acts2] = ev[acts2][..., np.maximum(np.arange(nz) - 1, 0)]
+    ev1, ev2 = ev[acts1], ev[acts2]  # views; numpy buffers the overlapping copies
+    ev1[..., 1:, :] = ev1[..., :-1, :]
+    ev2[..., 1:] = ev2[..., :-1]
     return ev
 
 
@@ -92,18 +109,18 @@ def operator_terms(game: ImpulseGame, v, caps=None, *, _rows=None) -> OperatorTe
     reward plus discounted E[v(next)] of each of :attr:`ImpulseGame.cells`.
 
     ``caps=(n1, n2)`` evaluates them on the budgeted game over states
-    ``(s, y, z)`` (see :func:`_next_values`); a spent counter masks its
-    player's cells.  ``_rows`` picks base states, for single-state callers.
+    ``(s, y, z)`` (see :func:`_next_values`), where a spent counter masks its
+    player's cells; no caps is its one-layer case.  ``_rows`` picks base states.
     """
+    ny, nz, spend = _layers(game, caps)
     kernel, net = game.cells if _rows is None else (x[_rows] for x in game.cells)
     na = game.num_actions1
-    ev = _next_values(v, kernel, caps, np.s_[:, 1:na], np.s_[:, na:])
-    q = (net if caps is None else net[:, :, None, None]) + game.discount * ev
-    if caps is not None:
+    ev = _next_values(v, kernel, ny, nz, np.s_[:, 1:na], np.s_[:, na:])
+    q = net[:, :, None, None] + game.discount * ev
+    if spend:
         q[:, 1:na, 0] = -np.inf
         q[:, na:, :, 0] = np.inf
-    terms = _reduce(q, na)
-    return terms if caps is None else OperatorTerms(*(x.ravel() for x in terms))
+    return OperatorTerms(*(x.ravel() for x in _reduce(q, na)))
 
 
 def _reduce(q, na: int) -> OperatorTerms:
@@ -167,9 +184,8 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
     The one reader of the cells where both players act.
     """
-    if caps is None:
-        return game.reward + game.discount * _next_values(v, game.kernel)
-    ev = _next_values(v, game.kernel, caps, np.s_[:, 1:], np.s_[:, :, 1:])
+    ny, nz, _ = _layers(game, caps)
+    ev = _next_values(v, game.kernel, ny, nz, np.s_[:, 1:], np.s_[:, :, 1:])
     q = game.reward[..., None, None] + game.discount * ev
     return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
 
@@ -293,7 +309,7 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
     :mod:`impulsegames.budget` from the base game's tables.  A discount
-    outside [0, 1) is refused with ``ValueError`` before any sweep.
+    outside [0, 1) or bad caps are refused with ``ValueError`` before any sweep.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -301,7 +317,7 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     if not 0.0 <= g < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {g}")
     threshold = tol * (1.0 - g) / g if g > 0 else tol
-    size = game.num_states if caps is None else game.num_states * (caps[0] + 1) * (caps[1] + 1)
+    size = game.num_states * math.prod(_layers(game, caps)[:2])
     finish = game.num_states <= FINISH_MAX_STATES
     v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
     residual = math.inf
@@ -379,9 +395,9 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
     lower diagonals first, and nothing is solved over the whole augmented
     space.
     """
-    if caps is None:
+    ns, (ny, nz, spend) = game.num_states, _layers(game, caps)
+    if not spend:
         return _chain_values(game, *_executed_chain(game, policy.p1_action, policy.p2_action))
-    ns, ny, nz = game.num_states, caps[0] + 1, caps[1] + 1
     a, b = (x.reshape(ns, ny, nz).transpose(1, 2, 0)
             for x in (policy.p1_action, policy.p2_action))
     v = np.zeros((ny, nz, ns))

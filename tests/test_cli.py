@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,49 @@ def test_fit_command_solves_once(tmp_path, g1_file, monkeypatch):
     assert main(["fit", "--game", str(g1_file), "--steps", "2000",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_budget_bad_seed_exits_1_no_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["budget", "--gen", "3,1,1,0", "--n1", "1", "--n2", "1", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fit_parses_the_game_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**ig.game_to_dict(ig.random_game(3, 1, 1, seed=0)),
+                                "basis": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}))
+    calls, json_loads = [], json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return json_loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert main(["fit", "--game", str(path), "--steps", "200",
+                 "--out", str(tmp_path / "out")]) in (0, 2)
+    assert len(calls) == 1
+
+
+def test_fit_divergence_exits_2_with_one_line_and_no_file(tmp_path):
+    game = ig.random_game(4, 1, 1, seed=0)
+    doc = ig.game_to_dict(game)
+    doc["rewards"] = (np.asarray(doc["rewards"]) * 1e7).tolist()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "impulsegames.cli", "fit", "--game", str(path),
+                           "--steps", "200", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "diverged" in proc.stderr, proc.stderr
+    assert not (out / "fit_report.json").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("source,doc", [

@@ -39,7 +39,7 @@ def _mutate_doc(doc, rng):
     """One random damage to a valid game document (some leave it valid)."""
     keys = sorted(doc)
     key = keys[rng.integers(len(keys))]
-    kind = rng.integers(8)
+    kind = rng.integers(9)
     if kind == 0:
         del doc[key]
     elif kind == 1:
@@ -60,6 +60,8 @@ def _mutate_doc(doc, rng):
         doc["gamma"] = [1.0, -0.1, 0.999999, 2][rng.integers(4)]
     elif kind == 7:
         doc["basis"] = BAD_VALUES[rng.integers(len(BAD_VALUES))]
+    elif kind == 8:  # valid, but large enough to make `fit` diverge
+        doc["rewards"] = (np.asarray(doc["rewards"]) * 1e7).tolist()
     return doc
 
 

@@ -338,3 +338,11 @@ def test_game_from_dict_leaves_the_callers_arrays_writeable():
     assert doc["kernel"].flags.writeable
     doc["kernel"][...] = 0.0
     assert ig.validate(game) == []
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"states": [3], "basis": [[1.0], [2.0], [3.0]]}])
+def test_load_basis_refuses_a_non_object_document_or_non_integer_states(tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ig.GameFormatError):
+        ig.load_basis(path)

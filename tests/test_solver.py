@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,3 +549,28 @@ def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chu
     np.testing.assert_array_equal(rep.upper, upper)
     np.testing.assert_array_equal(rep.lower, lower)
     assert rep.certified
+
+
+@pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (10**4, 10**4)])
+@pytest.mark.parametrize("call", ["solve", "bellman", "extract_policy", "q_from_value",
+                                  "simulate", "augment"])
+def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
+    game = ig.random_game(20, 2, 2, seed=0)
+    v = np.zeros(game.num_states)
+    policy = ig.extract_policy(game, v)
+    run = {
+        "solve": lambda: ig.solve(game, caps=caps),
+        "bellman": lambda: ig.bellman(game, v, caps=caps),
+        "extract_policy": lambda: ig.extract_policy(game, v, caps=caps),
+        "q_from_value": lambda: ig.q_from_value(game, v, caps=caps),
+        "simulate": lambda: ig.simulate(game, policy, 5, caps=caps),
+        "augment": lambda: ig.augment(game, *caps),
+    }[call]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nonnegative|above the limit"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
