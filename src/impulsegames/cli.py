@@ -26,6 +26,9 @@ from .solver import intervention_times, minimax_oracle, solve
 
 log = logging.getLogger("impulsegames")
 
+# Coefficient delta at which `fit`'s projected-iteration polish has converged.
+FIT_POLISH_TOL = 1e-12
+
 
 def _write_csv(path, header, rows) -> None:
     """``rows`` are tuples in the order of ``header``."""
@@ -151,7 +154,8 @@ def cmd_fit(args) -> int:
     """Sampled weight fit, polished to the projected fixed point for the
     bound check (the bound is a statement about the limit coefficients).
     A game file is parsed once, for both the game and its optional basis; a
-    diverging weight iteration ends the run with exit 2 and no file."""
+    diverging weight iteration, or a polish that stops above
+    ``FIT_POLISH_TOL``, ends the run with exit 2 and no file."""
     if args.game is not None:
         doc = _read_spec(args.game)
         game, basis_matrix = game_from_dict(doc), _basis_from_dict(doc)
@@ -167,10 +171,15 @@ def cmd_fit(args) -> int:
         log.error("%s; no fit report written", exc)
         return 2
     value = solve(game, tol=1e-10).value
-    bound = linfa.verify_bound(game, basis, r, value=value)
-    polished, _ = linfa.projected_iteration(game, basis, bound.weights,
-                                            combinator=args.combinator)
-    bound = linfa.verify_bound(game, basis, polished, value=value)
+    weights = linfa.bound_weights(game, value)
+    polished, deltas = linfa.projected_iteration(game, basis, weights.weights,
+                                                 combinator=args.combinator,
+                                                 tol=FIT_POLISH_TOL)
+    if not deltas[-1] <= FIT_POLISH_TOL:
+        log.error("projected iteration stopped after %d iterations at delta %.3g, "
+                  "above %g; no fit report written", len(deltas), deltas[-1], FIT_POLISH_TOL)
+        return 2
+    bound = linfa.verify_bound(game, basis, polished, value=value, weights=weights)
     out = _outdir(args)
     _write_json(os.path.join(out, "fit_report.json"), {
         "r": polished.tolist(),

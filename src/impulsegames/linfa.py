@@ -10,6 +10,16 @@ shelters.  The sampled fit evaluates them at the visited state only; its
 behaviour trajectory takes the learner's exploration draw
 (:func:`impulsegames.qlearn._explore`) and the sampler of
 :class:`impulsegames.envs.SamplingEnv`.
+
+The weighted projection is factored once per basis and weights
+(:func:`_projector`).  :func:`projected_iteration` sweeps through it and,
+every :data:`impulsegames.solver.FINISH_EVERY` iterations, tries the finish
+rule of :func:`impulsegames.solver.solve` on the projected problem: the
+cells the selected nesting picks at the current field form a policy chain,
+whose projected policy-evaluation equation (LSTD, Bradtke & Barto 1996; as
+in least-squares policy iteration for zero-sum Markov games, Lagoudakis &
+Parr 2002) is solved exactly, followed by one projected sweep.  The result
+is kept only when its coefficient delta is below the plain sweep's.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ import numpy as np
 from .envs import SamplingEnv
 from .game import ImpulseGame
 from .qlearn import _explore, _greedy, _slots
-from .solver import _combine, _executed_chain, extract_policy, operator_terms, solve
+from .solver import (FINISH_EVERY, _combine, _executed_chain, _policy, extract_policy,
+                     operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -85,13 +96,19 @@ def weighted_norm(weights, x) -> float:
     return math.sqrt(float(w @ (x * x)) / w.sum())
 
 
+def _projector(basis: FeatureBasis, weights) -> np.ndarray:
+    """The (features x states) matrix ``M`` whose product with a target gives
+    its weighted least-squares coefficients: ``M = R^-1 Q^T diag(sqrt w)``
+    from a QR factoring of ``diag(sqrt w) Phi``.  ``M`` also equals
+    ``(Phi^T D Phi)^-1 Phi^T D`` with ``D = diag(w)``."""
+    sq = np.sqrt(_check_weights(weights, basis.num_states))
+    q, upper = np.linalg.qr(basis.matrix * sq[:, None])
+    return np.linalg.solve(upper, q.T) * sq
+
+
 def projection_weights(basis: FeatureBasis, weights, target) -> np.ndarray:
     """Coefficients of the weighted least-squares projection onto the span."""
-    w = _check_weights(weights, basis.num_states)
-    sq = np.sqrt(w)
-    r, *_ = np.linalg.lstsq(basis.matrix * sq[:, None],
-                            np.asarray(target, dtype=float) * sq, rcond=None)
-    return r
+    return _projector(basis, weights) @ np.asarray(target, dtype=float)
 
 
 def project(basis: FeatureBasis, weights, target) -> np.ndarray:
@@ -103,13 +120,36 @@ def project(basis: FeatureBasis, weights, target) -> np.ndarray:
 
 
 def _operator_on_field(game: ImpulseGame, lam, combinator: str, rows=None) -> np.ndarray:
-    t = operator_terms(game, lam, _rows=rows)
+    return _nest(operator_terms(game, lam, _rows=rows), combinator)
+
+
+def _flipped_inner(t) -> np.ndarray:
+    """Player 1's side of ``"F"``: min(best costly action, do-nothing)."""
+    return np.where(t.has1, np.minimum(t.m1, t.noop), t.noop)
+
+
+def _nest(t, combinator: str) -> np.ndarray:
+    """The selected nesting of the operator's pieces ``t``."""
     if combinator == "T":
         return _combine(t)
     if combinator == "F":
-        inner = np.where(t.has1, np.minimum(t.m1, t.noop), t.noop)
+        inner = _flipped_inner(t)
         return np.where(t.has2, np.maximum(inner, t.m2), inner)
     raise ValueError(f"combinator must be one of {COMBINATORS}, got {combinator!r}")
+
+
+def _nest_actions(t, combinator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Player 1's and Player 2's actions of the cells :func:`_nest` picks, 0
+    where a player does not act: for ``"T"`` the flags of
+    :func:`impulsegames.solver.extract_policy`; for ``"F"`` Player 2 acts where
+    its best action beats the flipped inner term, else Player 1 acts where its
+    best action is below doing nothing."""
+    if combinator == "T":
+        policy = _policy(t)
+        return policy.p1_action, policy.p2_action
+    p2 = t.has2 & (t.m2 > _flipped_inner(t))
+    p1 = t.has1 & (t.m1 < t.noop)
+    return np.where(p1, t.act1, 0), np.where(p2, t.act2, 0)
 
 
 def _sample_target(game: ImpulseGame, lam, s: int, combinator: str) -> float:
@@ -171,21 +211,48 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights,
     """Deterministic fixed point of projection composed with the operator.
 
     Iterates coefficients through project(operator(field)); the composite
-    contracts, so the coefficient deltas shrink geometrically.  Returns the
-    limit coefficients and the delta history.
+    contracts, so the coefficient deltas shrink geometrically.  Every
+    ``FINISH_EVERY`` iterations :func:`_finish` may replace the sweep's
+    result, when its delta is smaller, so a refused finish costs no
+    iteration.  Returns the coefficients and one delta per iteration.
     """
-    w = _check_weights(weights, basis.num_states)
+    m = _projector(basis, weights)
+    phi = basis.matrix
     r = np.zeros(basis.num_features)
     deltas = []
-    for _ in range(max_iter):
-        field = _operator_on_field(game, basis.field(r), combinator)
-        nr = projection_weights(basis, w, field)
+    for it in range(max_iter):
+        t = operator_terms(game, phi @ r)
+        nr = m @ _nest(t, combinator)
         delta = float(np.abs(nr - r).max())
+        if it and it % FINISH_EVERY == 0:
+            jump = _finish(game, phi, m, t, combinator)
+            if jump is not None and jump[1] < delta:
+                nr, delta = jump
         deltas.append(delta)
         r = nr
         if delta <= tol:
             break
     return r, deltas
+
+
+def _finish(game: ImpulseGame, phi, m, t, combinator: str):
+    """The projected fixed point of the chain the nesting picks at the
+    operator's pieces ``t``, then one projected sweep: ``(coefficients,
+    delta)``, or None when the system is singular.
+
+    The chain's projected policy-evaluation equation
+    ``Phi^T D (I - gamma P) Phi r = Phi^T D r_pi`` is solved multiplied through
+    by ``(Phi^T D Phi)^-1``, which turns it into ``(I - gamma M P Phi) r = M r_pi``
+    with the projector ``M`` and forms no normal equations.
+    """
+    p, reward = _executed_chain(game, *_nest_actions(t, combinator))
+    lhs = np.eye(m.shape[0]) - game.discount * (m @ (p @ phi))
+    try:
+        jump = np.linalg.solve(lhs, m @ reward)
+    except np.linalg.LinAlgError:
+        return None
+    nr = m @ _operator_on_field(game, phi @ jump, combinator)
+    return nr, float(np.abs(nr - jump).max())
 
 
 @dataclass(frozen=True)
@@ -308,23 +375,32 @@ class BoundReport(NamedTuple):
         }
 
 
+def bound_weights(game: ImpulseGame, value) -> StationaryResult:
+    """State weights of the bound check at the solved field ``value``: the
+    stationary law of its greedy policy's executed chain, or uniform weights
+    with ``ergodic=False`` when that chain is not ergodic."""
+    w, ergodic = stationary_distribution(game, extract_policy(game, value))
+    if not ergodic:
+        w = np.full(game.num_states, 1.0 / game.num_states)
+    return StationaryResult(weights=w, ergodic=ergodic)
+
+
 def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
-                 value=None) -> BoundReport:
+                 value=None, *, weights: Optional[StationaryResult] = None) -> BoundReport:
     """Check the approximation-error bound against the exact value field.
 
     In the stationary-weighted norm of the equilibrium chain (uniform
     fallback when that chain is not ergodic):
 
         ||Phi r - v||_w  <=  (1 - gamma^2)^(-1/2) ||Proj v - v||_w + slack
+
+    ``weights`` takes :func:`bound_weights` of ``value`` from a caller that
+    has it already; it depends on ``value`` only.
     """
     vhat = solve(game, tol=1e-10).value if value is None else np.asarray(value, dtype=float)
-    policy = extract_policy(game, vhat)
-    w, ergodic = stationary_distribution(game, policy)
-    used_uniform = not ergodic
-    if used_uniform:
-        w = np.full(game.num_states, 1.0 / game.num_states)
+    w, ergodic = bound_weights(game, vhat) if weights is None else weights
     lhs = weighted_norm(w, basis.field(r) - vhat)
     proj = project(basis, w, vhat)
     rhs = (1.0 - game.discount ** 2) ** -0.5 * weighted_norm(w, proj - vhat)
     return BoundReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + BOUND_SLACK),
-                       used_uniform_weights=used_uniform, weights=w)
+                       used_uniform_weights=not ergodic, weights=w)

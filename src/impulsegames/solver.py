@@ -309,7 +309,9 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
     :mod:`impulsegames.budget` from the base game's tables.  A discount
-    outside [0, 1) or bad caps are refused with ``ValueError`` before any sweep.
+    outside [0, 1), bad caps or a ``v0`` that is not one value per state
+    (per augmented state under caps) are refused with ``ValueError`` before
+    any sweep.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -320,6 +322,8 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     size = game.num_states * math.prod(_layers(game, caps)[:2])
     finish = game.num_states <= FINISH_MAX_STATES
     v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"v0 must hold {size} values, one per state, got shape {v.shape}")
     residual = math.inf
     sweeps = 0
     converged = False

@@ -56,6 +56,26 @@ def loop_vi(operator, v0, gamma, tol=1e-9, max_sweeps=100_000):
     return v, sweeps, residual
 
 
+def sweep_projected_iteration(operator, basis, weights, tol=1e-12, max_iter=100_000):
+    """Projected value iteration, sweeps only: each sweep projects
+    ``operator``'s field onto the columns of ``basis`` by a weighted
+    ``np.linalg.lstsq``, until a coefficient delta is at most ``tol``.
+    Returns ``(coefficients, deltas)``."""
+    phi = np.asarray(basis, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    sq = np.sqrt(w / w.sum())
+    r = np.zeros(phi.shape[1])
+    deltas = []
+    for _ in range(max_iter):
+        nr, *_ = np.linalg.lstsq(phi * sq[:, None], operator(phi @ r) * sq, rcond=None)
+        delta = float(np.abs(nr - r).max())
+        deltas.append(delta)
+        r = nr
+        if delta <= tol:
+            break
+    return r, deltas
+
+
 def mrp_value(p, r, gamma):
     """Exact value of an uncontrolled discounted chain."""
     n = len(r)

@@ -263,6 +263,34 @@ def test_fit_command_solves_once(tmp_path, g1_file, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fit_command_computes_the_bound_weights_once(tmp_path, g1_file, monkeypatch):
+    import impulsegames.linfa as linfa
+    calls, stationary = [], linfa.stationary_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stationary(*args, **kwargs)
+
+    monkeypatch.setattr(linfa, "stationary_distribution", counted)
+    assert main(["fit", "--game", str(g1_file), "--steps", "200",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_fit_polish_short_of_its_tolerance_exits_2_with_one_line_and_no_file(
+        tmp_path, g1_file, monkeypatch, caplog):
+    import impulsegames.linfa as linfa
+    monkeypatch.setattr(linfa, "projected_iteration",
+                        lambda game, basis, *args, **kwargs: (np.zeros(basis.num_features),
+                                                              [1.0, 0.5]))
+    out = tmp_path / "out"
+    assert main(["fit", "--game", str(g1_file), "--steps", "200", "--out", str(out)]) == 2
+    records = [r for r in caplog.records if r.name == "impulsegames"]
+    assert len(records) == 1 and records[0].levelname == "ERROR"
+    assert "no fit report written" in records[0].getMessage()
+    assert not (out / "fit_report.json").exists()
+
+
 def test_budget_bad_seed_exits_1_no_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["budget", "--gen", "3,1,1,0", "--n1", "1", "--n2", "1", "--seed", "-1",

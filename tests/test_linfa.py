@@ -3,8 +3,9 @@ import pytest
 from scipy_free_bisect import bisect_scalar
 
 import impulsegames as ig
-from impulsegames import linfa
+from impulsegames import linfa, solver
 
+from _oracles import sweep_projected_iteration
 from conftest import randomly_masked
 
 
@@ -181,3 +182,67 @@ def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator
             got = linfa._sample_target(game, lam, s, combinator)
             want = linfa._operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
             assert np.float64(got).tobytes() == want.tobytes(), (s, got, want)
+
+
+def _fit_case(k, basis_kind):
+    """A seeded game, a basis and the bound's weights at its value."""
+    rng = np.random.default_rng(k)
+    ns = int(rng.integers(3, 30))
+    game = ig.random_game(ns, int(rng.integers(0, 3)), int(rng.integers(0, 3)), seed=900 + k)
+    basis = (ig.identity_basis(ns) if basis_kind == "identity"
+             else ig.FeatureBasis(rng.normal(size=(ns, int(rng.integers(1, ns + 1))))))
+    return game, basis, linfa.bound_weights(game, ig.solve(game, tol=1e-11).value).weights
+
+
+def _close(r, ref):
+    return np.abs(r - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("combinator", ["T", "F"])
+@pytest.mark.parametrize("basis_kind", ["identity", "random"])
+def test_projected_iteration_matches_the_sweep_only_reference(combinator, basis_kind):
+    for k in range(8):
+        game, basis, w = _fit_case(k, basis_kind)
+        ref, ref_deltas = sweep_projected_iteration(
+            lambda v: linfa._operator_on_field(game, v, combinator), basis.matrix, w)
+        r, deltas = ig.projected_iteration(game, basis, w, combinator)
+        assert ref_deltas[-1] <= 1e-12 and deltas[-1] <= 1e-12
+        assert len(deltas) <= len(ref_deltas)
+        assert _close(r, ref), (k, np.abs(r - ref).max())
+
+
+@pytest.mark.parametrize("combinator", ["T", "F"])
+def test_singular_finish_solve_falls_back_to_sweeping(monkeypatch, combinator):
+    refused = []
+    solve = np.linalg.solve
+
+    def singular_on_vectors(a, b):
+        # The finish solves for one vector; the projector's factor solves for a matrix.
+        if np.ndim(b) == 1:
+            refused.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(linfa.np.linalg, "solve", singular_on_vectors)
+    for k in range(4):
+        game, basis, w = _fit_case(k, "random")
+        ref, ref_deltas = sweep_projected_iteration(
+            lambda v: linfa._operator_on_field(game, v, combinator), basis.matrix, w)
+        refused.clear()
+        r, deltas = ig.projected_iteration(game, basis, w, combinator)
+        assert len(refused) == (len(deltas) - 1) // solver.FINISH_EVERY
+        assert deltas[-1] <= 1e-12
+        assert _close(r, ref), (k, np.abs(r - ref).max())
+
+
+def test_projection_weights_match_lstsq():
+    rng = np.random.default_rng(21)
+    for ns, nf in [(1, 1), (5, 1), (6, 3), (40, 40), (120, 9)]:
+        for _ in range(5):
+            basis = ig.FeatureBasis(rng.normal(size=(ns, nf)) * rng.uniform(0.1, 10.0, nf))
+            w = rng.uniform(0.01, 1.0, ns)
+            target = rng.normal(scale=5.0, size=ns)
+            sq = np.sqrt(w / w.sum())
+            want, *_ = np.linalg.lstsq(basis.matrix * sq[:, None], target * sq, rcond=None)
+            got = ig.projection_weights(basis, w, target)
+            assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())

@@ -487,6 +487,12 @@ def _deterministic_game(seed, ns, na, nb, gamma):
                           cost1=cost1, cost2=cost2, cost_floor=0.01, discount=gamma)
 
 
+@pytest.mark.parametrize("caps,entries,size", [(None, 5, 3), ((1, 1), 3, 12)])
+def test_solve_refuses_a_v0_of_the_wrong_length(caps, entries, size):
+    with pytest.raises(ValueError, match=f"v0 must hold {size} values"):
+        ig.solve(ig.random_game(3, 1, 1, 0), v0=np.zeros(entries), caps=caps)
+
+
 def test_finish_never_raises_the_residual(monkeypatch):
     # A finish whose residual is not below the iterate's is dropped, so the
     # sweeps inside `solve` keep contracting by gamma.
