@@ -72,8 +72,9 @@ def cmd_solve(args) -> int:
     game = _obtain_game(args)
     report = solve(game, tol=args.tol, max_sweeps=args.max_sweeps)
     out = _outdir(args)
-    _write_json(os.path.join(out, "solve_report.json"), report.to_dict())
-    records = report.policy.to_records()
+    doc = report._doc()
+    _write_json(os.path.join(out, "solve_report.json"), doc)
+    records = doc["policy"]
     rows = [(*row.values(), v) for row, v in zip(records, report.value.tolist())]
     _write_csv(os.path.join(out, "policy.csv"), [*records[0], "value"], rows)
     if not report.converged:
@@ -91,7 +92,7 @@ def cmd_learn(args) -> int:
     q, diag = qlearn.learn(game, config, reference_q=reference)
     out = _outdir(args)
     _write_json(os.path.join(out, "q.json"), {
-        "q": q.tolist(),
+        "q": q,
         "steps": diag.steps_run,
         "final_sup_delta": diag.final_sup_delta,
     })
@@ -123,7 +124,7 @@ def cmd_oracle(args) -> int:
     game = _obtain_game(args)
     report = minimax_oracle(game, max_enumeration=args.max_enumeration)
     out = _outdir(args)
-    _write_json(os.path.join(out, "oracle.json"), report.to_dict())
+    _write_json(os.path.join(out, "oracle.json"), report._doc())
     return 0 if report.certified else 2
 
 
@@ -137,7 +138,7 @@ def cmd_budget(args) -> int:
                                        seed=args.seed, start=args.start)
     out = _outdir(args)
     labels = [f"({s},{y},{z})" for s, y, z in aug.labels]
-    _write_json(os.path.join(out, "budget_report.json"), report.to_dict(labels))
+    _write_json(os.path.join(out, "budget_report.json"), report._doc(labels))
     traj = run.trajectory
     rows = zip(range(len(traj.rewards)), [labels[s] for s in traj.states[:-1].tolist()],
                traj.actions1.tolist(), traj.actions2.tolist(), traj.rewards.tolist(),
@@ -152,7 +153,8 @@ def cmd_budget(args) -> int:
 
 def cmd_fit(args) -> int:
     """Sampled weight fit, polished to the projected fixed point for the
-    bound check (the bound is a statement about the limit coefficients).
+    bound check (the bound is a statement about the limit coefficients),
+    which compares it with the fixed point of the same nesting.
     A game file is parsed once, for both the game and its optional basis; a
     diverging weight iteration, or a polish that stops above
     ``FIT_POLISH_TOL``, ends the run with exit 2 and no file."""
@@ -170,8 +172,8 @@ def cmd_fit(args) -> int:
     except linfa.FitDivergenceError as exc:
         log.error("%s; no fit report written", exc)
         return 2
-    value = solve(game, tol=1e-10).value
-    weights = linfa.bound_weights(game, value)
+    value = linfa.exact_fixed_point(game, args.combinator)
+    weights = linfa.bound_weights(game, value, args.combinator)
     polished, deltas = linfa.projected_iteration(game, basis, weights.weights,
                                                  combinator=args.combinator,
                                                  tol=FIT_POLISH_TOL)
@@ -182,7 +184,7 @@ def cmd_fit(args) -> int:
     bound = linfa.verify_bound(game, basis, polished, value=value, weights=weights)
     out = _outdir(args)
     _write_json(os.path.join(out, "fit_report.json"), {
-        "r": polished.tolist(),
+        "r": polished,
         "lhs": bound.lhs,
         "rhs": bound.rhs,
         "holds": bound.holds,

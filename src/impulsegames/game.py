@@ -11,10 +11,14 @@ with the null action in slot 0 of each action axis.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -78,10 +82,153 @@ def _write_whole(path, write, newline=None) -> None:
 
 
 def _write_json(path, obj) -> None:
-    def write(f):
-        json.dump(obj, f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
-    _write_whole(path, write)
+    """Write ``obj`` as UTF-8 JSON, byte for byte what ``json.dump(obj, f,
+    sort_keys=True, indent=2, allow_nan=False)`` and a final newline write,
+    through :func:`_write_whole`.
+
+    Besides what ``json`` takes (dicts with string keys, lists, tuples and
+    scalars), ``obj`` may hold numpy arrays, written as their ``tolist()``:
+    a float or integer array is formatted in blocks along its leading axis,
+    one ``repr`` map per block, and each block is written before the next is
+    made.  A list of flat dicts with one key set (records) is formatted with
+    one row template; such a list, or one of scalars, is written a batch of
+    items at a time.  A non-finite float, in an array or not, raises
+    ``ValueError`` and leaves no file."""
+    _write_whole(path, lambda f: (f.writelines(_encode(obj, 0)), f.write("\n")))
+
+
+# Numbers of an array, and items of a list of scalars or records, formatted
+# per piece: a piece's strings and text are what writing a table holds beyond
+# the table itself.
+_BLOCK_NUMBERS = 1 << 11
+_BLOCK_ITEMS = 1 << 8
+
+
+def _not_compliant(x) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _json_float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise _not_compliant(x)
+
+
+def _json_scalar(x) -> str:
+    """A scalar as ``json`` writes it; the checks run in ``json``'s order."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _json_float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+# Encoders of a column whose values all have exactly one of these types.
+_COLUMN_ENCODERS = {str: _quote, int: int.__repr__, float: _json_float,
+                    bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
+def _encode(obj, level: int):
+    """The JSON text of ``obj`` at nesting ``level``, in pieces."""
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, np.ndarray):
+        yield from _array(obj, level)
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + _quote(key) + ": "
+            yield from _encode(value, level + 1)
+            sep = "," + inner
+        yield close + "}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = _records(obj, level + 1)
+        if items is None and not any(isinstance(x, (dict, list, tuple, np.ndarray))
+                                     for x in obj):
+            items = map(_json_scalar, obj)
+        if not obj:
+            yield "[]"
+        elif items is not None:
+            sep = "[" + inner
+            while batch := list(islice(items, _BLOCK_ITEMS)):
+                yield sep + ("," + inner).join(batch)
+                sep = "," + inner
+            yield close + "]"
+        else:
+            sep = "[" + inner
+            for item in obj:
+                yield sep
+                yield from _encode(item, level + 1)
+                sep = "," + inner
+            yield close + "]"
+    else:
+        yield _json_scalar(obj)
+
+
+def _records(rows, level: int):
+    """The texts of ``rows`` at nesting ``level``, one per row, made as they
+    are read, when ``rows`` is a list of flat dicts sharing one key set
+    (records): each column has one encoder, picked from its value types, and
+    each row is filled into one template.  None for any other list."""
+    if not rows or type(rows[0]) is not dict or not rows[0]:
+        return None
+    keys = rows[0].keys()
+    if not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    keys = sorted(keys)
+    columns = []
+    for key in keys:
+        kinds = set(map(type, map(itemgetter(key), rows)))
+        if not kinds <= _COLUMN_ENCODERS.keys():
+            return None  # a container or a subclass: the generic path
+        encode = _COLUMN_ENCODERS[kinds.pop()] if len(kinds) == 1 else _json_scalar
+        columns.append(map(encode, map(itemgetter(key), rows)))
+    inner = "\n" + "  " * (level + 1)
+    template = ("{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in keys)
+                + "\n" + "  " * level + "}")
+    return map(template.__mod__, zip(*columns))
+
+
+def _array(arr: np.ndarray, level: int):
+    """The text of ``arr.tolist()`` at nesting ``level``, in blocks of whole
+    rows along the leading axis.  Leaf ``j`` of a block is followed by the
+    separator that closes and reopens as many inner lists as the index
+    rolls over there, so one join per block places every bracket."""
+    if arr.ndim == 0 or arr.size == 0 or arr.dtype.kind not in "fiu":
+        yield from _encode(arr.tolist(), level)
+        return
+    k = arr.ndim
+    nl = ["\n" + "  " * (level + d) for d in range(k + 1)]
+    # seps[r]: between two leaves across r inner list boundaries
+    seps = ["".join(nl[k - i] + "]" for i in range(1, r + 1)) + ","
+            + "".join(nl[k - i] + "[" for i in range(r, 0, -1)) + nl[k] for r in range(k)]
+    row = arr.size // arr.shape[0]
+    per_block = max(1, _BLOCK_NUMBERS // row) * row
+    pattern = [seps[0]] * per_block
+    stride = 1
+    for r in range(1, k):
+        stride *= arr.shape[k - r]
+        pattern[stride - 1::stride] = [seps[r]] * (per_block // stride)
+    is_float = arr.dtype.kind == "f"
+    flat = arr.reshape(-1)
+    yield "".join("[" + nl[d] for d in range(1, k + 1))
+    for start in range(0, flat.size, per_block):
+        block = flat[start:start + per_block]
+        if is_float and not np.isfinite(block).all():
+            raise _not_compliant(block[~np.isfinite(block)][0].item())
+        parts = [None] * (2 * block.size)
+        parts[0::2] = map(float.__repr__ if is_float else int.__repr__, block.tolist())
+        parts[1::2] = pattern[:block.size]
+        if start + per_block >= flat.size:
+            parts[-1] = "".join(nl[k - i] + "]" for i in range(1, k + 1))
+        yield "".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,28 +481,43 @@ _REQUIRED_KEYS = ("states", "actions1", "actions2", "gamma", "cost_floor",
                   "rewards", "costs1", "costs2", "kernel")
 
 
-def game_to_dict(game: ImpulseGame) -> dict:
+def _game_doc(game: ImpulseGame) -> dict:
+    """The game-spec document with its tables as arrays, the one layout
+    :func:`game_to_dict` and :func:`save_game` write."""
     doc = {
         "states": game.num_states,
         "actions1": game.num_actions1,
         "actions2": game.num_actions2,
         "gamma": game.discount,
         "cost_floor": game.cost_floor,
-        "rewards": game.reward.tolist(),
-        "costs1": game.cost1[:, 1:].tolist(),
-        "costs2": game.cost2[:, 1:].tolist(),
-        "kernel": game.kernel.tolist(),
+        "rewards": game.reward,
+        "costs1": game.cost1[:, 1:],
+        "costs2": game.cost2[:, 1:],
+        "kernel": game.kernel,
     }
     if not game.mask1.all():
-        doc["mask1"] = game.mask1.astype(int).tolist()
+        doc["mask1"] = game.mask1.astype(int)
     if not game.mask2.all():
-        doc["mask2"] = game.mask2.astype(int).tolist()
+        doc["mask2"] = game.mask2.astype(int)
     return doc
 
 
+def _plain(doc: dict) -> dict:
+    """``doc`` with each array value replaced by its ``tolist()``: the public
+    form of a document a private builder makes for :func:`_write_json`."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in doc.items()}
+
+
+def game_to_dict(game: ImpulseGame) -> dict:
+    """The game-spec document as plain JSON-ready lists and scalars."""
+    return _plain(_game_doc(game))
+
+
 def save_game(game: ImpulseGame, path) -> None:
-    """Write the game-spec JSON document (UTF-8, row-major dense arrays)."""
-    _write_json(path, game_to_dict(game))
+    """Write the game-spec JSON document (UTF-8, row-major dense arrays); the
+    tables go to the writer as arrays, so no nested list of them is built."""
+    _write_json(path, _game_doc(game))
 
 
 def _reject_constant(token):

@@ -33,8 +33,8 @@ import numpy as np
 from .envs import SamplingEnv
 from .game import ImpulseGame
 from .qlearn import _explore, _greedy, _slots
-from .solver import (FINISH_EVERY, _combine, _executed_chain, _policy, extract_policy,
-                     operator_terms, solve)
+from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
+                     extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -375,11 +375,25 @@ class BoundReport(NamedTuple):
         }
 
 
-def bound_weights(game: ImpulseGame, value) -> StationaryResult:
-    """State weights of the bound check at the solved field ``value``: the
-    stationary law of its greedy policy's executed chain, or uniform weights
-    with ``ergodic=False`` when that chain is not ergodic."""
-    w, ergodic = stationary_distribution(game, extract_policy(game, value))
+def exact_fixed_point(game: ImpulseGame, combinator: str = "T") -> np.ndarray:
+    """The selected nesting's fixed point on the full state space, the field
+    a fit with that nesting is checked against: the game value from
+    :func:`solve` for ``"T"``; for ``"F"`` the projected fixed point on the
+    identity basis, whose projection is the identity under any weights."""
+    if combinator == "T":
+        return solve(game, tol=1e-10).value
+    ns = game.num_states
+    return projected_iteration(game, identity_basis(ns), np.ones(ns), combinator, tol=1e-12)[0]
+
+
+def bound_weights(game: ImpulseGame, value, combinator: str = "T") -> StationaryResult:
+    """State weights of the bound check at the selected nesting's fixed point
+    ``value``: the stationary law of the chain of the cells that nesting picks
+    there (for ``"T"`` the greedy policy's executed chain), or uniform
+    weights with ``ergodic=False`` when that chain is not ergodic."""
+    a1, a2 = _nest_actions(operator_terms(game, value), combinator)
+    chain = EquilibriumPolicy(p1_acts=a1 != 0, p1_action=a1, p2_acts=a2 != 0, p2_action=a2)
+    w, ergodic = stationary_distribution(game, chain)
     if not ergodic:
         w = np.full(game.num_states, 1.0 / game.num_states)
     return StationaryResult(weights=w, ergodic=ergodic)
@@ -394,8 +408,10 @@ def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
 
         ||Phi r - v||_w  <=  (1 - gamma^2)^(-1/2) ||Proj v - v||_w + slack
 
-    ``weights`` takes :func:`bound_weights` of ``value`` from a caller that
-    has it already; it depends on ``value`` only.
+    ``value`` defaults to the game value, the fixed point of ``"T"``; a fit
+    with ``"F"`` is checked against :func:`exact_fixed_point` of ``"F"``.
+    ``weights`` takes :func:`bound_weights` of ``value`` (and the same
+    nesting) from a caller that has it already; it depends on those only.
     """
     vhat = solve(game, tol=1e-10).value if value is None else np.asarray(value, dtype=float)
     w, ergodic = bound_weights(game, vhat) if weights is None else weights

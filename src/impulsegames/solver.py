@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, to_cells
+from .game import ImpulseGame, _plain, to_cells
 
 TIE_EPS = 1e-10
 
@@ -283,16 +283,24 @@ class SolveReport:
     error_bound: float
     converged: bool
 
-    def to_dict(self, labels=None) -> dict:
+    def _doc(self, labels=None) -> dict:
+        """The report document with its tables as arrays, for
+        :func:`impulsegames.game._write_json`."""
         return {
-            "value": self.value.tolist(),
-            "q": self.q.tolist(),
+            "value": self.value,
+            "q": self.q,
             "policy": self.policy.to_records(labels),
             "sweeps": self.sweeps,
             "residual": _finite_or_none(self.residual),
             "error_bound": _finite_or_none(self.error_bound),
             "converged": self.converged,
         }
+
+    def to_dict(self, labels=None) -> dict:
+        """The report as plain lists and scalars; the ``solve`` and ``budget``
+        subcommands write the same document, byte for byte as ``json.dump``
+        with sorted keys and indent 2.  ``labels`` name the policy's states."""
+        return _plain(self._doc(labels))
 
 
 def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
@@ -442,13 +450,16 @@ class OracleReport(NamedTuple):
     certified: bool
     value: np.ndarray
 
+    def _doc(self) -> dict:
+        """The report document with its fields as arrays, for
+        :func:`impulsegames.game._write_json`."""
+        return {"upper": self.upper, "lower": self.lower, "certified": self.certified,
+                "value": self.value}
+
     def to_dict(self) -> dict:
-        return {
-            "upper": self.upper.tolist(),
-            "lower": self.lower.tolist(),
-            "certified": self.certified,
-            "value": self.value.tolist(),
-        }
+        """The report as plain lists and scalars, as the ``oracle`` subcommand
+        writes it."""
+        return _plain(self._doc())
 
 
 def minimax_oracle(game: ImpulseGame, max_enumeration: int = 1_000_000) -> OracleReport:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+import impulsegames.game as game_module
 from impulsegames.cli import main
 
 from conftest import micro_game
@@ -277,6 +278,15 @@ def test_fit_command_computes_the_bound_weights_once(tmp_path, g1_file, monkeypa
     assert len(calls) == 1
 
 
+def test_fit_with_the_flipped_nesting_is_checked_against_its_own_fixed_point(tmp_path):
+    out = tmp_path / "out"
+    # --gen gives the identity basis, so the polished fit is exact
+    assert main(["fit", "--gen", "30,2,2,3", "--steps", "2000", "--combinator", "F",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "fit_report.json").read_text())
+    assert doc["holds"] and doc["lhs"] <= 1e-9
+
+
 def test_fit_polish_short_of_its_tolerance_exits_2_with_one_line_and_no_file(
         tmp_path, g1_file, monkeypatch, caplog):
     import impulsegames.linfa as linfa
@@ -391,13 +401,13 @@ class _BrokenWriter:
         raise OSError("disk full")
 
 
-def _dump_then_fail(obj, f, **kwargs):
-    f.write("{")
+def _encode_then_fail(obj, level):
+    yield "{"
     raise OSError("disk full")
 
 
 @pytest.mark.parametrize("command, target, module, name, broken", [
-    (["gen", "--gen", "3,1,1,0"], "game.json", json, "dump", _dump_then_fail),
+    (["gen", "--gen", "3,1,1,0"], "game.json", game_module, "_encode", _encode_then_fail),
     (["learn", "--gen", "3,1,1,0", "--steps", "200"], "learn_diagnostics.csv", csv,
      "writer", _BrokenWriter),
 ])
@@ -412,7 +422,7 @@ def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatc
 
 
 def test_library_writers_leave_no_file_when_a_write_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    monkeypatch.setattr(game_module, "_encode", _encode_then_fail)
     monkeypatch.setattr(csv, "writer", _BrokenWriter)
     with pytest.raises(OSError, match="disk full"):
         ig.save_game(ig.random_game(3, 1, 1, seed=0), tmp_path / "game.json")

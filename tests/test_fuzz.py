@@ -2,6 +2,8 @@
 
 Every run must end in exit code 0, 1 or 2 without a traceback, and a run
 that exits 1 (bad input) must leave no output file and no ``*.tmp`` behind.
+Every JSON file a subcommand writes re-encodes to its own bytes under
+``json.dumps`` with the writer's settings.
 """
 
 import json
@@ -112,3 +114,32 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys, seed):
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert not out.is_dir() or not any(out.iterdir()), argv
+
+
+# The JSON file each subcommand writes, the most states its random game may
+# have (policy enumeration is exponential in them), and flags that make it finish.
+JSON_OUTPUTS = {
+    "solve": ("solve_report.json", 12, []),
+    "learn": ("q.json", 8, ["--steps", "300"]),
+    "simulate": ("interventions.json", 12, ["--steps", "30", "--start", "1"]),
+    "oracle": ("oracle.json", 4, []),
+    "fit": ("fit_report.json", 8, ["--steps", "300"]),
+    "budget": ("budget_report.json", 8, ["--n1", "2", "--n2", "1", "--steps", "30"]),
+    "gen": ("game.json", 12, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_OUTPUTS))
+def test_written_json_is_what_json_dumps_makes_of_it(tmp_path, command):
+    """The format contract: every JSON output re-encodes to the same bytes
+    under ``json.dumps(sort_keys=True, indent=2, allow_nan=False)``."""
+    name, max_states, flags = JSON_OUTPUTS[command]
+    rng = np.random.default_rng(sorted(JSON_OUTPUTS).index(command))
+    spec = (f"{rng.integers(3, max_states + 1)},{rng.integers(0, 3)},{rng.integers(0, 3)},"
+            f"{rng.integers(1000)}")
+    out = tmp_path / "out"
+    code = main([command, "--gen", spec, "--seed", str(rng.integers(1000))] + flags
+                + ["--out", str(out)])
+    assert code in (0, 2)
+    text = (out / name).read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text

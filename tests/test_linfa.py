@@ -157,6 +157,26 @@ def test_verify_bound_random_games_hold():
         assert out.holds
 
 
+@pytest.mark.parametrize("combinator", ["T", "F"])
+def test_exact_fixed_point_is_the_nestings_own_fixed_point(combinator):
+    for seed in range(4):
+        game = ig.random_game(12, 2, 2, seed=seed)
+        v = linfa.exact_fixed_point(game, combinator)
+        tv = ig.apply_operator(game, ig.identity_basis(12), v, combinator)
+        assert np.abs(tv - v).max() <= 1e-9
+
+
+def test_bound_weights_of_t_are_the_greedy_policys_stationary_law():
+    for seed in range(4):
+        game = ig.random_game(10, 2, 1, seed=seed)
+        v = ig.solve(game, tol=1e-10).value
+        expected = ig.stationary_distribution(game, ig.extract_policy(game, v))
+        got = linfa.bound_weights(game, v)
+        assert got.ergodic == expected.ergodic
+        if got.ergodic:
+            assert np.array_equal(got.weights, expected.weights)
+
+
 def test_stationary_distribution_self_loop(g1):
     policy = ig.extract_policy(g1, ig.solve(g1, tol=1e-10).value)
     res = ig.stationary_distribution(g1, policy)
