@@ -305,3 +305,47 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
             epoch_sup = 0.0
         s = s2 if (t + 1) % config.episode_len else int(rng.integers(ns))
     return q, visits, rows, max_abs
+
+
+def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.85,
+             episode_len=100, epoch=1000):
+    """The sampled weight iteration of ``linfa.fit`` as one plain loop, every
+    schedule knob an argument, no early stop and no divergence check.
+
+    An exploration coin is drawn only when ``epsilon > 0``.  The behaviour
+    policy is read off by :func:`loop_operator` once per epoch; the per-state
+    target (``linfa._sample_target``), the exploration draw
+    (``qlearn._slots``/``_explore``) and the sampler (``SamplingEnv``) are the
+    library's, so that the coefficients can be compared bit for bit.
+    Returns the coefficients.
+    """
+    from impulsegames import linfa, qlearn
+    from impulsegames.envs import SamplingEnv
+
+    rng = np.random.default_rng(seed)
+    env = SamplingEnv(game, rng=rng)
+    phi = basis.matrix
+    slots = qlearn._slots(game.cell_costs.tolist(), game.num_actions1)
+
+    def greedy_pairs(field):
+        _, _, act1, p2, act2 = loop_operator(game, field)
+        return [(0, int(b)) if q else (int(a), 0) for a, q, b in zip(act1, p2, act2)]
+
+    r = np.zeros(basis.num_features)
+    s = env.reset()
+    pairs = greedy_pairs(phi @ r)
+    for t in range(samples):
+        lam = phi @ r
+        target = linfa._sample_target(game, lam, s, combinator)
+        alpha = (1.0 + t) ** -step_power
+        r = r + alpha * phi[s] * (target - lam[s])
+        if (t + 1) % epoch == 0:
+            pairs = greedy_pairs(phi @ r)
+        if epsilon > 0.0 and rng.random() < epsilon:
+            pair = qlearn._explore(slots[s], rng)
+        else:
+            pair = pairs[s]
+        s, _ = env.step(s, pair)
+        if (t + 1) % episode_len == 0:
+            s = env.reset()
+    return r

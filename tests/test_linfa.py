@@ -5,7 +5,7 @@ from scipy_free_bisect import bisect_scalar
 import impulsegames as ig
 from impulsegames import linfa, solver
 
-from _oracles import sweep_projected_iteration
+from _oracles import loop_fit, sweep_projected_iteration
 from conftest import randomly_masked
 
 
@@ -202,6 +202,23 @@ def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator
             got = linfa._sample_target(game, lam, s, combinator)
             want = linfa._operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
             assert np.float64(got).tobytes() == want.tobytes(), (s, got, want)
+
+
+@pytest.mark.parametrize("combinator", ["T", "F"])
+@pytest.mark.parametrize("case", ["duopoly-identity", "masked-random-basis"])
+def test_fit_matches_the_loop_reference_bit_for_bit(case, combinator):
+    if case == "duopoly-identity":
+        game = ig.build_duopoly_game(ig.DuopolyParams())
+        basis = ig.identity_basis(game.num_states)
+    else:
+        game = randomly_masked(ig.random_game(25, 3, 2, seed=41), 41)
+        basis = ig.FeatureBasis(np.random.default_rng(41).normal(size=(25, 6)))
+    # 3500 samples cross three epochs (policy refreshes) and 35 episodes.
+    config = ig.FitConfig(samples=3500, seed=5, combinator=combinator,
+                          compute_reference=False)
+    r, _ = ig.fit(game, basis, config)
+    want = loop_fit(game, basis, 3500, 5, combinator)
+    assert r.tobytes() == want.tobytes(), np.abs(r - want).max()
 
 
 def _fit_case(k, basis_kind):
