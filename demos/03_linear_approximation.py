@@ -19,10 +19,7 @@ print("exact values:", np.round(exact.value, 4))
 ramp = np.arange(6.0)
 basis = ig.FeatureBasis(np.column_stack([np.ones(6), ramp / ramp.max()]))
 
-policy = ig.extract_policy(game, exact.value)
-w, ergodic = ig.stationary_distribution(game, policy)
-if not ergodic:
-    w = np.full(6, 1 / 6)
+w = ig.linfa.bound_weights(game, exact.value).weights
 print("stationary weights of the equilibrium chain:", np.round(w, 4))
 
 r, deltas = ig.projected_iteration(game, basis, w, combinator="T")

@@ -22,7 +22,7 @@ from .envs import build_duopoly_game, duopoly_params_from_dict
 from .game import (_basis_from_dict, _read_spec, _write_json, _write_whole, game_from_dict,
                    load_game, random_game, save_game)
 from .sim import simulate
-from .solver import intervention_times, minimax_oracle, solve
+from .solver import minimax_oracle, solve
 
 log = logging.getLogger("impulsegames")
 
@@ -109,14 +109,14 @@ def cmd_simulate(args) -> int:
         return 2
     traj = simulate(game, report.policy, steps=args.steps, seed=args.seed,
                     start=args.start)
-    taus, rhos = intervention_times(game, report.policy, traj.states[:-1])
     out = _outdir(args)
     rows = zip(range(len(traj.rewards)), traj.states[:-1].tolist(), traj.actions1.tolist(),
                traj.actions2.tolist(), traj.rewards.tolist(), traj.cumulative.tolist())
     _write_csv(os.path.join(out, "trajectory.csv"),
                ["t", "s", "executed_a", "executed_b", "reward", "cumulative_return"],
                rows)
-    _write_json(os.path.join(out, "interventions.json"), {"taus": taus, "rhos": rhos})
+    _write_json(os.path.join(out, "interventions.json"),
+                {"taus": traj.actions1.nonzero()[0], "rhos": traj.actions2.nonzero()[0]})
     return 0
 
 
@@ -202,8 +202,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is an input error: exit 1 with one line, through ``main``."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="impulsegames",
         description="Solve, learn and simulate two-player zero-sum games "
                     "with costly actions.")
@@ -272,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("IMPULSEGAMES_LOG_LEVEL", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,16 @@ BOUND_SLACK = 1e-8
 
 COMBINATORS = ("F", "T")
 
+# fit's exploration share, step size exponent, samples per episode and per policy refresh.
+FIT_EPSILON = 0.2
+FIT_STEP_POWER = 0.85
+FIT_EPISODE_LEN = 100
+FIT_EPOCH = 1000
+
+STATIONARY_TOL = 1e-12
+STATIONARY_MAX_ITER = 200_000
+PROJECTED_MAX_ITER = 100_000
+
 
 @dataclass(frozen=True)
 class FeatureBasis:
@@ -181,46 +191,43 @@ class StationaryResult(NamedTuple):
     ergodic: bool
 
 
-def stationary_distribution(game: ImpulseGame, policy, tol: float = 1e-12,
-                            max_iter: int = 200_000) -> StationaryResult:
+def stationary_distribution(game: ImpulseGame, policy) -> StationaryResult:
     """Stationary law of the executed-policy chain by damped power iteration.
 
-    ``ergodic=False`` flags a chain whose iteration failed to converge or
-    whose stationary weights are not strictly positive (transient states);
-    callers then fall back to uniform weights.
+    ``ergodic=False`` flags a chain whose iteration did not reach an L1 step of
+    ``STATIONARY_TOL`` in ``STATIONARY_MAX_ITER`` iterations, or whose weights
+    are not strictly positive (transient states); callers then use uniform weights.
     """
     ns = game.num_states
     p, _ = _executed_chain(game, policy.p1_action, policy.p2_action)
     lazy = 0.5 * (np.eye(ns) + p)
     w = np.full(ns, 1.0 / ns)
-    for _ in range(max_iter):
-        nw = w @ lazy
-        if np.abs(nw - w).sum() <= tol:
-            w = nw
+    for _ in range(STATIONARY_MAX_ITER):
+        w, prev = w @ lazy, w
+        if np.abs(w - prev).sum() <= STATIONARY_TOL:
             break
-        w = nw
     else:
         return StationaryResult(weights=w / w.sum(), ergodic=False)
     w = w / w.sum()
     return StationaryResult(weights=w, ergodic=bool((w > 1e-9).all()))
 
 
-def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights,
-                        combinator: str = "T", tol: float = 1e-12,
-                        max_iter: int = 100_000) -> tuple[np.ndarray, list[float]]:
+def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combinator: str = "T",
+                        tol: float = 1e-12) -> tuple[np.ndarray, list[float]]:
     """Deterministic fixed point of projection composed with the operator.
 
     Iterates coefficients through project(operator(field)); the composite
     contracts, so the coefficient deltas shrink geometrically.  Every
     ``FINISH_EVERY`` iterations :func:`_finish` may replace the sweep's
     result, when its delta is smaller, so a refused finish costs no
-    iteration.  Returns the coefficients and one delta per iteration.
+    iteration.  Stops at a delta of ``tol`` or after ``PROJECTED_MAX_ITER``
+    iterations.  Returns the coefficients and one delta per iteration.
     """
     m = _projector(basis, weights)
     phi = basis.matrix
     r = np.zeros(basis.num_features)
     deltas = []
-    for it in range(max_iter):
+    for it in range(PROJECTED_MAX_ITER):
         t = operator_terms(game, phi @ r)
         nr = m @ _nest(t, combinator)
         delta = float(np.abs(nr - r).max())
@@ -257,15 +264,11 @@ def _finish(game: ImpulseGame, phi, m, t, combinator: str):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the sampled weight-space iteration."""
+    """Knobs of the sampled weight-space iteration; its schedule is the
+    ``FIT_*`` constants.  ``compute_reference`` costs one :func:`solve`."""
 
     samples: int
-    epsilon: float = 0.2
-    step_power: float = 0.85
     seed: int = 0
-    episode_len: int = 100
-    epoch: int = 1000
-    tol: float = 0.0
     combinator: str = "T"
     divergence_limit: float = 1e6
     compute_reference: bool = True
@@ -273,8 +276,8 @@ class FitConfig:
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
             raise ValueError(f"combinator must be one of {COMBINATORS}")
-        if self.episode_len <= 0 or self.epoch <= 0:
-            raise ValueError("episode_len and epoch must be positive")
+        if self.samples < 0:
+            raise ValueError(f"samples must be non-negative, got {self.samples}")
 
 
 class FitDivergenceError(RuntimeError):
@@ -286,18 +289,10 @@ class FitDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    samples_run: int
-    final_epoch_delta: float
-    sup_dist_to_value: Optional[float]
-    stopped_early: bool
+    """``sup_dist_to_value`` is None without ``compute_reference``."""
 
-    def to_dict(self) -> dict:
-        return {
-            "samples_run": self.samples_run,
-            "final_epoch_delta": self.final_epoch_delta,
-            "sup_dist_to_value": self.sup_dist_to_value,
-            "stopped_early": self.stopped_early,
-        }
+    samples_run: int
+    sup_dist_to_value: Optional[float]
 
 
 def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
@@ -309,7 +304,8 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     distribution of the behaviour trajectory supplies the projection
     weighting.  The behaviour policy is refreshed from the current field
     once per epoch.  Intervention terms are expectations under the model;
-    only the trajectory is sampled.
+    only the trajectory is sampled.  The schedule is the ``FIT_*`` constants;
+    coefficients above ``config.divergence_limit`` raise :class:`FitDivergenceError`.
 
     Per sample the work runs on tables built once: the ``"T"`` target is
     the visited state's row of the operator, read off on Python floats by
@@ -324,55 +320,32 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
     s = env.reset()
     pairs = extract_policy(game, basis.field(r)).executed_pairs()
-    r_epoch = r.copy()
-    final_delta = math.inf
-    stopped = False
-    steps_run = 0
     for t in range(config.samples):
         lam = phi @ r
         target = _sample_target(game, lam, s, config.combinator)
-        alpha = (1.0 + t) ** -config.step_power
+        alpha = (1.0 + t) ** -FIT_STEP_POWER
         r = r + alpha * phi[s] * (target - lam[s])
-        steps_run = t + 1
         if np.abs(r).max() > config.divergence_limit:
             raise FitDivergenceError(t, r)
-        if (t + 1) % config.epoch == 0:
-            final_delta = float(np.abs(r - r_epoch).max())
-            r_epoch = r.copy()
+        if (t + 1) % FIT_EPOCH == 0:
             pairs = extract_policy(game, phi @ r).executed_pairs()
-            if config.tol > 0.0 and final_delta <= config.tol:
-                stopped = True
-                break
-        if config.epsilon > 0.0 and rng.random() < config.epsilon:
-            pair = _explore(slots[s], rng)
-        else:
-            pair = pairs[s]
+        pair = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else pairs[s]
         s, _ = env.step(s, pair)
-        if (t + 1) % config.episode_len == 0:
+        if (t + 1) % FIT_EPISODE_LEN == 0:
             s = env.reset()
     dist = None
     if config.compute_reference:
         vhat = solve(game, tol=1e-9).value
         dist = float(np.abs(basis.field(r) - vhat).max())
-    return r, FitReport(samples_run=steps_run, final_epoch_delta=final_delta,
-                        sup_dist_to_value=dist, stopped_early=stopped)
+    return r, FitReport(samples_run=config.samples, sup_dist_to_value=dist)
 
 
 class BoundReport(NamedTuple):
+    """Both sides of the bound, in the weights of :func:`bound_weights`."""
+
     lhs: float
     rhs: float
     holds: bool
-    used_uniform_weights: bool
-    weights: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "used_uniform_weights": self.used_uniform_weights,
-            "weights": self.weights.tolist(),
-        }
 
 
 def exact_fixed_point(game: ImpulseGame, combinator: str = "T") -> np.ndarray:
@@ -400,7 +373,7 @@ def bound_weights(game: ImpulseGame, value, combinator: str = "T") -> Stationary
 
 
 def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
-                 value=None, *, weights: Optional[StationaryResult] = None) -> BoundReport:
+                 value, *, weights: Optional[StationaryResult] = None) -> BoundReport:
     """Check the approximation-error bound against the exact value field.
 
     In the stationary-weighted norm of the equilibrium chain (uniform
@@ -408,15 +381,14 @@ def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
 
         ||Phi r - v||_w  <=  (1 - gamma^2)^(-1/2) ||Proj v - v||_w + slack
 
-    ``value`` defaults to the game value, the fixed point of ``"T"``; a fit
-    with ``"F"`` is checked against :func:`exact_fixed_point` of ``"F"``.
+    ``value`` is the exact fixed point of the fit's nesting,
+    :func:`exact_fixed_point`: the game value from :func:`solve` for ``"T"``.
     ``weights`` takes :func:`bound_weights` of ``value`` (and the same
     nesting) from a caller that has it already; it depends on those only.
     """
-    vhat = solve(game, tol=1e-10).value if value is None else np.asarray(value, dtype=float)
-    w, ergodic = bound_weights(game, vhat) if weights is None else weights
+    vhat = np.asarray(value, dtype=float)
+    w = (bound_weights(game, vhat) if weights is None else weights).weights
     lhs = weighted_norm(w, basis.field(r) - vhat)
     proj = project(basis, w, vhat)
     rhs = (1.0 - game.discount ** 2) ** -0.5 * weighted_norm(w, proj - vhat)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + BOUND_SLACK),
-                       used_uniform_weights=not ergodic, weights=w)
+    return BoundReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + BOUND_SLACK))

@@ -125,10 +125,51 @@ def test_budget_command(tmp_path):
     assert len(acted) == 2
 
 
-def test_mutually_exclusive_game_sources(tmp_path, g1_file):
-    with pytest.raises(SystemExit):
-        main(["solve", "--game", str(g1_file), "--gen", "2,1,1,0",
-              "--out", str(tmp_path)])
+def _assert_one_error_line_and_no_output(capsys, out):
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_mutually_exclusive_game_sources(tmp_path, g1_file, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--game", str(g1_file), "--gen", "2,1,1,0", "--out", str(out)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "3,1,1,0", "--bogus", "1"],
+    ["solve", "--gen", "3,1,1,0", "--tol", "abc"],
+    ["fit", "--gen", "3,1,1,0", "--combinator", "Z"],
+    ["budget", "--gen", "3,1,1,0", "--n2", "1"],
+    ["fit", "--gen", "3,1,1,0", "--steps", "-5"],
+    ["frobnicate"],
+], ids=["unknown-flag", "bad-float", "bad-choice", "missing-required", "negative-fit-steps",
+        "unknown-command"])
+def test_bad_flags_exit_1_with_one_line_and_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
+def test_simulate_interventions_are_the_rows_with_an_executed_action(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--gen", "30,2,2,3", "--steps", "400", "--seed", "4",
+                 "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    doc = json.loads((out / "interventions.json").read_text())
+    assert doc["taus"] == [t for t, row in enumerate(rows) if row["executed_a"] != "0"]
+    assert doc["rhos"] == [t for t, row in enumerate(rows) if row["executed_b"] != "0"]
+    assert doc["taus"] and doc["rhos"]
 
 
 def test_fit_command_writes_bound_report(tmp_path, g1_file):

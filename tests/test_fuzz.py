@@ -81,11 +81,7 @@ def _mutate_flags(command, rng):
 
 
 def _run(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
-    return code, capsys.readouterr().err
+    return main(argv), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -124,6 +124,12 @@ def test_fit_zero_samples_identity(g1):
     assert report.samples_run == 0
 
 
+def test_fit_refuses_a_negative_sample_count(g1):
+    # The report counts every requested sample, so a negative count is refused up front.
+    with pytest.raises(ValueError, match="samples"):
+        ig.FitConfig(samples=-1)
+
+
 def test_fit_divergence_detector(g1):
     with pytest.raises(ig.FitDivergenceError):
         ig.fit(g1, ig.identity_basis(1),
@@ -181,12 +187,6 @@ def test_stationary_distribution_self_loop(g1):
     policy = ig.extract_policy(g1, ig.solve(g1, tol=1e-10).value)
     res = ig.stationary_distribution(g1, policy)
     assert res.ergodic and np.allclose(res.weights, [1.0])
-
-
-@pytest.mark.parametrize("field", ["episode_len", "epoch"])
-def test_fit_config_rejects_nonpositive_periods(field):
-    with pytest.raises(ValueError, match=field):
-        ig.FitConfig(samples=10, **{field: 0})
 
 
 @pytest.mark.parametrize("combinator", ["T", "F"])
