@@ -15,12 +15,12 @@ game = ig.random_game(3, 1, 1, seed=51, gamma=0.8)
 reference = ig.solve(game, tol=1e-10)
 print(f"target values: {np.round(reference.value, 4)}")
 
-config = ig.LearnConfig(steps=200_000, epsilon_start=0.2, epsilon_end=0.01,
-                        omega=0.85, seed=0, episode_len=20, eval_every=20_000)
+config = ig.LearnConfig(steps=200_000, epsilon_start=0.2, omega=0.85, seed=0,
+                        episode_len=20)
 q, diag = ig.learn(game, config, reference_q=reference.q)
 
 print(f"\n{'step':>8}  {'epoch max |dQ|':>14}  {'dist to exact':>13}  {'eps':>5}")
-for row in diag.rows:
+for row in diag.rows[19::20]:  # a row per 1000 steps: print every 20th
     print(f"{row['step']:>8}  {row['sup_norm_delta']:>14.5f}  "
           f"{row['dist_to_qhat']:>13.5f}  {row['epsilon']:>5.3f}")
 

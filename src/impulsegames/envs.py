@@ -162,11 +162,10 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
 class SamplingEnv:
     """Model-free access to a game: seeded uniform reset and step, probabilities hidden.
 
-    Exposes the static knowledge a learner legitimately owns (action counts,
-    masks, discount, and what each executable cell's costs add to its reward,
-    the game's ``cell_costs``) while transitions and rewards are only
-    reachable by sampling through :meth:`step`, which is also the package's
-    one next-state sampler: ``fit`` and ``simulate`` draw through it too.
+    Exposes only the state and action counts; none of the game's tables.
+    Transitions and raw rewards are reachable only by sampling through
+    :meth:`step`, which is the package's one next-state sampler: ``learn``,
+    ``fit`` and ``simulate`` all draw through it.
 
     The sampler's tables are plain per-state Python lists in the layout of
     :attr:`ImpulseGame.cells`, built once: each cell's cumulative kernel row
@@ -189,10 +188,6 @@ class SamplingEnv:
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
         self.num_actions2 = game.num_actions2
-        self.cell_costs = game.cell_costs
-        self.mask1 = game.mask1
-        self.mask2 = game.mask2
-        self.discount = game.discount
 
     def reset(self) -> int:
         """Draw a fresh start state, uniform over the states."""

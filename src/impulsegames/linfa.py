@@ -63,6 +63,8 @@ class FeatureBasis:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("basis must be a 2-D (states x features) matrix")
+        if m.shape[1] < 1:
+            raise ValueError("basis must have at least one feature column")
         if m.shape[1] > m.shape[0]:
             raise ValueError("more features than states: columns cannot be independent")
         sv = np.linalg.svd(m, compute_uv=False)

@@ -7,7 +7,7 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 the layout of ``ImpulseGame.cells``, reads it back through the greedy
 combinator by adding the game's ``cell_costs``, and returns ``Q[s, a, b]``.
 It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
-the value and policy off a learned table.
+the value and policy off a learned table.  The ``LEARN_*`` constants fix the rest of its schedule.
 """
 
 from __future__ import annotations
@@ -24,33 +24,37 @@ from .envs import SamplingEnv
 from .solver import TIE_EPS
 
 
+# The exploration rate at the end of the step budget, and the steps per diagnostics row.
+LEARN_EPSILON_END = 0.01
+LEARN_EVAL_EVERY = 1000
+
+
 @dataclass(frozen=True)
 class LearnConfig:
     """Knobs of a learning run.
 
     Step sizes are per-cell ``1 / (1 + visits)**omega`` with
     ``omega in (0.5, 1]`` so they are square-summable but not summable.
-    Exploration decays linearly from ``epsilon_start`` to ``epsilon_end``
-    over the step budget.  ``stop_delta > 0`` enables early stopping when an
-    epoch's largest table change falls below it.
+    Exploration decays linearly from ``epsilon_start`` to
+    ``LEARN_EPSILON_END`` over the step budget.  An episode restarts from a
+    uniform state every ``episode_len`` steps.
     """
 
     steps: int
     epsilon_start: float = 0.2
-    epsilon_end: float = 0.01
     omega: float = 0.85
     seed: int = 0
     episode_len: int = 100
-    eval_every: int = 1000
-    stop_delta: float = 0.0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
         if not (0.5 < self.omega <= 1.0):
             raise ValueError("omega must lie in (0.5, 1]")
-        if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_end <= 1.0):
-            raise ValueError("exploration rates must lie in [0, 1]")
-        if self.episode_len <= 0 or self.eval_every <= 0:
-            raise ValueError("episode_len and eval_every must be positive")
+        if not 0.0 <= self.epsilon_start <= 1.0:
+            raise ValueError("epsilon_start must lie in [0, 1]")
+        if self.episode_len <= 0:
+            raise ValueError("episode_len must be positive")
 
 
 def _greedy(q_row, cost_row, na: int) -> tuple[float, tuple[int, int]]:
@@ -97,14 +101,13 @@ def _explore(slots, rng) -> tuple[int, int]:
 
 @dataclass
 class LearnDiagnostics:
-    """Learning-run telemetry: per-epoch rows plus summary counters."""
+    """Learning-run telemetry: a row per ``LEARN_EVAL_EVERY`` steps and at the
+    last step, the ``(S, A, B)`` visit counts and summary counters."""
 
     rows: list = field(default_factory=list)
     visits: Optional[np.ndarray] = None
     steps_run: int = 0
-    max_abs_target: float = 0.0
     final_sup_delta: float = 0.0
-    stopped_early: bool = False
 
     def to_csv(self, path) -> None:
         def write(f):
@@ -115,34 +118,34 @@ class LearnDiagnostics:
         _write_whole(path, write, newline="")
 
 
-def learn(game_or_env, config: LearnConfig, q0=None,
+def learn(game: ImpulseGame, config: LearnConfig, q0=None,
           reference_q=None) -> tuple[np.ndarray, LearnDiagnostics]:
     """Run the simulated-play learner for the configured step budget.
 
-    Accepts either a game (wrapped behind the sampling contract) or an
-    environment exposing ``reset``/``step`` plus the static action metadata.
-    The table and visit counts come back as ``(S, A, B)`` arrays, where cells
-    in which both players act keep their ``q0`` value.  When ``reference_q``
-    is given, the diagnostics track the sup-norm distance to it over the
-    cells executed so far.
+    The learner reads only the game's static knowledge (action counts,
+    discount and ``cell_costs``); transitions and raw rewards are reached
+    only by sampling through :meth:`SamplingEnv.step`, on the run's seeded
+    generator, so the learning stays model-free.  The table and visit counts
+    come back as ``(S, A, B)`` arrays, where cells in which both players act
+    keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
+    track the sup-norm distance to it over the cells executed so far.
     """
     rng = np.random.default_rng(config.seed)
-    env = (SamplingEnv(game_or_env, rng=rng) if isinstance(game_or_env, ImpulseGame)
-           else game_or_env)
-    ns, na, nb = env.num_states, env.num_actions1, env.num_actions2
+    env = SamplingEnv(game, rng=rng)
+    ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
     q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
     if q.shape != (ns, na, nb):
         raise ValueError(f"q0 must have shape {(ns, na, nb)}")
-    diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64))
     steps = config.steps
+    diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)
     table = to_cells(q).tolist()
     counts = [[0] * len(row) for row in table]
-    costs = env.cell_costs.tolist()
+    costs = game.cell_costs.tolist()
     slots = _slots(costs, na)
     # Each state's read-off; only the row a step updates is read off again.
     best = [_greedy(row, cost, na) for row, cost in zip(table, costs)]
     ref = None if reference_q is None else to_cells(np.asarray(reference_q))
-    eps_span = config.epsilon_end - config.epsilon_start
+    eps_span = LEARN_EPSILON_END - config.epsilon_start
     s = env.reset()
     epoch_sup = 0.0
     for t in range(steps):
@@ -155,7 +158,7 @@ def learn(game_or_env, config: LearnConfig, q0=None,
         s2, raw = env.step(s, (a, b))
         counts[s][c] += 1
         alpha = counts[s][c] ** -config.omega
-        target = raw + env.discount * best[s2][0]
+        target = raw + game.discount * best[s2][0]
         if not math.isfinite(target):
             raise FloatingPointError(
                 f"non-finite update target at step {t}: check the reward model")
@@ -163,9 +166,7 @@ def learn(game_or_env, config: LearnConfig, q0=None,
         table[s][c] += delta
         best[s] = _greedy(table[s], costs[s], na)
         epoch_sup = max(epoch_sup, abs(delta))
-        diag.max_abs_target = max(diag.max_abs_target, abs(target))
-        diag.steps_run = t + 1
-        if (t + 1) % config.eval_every == 0 or t + 1 == steps:
+        if (t + 1) % LEARN_EVAL_EVERY == 0 or t + 1 == steps:
             dist = ""
             if ref is not None:
                 seen = np.array(counts) > 0
@@ -179,9 +180,6 @@ def learn(game_or_env, config: LearnConfig, q0=None,
                 "seed": config.seed,
             })
             diag.final_sup_delta = epoch_sup
-            if config.stop_delta > 0.0 and epoch_sup <= config.stop_delta:
-                diag.stopped_early = True
-                break
             epoch_sup = 0.0
         s = s2 if (t + 1) % config.episode_len else env.reset()
     table, counts = np.array(table), np.array(counts, dtype=np.int64)

@@ -45,8 +45,10 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     policy's index are flat ``(s, y, z)`` indices, the next ``s`` is drawn
     from the base kernel and an executed costly action moves its player's
     counter down by one.  A costly action on a spent counter counts as masked.
-    Bad caps raise ``ValueError``, a ``start`` outside the states ``IndexError``.
+    Negative ``steps`` or bad caps raise ``ValueError``, a bad ``start`` ``IndexError``.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     ny, nz, spend = _layers(game, caps)
     rng = np.random.default_rng(seed) if rng is None else rng
     env = SamplingEnv(game, rng=rng)

@@ -316,13 +316,15 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     Games with more than ``FINISH_MAX_STATES`` base states only sweep.  A
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
-    :mod:`impulsegames.budget` from the base game's tables.  A discount
-    outside [0, 1), bad caps or a ``v0`` that is not one value per state
-    (per augmented state under caps) are refused with ``ValueError`` before
-    any sweep.
+    :mod:`impulsegames.budget` from the base game's tables.  A non-positive
+    or NaN ``tol``, a negative ``max_sweeps``, a discount outside [0, 1), bad
+    caps or a ``v0`` that is not one value per state (per augmented state
+    under caps) are refused with ``ValueError`` before any sweep.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
     g = game.discount
     if not 0.0 <= g < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {g}")

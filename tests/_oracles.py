@@ -251,14 +251,17 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
 
     It takes the same random draws in the same order as ``qlearn.learn`` on a
     game (reset state, exploration coin, slot and action, next-state uniform)
-    but does its own greedy read-off, sampling and update.  Returns
-    ``(q, visits, rows, max_abs_target)``.
+    but does its own greedy read-off, sampling and update, with the schedule
+    constants ``qlearn.LEARN_EPSILON_END`` and ``LEARN_EVAL_EVERY``.  Returns
+    ``(q, visits, rows)``.
     """
+    from impulsegames.qlearn import LEARN_EPSILON_END, LEARN_EVAL_EVERY
+
     rng = np.random.default_rng(config.seed)
     ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
     q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
     visits = np.zeros((ns, na, nb), dtype=np.int64)
-    rows, max_abs = [], 0.0
+    rows = []
 
     def read_off(s):
         noop = q[s, 0, 0]
@@ -281,7 +284,7 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
     s = int(rng.integers(ns))
     epoch_sup = 0.0
     for t in range(config.steps):
-        eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * (
+        eps = config.epsilon_start + (LEARN_EPSILON_END - config.epsilon_start) * (
             t / config.steps)
         a, b = mask_explore(game, s, rng) if eps > 0.0 and rng.random() < eps else read_off(s)[1]
         row = game.kernel[s, a, b]
@@ -293,18 +296,15 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
         delta = alpha * (target - q[s, a, b])
         q[s, a, b] += delta
         epoch_sup = max(epoch_sup, abs(delta))
-        max_abs = max(max_abs, abs(target))
-        if (t + 1) % config.eval_every == 0 or t + 1 == config.steps:
+        if (t + 1) % LEARN_EVAL_EVERY == 0 or t + 1 == config.steps:
             dist = ""
             if reference_q is not None and (visits > 0).any():
                 dist = float(np.abs(q - reference_q)[visits > 0].max())
             rows.append({"step": t + 1, "sup_norm_delta": epoch_sup, "dist_to_qhat": dist,
                          "epsilon": eps, "seed": config.seed})
-            if 0.0 < config.stop_delta and epoch_sup <= config.stop_delta:
-                break
             epoch_sup = 0.0
         s = s2 if (t + 1) % config.episode_len else int(rng.integers(ns))
-    return q, visits, rows, max_abs
+    return q, visits, rows
 
 
 def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.85,

@@ -120,9 +120,8 @@ def test_criterion_5_qlearning_convergence():
         ref = ig.solve(game, tol=1e-10).q
         tol = 0.05 * (1 + np.abs(ref).max())
         for seed in range(4):
-            config = ig.LearnConfig(steps=200_000, epsilon_start=0.2,
-                                    epsilon_end=0.01, omega=0.85, seed=seed,
-                                    episode_len=20)
+            config = ig.LearnConfig(steps=200_000, epsilon_start=0.2, omega=0.85,
+                                    seed=seed, episode_len=20)
             q, diag = ig.learn(game, config, reference_q=ref)
             seen = diag.visits > 0
             err = float(np.abs(q - ref)[seen].max())

@@ -144,9 +144,15 @@ def test_mutually_exclusive_game_sources(tmp_path, g1_file, capsys):
     ["fit", "--gen", "3,1,1,0", "--combinator", "Z"],
     ["budget", "--gen", "3,1,1,0", "--n2", "1"],
     ["fit", "--gen", "3,1,1,0", "--steps", "-5"],
+    ["learn", "--gen", "3,1,1,0", "--steps", "-5"],
+    ["simulate", "--gen", "3,1,1,0", "--steps", "-5"],
+    ["budget", "--gen", "3,1,1,0", "--n1", "1", "--n2", "1", "--steps", "-5"],
+    ["solve", "--gen", "3,1,1,0", "--tol", "nan"],
+    ["solve", "--gen", "3,1,1,0", "--max-sweeps", "-1"],
     ["frobnicate"],
 ], ids=["unknown-flag", "bad-float", "bad-choice", "missing-required", "negative-fit-steps",
-        "unknown-command"])
+        "negative-learn-steps", "negative-simulate-steps", "negative-budget-steps",
+        "nan-tol", "negative-max-sweeps", "unknown-command"])
 def test_bad_flags_exit_1_with_one_line_and_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
@@ -426,6 +432,15 @@ def test_fit_bad_basis_exits_1_no_output(tmp_path, capsys, basis):
     assert main(["fit", "--game", str(path), "--steps", "100", "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: key 'basis'")
+
+
+def test_fit_basis_without_columns_exits_1_no_output(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**ig.game_to_dict(ig.random_game(3, 1, 1, seed=0)),
+                                "basis": [[], [], []]}))
+    out = tmp_path / "out"
+    assert main(["fit", "--game", str(path), "--steps", "100", "--out", str(out)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
 
 
 class _BrokenWriter:

@@ -174,11 +174,10 @@ def test_build_duopoly_game_rejects_invalid_games(params):
         ig.build_duopoly_game(ig.DuopolyParams(grid_size=3, **params))
 
 
-def test_sampling_env_exposes_cell_costs_not_cost_tables():
-    game = ig.random_game(3, 2, 1, seed=4)
-    env = ig.SamplingEnv(game)
-    assert env.cell_costs is game.cell_costs
-    assert not hasattr(env, "cost1") and not hasattr(env, "cost2")
+def test_sampling_env_exposes_no_game_tables():
+    env = ig.SamplingEnv(ig.random_game(3, 2, 1, seed=4))
+    for name in ("kernel", "reward", "cost1", "cost2", "cell_costs"):
+        assert not hasattr(env, name)
 
 
 def test_oversized_duopoly_refused_before_any_table():

@@ -46,6 +46,11 @@ def test_rank_deficient_basis_rejected():
         ig.FeatureBasis(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
 
+def test_basis_without_columns_rejected():
+    with pytest.raises(ValueError, match="basis must have at least one feature column"):
+        ig.FeatureBasis(np.zeros((3, 0)))
+
+
 def test_weights_must_be_positive():
     basis = ig.identity_basis(2)
     with pytest.raises(ValueError, match="positive"):

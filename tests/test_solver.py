@@ -487,6 +487,16 @@ def _deterministic_game(seed, ns, na, nb, gamma):
                           cost1=cost1, cost2=cost2, cost_floor=0.01, discount=gamma)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"tol": float("nan")}, "tol must be positive"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"max_sweeps": -1}, "max_sweeps must be non-negative"),
+])
+def test_solve_refuses_a_bad_tol_or_sweep_budget(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ig.solve(ig.random_game(3, 1, 1, 0), **kwargs)
+
+
 @pytest.mark.parametrize("caps,entries,size", [(None, 5, 3), ((1, 1), 3, 12)])
 def test_solve_refuses_a_v0_of_the_wrong_length(caps, entries, size):
     with pytest.raises(ValueError, match=f"v0 must hold {size} values"):
