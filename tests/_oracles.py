@@ -349,3 +349,55 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
         if (t + 1) % episode_len == 0:
             s = env.reset()
     return r
+
+
+def loop_simulate(game, policy, steps, rng, start=0, caps=None):
+    """A policy rollout as a per-step loop on the joint ``(S, A, B)`` tables:
+    one scalar ``rng.random()`` per step, read with ``searchsorted`` on the
+    executed pair's cumulative kernel row and clamped to the row's last state
+    with positive mass.
+
+    With ``caps=(n1, n2)`` states are flat ``(s, y, z)`` indices and an
+    executed costly action spends one of its player's interventions.  A
+    masked action or a spent counter raises ``RuntimeError``.  Returns
+    ``(states, actions1, actions2, rewards, cumulative)`` as arrays.
+    """
+    ny, nz = (1, 1) if caps is None else (caps[0] + 1, caps[1] + 1)
+    x = start
+    states, acts1, acts2, rewards, cumulative = [x], [], [], [], []
+    total, disc = 0.0, 1.0
+    for _ in range(steps):
+        s, yz = divmod(x, ny * nz)
+        y, z = divmod(yz, nz)
+        if policy.p2_acts[x]:
+            a, b = 0, int(policy.p2_action[x])
+        elif policy.p1_acts[x]:
+            a, b = int(policy.p1_action[x]), 0
+        else:
+            a, b = 0, 0
+        spent1 = caps is not None and a != 0 and y == 0
+        spent2 = caps is not None and b != 0 and z == 0
+        if (a != 0 and not game.mask1[s, a]) or (b != 0 and not game.mask2[s, b]) \
+                or spent1 or spent2:
+            raise RuntimeError(f"masked action ({a}, {b}) at state {x}")
+        row = game.kernel[s, a, b]
+        drawn = int(np.cumsum(row).searchsorted(rng.random(), side="right"))
+        nxt = min(drawn, game.num_states - 1 - int(np.argmax(row[::-1] > 0)))
+        r = float(game.reward[s, a, b])
+        if a != 0:
+            r -= float(game.cost1[s, a])
+            y -= caps is not None
+        if b != 0:
+            r += float(game.cost2[s, b])
+            z -= caps is not None
+        total += disc * r
+        disc *= game.discount
+        x = (nxt * ny + y) * nz + z
+        states.append(x)
+        acts1.append(a)
+        acts2.append(b)
+        rewards.append(r)
+        cumulative.append(total)
+    return (np.array(states, dtype=np.int64), np.array(acts1, dtype=np.int64),
+            np.array(acts2, dtype=np.int64), np.array(rewards, dtype=float),
+            np.array(cumulative, dtype=float))

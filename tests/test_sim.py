@@ -4,7 +4,7 @@ import pytest
 import impulsegames as ig
 from impulsegames.qlearn import _explore, _slots
 
-from _oracles import SearchsortedSampler, mask_explore
+from _oracles import SearchsortedSampler, loop_simulate, mask_explore
 from conftest import randomly_masked
 
 
@@ -136,3 +136,36 @@ def test_simulate_refuses_a_start_outside_the_states(start, caps):
         ig.simulate(game, _idle(n), 3, start=start, rng=_NoDraws(), caps=caps)
     # the first or last state is a valid start
     assert len(ig.simulate(game, _idle(n), 3, start=start % n, caps=caps).states) == 4
+
+
+def _rollout_cases():
+    duopoly = ig.build_duopoly_game(ig.DuopolyParams())
+    masked = randomly_masked(ig.random_game(8, 3, 2, seed=7), seed=8)
+    small = ig.random_game(6, 2, 2, seed=7)
+    aug21, aug88 = ig.augment(small, 2, 1), ig.augment(small, 8, 8)
+    return {
+        "duopoly-121": (duopoly, None, 5000, 60),
+        "masked-8x3x2": (masked, None, 2000, 3),
+        "caps-2-1": (small, (2, 1), 2000, aug21.index(4, 2, 1)),
+        "caps-8-8": (small, (8, 8), 2000, aug88.index(1, 8, 8)),
+        "steps-0": (small, None, 0, 2),
+        "steps-1": (small, (2, 1), 1, aug21.index(5, 2, 1)),
+    }
+
+
+ROLLOUTS = _rollout_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ROLLOUTS))
+def test_simulate_matches_the_loop_reference_bit_for_bit(case):
+    game, caps, steps, start = ROLLOUTS[case]
+    policy = ig.solve(game, tol=1e-10, caps=caps).policy
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    traj = ig.simulate(game, policy, steps, start=start, rng=rng, caps=caps)
+    want = loop_simulate(game, policy, steps, ref_rng, start=start, caps=caps)
+    got = (traj.states, traj.actions1, traj.actions2, traj.rewards, traj.cumulative)
+    for name, x, y in zip(["states", "actions1", "actions2", "rewards", "cumulative"], got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    # the run took exactly one uniform per step from the generator
+    assert rng.random() == ref_rng.random()
