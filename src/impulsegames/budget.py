@@ -143,8 +143,9 @@ def simulate_budgeted(aug: AugmentedGame, policy: EquilibriumPolicy, steps: int,
     """Roll the budgeted policy forward and count each player's interventions.
 
     ``start`` is a base-game state (counters begin full) or None for state 0.
-    Trajectory states are flat ``(s, y, z)`` indices.  ``simulate`` raises on a
-    masked action (a solver bug) before it runs, so counts never exceed the caps.
+    Trajectory states are flat ``(s, y, z)`` indices.  ``simulate`` raises when
+    the rollout reaches a masked action or a spent counter (a solver bug), so
+    counts never exceed the caps.
     """
     s0 = aug.index(int(start) if start is not None else 0, aug.n1, aug.n2)
     traj = simulate(aug.base, policy, steps, seed=seed, start=s0, caps=aug.caps)

@@ -9,11 +9,12 @@ is byte-reproducible given the same flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+
+import numpy as np
 
 from . import budget as budget_mod
 from . import linfa
@@ -30,12 +31,41 @@ log = logging.getLogger("impulsegames")
 FIT_POLISH_TOL = 1e-12
 
 
-def _write_csv(path, header, rows) -> None:
-    """``rows`` are tuples in the order of ``header``."""
+# Rows of a CSV file formatted at a time.
+_BLOCK_ROWS = 1 << 12
+
+
+def _csv_quote(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_fields(values) -> list:
+    """The fields of a 1-D array as ``csv.writer`` writes them, each distinct
+    value formatted once: floats (told apart by their bits, so ``-0.0`` is
+    not ``0.0``) with ``repr``, ints and bools with ``str``, strings quoted."""
+    if values.dtype == np.float64:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = [repr(x) for x in keys.view(np.float64).tolist()]
+    else:
+        keys, inverse = np.unique(values, return_inverse=True)
+        fmt = _csv_quote if values.dtype.kind == "U" else str
+        texts = [fmt(x) for x in keys.tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D arrays ``columns`` (two or more; float64, int,
+    bool or str) under ``header``: the bytes of ``csv.writer`` with its
+    default dialect, CRLF line ends, formatted ``_BLOCK_ROWS`` rows at a time."""
     def write(f):
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(",".join(map(_csv_quote, header)) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = [_csv_fields(col[lo:lo + _BLOCK_ROWS]) for col in columns]
+            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     _write_whole(path, write, newline="")
 
 
@@ -75,8 +105,9 @@ def cmd_solve(args) -> int:
     doc = report._doc()
     _write_json(os.path.join(out, "solve_report.json"), doc)
     records = doc["policy"]
-    rows = [(*row.values(), v) for row, v in zip(records, report.value.tolist())]
-    _write_csv(os.path.join(out, "policy.csv"), [*records[0], "value"], rows)
+    columns = [np.array([rec[key] for rec in records]) for key in records[0]]
+    _write_csv(os.path.join(out, "policy.csv"), [*records[0], "value"],
+               [*columns, report.value])
     if not report.converged:
         log.warning("stopped after %d sweeps with residual %.3g", report.sweeps,
                     report.residual)
@@ -110,11 +141,10 @@ def cmd_simulate(args) -> int:
     traj = simulate(game, report.policy, steps=args.steps, seed=args.seed,
                     start=args.start)
     out = _outdir(args)
-    rows = zip(range(len(traj.rewards)), traj.states[:-1].tolist(), traj.actions1.tolist(),
-               traj.actions2.tolist(), traj.rewards.tolist(), traj.cumulative.tolist())
     _write_csv(os.path.join(out, "trajectory.csv"),
                ["t", "s", "executed_a", "executed_b", "reward", "cumulative_return"],
-               rows)
+               [np.arange(len(traj.rewards)), traj.states[:-1], traj.actions1, traj.actions2,
+                traj.rewards, traj.cumulative])
     _write_json(os.path.join(out, "interventions.json"),
                 {"taus": traj.actions1.nonzero()[0], "rhos": traj.actions2.nonzero()[0]})
     return 0
@@ -140,12 +170,10 @@ def cmd_budget(args) -> int:
     labels = [f"({s},{y},{z})" for s, y, z in aug.labels]
     _write_json(os.path.join(out, "budget_report.json"), report._doc(labels))
     traj = run.trajectory
-    rows = zip(range(len(traj.rewards)), [labels[s] for s in traj.states[:-1].tolist()],
-               traj.actions1.tolist(), traj.actions2.tolist(), traj.rewards.tolist(),
-               traj.cumulative.tolist())
     _write_csv(os.path.join(out, "budget_trajectory.csv"),
-               ["t", "state", "executed_a", "executed_b", "reward",
-                "cumulative_return"], rows)
+               ["t", "state", "executed_a", "executed_b", "reward", "cumulative_return"],
+               [np.arange(len(traj.rewards)), np.array(labels)[traj.states[:-1]],
+                traj.actions1, traj.actions2, traj.rewards, traj.cumulative])
     if not report.converged:
         return 2
     return 0

@@ -159,31 +159,37 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     return game
 
 
+# Uniforms that :meth:`SamplingEnv.walk` draws per call of ``rng.random``.
+WALK_BLOCK = 1 << 12
+
+
 class SamplingEnv:
     """Model-free access to a game: seeded uniform reset and step, probabilities hidden.
 
     Exposes only the state and action counts; none of the game's tables.
-    Transitions and raw rewards are reachable only by sampling through
-    :meth:`step`, which is the package's one next-state sampler: ``learn``,
-    ``fit`` and ``simulate`` all draw through it.
+    Transitions and raw rewards are reachable only by sampling, with one
+    uniform per next state: :meth:`step` takes one step (``learn`` and
+    ``fit``), :meth:`walk` a whole chain of a fixed plan (``simulate``).
 
     The sampler's tables are plain per-state Python lists in the layout of
-    :attr:`ImpulseGame.cells`, built once: each cell's cumulative kernel row
-    (an ``array('d')``, read with ``bisect``), its raw reward, its
-    availability and the last next state with positive mass.
+    :attr:`ImpulseGame.cells`, built once: each cell's raw reward, its
+    availability and its cumulative kernel row (an ``array('d')``, read with
+    ``bisect``).  A row whose sum rounds below 1 can draw past its end; such
+    a draw lands on the row's last state with positive mass.  So each row is
+    cut just before that state, and the bisection of a uniform in the cut row
+    is the next state.
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None):
         kernel = game.cells[0]
-        self._cum = [[array("d", row.tobytes()) for row in np.cumsum(rows, axis=1)]
-                     for rows in kernel]
-        self._reward = to_cells(game.reward).tolist()
-        self._ok = np.concatenate([np.ones((game.num_states, 1), dtype=bool),
-                                   game.mask1[:, 1:], game.mask2[:, 1:]], axis=1).tolist()
-        # A row whose sum rounds below 1 can draw past its end; such a draw
-        # lands on the row's last state with positive mass.
         ns = game.num_states
-        self._last = (ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)).tolist()
+        last = ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)
+        self._cum = [[array("d", row[:n].tobytes())
+                      for row, n in zip(np.cumsum(rows, axis=1), ends)]
+                     for rows, ends in zip(kernel, last.tolist())]
+        self._reward = to_cells(game.reward).tolist()
+        self._ok = np.concatenate([np.ones((ns, 1), dtype=bool),
+                                   game.mask1[:, 1:], game.mask2[:, 1:]], axis=1).tolist()
         self._rng = np.random.default_rng(seed) if rng is None else rng
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
@@ -214,7 +220,49 @@ class SamplingEnv:
             raise IndexError(f"state {s} outside 0..{self.num_states - 1}")
         if not self._ok[s][c]:
             raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
-        nxt = bisect_right(self._cum[s][c], self._rng.random())
-        last = self._last[s][c]
-        return (nxt if nxt < last else last), self._reward[s][c]
+        return bisect_right(self._cum[s][c], self._rng.random()), self._reward[s][c]
+
+    def walk(self, start: int, cells, next_layers, steps: int) -> np.ndarray:
+        """The states of ``steps`` steps of a fixed plan's chain from ``start``.
+
+        The chain's states are ``x = s * L + l`` over ``L = len(cells) //
+        num_states`` layers (say, budget counters).  At ``x`` the plan executes
+        cell ``cells[x]`` of :attr:`ImpulseGame.cells` at base state ``s`` and
+        moves to layer ``next_layers[x]``, so the walk lands on ``draw * L +
+        next_layers[x]``; a negative next layer marks a spent counter.  Each
+        step takes one uniform, the same one :meth:`step` would take, but the
+        uniforms are drawn ``WALK_BLOCK`` at a time.  Reaching a masked cell
+        or a spent counter raises ``RuntimeError``; by then the generator may
+        have advanced to the end of its block.  Returns ``steps + 1`` states
+        as int64.  Refused: a plan whose length is not a positive multiple of
+        the state count or whose lengths differ (``ValueError``), a cell
+        outside the table or a ``start`` outside the chain (``IndexError``).
+        """
+        cells, next_layers = np.asarray(cells).tolist(), np.asarray(next_layers).tolist()
+        size = len(cells)
+        if size != len(next_layers) or size == 0 or size % self.num_states:
+            raise ValueError(f"a plan of {size} cells and {len(next_layers)} next layers "
+                             f"does not cover {self.num_states} states")
+        if not 0 <= start < size:
+            raise IndexError(f"start state {start} outside 0..{size - 1}")
+        layers, ncells = size // self.num_states, len(self._ok[0])
+        tables = []
+        for x, (c, nl) in enumerate(zip(cells, next_layers)):
+            if not 0 <= c < ncells:
+                raise IndexError(f"cell {c} at state {x} outside 0..{ncells - 1}")
+            s = x // layers
+            tables.append((self._cum[s][c], nl) if self._ok[s][c] and nl >= 0 else None)
+        states = np.empty(steps + 1, dtype=np.int64)
+        states[0] = x = start
+        for lo in range(0, steps, WALK_BLOCK):
+            block = self._rng.random(min(WALK_BLOCK, steps - lo)).tolist()
+            for i, u in enumerate(block):
+                entry = tables[x]
+                if entry is None:
+                    c = cells[x]
+                    a, b = (c, 0) if c < self.num_actions1 else (0, c - self.num_actions1 + 1)
+                    raise RuntimeError(f"masked action ({a}, {b}) reached at state {x}")
+                x = block[i] = bisect_right(entry[0], u) * layers + entry[1]
+            states[lo + 1:lo + 1 + len(block)] = block
+        return states
 

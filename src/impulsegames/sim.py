@@ -35,54 +35,42 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
              seed=0, start: int = 0, rng=None, caps=None) -> Trajectory:
     """Roll the policy forward ``steps`` steps from ``start``.
 
-    Player 2's action takes precedence wherever both flags are raised.  Next
-    states are drawn through :meth:`SamplingEnv.step` on ``rng``.  An attempt
-    to execute a masked action is a hard fault, since a correctly extracted
-    policy never selects one.
+    Player 2's action takes precedence wherever both flags are raised.  The
+    policy's chain is walked by :meth:`SamplingEnv.walk` on ``rng``, one
+    uniform per step drawn in blocks.  Reaching a masked action is a hard
+    fault (``RuntimeError``), since a correctly extracted policy never
+    selects one; the generator may then have advanced to the end of its
+    block.
 
     With ``caps=(n1, n2)`` the rollout runs on the budgeted game of
     :mod:`impulsegames.budget`: ``start``, the recorded states and the
     policy's index are flat ``(s, y, z)`` indices, the next ``s`` is drawn
     from the base kernel and an executed costly action moves its player's
     counter down by one.  A costly action on a spent counter counts as masked.
-    Negative ``steps`` or bad caps raise ``ValueError``, a bad ``start`` ``IndexError``.
+    Negative ``steps``, bad caps or a policy whose length is not the state
+    count raise ``ValueError``; a bad ``start`` or an action outside the
+    game's raises ``IndexError``; all before any draw.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     ny, nz, spend = _layers(game, caps)
+    layers = ny * nz
+    pairs = np.array(policy.executed_pairs(), dtype=np.int64).reshape(-1, 2)
+    if len(pairs) != game.num_states * layers:
+        raise ValueError(f"policy has {len(pairs)} states, the rollout's game has "
+                         f"{game.num_states * layers}")
+    a, b = pairs.T
+    if pairs.min() < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:
+        raise IndexError("policy holds an action outside the game's actions")
+    y, z = np.divmod(np.arange(len(pairs)) % layers, nz)
+    y, z = y - spend * (a != 0), z - spend * (b != 0)
+    cells = np.where(b != 0, game.num_actions1 - 1 + b, a)
+    next_layers = np.where((y < 0) | (z < 0), -1, y * nz + z)
     rng = np.random.default_rng(seed) if rng is None else rng
-    env = SamplingEnv(game, rng=rng)
-    x = int(start)
-    if not 0 <= x < game.num_states * ny * nz:
-        raise IndexError(f"start state {x} outside 0..{game.num_states * ny * nz - 1}")
-    states = np.empty(steps + 1, dtype=int)
-    acts1 = np.empty(steps, dtype=int)
-    acts2 = np.empty(steps, dtype=int)
-    rewards = np.empty(steps)
-    states[0] = x
-    net = game.cells[1].tolist()
-    pairs = policy.executed_pairs()
-    off2 = game.num_actions1 - 1
-    g = game.discount
-    disc = 1.0
-    cumulative = np.empty(steps)
-    total = 0.0
-    for t in range(steps):
-        a, b = pairs[x]
-        s, yz = divmod(x, ny * nz)
-        y, z = divmod(yz, nz)
-        if (a != 0 and y < spend) or (b != 0 and z < spend):
-            raise RuntimeError(
-                f"policy executed a masked action ({a}, {b}) at state {x}")
-        nxt, _ = env.step(s, (a, b))
-        r = net[s][off2 + b if b else a]
-        acts1[t], acts2[t], rewards[t] = a, b, r
-        total += disc * r
-        cumulative[t] = total
-        disc *= g
-        y -= spend * (a != 0)
-        z -= spend * (b != 0)
-        x = (nxt * ny + y) * nz + z
-        states[t + 1] = x
-    return Trajectory(states=states, actions1=acts1, actions2=acts2,
-                      rewards=rewards, cumulative=cumulative)
+    states = SamplingEnv(game, rng=rng).walk(int(start), cells, next_layers, steps)
+    xs = states[:-1]
+    disc = np.full(steps, game.discount)
+    disc[:1] = 1.0
+    rewards = game.cells[1][xs // layers, cells[xs]]
+    return Trajectory(states=states, actions1=a[xs], actions2=b[xs], rewards=rewards,
+                      cumulative=np.cumsum(np.multiply.accumulate(disc) * rewards))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+import impulsegames.cli as cli_module
 import impulsegames.game as game_module
 from impulsegames.cli import main
 
@@ -462,10 +463,17 @@ def _encode_then_fail(obj, level):
     raise OSError("disk full")
 
 
+def _fields_fail(values):
+    raise OSError("disk full")
+
+
 @pytest.mark.parametrize("command, target, module, name, broken", [
     (["gen", "--gen", "3,1,1,0"], "game.json", game_module, "_encode", _encode_then_fail),
     (["learn", "--gen", "3,1,1,0", "--steps", "200"], "learn_diagnostics.csv", csv,
      "writer", _BrokenWriter),
+    # the header is written before the first block of rows is formatted
+    (["simulate", "--gen", "3,1,1,0", "--steps", "200"], "trajectory.csv", cli_module,
+     "_csv_fields", _fields_fail),
 ])
 def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatch, command,
                                                      target, module, name, broken):

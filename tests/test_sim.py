@@ -14,8 +14,8 @@ class _FixedDraw:
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def _short_row_game():
@@ -124,8 +124,23 @@ def test_step_and_explore_match_the_reference_on_short_rows():
 class _NoDraws:
     """An ``rng`` stand-in that fails the test on any draw."""
 
-    def random(self):
+    def random(self, size=None):
         raise AssertionError("a step was taken")
+
+
+@pytest.mark.parametrize("start, cells, next_layers, error", [
+    (0, [0] * 5, [0] * 5, ValueError),
+    (0, [0] * 3, [0] * 6, ValueError),
+    (0, [], [], ValueError),
+    (0, [0, 5, 0], [0] * 3, IndexError),
+    (0, [0, -1, 0], [0] * 3, IndexError),
+    (3, [0] * 3, [0] * 3, IndexError),
+    (-1, [0] * 6, [0] * 6, IndexError),
+])
+def test_sampling_env_walk_refuses_a_bad_plan_before_any_draw(start, cells, next_layers, error):
+    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0), rng=_NoDraws())
+    with pytest.raises(error):
+        env.walk(start, cells, next_layers, 10)
 
 
 @pytest.mark.parametrize("start, caps", [(-1, None), (3, None), (-1, (1, 2)), (18, (1, 2))])
@@ -169,3 +184,55 @@ def test_simulate_matches_the_loop_reference_bit_for_bit(case):
         assert x.tobytes() == y.tobytes(), name
     # the run took exactly one uniform per step from the generator
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n, caps, want", [(7, None, 3), (2, None, 3), (3, (1, 1), 12)])
+def test_simulate_refuses_a_policy_of_the_wrong_length(n, caps, want):
+    game = ig.random_game(3, 1, 1, seed=0)
+    with pytest.raises(ValueError, match=f"policy has {n} states, the rollout's game has {want}"):
+        ig.simulate(game, _idle(n), 20, rng=_NoDraws(), caps=caps)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_simulate_refuses_an_action_outside_the_game(player):
+    game = ig.random_game(3, 1, 1, seed=0)
+    policy = _idle(3)
+    acts, action = (policy.p1_acts, policy.p1_action) if player == 1 else (
+        policy.p2_acts, policy.p2_action)
+    acts[2], action[2] = True, 2
+    with pytest.raises(IndexError, match="outside the game's actions"):
+        ig.simulate(game, policy, 20, rng=_NoDraws())
+
+
+def _self_loops():
+    """Three states that each stay put, whatever is played; Player 1's
+    costly action is masked at state 1 only."""
+    kernel = np.broadcast_to(np.eye(3)[:, None, None, :], (3, 2, 1, 3)).copy()
+    mask1 = np.ones((3, 2), dtype=bool)
+    mask1[1, 1] = False
+    return ig.ImpulseGame(kernel=kernel, reward=np.zeros((3, 2, 1)),
+                          cost1=np.array([[0.0, 1.0]] * 3), cost2=np.zeros((3, 1)),
+                          cost_floor=0.1, discount=0.9, mask1=mask1)
+
+
+def test_a_masked_action_is_a_fault_only_where_the_rollout_reaches_it():
+    game = _self_loops()
+    policy = _idle(3)
+    policy.p1_acts[:] = True
+    policy.p1_action[:] = 1
+    assert ig.simulate(game, policy, 50, start=0).states.tolist() == [0] * 51
+    with pytest.raises(RuntimeError, match=r"masked action \(1, 0\) reached at state 1"):
+        ig.simulate(game, policy, 50, start=1)
+
+
+def test_a_spent_counter_is_a_fault_only_where_the_rollout_reaches_it():
+    game = _self_loops()
+    aug = ig.augment(game, 1, 0)
+    policy = _idle(aug.num_states)
+    policy.p1_acts[:] = True
+    policy.p1_action[:] = 1
+    start = aug.index(0, 1, 0)
+    traj = ig.simulate(game, policy, 1, start=start, caps=aug.caps)
+    assert [aug.labels[x] for x in traj.states] == [(0, 1, 0), (0, 0, 0)]
+    with pytest.raises(RuntimeError, match="masked"):
+        ig.simulate(game, policy, 2, start=start, caps=aug.caps)
