@@ -159,8 +159,74 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     return game
 
 
-# Uniforms that :meth:`SamplingEnv.walk` draws per call of ``rng.random``.
-WALK_BLOCK = 1 << 12
+# Draws fetched from the generator at a time: uniforms by :meth:`SamplingEnv.walk`,
+# raw 64-bit words by :class:`BlockDraws`.
+DRAW_BLOCK = 1 << 12
+
+_UNIT = 1.0 / (1 << 53)
+_LOW32 = (1 << 32) - 1
+
+
+class BlockDraws:
+    """The scalar draws of ``np.random.default_rng(seed)``, bit for bit, read
+    from raw PCG64 words fetched ``DRAW_BLOCK`` at a time.
+
+    numpy builds each scalar ``random()`` from one raw word ``w`` as ``(w >>
+    11) * 2**-53``.  Its ``integers(n)`` takes 32-bit halves of raw words, the
+    low half first, keeping the upper half pending for the next 32-bit draw
+    (a ``random()`` in between leaves it pending), and bounds them by
+    Lemire's multiply-and-reject method (Lemire 2019, "Fast random integer
+    generation in an interval"); ``integers(1)`` takes no draw.  Both are
+    replayed here on Python ints, which costs a fraction of a scalar call into
+    the ``Generator``.  ``integers`` returns a Python ``int`` and refuses an
+    ``n`` outside ``1 .. 2**32`` (``ValueError``), where numpy would switch to
+    64-bit draws.
+    """
+
+    __slots__ = ("_bits", "_next", "_half")
+
+    def __init__(self, seed):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._next = iter(()).__next__
+        self._half = None
+
+    def _refill(self) -> int:
+        """Fetch the next block of raw words and return its first."""
+        self._next = iter(self._bits.random_raw(DRAW_BLOCK).tolist()).__next__
+        return self._next()
+
+    def random(self) -> float:
+        """A uniform on [0, 1), as ``Generator.random()``."""
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._refill()
+        return (w >> 11) * _UNIT
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._refill()
+        self._half = w >> 32
+        return w & _LOW32
+
+    def integers(self, n: int) -> int:
+        """A uniform integer in ``0 .. n-1``, as ``Generator.integers(n)``."""
+        if not 0 < n <= 1 << 32:
+            raise ValueError(f"integers(n) needs n in 1..2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & _LOW32) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & _LOW32) < threshold:
+                m = self._uint32() * n
+        return m >> 32
 
 
 class SamplingEnv:
@@ -170,6 +236,10 @@ class SamplingEnv:
     Transitions and raw rewards are reachable only by sampling, with one
     uniform per next state: :meth:`step` takes one step (``learn`` and
     ``fit``), :meth:`walk` a whole chain of a fixed plan (``simulate``).
+    The draws come from ``rng`` (by default ``np.random.default_rng(seed)``):
+    :meth:`reset` and :meth:`step` call only its scalar ``integers(n)`` and
+    ``random()``, so ``learn`` and ``fit`` pass a :class:`BlockDraws`;
+    :meth:`walk` calls ``random(size)`` of a ``Generator``.
 
     The sampler's tables are plain per-state Python lists in the layout of
     :attr:`ImpulseGame.cells`, built once: each cell's raw reward, its
@@ -231,7 +301,7 @@ class SamplingEnv:
         moves to layer ``next_layers[x]``, so the walk lands on ``draw * L +
         next_layers[x]``; a negative next layer marks a spent counter.  Each
         step takes one uniform, the same one :meth:`step` would take, but the
-        uniforms are drawn ``WALK_BLOCK`` at a time.  Reaching a masked cell
+        uniforms are drawn ``DRAW_BLOCK`` at a time.  Reaching a masked cell
         or a spent counter raises ``RuntimeError``; by then the generator may
         have advanced to the end of its block.  Returns ``steps + 1`` states
         as int64.  Refused: a plan whose length is not a positive multiple of
@@ -254,8 +324,8 @@ class SamplingEnv:
             tables.append((self._cum[s][c], nl) if self._ok[s][c] and nl >= 0 else None)
         states = np.empty(steps + 1, dtype=np.int64)
         states[0] = x = start
-        for lo in range(0, steps, WALK_BLOCK):
-            block = self._rng.random(min(WALK_BLOCK, steps - lo)).tolist()
+        for lo in range(0, steps, DRAW_BLOCK):
+            block = self._rng.random(min(DRAW_BLOCK, steps - lo)).tolist()
             for i, u in enumerate(block):
                 entry = tables[x]
                 if entry is None:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .envs import SamplingEnv
+from .envs import BlockDraws, SamplingEnv
 from .game import ImpulseGame
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
@@ -313,9 +313,12 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     the visited state's row of the operator, read off on Python floats by
     the learner's scalar nesting (``"F"`` takes the one-row vectorised
     operator), the executed pair comes from a per-state list rebuilt with
-    the policy, and the exploration slots are built once per run.
+    the policy, and the exploration slots are built once per run.  Every draw
+    (reset state, exploration coin, slot and action, next-state uniform)
+    comes from one :class:`impulsegames.envs.BlockDraws` of ``config.seed``:
+    the scalar draws of ``np.random.default_rng(config.seed)``, bit for bit.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = BlockDraws(config.seed)
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
     slots = _slots(game.cell_costs.tolist(), game.num_actions1)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .game import ImpulseGame, _write_whole, to_cells
-from .envs import SamplingEnv
+from .envs import BlockDraws, SamplingEnv
 from .solver import TIE_EPS
 
 
@@ -124,14 +124,17 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
 
     The learner reads only the game's static knowledge (action counts,
     discount and ``cell_costs``); transitions and raw rewards are reached
-    only by sampling through :meth:`SamplingEnv.step`, on the run's seeded
-    generator, so the learning stays model-free.  The table and visit counts
+    only by sampling through :meth:`SamplingEnv.step`, so the learning stays
+    model-free.  Every draw (reset state, exploration coin, slot and action,
+    next-state uniform) comes from one :class:`BlockDraws` of ``config.seed``:
+    the scalar draws of ``np.random.default_rng(config.seed)``, bit for bit,
+    read from raw words fetched in blocks.  The table and visit counts
     come back as ``(S, A, B)`` arrays, where cells in which both players act
     keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
     track the sup-norm distance to it over the cells executed so far.
     """
-    rng = np.random.default_rng(config.seed)
-    env = SamplingEnv(game, rng=rng)
+    draws = BlockDraws(config.seed)
+    env = SamplingEnv(game, rng=draws)
     ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
     q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
     if q.shape != (ns, na, nb):
@@ -145,35 +148,42 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     # Each state's read-off; only the row a step updates is read off again.
     best = [_greedy(row, cost, na) for row, cost in zip(table, costs)]
     ref = None if reference_q is None else to_cells(np.asarray(reference_q))
-    eps_span = LEARN_EPSILON_END - config.epsilon_start
+    eps0 = config.epsilon_start
+    eps_span = LEARN_EPSILON_END - eps0
+    coin, step, gamma, neg_omega = draws.random, env.step, game.discount, -config.omega
+    isfinite = math.isfinite
+    eval_every, episode_len = LEARN_EVAL_EVERY, config.episode_len
     s = env.reset()
     epoch_sup = 0.0
     for t in range(steps):
-        epsilon = config.epsilon_start + eps_span * (t / steps)
-        if epsilon > 0.0 and rng.random() < epsilon:
-            a, b = _explore(slots[s], rng)
+        epsilon = eps0 + eps_span * (t / steps)
+        if epsilon > 0.0 and coin() < epsilon:
+            a, b = _explore(slots[s], draws)
         else:
             a, b = best[s][1]
         c = na - 1 + b if b else a
-        s2, raw = env.step(s, (a, b))
-        counts[s][c] += 1
-        alpha = counts[s][c] ** -config.omega
-        target = raw + game.discount * best[s2][0]
-        if not math.isfinite(target):
+        s2, raw = step(s, (a, b))
+        row_counts, row = counts[s], table[s]
+        row_counts[c] += 1
+        alpha = row_counts[c] ** neg_omega
+        target = raw + gamma * best[s2][0]
+        if not isfinite(target):
             raise FloatingPointError(
                 f"non-finite update target at step {t}: check the reward model")
-        delta = alpha * (target - table[s][c])
-        table[s][c] += delta
-        best[s] = _greedy(table[s], costs[s], na)
-        epoch_sup = max(epoch_sup, abs(delta))
-        if (t + 1) % LEARN_EVAL_EVERY == 0 or t + 1 == steps:
+        delta = alpha * (target - row[c])
+        row[c] += delta
+        best[s] = _greedy(row, costs[s], na)
+        if abs(delta) > epoch_sup:
+            epoch_sup = abs(delta)
+        done = t + 1
+        if done % eval_every == 0 or done == steps:
             dist = ""
             if ref is not None:
                 seen = np.array(counts) > 0
                 if seen.any():
                     dist = float(np.abs(np.array(table)[seen] - ref[seen]).max())
             diag.rows.append({
-                "step": t + 1,
+                "step": done,
                 "sup_norm_delta": epoch_sup,
                 "dist_to_qhat": dist,
                 "epsilon": epsilon,
@@ -181,7 +191,7 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
             })
             diag.final_sup_delta = epoch_sup
             epoch_sup = 0.0
-        s = s2 if (t + 1) % config.episode_len else env.reset()
+        s = s2 if done % episode_len else env.reset()
     table, counts = np.array(table), np.array(counts, dtype=np.int64)
     q[:, :, 0], q[:, 0, 1:] = table[:, :na], table[:, na:]
     diag.visits[:, :, 0], diag.visits[:, 0, 1:] = counts[:, :na], counts[:, na:]

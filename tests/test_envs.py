@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames.envs import DRAW_BLOCK, BlockDraws
 
 
 def test_step_mean_pure_decay():
@@ -203,3 +204,30 @@ def test_sampling_env_refuses_two_non_null_actions():
     env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0))
     with pytest.raises(ValueError, match="never executes"):
         env.step(0, (1, 1))
+
+
+# Bounds for `integers`: no draw (1), small ones, and 32-bit ones near the top, where
+# 3 * 2**30 rejects about a quarter of its draws and 2**32 takes a bare 32-bit half.
+_BOUNDS = [1, 2, 3, 5, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+def _draw(rng, op):
+    """One scalar draw: ``random()`` for ``op == len(_BOUNDS)``, else ``integers``."""
+    return rng.random() if op == len(_BOUNDS) else int(rng.integers(_BOUNDS[op]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_block_draws_match_generator(seed):
+    ops = np.random.default_rng(10_000 + seed).integers(len(_BOUNDS) + 1, size=30_000).tolist()
+    # Fill one block with doubles, leave the upper half of its last word pending for
+    # after the next block's first double, then mix everything across several blocks.
+    ops = [len(_BOUNDS)] * (DRAW_BLOCK - 1) + [3, len(_BOUNDS), 6, 3] + ops
+    draws, rng = BlockDraws(seed), np.random.default_rng(seed)
+    assert [_draw(draws, op) for op in ops] == [_draw(rng, op) for op in ops]
+    assert [draws.random(), draws.integers(7)] == [rng.random(), rng.integers(7)]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_block_draws_refuse_a_bound_outside_32_bits(n):
+    with pytest.raises(ValueError, match="1..2"):
+        BlockDraws(0).integers(n)
