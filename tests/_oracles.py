@@ -252,7 +252,8 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
     It takes the same random draws in the same order as ``qlearn.learn`` on a
     game (reset state, exploration coin, slot and action, next-state uniform)
     but does its own greedy read-off, sampling and update, with the schedule
-    constants ``qlearn.LEARN_EPSILON_END`` and ``LEARN_EVAL_EVERY``.  Returns
+    constants ``qlearn.LEARN_EPSILON_END`` and ``LEARN_EVAL_EVERY``: exploration
+    decays linearly from ``epsilon_start`` to the lower of the two.  Returns
     ``(q, visits, rows)``.
     """
     from impulsegames.qlearn import LEARN_EPSILON_END, LEARN_EVAL_EVERY
@@ -284,7 +285,8 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
     s = int(rng.integers(ns))
     epoch_sup = 0.0
     for t in range(config.steps):
-        eps = config.epsilon_start + (LEARN_EPSILON_END - config.epsilon_start) * (
+        eps = config.epsilon_start + (
+            min(config.epsilon_start, LEARN_EPSILON_END) - config.epsilon_start) * (
             t / config.steps)
         a, b = mask_explore(game, s, rng) if eps > 0.0 and rng.random() < eps else read_off(s)[1]
         row = game.kernel[s, a, b]
