@@ -24,7 +24,8 @@ from .envs import BlockDraws, SamplingEnv
 from .solver import TIE_EPS
 
 
-# The exploration rate at the end of the step budget, and the steps per diagnostics row.
+# The exploration rate at the end of the step budget (a lower start is kept), and the
+# steps per diagnostics row.
 LEARN_EPSILON_END = 0.01
 LEARN_EVAL_EVERY = 1000
 
@@ -36,7 +37,8 @@ class LearnConfig:
     Step sizes are per-cell ``1 / (1 + visits)**omega`` with
     ``omega in (0.5, 1]`` so they are square-summable but not summable.
     Exploration decays linearly from ``epsilon_start`` to
-    ``LEARN_EPSILON_END`` over the step budget.  An episode restarts from a
+    ``LEARN_EPSILON_END`` over the step budget; a start below that stays
+    constant, so ``epsilon_start=0`` is greedy.  An episode restarts from a
     uniform state every ``episode_len`` steps.
     """
 
@@ -149,7 +151,7 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     best = [_greedy(row, cost, na) for row, cost in zip(table, costs)]
     ref = None if reference_q is None else to_cells(np.asarray(reference_q))
     eps0 = config.epsilon_start
-    eps_span = LEARN_EPSILON_END - eps0
+    eps_span = min(eps0, LEARN_EPSILON_END) - eps0
     coin, step, gamma, neg_omega = draws.random, env.step, game.discount, -config.omega
     isfinite = math.isfinite
     eval_every, episode_len = LEARN_EVAL_EVERY, config.episode_len

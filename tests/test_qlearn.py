@@ -91,6 +91,19 @@ def test_learn_zero_budget_returns_init(g1):
     assert diag.steps_run == 0
 
 
+def test_learn_keeps_an_exploration_start_below_the_end_value(monkeypatch):
+    game = ig.random_game(5, 1, 1, seed=5)
+    _, diag = ig.learn(game, ig.LearnConfig(steps=5000, epsilon_start=0.005, seed=1))
+    assert {row["epsilon"] for row in diag.rows} == {0.005}
+
+    def explore(slots, rng):
+        raise AssertionError("explored at epsilon 0")
+
+    monkeypatch.setattr(qlearn, "_explore", explore)
+    _, diag = ig.learn(game, ig.LearnConfig(steps=5000, epsilon_start=0.0))
+    assert {row["epsilon"] for row in diag.rows} == {0.0}
+
+
 def test_learn_determinism(g1):
     cfg = ig.LearnConfig(steps=2000, seed=5)
     q1, _ = ig.learn(g1, cfg)
@@ -247,10 +260,11 @@ def _learner_case(case):
 
 
 @pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "30x3x3", "masked", "budget",
-                                  "reference_q", "q0", "explore"])
+                                  "reference_q", "q0", "explore", "greedy", "eps_low"])
 def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     game, kwargs = _learner_case(case)
-    cfg = ig.LearnConfig(steps=4000, seed=7, episode_len=50)
+    start = {"greedy": 0.0, "eps_low": 0.005}.get(case, 0.2)
+    cfg = ig.LearnConfig(steps=4000, seed=7, episode_len=50, epsilon_start=start)
     if case == "explore":
         # Exploration held at 1: every step draws a slot and an action by `integers`,
         # so 32-bit halves interleave with doubles and resets across many draw blocks.
