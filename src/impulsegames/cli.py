@@ -1,4 +1,4 @@
-"""Command-line front door: solve, learn, simulate, oracle, budget, gen.
+"""Command-line front door: solve, learn, simulate, oracle, budget, fit, gen.
 
 Exit codes: 0 success, 1 input error (bad file, bad flags), 2 the run
 finished but did not reach its goal (no convergence / uncertified).  All
@@ -230,6 +230,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer in digits, the seeds numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """A bad flag is an input error: exit 1 with one line, through ``main``."""
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=0.9,
                        help="discount for --gen games (default 0.9)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("solve", help="exact value, action table and policy")
     common(p)

@@ -357,6 +357,22 @@ def test_budget_bad_seed_exits_1_no_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["learn"], ["fit"], ["simulate"],
+                                     ["budget", "--n1", "1", "--n2", "1"]])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_bad_seed_is_refused_by_name_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                       seed):
+    def obtain(args):
+        raise AssertionError("the game was built before the seed was checked")
+
+    monkeypatch.setattr(cli_module, "_obtain_game", obtain)
+    out = tmp_path / "out"
+    assert main([*command, "--gen", "3,1,1,0", "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
+    assert not out.exists()
+
+
 def test_fit_parses_the_game_file_once(tmp_path, monkeypatch):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({**ig.game_to_dict(ig.random_game(3, 1, 1, seed=0)),
