@@ -310,15 +310,17 @@ def loop_learn(game, config, q0=None, reference_q=None, tie_eps=1e-10):
 
 
 def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.85,
-             episode_len=100, epoch=1000):
+             episode_len=100, epoch=1000, r0=None, norms=None):
     """The sampled weight iteration of ``linfa.fit`` as one plain loop, every
     schedule knob an argument, no early stop and no divergence check.
 
-    An exploration coin is drawn only when ``epsilon > 0``.  The behaviour
-    policy is read off by :func:`loop_operator` once per epoch; the per-state
-    target (``linfa._sample_target``), the exploration draw
+    The coefficients start at ``r0`` (zeros by default).  An exploration coin
+    is drawn only when ``epsilon > 0``.  The behaviour policy is read off by
+    :func:`loop_operator` once per epoch; the per-state target
+    (``linfa._sample_target``), the exploration draw
     (``qlearn._slots``/``_explore``) and the sampler (``SamplingEnv``) are the
-    library's, so that the coefficients can be compared bit for bit.
+    library's, so that the coefficients can be compared bit for bit.  A list
+    passed as ``norms`` receives ``max |r|`` after every sample.
     Returns the coefficients.
     """
     from impulsegames import linfa, qlearn
@@ -333,7 +335,7 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
         _, _, act1, p2, act2 = loop_operator(game, field)
         return [(0, int(b)) if q else (int(a), 0) for a, q, b in zip(act1, p2, act2)]
 
-    r = np.zeros(basis.num_features)
+    r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
     s = env.reset()
     pairs = greedy_pairs(phi @ r)
     for t in range(samples):
@@ -341,6 +343,8 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
         target = linfa._sample_target(game, lam, s, combinator)
         alpha = (1.0 + t) ** -step_power
         r = r + alpha * phi[s] * (target - lam[s])
+        if norms is not None:
+            norms.append(float(np.abs(r).max()))
         if (t + 1) % epoch == 0:
             pairs = greedy_pairs(phi @ r)
         if epsilon > 0.0 and rng.random() < epsilon:

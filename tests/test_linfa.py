@@ -226,6 +226,39 @@ def test_fit_matches_the_loop_reference_bit_for_bit(case, combinator):
     assert r.tobytes() == want.tobytes(), np.abs(r - want).max()
 
 
+@pytest.mark.parametrize("with_r0", [False, True], ids=["zeros", "r0"])
+@pytest.mark.parametrize("basis_kind", ["identity", "random"])
+def test_divergence_error_comes_at_the_first_sample_above_the_limit(basis_kind, with_r0):
+    game = randomly_masked(ig.random_game(20, 2, 2, seed=23), 23)
+    rng = np.random.default_rng(23)
+    basis = (ig.identity_basis(20) if basis_kind == "identity"
+             else ig.FeatureBasis(rng.normal(size=(20, 6))))
+    r0 = rng.normal(scale=2.0, size=basis.num_features) if with_r0 else None
+    norms = []
+    loop_fit(game, basis, 1500, 7, "T", r0=r0, norms=norms)
+    top = max(norms)
+    # Limits inside the reached range, some equal to a reached |r| and some one ulp below it.
+    limits = [top * f for f in (0.2, 0.5, 0.9, 0.999)]
+    limits += [x for k in (0, 1, 10, 300, 1000) for x in (norms[k], np.nextafter(norms[k], 0.0))]
+    raised = 0
+    for limit in limits:
+        first = next((t for t, n in enumerate(norms) if n > limit), None)
+        config = ig.FitConfig(samples=1500, seed=7, divergence_limit=limit,
+                              compute_reference=False)
+        if first is None:
+            ig.fit(game, basis, config, r0=r0)
+            continue
+        with pytest.raises(ig.FitDivergenceError) as exc:
+            ig.fit(game, basis, config, r0=r0)
+        assert exc.value.step == first, (limit, exc.value.step, first)
+        prefix = []
+        want = loop_fit(game, basis, first + 1, 7, "T", r0=r0, norms=prefix)
+        assert exc.value.r.tobytes() == want.tobytes()
+        assert prefix[first] > limit and all(n <= limit for n in prefix[:first])
+        raised += 1
+    assert raised >= 6
+
+
 def _fit_case(k, basis_kind):
     """A seeded game, a basis and the bound's weights at its value."""
     rng = np.random.default_rng(k)
