@@ -314,35 +314,46 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
     """The sampled weight iteration of ``linfa.fit`` as one plain loop, every
     schedule knob an argument, no early stop and no divergence check.
 
-    The coefficients start at ``r0`` (zeros by default).  An exploration coin
-    is drawn only when ``epsilon > 0``.  The behaviour policy is read off by
-    :func:`loop_operator` once per epoch; the per-state target
-    (``linfa._sample_target``), the exploration draw
+    The coefficients start at ``r0`` (zeros by default).  Each sample reads
+    the visited state's row of net values ``net[s] + gamma * (kphi[s] @ r)``
+    from ``kphi = kernel @ Phi`` on the cells table, and moves ``r`` by
+    ``c * Phi[s]`` with ``c = alpha * (target - Phi[s] @ r)``.  An
+    exploration coin is drawn only when ``epsilon > 0``.  The behaviour
+    policy is read off by :func:`loop_operator` once per epoch; the row's
+    read-off (``qlearn._greedy`` for ``"T"``, ``solver._reduce`` and
+    ``linfa._nest`` for ``"F"``), the exploration draw
     (``qlearn._slots``/``_explore``) and the sampler (``SamplingEnv``) are the
     library's, so that the coefficients can be compared bit for bit.  A list
     passed as ``norms`` receives ``max |r|`` after every sample.
     Returns the coefficients.
     """
-    from impulsegames import linfa, qlearn
+    from impulsegames import linfa, qlearn, solver
     from impulsegames.envs import SamplingEnv
 
     rng = np.random.default_rng(seed)
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
-    slots = qlearn._slots(game.cell_costs.tolist(), game.num_actions1)
+    kernel, net = game.cells
+    kphi = kernel @ phi
+    na = game.num_actions1
+    slots = qlearn._slots(game.cell_costs.tolist(), na)
 
     def greedy_pairs(field):
         _, _, act1, p2, act2 = loop_operator(game, field)
         return [(0, int(b)) if q else (int(a), 0) for a, q, b in zip(act1, p2, act2)]
 
+    def target_of(row):
+        if combinator == "T":
+            return qlearn._greedy(row.tolist(), [-0.0] * len(row), na)[0]
+        return linfa._nest(solver._reduce(row[None], na), combinator)[0]
+
     r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
     s = env.reset()
     pairs = greedy_pairs(phi @ r)
     for t in range(samples):
-        lam = phi @ r
-        target = linfa._sample_target(game, lam, s, combinator)
+        target = target_of(net[s] + game.discount * (kphi[s] @ r))
         alpha = (1.0 + t) ** -step_power
-        r = r + alpha * phi[s] * (target - lam[s])
+        r = r + alpha * (target - phi[s] @ r) * phi[s]
         if norms is not None:
             norms.append(float(np.abs(r).max()))
         if (t + 1) % epoch == 0:
