@@ -6,10 +6,10 @@ Two nestings of the operator are kept side by side behind a ``combinator``
 switch: ``"T"`` is min-outside (the solver's own nesting, so its fixed point
 is the game value) and ``"F"`` is the flipped max-outside form.  Both are
 gamma-contractions; they differ in which player the middle do-nothing term
-shelters.  The sampled fit evaluates them at the visited state only; its
-behaviour trajectory takes the learner's exploration draw
-(:func:`impulsegames.qlearn._explore`) and the sampler of
-:class:`impulsegames.envs.SamplingEnv`.
+shelters.  The sampled fit evaluates them at the visited state only, from
+a ``kernel @ Phi`` table built once per fit; its behaviour trajectory takes
+the learner's exploration draw (:func:`impulsegames.qlearn._explore`) and
+the sampler of :class:`impulsegames.envs.SamplingEnv`.
 
 The weighted projection is factored once per basis and weights
 (:func:`_projector`).  :func:`projected_iteration` sweeps through it and,
@@ -34,7 +34,7 @@ from .envs import BlockDraws, SamplingEnv
 from .game import ImpulseGame
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
-                     extract_policy, operator_terms, solve)
+                     _reduce, extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -164,16 +164,15 @@ def _nest_actions(t, combinator: str) -> tuple[np.ndarray, np.ndarray]:
     return np.where(p1, t.act1, 0), np.where(p2, t.act2, 0)
 
 
-def _sample_target(game: ImpulseGame, lam, s: int, combinator: str) -> float:
-    """The selected operator's value at the one state ``s``: ``"T"`` through
+def _sample_target(game: ImpulseGame, row, combinator: str) -> float:
+    """The selected operator's value at one state from that state's row of
+    net cell values, ``net[s] + gamma * E[v(next) | cell]``: ``"T"`` through
     the learner's scalar read-off on the row's Python floats (one vectorised
-    call on one row costs more), ``"F"`` through :func:`_operator_on_field`."""
+    call on one row costs more), ``"F"`` through the one-row :func:`_nest`."""
     if combinator != "T":
-        return _operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
-    kernel, net = game.cells
-    row = (net[s] + game.discount * (kernel[s] @ lam)).tolist()
+        return _nest(_reduce(row[None], game.num_actions1), combinator)[0]
     # `net` holds the costs already, so the read-off adds -0.0 to each cell.
-    return _greedy(row, [-0.0] * len(row), game.num_actions1)[0]
+    return _greedy(row.tolist(), [-0.0] * len(row), game.num_actions1)[0]
 
 
 def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
@@ -309,29 +308,45 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     only the trajectory is sampled.  The schedule is the ``FIT_*`` constants;
     coefficients above ``config.divergence_limit`` raise :class:`FitDivergenceError`.
 
-    Per sample the work runs on tables built once: the ``"T"`` target is
-    the visited state's row of the operator, read off on Python floats by
-    the learner's scalar nesting (``"F"`` takes the one-row vectorised
-    operator), the executed pair comes from a per-state list rebuilt with
-    the policy, and the exploration slots are built once per run.  Every draw
-    (reset state, exploration coin, slot and action, next-state uniform)
-    comes from one :class:`impulsegames.envs.BlockDraws` of ``config.seed``:
-    the scalar draws of ``np.random.default_rng(config.seed)``, bit for bit.
+    Per sample the work runs on tables built once.  ``kernel @ Phi`` on the
+    cells table, S x (A+B-1) x K doubles and so never larger than the cells
+    kernel, gives the visited state's row of the operator as
+    ``net[s] + gamma * ((kernel @ Phi)[s] @ r)``; the ``"T"`` target is read
+    off that row on Python floats by the learner's scalar nesting (``"F"``
+    takes the one-row vectorised nesting).  ``r`` moves in place along
+    ``Phi[s]``.  The divergence check keeps a running upper bound on
+    ``max |r|`` and takes the exact maximum only when the bound passes the
+    limit, so it raises at the same sample as an exact check after every
+    sample would.  The executed pair comes from a per-state list rebuilt
+    with the policy, and the exploration slots are built once per run.
+    Every draw (reset state, exploration coin, slot and action, next-state
+    uniform) comes from one :class:`impulsegames.envs.BlockDraws` of
+    ``config.seed``: the scalar draws of ``np.random.default_rng(config.seed)``,
+    bit for bit.
     """
     rng = BlockDraws(config.seed)
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
+    kernel, net = game.cells
+    kphi = kernel @ phi
+    phi_max = np.abs(phi).max(axis=1).tolist()
+    gamma, limit = game.discount, config.divergence_limit
     slots = _slots(game.cell_costs.tolist(), game.num_actions1)
     r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
+    bound = float(np.abs(r).max())
     s = env.reset()
     pairs = extract_policy(game, basis.field(r)).executed_pairs()
     for t in range(config.samples):
-        lam = phi @ r
-        target = _sample_target(game, lam, s, config.combinator)
-        alpha = (1.0 + t) ** -FIT_STEP_POWER
-        r = r + alpha * phi[s] * (target - lam[s])
-        if np.abs(r).max() > config.divergence_limit:
-            raise FitDivergenceError(t, r)
+        target = _sample_target(game, net[s] + gamma * (kphi[s] @ r), config.combinator)
+        c = (1.0 + t) ** -FIT_STEP_POWER * (target - phi[s] @ r)
+        r += c * phi[s]
+        # An upper bound on max |r|, with room for the update's rounding; the
+        # exact maximum is taken only when the bound passes the limit.
+        bound = (bound + abs(c) * phi_max[s]) * (1.0 + 1e-12)
+        if bound > limit:
+            bound = float(np.abs(r).max())
+            if bound > limit:
+                raise FitDivergenceError(t, r)
         if (t + 1) % FIT_EPOCH == 0:
             pairs = extract_policy(game, phi @ r).executed_pairs()
         pair = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else pairs[s]

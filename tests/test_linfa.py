@@ -202,27 +202,44 @@ def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator
     rng = np.random.default_rng(8)
     fields = [ig.solve(game, tol=1e-9).value, np.zeros(game.num_states)]
     fields += [rng.normal(scale=10.0, size=game.num_states) for _ in range(3)]
+    kernel, net = game.cells
     for lam in fields:
         for s in range(game.num_states):
-            got = linfa._sample_target(game, lam, s, combinator)
+            got = linfa._sample_target(game, net[s] + game.discount * (kernel[s] @ lam), combinator)
             want = linfa._operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
             assert np.float64(got).tobytes() == want.tobytes(), (s, got, want)
 
 
+def _polynomial_basis(grid_size):
+    """Eight smooth features of the duopoly's two sales levels, scaled to [-1, 1]."""
+    x = np.repeat(np.linspace(-1.0, 1.0, grid_size), grid_size)
+    y = np.tile(np.linspace(-1.0, 1.0, grid_size), grid_size)
+    return ig.FeatureBasis(np.stack([np.ones_like(x), x, y, x * y, x * x, y * y,
+                                     x * x * y, x * y * y], 1))
+
+
 @pytest.mark.parametrize("combinator", ["T", "F"])
-@pytest.mark.parametrize("case", ["duopoly-identity", "masked-random-basis"])
+@pytest.mark.parametrize("case", ["duopoly-identity", "masked-random-basis",
+                                  "duopoly81-polynomial", "masked-random-basis-r0"])
 def test_fit_matches_the_loop_reference_bit_for_bit(case, combinator):
+    r0 = None
     if case == "duopoly-identity":
         game = ig.build_duopoly_game(ig.DuopolyParams())
         basis = ig.identity_basis(game.num_states)
+    elif case == "duopoly81-polynomial":
+        game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=9))
+        basis = _polynomial_basis(9)
     else:
         game = randomly_masked(ig.random_game(25, 3, 2, seed=41), 41)
-        basis = ig.FeatureBasis(np.random.default_rng(41).normal(size=(25, 6)))
+        rng = np.random.default_rng(41)
+        basis = ig.FeatureBasis(rng.normal(size=(25, 6)))
+        if case.endswith("-r0"):
+            r0 = rng.normal(scale=3.0, size=6)
     # 3500 samples cross three epochs (policy refreshes) and 35 episodes.
     config = ig.FitConfig(samples=3500, seed=5, combinator=combinator,
                           compute_reference=False)
-    r, _ = ig.fit(game, basis, config)
-    want = loop_fit(game, basis, 3500, 5, combinator)
+    r, _ = ig.fit(game, basis, config, r0=r0)
+    want = loop_fit(game, basis, 3500, 5, combinator, r0=r0)
     assert r.tobytes() == want.tobytes(), np.abs(r - want).max()
 
 
