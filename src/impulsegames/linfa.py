@@ -266,7 +266,9 @@ def _finish(game: ImpulseGame, phi, m, t, combinator: str):
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the sampled weight-space iteration; its schedule is the
-    ``FIT_*`` constants.  ``compute_reference`` costs one :func:`solve`."""
+    ``FIT_*`` constants.  ``compute_reference`` costs one :func:`solve`.
+    ``divergence_limit`` is a positive bound on ``max |r|``; ``inf`` turns
+    the check off."""
 
     samples: int
     seed: int = 0
@@ -279,6 +281,9 @@ class FitConfig:
             raise ValueError(f"combinator must be one of {COMBINATORS}")
         if self.samples < 0:
             raise ValueError(f"samples must be non-negative, got {self.samples}")
+        if not self.divergence_limit > 0:
+            raise ValueError("divergence_limit must be positive (inf for no check), "
+                             f"got {self.divergence_limit!r}")
 
 
 class FitDivergenceError(RuntimeError):

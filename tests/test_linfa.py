@@ -135,6 +135,19 @@ def test_fit_refuses_a_negative_sample_count(g1):
         ig.FitConfig(samples=-1)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+def test_fit_refuses_a_divergence_limit_that_is_not_positive(limit):
+    with pytest.raises(ValueError, match="divergence_limit"):
+        ig.FitConfig(samples=10, divergence_limit=limit)
+
+
+def test_fit_without_a_divergence_limit_runs_through(g1):
+    r, _ = ig.fit(g1, ig.identity_basis(1),
+                  ig.FitConfig(samples=100, seed=0, divergence_limit=float("inf"),
+                               compute_reference=False), r0=[1e300])
+    assert np.isfinite(r).all()
+
+
 def test_fit_divergence_detector(g1):
     with pytest.raises(ig.FitDivergenceError):
         ig.fit(g1, ig.identity_basis(1),
