@@ -69,11 +69,20 @@ def _write_csv(path, header, columns) -> None:
     _write_whole(path, write, newline="")
 
 
-def _parse_gen(spec: str):
+def _parse_gen(spec: str) -> tuple[int, int, int, int]:
+    """``--gen "S,A,B,seed"``: four fields under :func:`_seed`'s rule, S at least 1."""
     parts = spec.split(",")
     if len(parts) != 4:
-        raise ValueError("--gen expects \"S,A,B,seed\"")
-    return tuple(int(p.strip()) for p in parts)
+        raise argparse.ArgumentTypeError(f"expected \"S,A,B,seed\", got {spec!r}")
+    fields = []
+    for name, text in zip(("S", "A", "B", "seed"), parts):
+        try:
+            fields.append(_seed(text.strip()))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"field {name}: {exc}") from None
+    if fields[0] < 1:
+        raise argparse.ArgumentTypeError("field S: a game needs at least one state, got 0")
+    return tuple(fields)
 
 
 def _obtain_game(args):
@@ -83,7 +92,7 @@ def _obtain_game(args):
         with open(args.duopoly, encoding="utf-8") as f:
             doc = json.load(f)
         return build_duopoly_game(duopoly_params_from_dict(doc))
-    s, a, b, seed = _parse_gen(args.gen)
+    s, a, b, seed = args.gen
     return random_game(s, a, b, seed, gamma=args.gamma)
 
 
@@ -253,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_game=True):
         src = p.add_mutually_exclusive_group(required=needs_game)
         src.add_argument("--game", help="path to a game-spec JSON file")
-        src.add_argument("--gen", help="random game spec \"S,A,B,seed\"")
+        src.add_argument("--gen", type=_parse_gen, help="random game spec \"S,A,B,seed\"")
         src.add_argument("--duopoly", help="path to a duopoly parameter JSON block")
         p.add_argument("--gamma", type=float, default=0.9,
                        help="discount for --gen games (default 0.9)")

@@ -151,13 +151,27 @@ def test_mutually_exclusive_game_sources(tmp_path, g1_file, capsys):
     ["solve", "--gen", "3,1,1,0", "--tol", "nan"],
     ["solve", "--gen", "3,1,1,0", "--max-sweeps", "-1"],
     ["frobnicate"],
+    ["solve", "--gen", "3,1,1,-1"],
+    ["solve", "--gen", "3,1,1,2.5"],
+    ["solve", "--gen", "3,1,x,0"],
+    ["solve", "--gen", "0,1,1,0"],
+    ["solve", "--gen", "3,1,1"],
 ], ids=["unknown-flag", "bad-float", "bad-choice", "missing-required", "negative-fit-steps",
         "negative-learn-steps", "negative-simulate-steps", "negative-budget-steps",
-        "nan-tol", "negative-max-sweeps", "unknown-command"])
+        "nan-tol", "negative-max-sweeps", "unknown-command", "gen-negative-seed",
+        "gen-float-seed", "gen-word-field", "gen-no-states", "gen-three-fields"])
 def test_bad_flags_exit_1_with_one_line_and_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     _assert_one_error_line_and_no_output(capsys, out)
+
+
+@pytest.mark.parametrize("spec, field", [("3,1,1,-1", "seed"), ("3,1,1,2.5", "seed"),
+                                         ("3,1,x,0", "B"), ("3,-1,1,0", "A"),
+                                         ("0,1,1,0", "S"), ("3.0,1,1,0", "S")])
+def test_a_bad_gen_field_is_refused_by_name(tmp_path, capsys, spec, field):
+    assert main(["solve", "--gen", spec, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: argument --gen: field {field}: ")
 
 
 def test_help_still_exits_0(capsys):
