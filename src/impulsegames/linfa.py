@@ -131,8 +131,8 @@ def project(basis: FeatureBasis, weights, target) -> np.ndarray:
     return basis.field(projection_weights(basis, weights, target))
 
 
-def _operator_on_field(game: ImpulseGame, lam, combinator: str, rows=None) -> np.ndarray:
-    return _nest(operator_terms(game, lam, _rows=rows), combinator)
+def _operator_on_field(game: ImpulseGame, lam, combinator: str) -> np.ndarray:
+    return _nest(operator_terms(game, lam), combinator)
 
 
 def _flipped_inner(t) -> np.ndarray:

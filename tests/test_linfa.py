@@ -219,7 +219,8 @@ def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator
     for lam in fields:
         for s in range(game.num_states):
             got = linfa._sample_target(game, net[s] + game.discount * (kernel[s] @ lam), combinator)
-            want = linfa._operator_on_field(game, lam, combinator, rows=slice(s, s + 1))[0]
+            want = linfa._nest(solver.operator_terms(game, lam, _rows=slice(s, s + 1)),
+                               combinator)[0]
             assert np.float64(got).tobytes() == want.tobytes(), (s, got, want)
 
 
