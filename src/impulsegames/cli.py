@@ -20,7 +20,7 @@ from . import budget as budget_mod
 from . import linfa
 from . import qlearn
 from .envs import build_duopoly_game, duopoly_params_from_dict
-from .game import (_basis_from_dict, _read_spec, _write_json, _write_whole, game_from_dict,
+from .game import (_basis_from_dict, _read_spec, _write_csv, _write_json, game_from_dict,
                    load_game, random_game, save_game)
 from .sim import simulate
 from .solver import minimax_oracle, solve
@@ -29,44 +29,6 @@ log = logging.getLogger("impulsegames")
 
 # Coefficient delta at which `fit`'s projected-iteration polish has converged.
 FIT_POLISH_TOL = 1e-12
-
-
-# Rows of a CSV file formatted at a time.
-_BLOCK_ROWS = 1 << 12
-
-
-def _csv_quote(text: str) -> str:
-    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
-    inner quotes doubled, when it holds a comma, a quote or a line break."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_fields(values) -> list:
-    """The fields of a 1-D array as ``csv.writer`` writes them, each distinct
-    value formatted once: floats (told apart by their bits, so ``-0.0`` is
-    not ``0.0``) with ``repr``, ints and bools with ``str``, strings quoted."""
-    if values.dtype == np.float64:
-        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = [repr(x) for x in keys.view(np.float64).tolist()]
-    else:
-        keys, inverse = np.unique(values, return_inverse=True)
-        fmt = _csv_quote if values.dtype.kind == "U" else str
-        texts = [fmt(x) for x in keys.tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length 1-D arrays ``columns`` (two or more; float64, int,
-    bool or str) under ``header``: the bytes of ``csv.writer`` with its
-    default dialect, CRLF line ends, formatted ``_BLOCK_ROWS`` rows at a time."""
-    def write(f):
-        f.write(",".join(map(_csv_quote, header)) + "\r\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            fields = [_csv_fields(col[lo:lo + _BLOCK_ROWS]) for col in columns]
-            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
-    _write_whole(path, write, newline="")
 
 
 def _parse_gen(spec: str) -> tuple[int, int, int, int]:

@@ -243,11 +243,11 @@ class SamplingEnv:
 
     The sampler's tables are plain per-state Python lists in the layout of
     :attr:`ImpulseGame.cells`, built once: each cell's raw reward, its
-    availability and its cumulative kernel row (an ``array('d')``, read with
-    ``bisect``).  A row whose sum rounds below 1 can draw past its end; such
-    a draw lands on the row's last state with positive mass.  So each row is
-    cut just before that state, and the bisection of a uniform in the cut row
-    is the next state.
+    availability (a finite :attr:`ImpulseGame.cell_costs` entry) and its
+    cumulative kernel row (an ``array('d')``, read with ``bisect``).  A row
+    whose sum rounds below 1 can draw past its end; such a draw lands on the
+    row's last state with positive mass.  So each row is cut just before that
+    state, and the bisection of a uniform in the cut row is the next state.
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None):
@@ -258,8 +258,8 @@ class SamplingEnv:
                       for row, n in zip(np.cumsum(rows, axis=1), ends)]
                      for rows, ends in zip(kernel, last.tolist())]
         self._reward = to_cells(game.reward).tolist()
-        self._ok = np.concatenate([np.ones((ns, 1), dtype=bool),
-                                   game.mask1[:, 1:], game.mask2[:, 1:]], axis=1).tolist()
+        self._ok = np.isfinite(game.cell_costs).tolist()
+        self._ncells = kernel.shape[1]
         self._rng = np.random.default_rng(seed) if rng is None else rng
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
@@ -269,27 +269,17 @@ class SamplingEnv:
         """Draw a fresh start state, uniform over the states."""
         return int(self._rng.integers(self.num_states))
 
-    def step(self, s: int, pair) -> tuple[int, float]:
-        """Sample the next state (one uniform draw) and return the raw
-        (cost-exclusive) reward.  A masked action is a hard fault.  Refused: a
-        state outside ``0 .. S-1`` or an action outside its player's range
-        (``IndexError``), and two non-null actions (``ValueError``)."""
-        a, b = pair
-        if b:
-            if a:
-                raise ValueError(f"pair ({a}, {b}) never executes: Player 2's action takes "
-                                 "precedence")
-            if not 0 < b < self.num_actions2:
-                raise IndexError(f"Player-2 action {b} outside 0..{self.num_actions2 - 1}")
-            c = self.num_actions1 - 1 + b
-        elif 0 <= a < self.num_actions1:
-            c = a
-        else:
-            raise IndexError(f"Player-1 action {a} outside 0..{self.num_actions1 - 1}")
-        if s < 0:
+    def step(self, s: int, c: int) -> tuple[int, float]:
+        """Execute cell ``c`` of :attr:`ImpulseGame.cells` at state ``s``: the
+        next state (one uniform draw) and the raw (cost-exclusive) reward.  A
+        masked cell is a hard fault (``RuntimeError``).  Refused: a state
+        outside ``0 .. S-1`` or a cell outside ``0 .. A+B-2`` (``IndexError``)."""
+        if not 0 <= c < self._ncells:
+            raise IndexError(f"cell {c} outside 0..{self._ncells - 1}")
+        if not 0 <= s < self.num_states:
             raise IndexError(f"state {s} outside 0..{self.num_states - 1}")
         if not self._ok[s][c]:
-            raise RuntimeError(f"masked action ({a}, {b}) attempted at state {s}")
+            raise RuntimeError(f"masked cell {c} attempted at state {s}")
         return bisect_right(self._cum[s][c], self._rng.random()), self._reward[s][c]
 
     def walk(self, start: int, cells, next_layers, steps: int) -> np.ndarray:
@@ -315,11 +305,11 @@ class SamplingEnv:
                              f"does not cover {self.num_states} states")
         if not 0 <= start < size:
             raise IndexError(f"start state {start} outside 0..{size - 1}")
-        layers, ncells = size // self.num_states, len(self._ok[0])
+        layers = size // self.num_states
         tables = []
         for x, (c, nl) in enumerate(zip(cells, next_layers)):
-            if not 0 <= c < ncells:
-                raise IndexError(f"cell {c} at state {x} outside 0..{ncells - 1}")
+            if not 0 <= c < self._ncells:
+                raise IndexError(f"cell {c} at state {x} outside 0..{self._ncells - 1}")
             s = x // layers
             tables.append((self._cum[s][c], nl) if self._ok[s][c] and nl >= 0 else None)
         states = np.empty(steps + 1, dtype=np.int64)
@@ -329,9 +319,7 @@ class SamplingEnv:
             for i, u in enumerate(block):
                 entry = tables[x]
                 if entry is None:
-                    c = cells[x]
-                    a, b = (c, 0) if c < self.num_actions1 else (0, c - self.num_actions1 + 1)
-                    raise RuntimeError(f"masked action ({a}, {b}) reached at state {x}")
+                    raise RuntimeError(f"masked cell {cells[x]} reached at state {x}")
                 x = block[i] = bisect_right(entry[0], u) * layers + entry[1]
             states[lo + 1:lo + 1 + len(block)] = block
         return states

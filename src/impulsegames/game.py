@@ -97,6 +97,45 @@ def _write_json(path, obj) -> None:
     _write_whole(path, lambda f: (f.writelines(_encode(obj, 0)), f.write("\n")))
 
 
+# Rows of a CSV file formatted at a time.
+_BLOCK_ROWS = 1 << 12
+
+
+def _csv_quote(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_fields(values) -> list:
+    """The fields of a 1-D array as ``csv.writer`` writes them, each distinct
+    value formatted once: floats (told apart by their bits, so ``-0.0`` is
+    not ``0.0``) with ``repr``, ints and bools with ``str``, strings quoted."""
+    if values.dtype == np.float64:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = [repr(x) for x in keys.view(np.float64).tolist()]
+    else:
+        keys, inverse = np.unique(values, return_inverse=True)
+        fmt = _csv_quote if values.dtype.kind == "U" else str
+        texts = [fmt(x) for x in keys.tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D arrays ``columns`` (two or more; float64, int,
+    bool or str) under ``header``: the bytes of ``csv.writer`` with its
+    default dialect, CRLF line ends, formatted ``_BLOCK_ROWS`` rows at a time,
+    through :func:`_write_whole`."""
+    def write(f):
+        f.write(",".join(map(_csv_quote, header)) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = [_csv_fields(col[lo:lo + _BLOCK_ROWS]) for col in columns]
+            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    _write_whole(path, write, newline="")
+
+
 # Numbers of an array, and items of a list of scalars or records, formatted
 # per piece: a piece's strings and text are what writing a table holds beyond
 # the table itself.
@@ -353,6 +392,13 @@ def to_cells(table: np.ndarray) -> np.ndarray:
     """``table[:, a, b, ...]`` at the pairs that can execute, in the layout of
     :attr:`ImpulseGame.cells`: shape ``(S, A+B-1, ...)``."""
     return np.concatenate([table[:, :, 0], table[:, 0, 1:]], axis=1)
+
+
+def cell_index(num_actions1: int, a, b) -> np.ndarray:
+    """The column of :attr:`ImpulseGame.cells` that the pairs ``(a, b)``
+    execute (arrays of actions, elementwise): ``A - 1 + b`` where Player 2
+    acts, which takes precedence, else ``a``."""
+    return np.where(b != 0, b + (num_actions1 - 1), a)
 
 
 def validate(game: ImpulseGame) -> list[Violation]:

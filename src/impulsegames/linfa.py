@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .envs import BlockDraws, SamplingEnv
-from .game import ImpulseGame
+from .game import ImpulseGame, cell_index
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
                      _reduce, extract_policy, operator_terms, solve)
@@ -171,8 +171,7 @@ def _sample_target(game: ImpulseGame, row, combinator: str) -> float:
     call on one row costs more), ``"F"`` through the one-row :func:`_nest`."""
     if combinator != "T":
         return _nest(_reduce(row[None], game.num_actions1), combinator)[0]
-    # `net` holds the costs already, so the read-off adds -0.0 to each cell.
-    return _greedy(row.tolist(), [-0.0] * len(row), game.num_actions1)[0]
+    return _greedy(row.tolist(), game.num_actions1)[0]
 
 
 def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
@@ -322,13 +321,20 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     ``Phi[s]``.  The divergence check keeps a running upper bound on
     ``max |r|`` and takes the exact maximum only when the bound passes the
     limit, so it raises at the same sample as an exact check after every
-    sample would.  The executed pair comes from a per-state list rebuilt
+    sample would.  The executed cell comes from a per-state list rebuilt
     with the policy, and the exploration slots are built once per run.
+    An ``r0`` that is not ``K`` finite coefficients is refused with
+    ``ValueError`` before any draw.
     Every draw (reset state, exploration coin, slot and action, next-state
     uniform) comes from one :class:`impulsegames.envs.BlockDraws` of
     ``config.seed``: the scalar draws of ``np.random.default_rng(config.seed)``,
     bit for bit.
     """
+    r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
+    if r.shape != (basis.num_features,):
+        raise ValueError(f"r0 must have shape ({basis.num_features},), got {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("r0 must be finite")
     rng = BlockDraws(config.seed)
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
@@ -336,11 +342,11 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     kphi = kernel @ phi
     phi_max = np.abs(phi).max(axis=1).tolist()
     gamma, limit = game.discount, config.divergence_limit
-    slots = _slots(game.cell_costs.tolist(), game.num_actions1)
-    r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
+    na = game.num_actions1
+    slots = _slots(game.cell_costs.tolist(), na)
     bound = float(np.abs(r).max())
     s = env.reset()
-    pairs = extract_policy(game, basis.field(r)).executed_pairs()
+    cells = cell_index(na, *extract_policy(game, basis.field(r)).executed_actions).tolist()
     for t in range(config.samples):
         target = _sample_target(game, net[s] + gamma * (kphi[s] @ r), config.combinator)
         c = (1.0 + t) ** -FIT_STEP_POWER * (target - phi[s] @ r)
@@ -353,9 +359,8 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
             if bound > limit:
                 raise FitDivergenceError(t, r)
         if (t + 1) % FIT_EPOCH == 0:
-            pairs = extract_policy(game, phi @ r).executed_pairs()
-        pair = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else pairs[s]
-        s, _ = env.step(s, pair)
+            cells = cell_index(na, *extract_policy(game, phi @ r).executed_actions).tolist()
+        s, _ = env.step(s, _explore(slots[s], rng) if rng.random() < FIT_EPSILON else cells[s])
         if (t + 1) % FIT_EPISODE_LEN == 0:
             s = env.reset()
     dist = None

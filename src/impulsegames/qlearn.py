@@ -3,23 +3,23 @@
 Each step executes exactly one of: a costly Player-1 action, a costly
 Player-2 action (precedence when both trigger), or the null pair, and updates
 only the executed cell toward a sampled one-step bootstrap target on the raw
-(cost-exclusive) reward.  The learner keeps one value per executable cell, in
-the layout of ``ImpulseGame.cells``, reads it back through the greedy
-combinator by adding the game's ``cell_costs``, and returns ``Q[s, a, b]``.
+(cost-exclusive) reward.  The learner keeps one raw and one net value (plus
+the game's ``cell_costs``) per executable cell, as cells of
+``ImpulseGame.cells``, reads the net values through the greedy combinator,
+and returns ``Q[s, a, b]``; actions pass to :meth:`SamplingEnv.step` as cells.
 It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
 the value and policy off a learned table.  The ``LEARN_*`` constants fix the rest of its schedule.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _write_whole, to_cells
+from .game import ImpulseGame, _write_csv, to_cells
 from .envs import BlockDraws, SamplingEnv
 from .solver import TIE_EPS
 
@@ -59,46 +59,45 @@ class LearnConfig:
             raise ValueError("episode_len must be positive")
 
 
-def _greedy(q_row, cost_row, na: int) -> tuple[float, tuple[int, int]]:
-    """Greedy value at one state and the pair it executes, by ``extract_policy``'s
-    rule, from plain lists in the layout of ``ImpulseGame.cells``: the raw cell
-    values and what each cell's costs add to them (``cell_costs``)."""
+def _greedy(row, na: int) -> tuple[float, int]:
+    """Greedy value at one state and the cell it executes, by the rule of
+    ``solver._reduce`` and ``extract_policy``, from a plain list of the
+    state's net values in the layout of ``ImpulseGame.cells``."""
     # `solver.read_off` on Python floats: a vectorised call on one row costs more per step.
-    noop = q_row[0] + cost_row[0]
+    noop = row[0]
     best1, i = -math.inf, 0
     for c in range(1, na):
-        v = q_row[c] + cost_row[c]
-        if v > best1:
-            best1, i = v, c
+        if row[c] > best1:
+            best1, i = row[c], c
     inner = best1 if best1 > noop else noop
     best2, j = math.inf, 0
-    for c in range(na, len(q_row)):
-        v = q_row[c] + cost_row[c]
-        if v < best2:
-            best2, j = v, c
+    for c in range(na, len(row)):
+        if row[c] < best2:
+            best2, j = row[c], c
     out = best2 if best2 < inner else inner
     if best2 < inner - TIE_EPS:
-        return out, (0, j - na + 1)
-    return out, (i if best1 > noop + TIE_EPS else 0, 0)
+        return out, j
+    return out, i if best1 > noop + TIE_EPS else 0
 
 
-def _slots(cost_rows, na: int) -> list[list[list[tuple[int, int]]]]:
+def _slots(cost_rows, na: int) -> list[list[list[int]]]:
     """Per state, the exploration slots: the no-op slot (an empty list), then
-    the available costly pairs of Player 1 and of Player 2, each side only
-    when it has one.  ``cost_rows`` are ``cell_costs`` rows as lists; an
-    action is available where its entry is not the masked -inf / +inf."""
+    the available costly cells of Player 1 and of Player 2, each side only
+    when it has one.  ``cost_rows`` are ``cell_costs`` rows as lists; a cell
+    is available where its entry is finite."""
     slots = []
     for row in cost_rows:
-        p1 = [(a, 0) for a in range(1, na) if row[a] != -math.inf]
-        p2 = [(0, c - na + 1) for c in range(na, len(row)) if row[c] != math.inf]
+        p1 = [c for c in range(1, na) if math.isfinite(row[c])]
+        p2 = [c for c in range(na, len(row)) if math.isfinite(row[c])]
         slots.append([[], *(side for side in (p1, p2) if side)])
     return slots
 
 
-def _explore(slots, rng) -> tuple[int, int]:
-    """One exploration draw from a state's :func:`_slots`: a uniform slot, then an action in it."""
+def _explore(slots, rng) -> int:
+    """One exploration draw from a state's :func:`_slots`: a uniform slot, then
+    a cell in it (0 for the no-op slot)."""
     side = slots[rng.integers(len(slots))]
-    return side[rng.integers(len(side))] if side else (0, 0)
+    return side[rng.integers(len(side))] if side else 0
 
 
 @dataclass
@@ -112,12 +111,9 @@ class LearnDiagnostics:
     final_sup_delta: float = 0.0
 
     def to_csv(self, path) -> None:
-        def write(f):
-            writer = csv.DictWriter(
-                f, fieldnames=["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"])
-            writer.writeheader()
-            writer.writerows(self.rows)
-        _write_whole(path, write, newline="")
+        """Write the rows, one column per key, as ``csv.DictWriter`` would."""
+        header = ["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"]
+        _write_csv(path, header, [np.array([row[key] for row in self.rows]) for key in header])
 
 
 def learn(game: ImpulseGame, config: LearnConfig, q0=None,
@@ -143,12 +139,13 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
         raise ValueError(f"q0 must have shape {(ns, na, nb)}")
     steps = config.steps
     diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)
-    table = to_cells(q).tolist()
+    cells = to_cells(q)
+    table, nets = cells.tolist(), (cells + game.cell_costs).tolist()
     counts = [[0] * len(row) for row in table]
     costs = game.cell_costs.tolist()
     slots = _slots(costs, na)
     # Each state's read-off; only the row a step updates is read off again.
-    best = [_greedy(row, cost, na) for row, cost in zip(table, costs)]
+    best = [_greedy(net, na) for net in nets]
     ref = None if reference_q is None else to_cells(np.asarray(reference_q))
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
@@ -159,12 +156,8 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     epoch_sup = 0.0
     for t in range(steps):
         epsilon = eps0 + eps_span * (t / steps)
-        if epsilon > 0.0 and coin() < epsilon:
-            a, b = _explore(slots[s], draws)
-        else:
-            a, b = best[s][1]
-        c = na - 1 + b if b else a
-        s2, raw = step(s, (a, b))
+        c = _explore(slots[s], draws) if epsilon > 0.0 and coin() < epsilon else best[s][1]
+        s2, raw = step(s, c)
         row_counts, row = counts[s], table[s]
         row_counts[c] += 1
         alpha = row_counts[c] ** neg_omega
@@ -174,7 +167,8 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
                 f"non-finite update target at step {t}: check the reward model")
         delta = alpha * (target - row[c])
         row[c] += delta
-        best[s] = _greedy(row, costs[s], na)
+        nets[s][c] = row[c] + costs[s][c]
+        best[s] = _greedy(nets[s], na)
         if abs(delta) > epoch_sup:
             epoch_sup = abs(delta)
         done = t + 1

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import SamplingEnv
-from .game import ImpulseGame
+from .game import ImpulseGame, cell_index
 from .solver import EquilibriumPolicy, _layers
 
 
@@ -55,16 +55,15 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
         raise ValueError(f"steps must be non-negative, got {steps}")
     ny, nz, spend = _layers(game, caps)
     layers = ny * nz
-    pairs = np.array(policy.executed_pairs(), dtype=np.int64).reshape(-1, 2)
-    if len(pairs) != game.num_states * layers:
-        raise ValueError(f"policy has {len(pairs)} states, the rollout's game has "
+    a, b = (x.astype(np.int64) for x in policy.executed_actions)
+    if len(a) != game.num_states * layers:
+        raise ValueError(f"policy has {len(a)} states, the rollout's game has "
                          f"{game.num_states * layers}")
-    a, b = pairs.T
-    if pairs.min() < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:
+    if min(a.min(), b.min()) < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:
         raise IndexError("policy holds an action outside the game's actions")
-    y, z = np.divmod(np.arange(len(pairs)) % layers, nz)
+    y, z = np.divmod(np.arange(len(a)) % layers, nz)
     y, z = y - spend * (a != 0), z - spend * (b != 0)
-    cells = np.where(b != 0, game.num_actions1 - 1 + b, a)
+    cells = cell_index(game.num_actions1, a, b)
     next_layers = np.where((y < 0) | (z < 0), -1, y * nz + z)
     rng = np.random.default_rng(seed) if rng is None else rng
     states = SamplingEnv(game, rng=rng).walk(int(start), cells, next_layers, steps)

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _plain, to_cells
+from .game import ImpulseGame, _plain, cell_index, to_cells
 
 TIE_EPS = 1e-10
 
@@ -219,10 +219,15 @@ class EquilibriumPolicy:
             return int(self.p1_action[s]), 0
         return 0, 0
 
+    @property
+    def executed_actions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both players' executed actions at every state, 0 where one does not act."""
+        return (np.where(self.p1_acts & ~self.p2_acts, self.p1_action, 0),
+                np.where(self.p2_acts, self.p2_action, 0))
+
     def executed_pairs(self) -> list[tuple[int, int]]:
         """:meth:`executed_pair` at every state, as one plain list."""
-        a = np.where(self.p1_acts & ~self.p2_acts, self.p1_action, 0)
-        b = np.where(self.p2_acts, self.p2_action, 0)
+        a, b = self.executed_actions
         return list(zip(a.tolist(), b.tolist()))
 
     def to_records(self, labels=None) -> list[dict]:
@@ -376,7 +381,7 @@ def _executed_chain(game: ImpulseGame, pol1, pol2) -> tuple[np.ndarray, np.ndarr
     for name, x, n in (("1", a, na), ("2", b, nb)):
         if not 0 <= x.min() <= x.max() < n:
             raise IndexError(f"policy selects a Player-{name} action outside 0..{n - 1}")
-    col = np.where(b, b + (na - 1), a)
+    col = cell_index(na, a, b)
     states = np.arange(ns)
     kernel, net = game.cells
     r = net[states, col]

@@ -174,6 +174,13 @@ def loop_chain(game, pol1, pol2):
     return p, r
 
 
+def pair_cell(game, pair):
+    """The column of ``ImpulseGame.cells`` that the pair ``(a, 0)`` or ``(0, b)``
+    occupies, written out here: ``a``, or ``A - 1 + b`` where Player 2 acts."""
+    a, b = pair
+    return game.num_actions1 - 1 + b if b else a
+
+
 def mask_explore(game, s, rng):
     """The exploration draw read from the mask rows at ``s``: a uniform slot
     among no-op / Player 1 / Player 2 (a side with no available costly action
@@ -323,7 +330,8 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
     read-off (``qlearn._greedy`` for ``"T"``, ``solver._reduce`` and
     ``linfa._nest`` for ``"F"``), the exploration draw
     (``qlearn._slots``/``_explore``) and the sampler (``SamplingEnv``) are the
-    library's, so that the coefficients can be compared bit for bit.  A list
+    library's, so that the coefficients can be compared bit for bit; actions
+    pass to them as columns of the cells table.  A list
     passed as ``norms`` receives ``max |r|`` after every sample.
     Returns the coefficients.
     """
@@ -338,18 +346,19 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
     na = game.num_actions1
     slots = qlearn._slots(game.cell_costs.tolist(), na)
 
-    def greedy_pairs(field):
+    def greedy_cells(field):
         _, _, act1, p2, act2 = loop_operator(game, field)
-        return [(0, int(b)) if q else (int(a), 0) for a, q, b in zip(act1, p2, act2)]
+        return [pair_cell(game, (0, int(b)) if q else (int(a), 0))
+                for a, q, b in zip(act1, p2, act2)]
 
     def target_of(row):
         if combinator == "T":
-            return qlearn._greedy(row.tolist(), [-0.0] * len(row), na)[0]
+            return qlearn._greedy(row.tolist(), na)[0]
         return linfa._nest(solver._reduce(row[None], na), combinator)[0]
 
     r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
     s = env.reset()
-    pairs = greedy_pairs(phi @ r)
+    cells = greedy_cells(phi @ r)
     for t in range(samples):
         target = target_of(net[s] + game.discount * (kphi[s] @ r))
         alpha = (1.0 + t) ** -step_power
@@ -357,12 +366,12 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
         if norms is not None:
             norms.append(float(np.abs(r).max()))
         if (t + 1) % epoch == 0:
-            pairs = greedy_pairs(phi @ r)
+            cells = greedy_cells(phi @ r)
         if epsilon > 0.0 and rng.random() < epsilon:
-            pair = qlearn._explore(slots[s], rng)
+            cell = qlearn._explore(slots[s], rng)
         else:
-            pair = pairs[s]
-        s, _ = env.step(s, pair)
+            cell = cells[s]
+        s, _ = env.step(s, cell)
         if (t + 1) % episode_len == 0:
             s = env.reset()
     return r

@@ -474,20 +474,6 @@ def test_fit_basis_without_columns_exits_1_no_output(tmp_path, capsys):
     _assert_one_error_line_and_no_output(capsys, out)
 
 
-class _BrokenWriter:
-    """A csv writer whose rows fail after the header went out."""
-
-    def __init__(self, f, *args, **kwargs):
-        self.f = f
-
-    def writerow(self, row):
-        self.f.write(",".join(map(str, row)) + "\r\n")
-
-    def writerows(self, rows):
-        self.f.write("1,")
-        raise OSError("disk full")
-
-
 def _encode_then_fail(obj, level):
     yield "{"
     raise OSError("disk full")
@@ -499,10 +485,10 @@ def _fields_fail(values):
 
 @pytest.mark.parametrize("command, target, module, name, broken", [
     (["gen", "--gen", "3,1,1,0"], "game.json", game_module, "_encode", _encode_then_fail),
-    (["learn", "--gen", "3,1,1,0", "--steps", "200"], "learn_diagnostics.csv", csv,
-     "writer", _BrokenWriter),
+    (["learn", "--gen", "3,1,1,0", "--steps", "200"], "learn_diagnostics.csv", game_module,
+     "_csv_fields", _fields_fail),
     # the header is written before the first block of rows is formatted
-    (["simulate", "--gen", "3,1,1,0", "--steps", "200"], "trajectory.csv", cli_module,
+    (["simulate", "--gen", "3,1,1,0", "--steps", "200"], "trajectory.csv", game_module,
      "_csv_fields", _fields_fail),
 ])
 def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatch, command,
@@ -517,9 +503,10 @@ def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatc
 
 def test_library_writers_leave_no_file_when_a_write_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(game_module, "_encode", _encode_then_fail)
-    monkeypatch.setattr(csv, "writer", _BrokenWriter)
+    monkeypatch.setattr(game_module, "_csv_fields", _fields_fail)
     with pytest.raises(OSError, match="disk full"):
         ig.save_game(ig.random_game(3, 1, 1, seed=0), tmp_path / "game.json")
+    _, diag = ig.learn(ig.random_game(3, 1, 1, seed=0), ig.LearnConfig(steps=10))
     with pytest.raises(OSError, match="disk full"):
-        ig.LearnDiagnostics(rows=[{"step": 1}]).to_csv(tmp_path / "diag.csv")
+        diag.to_csv(tmp_path / "diag.csv")
     assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,8 @@ import pytest
 import impulsegames as ig
 from impulsegames.envs import DRAW_BLOCK, BlockDraws
 
+from _oracles import pair_cell
+
 
 def test_step_mean_pure_decay():
     p = ig.DuopolyParams(market_size=200.0, r1=0.1)
@@ -109,8 +111,8 @@ def test_sampling_env_deterministic_rows():
                           cost2=base.cost2, cost_floor=base.cost_floor,
                           discount=base.discount)
     env = ig.SamplingEnv(game, seed=0)
-    assert env.step(0, (0, 0))[0] == 1
-    assert env.step(1, (0, 0))[0] == 0
+    assert env.step(0, 0)[0] == 1
+    assert env.step(1, 0)[0] == 0
 
 
 def test_sampling_env_seeded_repeatability():
@@ -121,7 +123,7 @@ def test_sampling_env_seeded_repeatability():
         s = env.reset()
         path = [s]
         for _ in range(20):
-            s, _ = env.step(s, (0, 0))
+            s, _ = env.step(s, 0)
             path.append(s)
         runs.append(path)
     assert runs[0] == runs[1]
@@ -133,7 +135,7 @@ def test_sampling_env_frequencies_match_kernel():
     n = 100_000
     counts = np.zeros(3)
     for _ in range(n):
-        nxt, _ = env.step(0, (1, 0))
+        nxt, _ = env.step(0, 1)
         counts[nxt] += 1
     probs = game.kernel[0, 1, 0]
     for t in range(3):
@@ -144,7 +146,7 @@ def test_sampling_env_frequencies_match_kernel():
 def test_sampling_env_returns_raw_reward():
     game = ig.random_game(3, 1, 1, seed=9)
     env = ig.SamplingEnv(game, seed=1)
-    _, r = env.step(1, (1, 0))
+    _, r = env.step(1, 1)
     assert r == game.reward[1, 1, 0]
 
 
@@ -158,8 +160,8 @@ def test_sampling_env_reset_default_uniform():
 def test_sampling_env_masked_step_raises(g2):
     aug = ig.augment(g2, 0, 0)
     env = ig.SamplingEnv(aug.game, seed=0)
-    with pytest.raises(RuntimeError, match="masked"):
-        env.step(0, (1, 0))
+    with pytest.raises(RuntimeError, match="masked cell 1 attempted at state 0"):
+        env.step(0, 1)
 
 
 def test_duopoly_game_round_trips_through_spec_file(tmp_path):
@@ -188,22 +190,19 @@ def test_oversized_duopoly_refused_before_any_table():
 
 @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, -1), (0, 3)])
 def test_sampling_env_refuses_an_action_out_of_range(pair):
-    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0))
-    with pytest.raises(IndexError, match="outside 0..2"):
-        env.step(0, pair)
+    # Player 1 has only the null action, so each pair outside the players'
+    # ranges lands on a cell outside the table's three (-1 or 3).
+    game = ig.random_game(3, 0, 2, seed=0)
+    env = ig.SamplingEnv(game)
+    with pytest.raises(IndexError, match=r"cell -?\d+ outside 0..2"):
+        env.step(0, pair_cell(game, pair))
 
 
 @pytest.mark.parametrize("s", [-1, -3, 3])
 def test_sampling_env_refuses_a_state_out_of_range(s):
     env = ig.SamplingEnv(ig.random_game(3, 1, 1, seed=0))
-    with pytest.raises(IndexError):
-        env.step(s, (0, 0))
-
-
-def test_sampling_env_refuses_two_non_null_actions():
-    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0))
-    with pytest.raises(ValueError, match="never executes"):
-        env.step(0, (1, 1))
+    with pytest.raises(IndexError, match=f"state {s} outside 0..2"):
+        env.step(s, 0)
 
 
 # Bounds for `integers`: no draw (1), small ones, and 32-bit ones near the top, where

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames.game import cell_index, to_cells
 
 from _oracles import copying_random_game_tables
 from conftest import micro_game
@@ -346,3 +347,21 @@ def test_load_basis_refuses_a_non_object_document_or_non_integer_states(tmp_path
     path.write_text(json.dumps(doc))
     with pytest.raises(ig.GameFormatError):
         ig.load_basis(path)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_index_is_the_column_to_cells_puts_each_pair_in(seed):
+    rng = np.random.default_rng(seed)
+    ns, na, nb = (int(n) for n in rng.integers(1, 6, size=3))
+    table = rng.normal(size=(ns, na, nb))
+    cells = to_cells(table)
+    for a in range(na):
+        assert cells[:, cell_index(na, a, 0)].tolist() == table[:, a, 0].tolist()
+    for b in range(nb):
+        assert cells[:, cell_index(na, 0, b)].tolist() == table[:, 0, b].tolist()
+    # every executable pair at once: one column each, all of them
+    a = np.r_[np.arange(na), np.zeros(nb - 1, dtype=int)]
+    b = np.r_[np.zeros(na, dtype=int), np.arange(1, nb)]
+    columns = cell_index(na, a, b)
+    assert sorted(columns.tolist()) == list(range(na + nb - 1))
+    assert cells[:, columns].tolist() == table[:, a, b].tolist()

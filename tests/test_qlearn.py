@@ -5,7 +5,7 @@ import impulsegames as ig
 from impulsegames import qlearn, solver
 from impulsegames.game import to_cells
 
-from _oracles import loop_learn, mrp_value
+from _oracles import loop_learn, mrp_value, pair_cell
 from conftest import randomly_masked
 
 
@@ -73,15 +73,15 @@ def test_act_exploration_is_reproducible(g1):
     seq1 = [qlearn._explore(slots, rng1) for _ in range(20)]
     seq2 = [qlearn._explore(slots, rng2) for _ in range(20)]
     assert seq1 == seq2
-    assert set(seq1) == {(0, 0), (1, 0), (0, 1)}
+    assert set(seq1) == {pair_cell(g1, pair) for pair in [(0, 0), (1, 0), (0, 1)]}
 
 
 def test_act_never_returns_joint_nonnull(g1):
+    # a draw is a column of the cells table, which holds no pair where both act
     rng = np.random.default_rng(7)
     slots = _slots(g1)[0]
     for _ in range(200):
-        a, b = qlearn._explore(slots, rng)
-        assert a == 0 or b == 0
+        assert qlearn._explore(slots, rng) in range(g1.cells[1].shape[1])
 
 
 def test_learn_zero_budget_returns_init(g1):
@@ -148,7 +148,7 @@ def test_fixed_point_has_zero_mean_increment(g1):
     increments = {pair: [] for pair in [(0, 0), (1, 0), (0, 1)]}
     for pair in increments:
         for _ in range(4000):
-            s2, raw = env.step(0, pair)
+            s2, raw = env.step(0, pair_cell(g1, pair))
             target = raw + g1.discount * rep.value[s2]
             increments[pair].append(target - rep.q[0, pair[0], pair[1]])
     for pair, vals in increments.items():
@@ -218,11 +218,11 @@ def test_read_off_matches_operator_and_learner_bit_for_bit():
         # the learner's per-state read-off, on this table and on a random one
         for table in (q, rng.normal(size=q.shape)):
             value, policy = ig.read_off(game, table)
-            rows, costs = to_cells(table).tolist(), game.cell_costs.tolist()
+            rows = (to_cells(table) + game.cell_costs).tolist()
             for s in range(game.num_states):
-                got, pair = qlearn._greedy(rows[s], costs[s], game.num_actions1)
+                got, cell = qlearn._greedy(rows[s], game.num_actions1)
                 assert np.float64(got).tobytes() == value[s].tobytes()
-                assert pair == policy.executed_pair(s)
+                assert cell == pair_cell(game, policy.executed_pair(s))
     assert ties > 0  # 59 states with an exact tie
 
 
@@ -233,9 +233,10 @@ def test_act_explores_through_explore():
         rng = np.random.default_rng(seed)
         s = int(rng.integers(game.num_states))  # the learner's reset
         rng.random()  # its exploration coin
-        a, b = qlearn._explore(slots[s], rng)
+        cell = qlearn._explore(slots[s], rng)
         _, diag = _one_run(game, 1, epsilon=1.0, seed=seed)
-        assert np.argwhere(diag.visits).tolist() == [[s, a, b]]
+        (s1, a, b), = np.argwhere(diag.visits).tolist()
+        assert (s1, cell) == (s, pair_cell(game, (a, b)))
 
 
 @pytest.mark.parametrize("field", ["episode_len"])

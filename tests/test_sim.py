@@ -4,7 +4,7 @@ import pytest
 import impulsegames as ig
 from impulsegames.qlearn import _explore, _slots
 
-from _oracles import SearchsortedSampler, loop_simulate, mask_explore
+from _oracles import SearchsortedSampler, loop_simulate, mask_explore, pair_cell
 from conftest import randomly_masked
 
 
@@ -40,7 +40,7 @@ def test_draw_past_row_end_lands_on_last_state_with_mass():
     traj = ig.simulate(game, _idle(4), 5, rng=_FixedDraw(u))
     assert traj.states.tolist() == [0, 2, 2, 2, 2, 2]
     env = ig.SamplingEnv(game, rng=_FixedDraw(u))
-    assert [env.step(s, (0, 0))[0] for s in range(4)] == [2, 2, 2, 2]
+    assert [env.step(s, 0)[0] for s in range(4)] == [2, 2, 2, 2]
 
 
 def test_draw_past_row_end_keeps_budget_counters():
@@ -74,17 +74,18 @@ def test_rewards_are_the_executed_pairs_net_rewards():
 
 def _draw_streams(game, rng, ref_rng, steps):
     """Walk ``steps`` explore-and-step draws with the library and with the
-    mask-and-searchsorted reference on equally seeded generators."""
+    mask-and-searchsorted reference on equally seeded generators; the
+    reference's pairs are compared as cells."""
     env, ref = ig.SamplingEnv(game, rng=rng), SearchsortedSampler(game, ref_rng)
     slots = _slots(game.cell_costs.tolist(), game.num_actions1)
     s = t = 0
     got, want = [], []
     for _ in range(steps):
-        pair, ref_pair = _explore(slots[s], rng), mask_explore(game, t, ref_rng)
-        s, r = env.step(s, pair)
+        cell, ref_pair = _explore(slots[s], rng), mask_explore(game, t, ref_rng)
+        s, r = env.step(s, cell)
         t, ref_r = ref.step(t, ref_pair)
-        got.append((pair, s, r))
-        want.append((ref_pair, t, ref_r))
+        got.append((cell, s, r))
+        want.append((pair_cell(game, ref_pair), t, ref_r))
     return got, want
 
 
@@ -98,7 +99,7 @@ def test_step_and_explore_match_the_mask_and_searchsorted_reference(case):
     got, want = _draw_streams(game, np.random.default_rng(n), np.random.default_rng(n), 3000)
     assert got == want
     if not name:
-        assert len({pair for pair, _, _ in got}) == 1 + a + b
+        assert len({cell for cell, _, _ in got}) == 1 + a + b
 
 
 class _NearOneEveryThird:
@@ -221,7 +222,7 @@ def test_a_masked_action_is_a_fault_only_where_the_rollout_reaches_it():
     policy.p1_acts[:] = True
     policy.p1_action[:] = 1
     assert ig.simulate(game, policy, 50, start=0).states.tolist() == [0] * 51
-    with pytest.raises(RuntimeError, match=r"masked action \(1, 0\) reached at state 1"):
+    with pytest.raises(RuntimeError, match="masked cell 1 reached at state 1"):
         ig.simulate(game, policy, 50, start=1)
 
 

@@ -1,7 +1,8 @@
-"""The CLI's one CSV writer, ``cli._write_csv``: its bytes equal those of
+"""The CLI's one CSV writer, ``game._write_csv``: its bytes equal those of
 ``csv.writer`` with the default dialect (minimal quoting, CRLF line ends,
 floats as ``repr``), on the files the CLI writes and on the edge cases of
-its per-block formatting."""
+its per-block formatting; ``learn_diagnostics.csv`` equals the bytes of
+``csv.DictWriter``."""
 
 import csv
 import io
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
-import impulsegames.cli as cli_module
-from impulsegames.cli import _write_csv
+import impulsegames.game as game_module
+from impulsegames.game import _write_csv
 
 
 def _expected(header, columns) -> bytes:
@@ -63,7 +64,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_columns_match_csv_writer_byte_for_byte(tmp_path, monkeypatch, name, block):
     if block is not None:
-        monkeypatch.setattr(cli_module, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(game_module, "_BLOCK_ROWS", block)
     header, columns = CASES[name]
     assert _written(tmp_path, header, columns) == _expected(header, columns)
 
@@ -74,7 +75,7 @@ def test_zero_and_negative_zero_stay_apart(tmp_path):
 
 
 def test_a_long_table_is_formatted_one_block_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_module, "_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(game_module, "_BLOCK_ROWS", 1024)
     rng = np.random.default_rng(0)
     n = 100_000
     columns = [np.arange(n), rng.integers(0, 121, n), rng.normal(size=n), rng.normal(size=n)]
@@ -88,3 +89,26 @@ def test_a_long_table_is_formatted_one_block_at_a_time(tmp_path, monkeypatch):
     # take over 20 MB; the writer holds one block of it at a time.
     assert peak < 4 * 2 ** 20
     assert (tmp_path / "long.csv").read_bytes() == _expected(["t", "s", "x", "y"], columns)
+
+
+def _dict_writer_bytes(rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(
+        out, fieldnames=["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"])
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("steps", [0, 1, 999, 2500])
+def test_learn_diagnostics_match_dict_writer_byte_for_byte(tmp_path, monkeypatch, steps,
+                                                           reference):
+    monkeypatch.setattr(game_module, "_BLOCK_ROWS", 2)
+    game = ig.random_game(4, 2, 1, seed=3)
+    ref = ig.solve(game, tol=1e-10).q if reference else None
+    _, diag = ig.learn(game, ig.LearnConfig(steps=steps, seed=5), reference_q=ref)
+    assert len(diag.rows) == -(-steps // 1000)
+    assert {type(row["dist_to_qhat"]) for row in diag.rows} <= {float if reference else str}
+    diag.to_csv(tmp_path / "diag.csv")
+    assert (tmp_path / "diag.csv").read_bytes() == _dict_writer_bytes(diag.rows)
