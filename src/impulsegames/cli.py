@@ -9,6 +9,7 @@ is byte-reproducible given the same flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -214,7 +215,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs far
+    more than a parse, and a parse leaves it unchanged."""
     parser = _Parser(
         prog="impulsegames",
         description="Solve, learn and simulate two-player zero-sum games "

@@ -12,6 +12,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -181,37 +182,31 @@ class BlockDraws:
     the ``Generator``.  ``integers`` returns a Python ``int`` and refuses an
     ``n`` outside ``1 .. 2**32`` (``ValueError``), where numpy would switch to
     64-bit draws.
+
+    :attr:`word` is the bound ``__next__`` of one endless iterator over the raw
+    words: ``word()`` is the next one, the draw ``random()`` and ``integers``
+    read, so a hot loop can take ``(word() >> 11) * 2**-53`` inline in place
+    of a ``random()`` call and stay on the same stream.
     """
 
-    __slots__ = ("_bits", "_next", "_half")
+    __slots__ = ("word", "_half")
 
     def __init__(self, seed):
-        self._bits = np.random.default_rng(seed).bit_generator
-        self._next = iter(()).__next__
+        bits = np.random.default_rng(seed).bit_generator
+        blocks = iter(lambda: bits.random_raw(DRAW_BLOCK).tolist(), None)
+        self.word = chain.from_iterable(blocks).__next__
         self._half = None
-
-    def _refill(self) -> int:
-        """Fetch the next block of raw words and return its first."""
-        self._next = iter(self._bits.random_raw(DRAW_BLOCK).tolist()).__next__
-        return self._next()
 
     def random(self) -> float:
         """A uniform on [0, 1), as ``Generator.random()``."""
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._refill()
-        return (w >> 11) * _UNIT
+        return (self.word() >> 11) * _UNIT
 
     def _uint32(self) -> int:
         half = self._half
         if half is not None:
             self._half = None
             return half
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._refill()
+        w = self.word()
         self._half = w >> 32
         return w & _LOW32
 
@@ -232,32 +227,36 @@ class BlockDraws:
 class SamplingEnv:
     """Model-free access to a game: seeded uniform reset and step, probabilities hidden.
 
-    Exposes only the state and action counts; none of the game's tables.
-    Transitions and raw rewards are reachable only by sampling, with one
-    uniform per next state: :meth:`step` takes one step (``learn`` and
-    ``fit``), :meth:`walk` a whole chain of a fixed plan (``simulate``).
+    Exposes the state and action counts and the sampler's rows, none of the
+    game's tables.  Transitions and raw rewards are reachable only by
+    sampling, with one uniform per next state: :meth:`step` takes one checked
+    step, :meth:`walk` a whole chain of a fixed plan (``simulate``), and
+    ``learn`` and ``fit`` bisect :attr:`rows` inline.
     The draws come from ``rng`` (by default ``np.random.default_rng(seed)``):
     :meth:`reset` and :meth:`step` call only its scalar ``integers(n)`` and
-    ``random()``, so ``learn`` and ``fit`` pass a :class:`BlockDraws`;
+    ``random()``, so a :class:`BlockDraws` serves them too;
     :meth:`walk` calls ``random(size)`` of a ``Generator``.
 
-    The sampler's tables are plain per-state Python lists in the layout of
-    :attr:`ImpulseGame.cells`, built once: each cell's raw reward, its
-    availability (a finite :attr:`ImpulseGame.cell_costs` entry) and its
-    cumulative kernel row (an ``array('d')``, read with ``bisect``).  A row
-    whose sum rounds below 1 can draw past its end; such a draw lands on the
-    row's last state with positive mass.  So each row is cut just before that
-    state, and the bisection of a uniform in the cut row is the next state.
+    ``rows[s][c]`` is the pair ``(cut cumulative row, raw reward)`` of cell
+    ``c`` of :attr:`ImpulseGame.cells` at state ``s``, built once as tuples
+    of per-state tuples; the row is an ``array('d')``, and ``bisect_right(row,
+    u)`` of one uniform ``u`` is the next state.  It is a read-only view.  A
+    row whose sum rounds below 1 can draw past its end; such a draw lands on
+    the row's last state with positive mass.  So each row is cut just before
+    that state.  Masked cells have rows too: a caller that bisects them
+    without :meth:`step` must never execute a masked cell (one whose
+    :attr:`ImpulseGame.cell_costs` entry is not finite).
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None):
         kernel = game.cells[0]
         ns = game.num_states
         last = ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)
-        self._cum = [[array("d", row[:n].tobytes())
-                      for row, n in zip(np.cumsum(rows, axis=1), ends)]
-                     for rows, ends in zip(kernel, last.tolist())]
-        self._reward = to_cells(game.reward).tolist()
+        self.rows = tuple(
+            tuple((array("d", row[:n].tobytes()), r)
+                  for row, n, r in zip(np.cumsum(kernel_s, axis=1), ends, rewards))
+            for kernel_s, ends, rewards in zip(kernel, last.tolist(),
+                                               to_cells(game.reward).tolist()))
         self._ok = np.isfinite(game.cell_costs).tolist()
         self._ncells = kernel.shape[1]
         self._rng = np.random.default_rng(seed) if rng is None else rng
@@ -280,7 +279,8 @@ class SamplingEnv:
             raise IndexError(f"state {s} outside 0..{self.num_states - 1}")
         if not self._ok[s][c]:
             raise RuntimeError(f"masked cell {c} attempted at state {s}")
-        return bisect_right(self._cum[s][c], self._rng.random()), self._reward[s][c]
+        row, reward = self.rows[s][c]
+        return bisect_right(row, self._rng.random()), reward
 
     def walk(self, start: int, cells, next_layers, steps: int) -> np.ndarray:
         """The states of ``steps`` steps of a fixed plan's chain from ``start``.
@@ -311,7 +311,7 @@ class SamplingEnv:
             if not 0 <= c < self._ncells:
                 raise IndexError(f"cell {c} at state {x} outside 0..{self._ncells - 1}")
             s = x // layers
-            tables.append((self._cum[s][c], nl) if self._ok[s][c] and nl >= 0 else None)
+            tables.append((self.rows[s][c][0], nl) if self._ok[s][c] and nl >= 0 else None)
         states = np.empty(steps + 1, dtype=np.int64)
         states[0] = x = start
         for lo in range(0, steps, DRAW_BLOCK):

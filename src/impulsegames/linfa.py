@@ -25,6 +25,7 @@ is kept only when its coefficient delta is below the plain sweep's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -322,7 +323,9 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     ``max |r|`` and takes the exact maximum only when the bound passes the
     limit, so it raises at the same sample as an exact check after every
     sample would.  The executed cell comes from a per-state list rebuilt
-    with the policy, and the exploration slots are built once per run.
+    with the policy, and the exploration slots are built once per run; the
+    next state is a bisection in that cell's row of
+    :attr:`impulsegames.envs.SamplingEnv.rows`, the view ``learn`` steps through.
     An ``r0`` that is not ``K`` finite coefficients is refused with
     ``ValueError`` before any draw.
     Every draw (reset state, exploration coin, slot and action, next-state
@@ -337,6 +340,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
         raise ValueError("r0 must be finite")
     rng = BlockDraws(config.seed)
     env = SamplingEnv(game, rng=rng)
+    rows = env.rows
     phi = basis.matrix
     kernel, net = game.cells
     kphi = kernel @ phi
@@ -360,7 +364,10 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
                 raise FitDivergenceError(t, r)
         if (t + 1) % FIT_EPOCH == 0:
             cells = cell_index(na, *extract_policy(game, phi @ r).executed_actions).tolist()
-        s, _ = env.step(s, _explore(slots[s], rng) if rng.random() < FIT_EPSILON else cells[s])
+        # As in `learn`: policy cells and `_slots` are never masked, so the cell's
+        # row is bisected without `SamplingEnv.step`'s checks.
+        cell = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else cells[s]
+        s = bisect_right(rows[s][cell][0], rng.random())
         if (t + 1) % FIT_EPISODE_LEN == 0:
             s = env.reset()
     dist = None

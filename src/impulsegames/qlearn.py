@@ -6,7 +6,8 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 (cost-exclusive) reward.  The learner keeps one raw and one net value (plus
 the game's ``cell_costs``) per executable cell, as cells of
 ``ImpulseGame.cells``, reads the net values through the greedy combinator,
-and returns ``Q[s, a, b]``; actions pass to :meth:`SamplingEnv.step` as cells.
+and returns ``Q[s, a, b]``.  Actions are cells: a step bisects the executed
+cell's row of :attr:`SamplingEnv.rows` with one uniform, inline.
 It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
 the value and policy off a learned table.  The ``LEARN_*`` constants fix the rest of its schedule.
 """
@@ -14,13 +15,14 @@ the value and policy off a learned table.  The ``LEARN_*`` constants fix the res
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .game import ImpulseGame, _write_csv, to_cells
-from .envs import BlockDraws, SamplingEnv
+from .envs import _UNIT, BlockDraws, SamplingEnv
 from .solver import TIE_EPS
 
 
@@ -116,27 +118,42 @@ class LearnDiagnostics:
         _write_csv(path, header, [np.array([row[key] for row in self.rows]) for key in header])
 
 
+def _table(values, name: str, shape: tuple) -> np.ndarray:
+    """A float copy of ``values``, refused (``ValueError`` naming ``name``) unless
+    it has ``shape`` and only finite entries."""
+    table = np.array(values, dtype=float)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError(f"{name} must be finite")
+    return table
+
+
 def learn(game: ImpulseGame, config: LearnConfig, q0=None,
           reference_q=None) -> tuple[np.ndarray, LearnDiagnostics]:
     """Run the simulated-play learner for the configured step budget.
 
     The learner reads only the game's static knowledge (action counts,
     discount and ``cell_costs``); transitions and raw rewards are reached
-    only by sampling through :meth:`SamplingEnv.step`, so the learning stays
-    model-free.  Every draw (reset state, exploration coin, slot and action,
-    next-state uniform) comes from one :class:`BlockDraws` of ``config.seed``:
-    the scalar draws of ``np.random.default_rng(config.seed)``, bit for bit,
-    read from raw words fetched in blocks.  The table and visit counts
+    only by sampling, one bisection of the executed cell's row of
+    :attr:`SamplingEnv.rows` per step, so the learning stays model-free.
+    Every draw (reset state, exploration coin, slot and action, next-state
+    uniform) comes from one :class:`BlockDraws` of ``config.seed``: the
+    scalar draws of ``np.random.default_rng(config.seed)``, bit for bit, read
+    from raw words fetched in blocks; the coin and the uniform are read from
+    :attr:`BlockDraws.word` inline.  The steps run in segments that end at
+    the next diagnostics row or episode reset.  The table and visit counts
     come back as ``(S, A, B)`` arrays, where cells in which both players act
     keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
     track the sup-norm distance to it over the cells executed so far.
+    Refused with ``ValueError`` before any draw: a ``q0`` or ``reference_q``
+    that is not an ``(S, A, B)`` array of finite values.
     """
+    ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
+    q = np.zeros((ns, na, nb)) if q0 is None else _table(q0, "q0", (ns, na, nb))
+    ref = None if reference_q is None else to_cells(_table(reference_q, "reference_q", q.shape))
     draws = BlockDraws(config.seed)
     env = SamplingEnv(game, rng=draws)
-    ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
-    q = np.zeros((ns, na, nb)) if q0 is None else np.array(q0, dtype=float)
-    if q.shape != (ns, na, nb):
-        raise ValueError(f"q0 must have shape {(ns, na, nb)}")
     steps = config.steps
     diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)
     cells = to_cells(q)
@@ -146,40 +163,52 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     slots = _slots(costs, na)
     # Each state's read-off; only the row a step updates is read off again.
     best = [_greedy(net, na) for net in nets]
-    ref = None if reference_q is None else to_cells(np.asarray(reference_q))
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
-    coin, step, gamma, neg_omega = draws.random, env.step, game.discount, -config.omega
-    isfinite = math.isfinite
+    word, unit, rows = draws.word, _UNIT, env.rows
+    gamma, neg_omega, isfinite, bisect = game.discount, -config.omega, math.isfinite, bisect_right
     eval_every, episode_len = LEARN_EVAL_EVERY, config.episode_len
     s = env.reset()
     epoch_sup = 0.0
-    for t in range(steps):
-        epsilon = eps0 + eps_span * (t / steps)
-        c = _explore(slots[s], draws) if epsilon > 0.0 and coin() < epsilon else best[s][1]
-        s2, raw = step(s, c)
-        row_counts, row = counts[s], table[s]
-        row_counts[c] += 1
-        alpha = row_counts[c] ** neg_omega
-        target = raw + gamma * best[s2][0]
-        if not isfinite(target):
-            raise FloatingPointError(
-                f"non-finite update target at step {t}: check the reward model")
-        delta = alpha * (target - row[c])
-        row[c] += delta
-        nets[s][c] = row[c] + costs[s][c]
-        best[s] = _greedy(nets[s], na)
-        if abs(delta) > epoch_sup:
-            epoch_sup = abs(delta)
-        done = t + 1
-        if done % eval_every == 0 or done == steps:
+    # A step draws its coin and next-state uniform as `draws.random()` would, inline,
+    # and bisects the executed cell's row of `env.rows` without `SamplingEnv.step`'s
+    # checks: `_greedy` never picks a masked cell (its net value is -inf for Player 1,
+    # +inf for Player 2), and `_slots` lists finite-cost cells only.  The steps run in
+    # segments that end at the next diagnostics row or episode reset.
+    lo = 0
+    while lo < steps:
+        hi = min(steps, (lo // eval_every + 1) * eval_every,
+                 (lo // episode_len + 1) * episode_len)
+        for t in range(lo, hi):
+            epsilon = eps0 + eps_span * (t / steps)
+            if epsilon > 0.0 and (word() >> 11) * unit < epsilon:
+                c = _explore(slots[s], draws)
+            else:
+                c = best[s][1]
+            cum, raw = rows[s][c]
+            s2 = bisect(cum, (word() >> 11) * unit)
+            row_counts, row = counts[s], table[s]
+            row_counts[c] += 1
+            alpha = row_counts[c] ** neg_omega
+            target = raw + gamma * best[s2][0]
+            if not isfinite(target):
+                raise FloatingPointError(
+                    f"non-finite update target at step {t}: check the reward model")
+            delta = alpha * (target - row[c])
+            row[c] += delta
+            nets[s][c] = row[c] + costs[s][c]
+            best[s] = _greedy(nets[s], na)
+            if abs(delta) > epoch_sup:
+                epoch_sup = abs(delta)
+            s = s2
+        if hi % eval_every == 0 or hi == steps:
             dist = ""
             if ref is not None:
                 seen = np.array(counts) > 0
                 if seen.any():
                     dist = float(np.abs(np.array(table)[seen] - ref[seen]).max())
             diag.rows.append({
-                "step": done,
+                "step": hi,
                 "sup_norm_delta": epoch_sup,
                 "dist_to_qhat": dist,
                 "epsilon": epsilon,
@@ -187,7 +216,9 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
             })
             diag.final_sup_delta = epoch_sup
             epoch_sup = 0.0
-        s = s2 if done % episode_len else env.reset()
+        if hi % episode_len == 0:
+            s = env.reset()
+        lo = hi
     table, counts = np.array(table), np.array(counts, dtype=np.int64)
     q[:, :, 0], q[:, 0, 1:] = table[:, :na], table[:, na:]
     diag.visits[:, :, 0], diag.visits[:, 0, 1:] = counts[:, :na], counts[:, na:]

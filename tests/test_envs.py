@@ -210,17 +210,26 @@ def test_sampling_env_refuses_a_state_out_of_range(s):
 _BOUNDS = [1, 2, 3, 5, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
 
 
+_DOUBLE, _WORD = len(_BOUNDS), len(_BOUNDS) + 1
+
+
 def _draw(rng, op):
-    """One scalar draw: ``random()`` for ``op == len(_BOUNDS)``, else ``integers``."""
-    return rng.random() if op == len(_BOUNDS) else int(rng.integers(_BOUNDS[op]))
+    """One scalar draw: ``random()`` for ``_DOUBLE``, the next raw word for ``_WORD``
+    (``BlockDraws.word()``, or the generator's own ``random_raw()``), else ``integers``."""
+    if op == _DOUBLE:
+        return rng.random()
+    if op == _WORD:
+        return rng.word() if isinstance(rng, BlockDraws) else int(rng.bit_generator.random_raw())
+    return int(rng.integers(_BOUNDS[op]))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_block_draws_match_generator(seed):
-    ops = np.random.default_rng(10_000 + seed).integers(len(_BOUNDS) + 1, size=30_000).tolist()
+    ops = np.random.default_rng(10_000 + seed).integers(_WORD + 1, size=30_000).tolist()
     # Fill one block with doubles, leave the upper half of its last word pending for
-    # after the next block's first double, then mix everything across several blocks.
-    ops = [len(_BOUNDS)] * (DRAW_BLOCK - 1) + [3, len(_BOUNDS), 6, 3] + ops
+    # after the next block's first double and a direct word read, then mix
+    # everything across several blocks.
+    ops = [_DOUBLE] * (DRAW_BLOCK - 1) + [3, _DOUBLE, _WORD, 6, 3] + ops
     draws, rng = BlockDraws(seed), np.random.default_rng(seed)
     assert [_draw(draws, op) for op in ops] == [_draw(rng, op) for op in ops]
     assert [draws.random(), draws.integers(7)] == [rng.random(), rng.integers(7)]

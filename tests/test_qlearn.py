@@ -253,7 +253,7 @@ def _learner_case(case):
     if case == "budget":
         return ig.augment(ig.random_game(4, 2, 1, seed=9), 2, 1).game, {}
     game = _masked_random_game()
-    if case == "reference_q":
+    if case == "reference_q" or case.startswith("steps_"):
         return game, {"reference_q": ig.solve(game, tol=1e-10).q}
     if case == "q0":
         return game, {"q0": np.random.default_rng(1).normal(size=(8, 4, 3))}
@@ -261,7 +261,8 @@ def _learner_case(case):
 
 
 @pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "30x3x3", "masked", "budget",
-                                  "reference_q", "q0", "explore", "greedy", "eps_low"])
+                                  "reference_q", "q0", "explore", "greedy", "eps_low",
+                                  "steps_1", "steps_999", "steps_2503"])
 def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     game, kwargs = _learner_case(case)
     start = {"greedy": 0.0, "eps_low": 0.005}.get(case, 0.2)
@@ -271,8 +272,55 @@ def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
         # so 32-bit halves interleave with doubles and resets across many draw blocks.
         monkeypatch.setattr(qlearn, "LEARN_EPSILON_END", 1.0)
         cfg = ig.LearnConfig(steps=10_000, seed=7, epsilon_start=1.0, episode_len=7)
+    if case.startswith("steps_"):
+        # Step counts off the diagnostics period and the 7-step episode, so the
+        # learner's last segment ends on neither.
+        cfg = ig.LearnConfig(steps=int(case[6:]), seed=7, episode_len=7)
     q, diag = ig.learn(game, cfg, **kwargs)
     ref_q, ref_visits, ref_rows = loop_learn(game, cfg, **kwargs)
     assert q.tobytes() == ref_q.tobytes()
     assert np.array_equal(diag.visits, ref_visits)
     assert diag.rows == ref_rows
+
+
+@pytest.mark.parametrize("schedule", ["explore", "greedy", "default"])
+def test_learn_never_executes_a_masked_cell(schedule, monkeypatch):
+    # The learner bisects the sampler's rows without `SamplingEnv.step`'s masked-cell
+    # fault, so it relies on never choosing one; a q0 that favours every masked cell
+    # tempts the read-off.  20,000 steps take over 40,000 draws, about ten blocks.
+    game = _masked_random_game()
+    masked1, masked2 = ~game.mask1[:, 1:], ~game.mask2[:, 1:]
+    q0 = np.zeros((8, 4, 3))
+    q0[:, 1:, 0][masked1] = 1e6
+    q0[:, 0, 1:][masked2] = -1e6
+    start = {"explore": 1.0, "greedy": 0.0}.get(schedule, 0.2)
+    if schedule == "explore":
+        monkeypatch.setattr(qlearn, "LEARN_EPSILON_END", 1.0)
+    cfg = ig.LearnConfig(steps=20_000, seed=5, epsilon_start=start, episode_len=7)
+    _, diag = ig.learn(game, cfg, q0=q0)
+    assert diag.visits[:, 1:, 0][masked1].sum() == 0
+    assert diag.visits[:, 0, 1:][masked2].sum() == 0
+    # the states with masked cells are visited all the same
+    assert diag.visits[[1, 2, 3]].sum(axis=(1, 2)).min() > 0
+
+
+def _refused_tables():
+    """(keyword, value, message) of tables ``learn`` refuses on an (8, 4, 3) game."""
+    cases = []
+    for name in ("q0", "reference_q"):
+        for shape in ((8, 4), (8, 4, 2), (8, 3, 4), (8, 4, 3, 1)):
+            cases.append((name, np.zeros(shape), f"{name} must have shape"))
+        for bad in (np.nan, np.inf, -np.inf):
+            table = np.zeros((8, 4, 3))
+            table[2, 1, 0] = bad
+            cases.append((name, table, f"{name} must be finite"))
+    return cases
+
+
+@pytest.mark.parametrize("name,table,message", _refused_tables())
+def test_learn_refuses_a_bad_table_before_any_draw(name, table, message, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before the check")
+    monkeypatch.setattr(qlearn, "BlockDraws", no_draws)
+    with pytest.raises(ValueError, match=message):
+        ig.learn(_masked_random_game(), ig.LearnConfig(steps=2000, seed=1), **{name: table})
