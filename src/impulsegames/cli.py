@@ -217,8 +217,9 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: building it costs far
-    more than a parse, and a parse leaves it unchanged."""
+    """The command-line parser, built once per process and shared by every call:
+    building it costs far more than a parse, and a parse leaves it unchanged.
+    Callers must not change it."""
     parser = _Parser(
         prog="impulsegames",
         description="Solve, learn and simulate two-player zero-sum games "

@@ -184,9 +184,9 @@ class BlockDraws:
     64-bit draws.
 
     :attr:`word` is the bound ``__next__`` of one endless iterator over the raw
-    words: ``word()`` is the next one, the draw ``random()`` and ``integers``
-    read, so a hot loop can take ``(word() >> 11) * 2**-53`` inline in place
-    of a ``random()`` call and stay on the same stream.
+    words: ``word()`` returns the word that ``random()`` or ``integers`` would
+    read next, so a hot loop can take ``(word() >> 11) * 2**-53`` inline in
+    place of a ``random()`` call and stay on the same stream.
     """
 
     __slots__ = ("word", "_half")
@@ -238,7 +238,7 @@ class SamplingEnv:
     :meth:`walk` calls ``random(size)`` of a ``Generator``.
 
     ``rows[s][c]`` is the pair ``(cut cumulative row, raw reward)`` of cell
-    ``c`` of :attr:`ImpulseGame.cells` at state ``s``, built once as tuples
+    ``c`` of :attr:`ImpulseGame.cells` at state ``s``, built once as a tuple
     of per-state tuples; the row is an ``array('d')``, and ``bisect_right(row,
     u)`` of one uniform ``u`` is the next state.  It is a read-only view.  A
     row whose sum rounds below 1 can draw past its end; such a draw lands on

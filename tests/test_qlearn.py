@@ -287,7 +287,7 @@ def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
 def test_learn_never_executes_a_masked_cell(schedule, monkeypatch):
     # The learner bisects the sampler's rows without `SamplingEnv.step`'s masked-cell
     # fault, so it relies on never choosing one; a q0 that favours every masked cell
-    # tempts the read-off.  20,000 steps take over 40,000 draws, about ten blocks.
+    # tempts the read-off.  20,000 steps read 20,000 to 60,000 raw words, 5 to 15 blocks.
     game = _masked_random_game()
     masked1, masked2 = ~game.mask1[:, 1:], ~game.mask2[:, 1:]
     q0 = np.zeros((8, 4, 3))
