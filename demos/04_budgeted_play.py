@@ -20,7 +20,10 @@ base = ig.ImpulseGame(kernel=kernel, reward=reward,
 
 print("unconstrained value:", ig.solve(base, tol=1e-10).value[0])
 
-report, aug = ig.solve_budgeted(base, n1=4, n2=0, tol=1e-10)
+# The budgeted game runs on the base game's tables; AugmentedGame names its
+# states (s, y, z), y and z the counters of remaining interventions.
+aug = ig.AugmentedGame(base, n1=4, n2=0)
+report = ig.solve(base, tol=1e-10, caps=aug.caps)
 grid = aug.value_grid(report.value)
 print("\nvalue as Player 1's remaining budget grows:")
 for y in range(5):
@@ -28,15 +31,16 @@ for y in range(5):
     print(f"    budget {y}: value {grid[0, y, 0]:.6f}  "
           f"{'acts now' if acts else 'idles'}")
 
-run = ig.simulate_budgeted(aug, report.policy, steps=30, seed=0)
-spent_at = np.flatnonzero(run.trajectory.actions1).tolist()
-print(f"\nsimulated 30 steps: {run.p1_interventions} interventions, "
+traj = ig.simulate(base, report.policy, steps=30, seed=0,
+                   start=aug.index(0, 4, 0), caps=aug.caps)
+spent_at = np.flatnonzero(traj.actions1).tolist()
+print(f"\nsimulated 30 steps: {len(spent_at)} interventions, "
       f"spent at t = {spent_at} (front-loaded under discounting)")
 
 print("\nbudget monotonicity on a random two-sided game:")
 rand = ig.random_game(3, 1, 1, seed=42)
-rep2, aug2 = ig.solve_budgeted(rand, 2, 2, tol=1e-9)
-g2 = aug2.value_grid(rep2.value)
+rep2 = ig.solve(rand, tol=1e-9, caps=(2, 2))
+g2 = ig.AugmentedGame(rand, 2, 2).value_grid(rep2.value)
 print("    value grid at state 0 (rows: own budget, cols: rival budget):")
 for y in range(3):
     print("     ", np.round(g2[0, y, :], 4))

@@ -61,7 +61,7 @@ from .linfa import (
     verify_bound,
     weighted_norm,
 )
-from .budget import AugmentedGame, BudgetRun, augment, simulate_budgeted, solve_budgeted
+from .budget import AugmentedGame, augment
 from .envs import (
     DuopolyParams,
     SamplingEnv,

@@ -9,10 +9,12 @@ keeps every trajectory feasible by construction.
 The budgeted game lives on states ``(s, y, z)``, but its kernel factors
 exactly into the base kernel times deterministic counter bookkeeping.  So
 the solver and the rollout run on the base game (``solve`` and ``simulate``
-with ``caps``): one sweep is one matmul of the base kernel against the
-``(S, (n1+1)*(n2+1))`` value grid, then a shift of the acting player's
-counter axis.  :func:`augment` is the reference construction: its ``game``
-is the dense model over the product space, which tests compare against.
+with ``caps=(n1, n2)``): one sweep is one matmul of the base kernel against
+the ``(S, (n1+1)*(n2+1))`` value grid, then a shift of the acting player's
+counter axis.  :class:`AugmentedGame` names their states: a rollout from
+base state ``s`` with full counters starts at ``index(s, n1, n2)``.
+:func:`augment` is the reference construction: its ``game`` is the dense
+model over the product space, which tests compare against.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from .game import ImpulseGame, check_kernel_size
-from .sim import Trajectory, simulate
-from .solver import MAX_AUGMENTED_CELLS, EquilibriumPolicy, SolveReport, _layers, solve
+from .solver import MAX_AUGMENTED_CELLS, _layers
 
 
 @dataclass(frozen=True)
@@ -119,35 +119,3 @@ def augment(base: ImpulseGame, n1: int, n2: int) -> AugmentedGame:
     own budgeted paths never build it.
     """
     return AugmentedGame(base, n1, n2)
-
-
-def solve_budgeted(base: ImpulseGame, n1: int, n2: int, tol: float = 1e-9,
-                   max_sweeps: int = 100_000) -> tuple[SolveReport, AugmentedGame]:
-    """Solve the budgeted game on the base kernel; the policy is Markov in
-    ``(s, y, z)`` and indexed by :meth:`AugmentedGame.index`.
-
-    Raises ``ValueError`` before any work on negative or oversized caps.
-    """
-    aug = AugmentedGame(base, n1, n2)
-    return solve(base, tol=tol, max_sweeps=max_sweeps, caps=aug.caps), aug
-
-
-class BudgetRun(NamedTuple):
-    trajectory: Trajectory
-    p1_interventions: int
-    p2_interventions: int
-
-
-def simulate_budgeted(aug: AugmentedGame, policy: EquilibriumPolicy, steps: int,
-                      seed=0, start=None) -> BudgetRun:
-    """Roll the budgeted policy forward and count each player's interventions.
-
-    ``start`` is a base-game state (counters begin full) or None for state 0.
-    Trajectory states are flat ``(s, y, z)`` indices.  ``simulate`` raises when
-    the rollout reaches a masked action or a spent counter (a solver bug), so
-    counts never exceed the caps.
-    """
-    s0 = aug.index(int(start) if start is not None else 0, aug.n1, aug.n2)
-    traj = simulate(aug.base, policy, steps, seed=seed, start=s0, caps=aug.caps)
-    return BudgetRun(trajectory=traj, p1_interventions=int(np.count_nonzero(traj.actions1)),
-                     p2_interventions=int(np.count_nonzero(traj.actions2)))

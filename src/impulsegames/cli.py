@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from . import budget as budget_mod
 from . import linfa
 from . import qlearn
+from .budget import AugmentedGame
 from .envs import build_duopoly_game, duopoly_params_from_dict
 from .game import (_basis_from_dict, _read_spec, _write_csv, _write_json, game_from_dict,
                    load_game, random_game, save_game)
@@ -133,15 +133,14 @@ def cmd_oracle(args) -> int:
 def cmd_budget(args) -> int:
     game = _obtain_game(args)
     _check_start(args, game)
-    report, aug = budget_mod.solve_budgeted(game, args.n1, args.n2, tol=args.tol,
-                                            max_sweeps=args.max_sweeps)
+    aug = AugmentedGame(game, args.n1, args.n2)
+    report = solve(game, tol=args.tol, max_sweeps=args.max_sweeps, caps=aug.caps)
     # Roll out before any write, so that a refused flag leaves no file.
-    run = budget_mod.simulate_budgeted(aug, report.policy, steps=args.steps,
-                                       seed=args.seed, start=args.start)
+    traj = simulate(game, report.policy, steps=args.steps, seed=args.seed,
+                    start=aug.index(args.start, args.n1, args.n2), caps=aug.caps)
     out = _outdir(args)
     labels = [f"({s},{y},{z})" for s, y, z in aug.labels]
     _write_json(os.path.join(out, "budget_report.json"), report._doc(labels))
-    traj = run.trajectory
     _write_csv(os.path.join(out, "budget_trajectory.csv"),
                ["t", "state", "executed_a", "executed_b", "reward", "cumulative_return"],
                [np.arange(len(traj.rewards)), np.array(labels)[traj.states[:-1]],
@@ -165,8 +164,7 @@ def cmd_fit(args) -> int:
         game, basis_matrix = _obtain_game(args), None
     basis = (linfa.FeatureBasis(basis_matrix) if basis_matrix is not None
              else linfa.identity_basis(game.num_states))
-    config = linfa.FitConfig(samples=args.steps, seed=args.seed,
-                             combinator=args.combinator, compute_reference=False)
+    config = linfa.FitConfig(samples=args.steps, seed=args.seed, combinator=args.combinator)
     try:
         r, report = linfa.fit(game, basis, config)
     except linfa.FitDivergenceError as exc:

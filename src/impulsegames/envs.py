@@ -19,6 +19,11 @@ import numpy as np
 from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, to_cells, validate
 
 
+# Gauss-Hermite nodes of the duopoly's noise: the nodes solve an n x n
+# eigenproblem, and numpy's weights overflow a few hundred nodes up.
+MAX_NOISE_NODES = 100
+
+
 @dataclass(frozen=True)
 class DuopolyParams:
     """Parameters of the discretised advertising duopoly.
@@ -26,7 +31,9 @@ class DuopolyParams:
     ``investments1``/``investments2`` are the non-null action magnitudes; the
     null action (invest nothing) is always present.  The action cost is
     quasi-linear: ``kappa_i + u`` for investment ``u``.  ``grid_size`` lattice
-    points per axis span ``[0, market_size]``.
+    points per axis span ``[0, market_size]``.  ``noise_nodes`` Gauss-Hermite
+    nodes, ``1 .. MAX_NOISE_NODES``, spread each step's noise; one node means
+    no noise.
     """
 
     market_size: float = 100.0
@@ -52,6 +59,9 @@ class DuopolyParams:
             raise ValueError("response rates must lie in (0, 1]")
         if self.grid_size < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if not 1 <= self.noise_nodes <= MAX_NOISE_NODES:
+            raise ValueError(f"noise_nodes must lie in 1..{MAX_NOISE_NODES}, "
+                             f"got {self.noise_nodes}")
 
 
 def duopoly_params_from_dict(doc: dict) -> DuopolyParams:
@@ -160,7 +170,7 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     return game
 
 
-# Draws fetched from the generator at a time: uniforms by :meth:`SamplingEnv.walk`,
+# Draws fetched from the generator at a time: uniforms by ``sim.simulate``,
 # raw 64-bit words by :class:`BlockDraws`.
 DRAW_BLOCK = 1 << 12
 
@@ -230,12 +240,10 @@ class SamplingEnv:
     Exposes the state and action counts and the sampler's rows, none of the
     game's tables.  Transitions and raw rewards are reachable only by
     sampling, with one uniform per next state: :meth:`step` takes one checked
-    step, :meth:`walk` a whole chain of a fixed plan (``simulate``), and
-    ``learn`` and ``fit`` bisect :attr:`rows` inline.
+    step, and ``learn``, ``fit`` and ``simulate`` bisect :attr:`rows` inline.
     The draws come from ``rng`` (by default ``np.random.default_rng(seed)``):
     :meth:`reset` and :meth:`step` call only its scalar ``integers(n)`` and
-    ``random()``, so a :class:`BlockDraws` serves them too;
-    :meth:`walk` calls ``random(size)`` of a ``Generator``.
+    ``random()``, so a :class:`BlockDraws` serves them too.
 
     ``rows[s][c]`` is the pair ``(cut cumulative row, raw reward)`` of cell
     ``c`` of :attr:`ImpulseGame.cells` at state ``s``, built once as a tuple
@@ -281,46 +289,3 @@ class SamplingEnv:
             raise RuntimeError(f"masked cell {c} attempted at state {s}")
         row, reward = self.rows[s][c]
         return bisect_right(row, self._rng.random()), reward
-
-    def walk(self, start: int, cells, next_layers, steps: int) -> np.ndarray:
-        """The states of ``steps`` steps of a fixed plan's chain from ``start``.
-
-        The chain's states are ``x = s * L + l`` over ``L = len(cells) //
-        num_states`` layers (say, budget counters).  At ``x`` the plan executes
-        cell ``cells[x]`` of :attr:`ImpulseGame.cells` at base state ``s`` and
-        moves to layer ``next_layers[x]``, so the walk lands on ``draw * L +
-        next_layers[x]``; a negative next layer marks a spent counter.  Each
-        step takes one uniform, the same one :meth:`step` would take, but the
-        uniforms are drawn ``DRAW_BLOCK`` at a time.  Reaching a masked cell
-        or a spent counter raises ``RuntimeError``; by then the generator may
-        have advanced to the end of its block.  Returns ``steps + 1`` states
-        as int64.  Refused: a plan whose length is not a positive multiple of
-        the state count or whose lengths differ (``ValueError``), a cell
-        outside the table or a ``start`` outside the chain (``IndexError``).
-        """
-        cells, next_layers = np.asarray(cells).tolist(), np.asarray(next_layers).tolist()
-        size = len(cells)
-        if size != len(next_layers) or size == 0 or size % self.num_states:
-            raise ValueError(f"a plan of {size} cells and {len(next_layers)} next layers "
-                             f"does not cover {self.num_states} states")
-        if not 0 <= start < size:
-            raise IndexError(f"start state {start} outside 0..{size - 1}")
-        layers = size // self.num_states
-        tables = []
-        for x, (c, nl) in enumerate(zip(cells, next_layers)):
-            if not 0 <= c < self._ncells:
-                raise IndexError(f"cell {c} at state {x} outside 0..{self._ncells - 1}")
-            s = x // layers
-            tables.append((self.rows[s][c][0], nl) if self._ok[s][c] and nl >= 0 else None)
-        states = np.empty(steps + 1, dtype=np.int64)
-        states[0] = x = start
-        for lo in range(0, steps, DRAW_BLOCK):
-            block = self._rng.random(min(DRAW_BLOCK, steps - lo)).tolist()
-            for i, u in enumerate(block):
-                entry = tables[x]
-                if entry is None:
-                    raise RuntimeError(f"masked cell {cells[x]} reached at state {x}")
-                x = block[i] = bisect_right(entry[0], u) * layers + entry[1]
-            states[lo + 1:lo + 1 + len(block)] = block
-        return states
-

@@ -266,15 +266,13 @@ def _finish(game: ImpulseGame, phi, m, t, combinator: str):
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the sampled weight-space iteration; its schedule is the
-    ``FIT_*`` constants.  ``compute_reference`` costs one :func:`solve`.
-    ``divergence_limit`` is a positive bound on ``max |r|``; ``inf`` turns
-    the check off."""
+    ``FIT_*`` constants.  ``divergence_limit`` is a positive bound on
+    ``max |r|``; ``inf`` turns the check off."""
 
     samples: int
     seed: int = 0
     combinator: str = "T"
     divergence_limit: float = 1e6
-    compute_reference: bool = True
 
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
@@ -295,10 +293,9 @@ class FitDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    """``sup_dist_to_value`` is None without ``compute_reference``."""
+    """``samples_run`` is the number of samples taken, ``config.samples``."""
 
     samples_run: int
-    sup_dist_to_value: Optional[float]
 
 
 def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
@@ -370,11 +367,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
         s = bisect_right(rows[s][cell][0], rng.random())
         if (t + 1) % FIT_EPISODE_LEN == 0:
             s = env.reset()
-    dist = None
-    if config.compute_reference:
-        vhat = solve(game, tol=1e-9).value
-        dist = float(np.abs(basis.field(r) - vhat).max())
-    return r, FitReport(samples_run=config.samples, sup_dist_to_value=dist)
+    return r, FitReport(samples_run=config.samples)
 
 
 class BoundReport(NamedTuple):

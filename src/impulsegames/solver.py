@@ -104,16 +104,16 @@ def _next_values(v, kernel, ny, nz, acts1, acts2):
     return ev
 
 
-def operator_terms(game: ImpulseGame, v, caps=None, *, _rows=None) -> OperatorTerms:
+def operator_terms(game: ImpulseGame, v, caps=None) -> OperatorTerms:
     """The operator's pieces at every state, flat like ``v``, from the net
     reward plus discounted E[v(next)] of each of :attr:`ImpulseGame.cells`.
 
     ``caps=(n1, n2)`` evaluates them on the budgeted game over states
     ``(s, y, z)`` (see :func:`_next_values`), where a spent counter masks its
-    player's cells; no caps is its one-layer case.  ``_rows`` picks base states.
+    player's cells; no caps is its one-layer case.
     """
     ny, nz, spend = _layers(game, caps)
-    kernel, net = game.cells if _rows is None else (x[_rows] for x in game.cells)
+    kernel, net = game.cells
     na = game.num_actions1
     ev = _next_values(v, kernel, ny, nz, np.s_[:, 1:na], np.s_[:, na:])
     q = net[:, :, None, None] + game.discount * ev
@@ -139,18 +139,18 @@ def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
 
     Returns ``(-inf, None)`` when Player 1 has no available non-null action.
     """
-    t = operator_terms(game, v, _rows=[s])
-    if not t.has1[0]:
+    t = operator_terms(game, v)
+    if not t.has1[s]:
         return InterventionResult(-math.inf, None)
-    return InterventionResult(float(t.m1[0]), int(t.act1[0]))
+    return InterventionResult(float(t.m1[s]), int(t.act1[s]))
 
 
 def min_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
     """Best immediate costly Player-2 action value at ``s`` (a held null)."""
-    t = operator_terms(game, v, _rows=[s])
-    if not t.has2[0]:
+    t = operator_terms(game, v)
+    if not t.has2[s]:
         return InterventionResult(math.inf, None)
-    return InterventionResult(float(t.m2[0]), int(t.act2[0]))
+    return InterventionResult(float(t.m2[s]), int(t.act2[s]))
 
 
 def noop_continuation(game: ImpulseGame, v) -> np.ndarray:
@@ -323,8 +323,8 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     ``caps=(n1, n2)`` it solves the budgeted game of
     :mod:`impulsegames.budget` from the base game's tables.  A non-positive
     or NaN ``tol``, a negative ``max_sweeps``, a discount outside [0, 1), bad
-    caps or a ``v0`` that is not one value per state (per augmented state
-    under caps) are refused with ``ValueError`` before any sweep.
+    caps or a ``v0`` that is not one finite value per state (per augmented
+    state under caps) are refused with ``ValueError`` before any sweep.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -339,6 +339,8 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
     if v.shape != (size,):
         raise ValueError(f"v0 must hold {size} values, one per state, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("v0 must be finite")
     residual = math.inf
     sweeps = 0
     converged = False
@@ -435,15 +437,26 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
     return v.transpose(2, 0, 1).ravel()
 
 
+def _whole(x, what: str) -> np.ndarray:
+    """``x`` as integers; an entry that is not a whole number is refused with
+    ``ValueError`` naming ``what``, where ``astype(int)`` would truncate it."""
+    raw = np.asarray(x, dtype=float)
+    if not (np.isfinite(raw) & (np.floor(raw) == raw)).all():
+        raise ValueError(f"{what} must be integers")
+    return raw.astype(int)
+
+
 def evaluate_policies(game: ImpulseGame, pol1, pol2) -> np.ndarray:
     """Exact value of a fixed deterministic stationary policy pair.
 
     Player 2's choice suppresses Player 1's at states where both are
-    non-null.  Solves the linear system (I - gamma * P) v = r directly.
+    non-null.  Solves the linear system (I - gamma * P) v = r directly.  An
+    entry that is not a whole number is refused with ``ValueError``.
     """
     ns = game.num_states
     if np.shape(pol1) != (ns,) or np.shape(pol2) != (ns,):
         raise ValueError(f"policies must have shape ({ns},)")
+    pol1, pol2 = (_whole(pol, "policy actions") for pol in (pol1, pol2))
     return _chain_values(game, *_executed_chain(game, pol1, pol2))
 
 
@@ -512,10 +525,7 @@ def intervention_times(game: ImpulseGame, policy: EquilibriumPolicy,
     only where its own region is visited outside Player 2's (precedence).
     A state that is not a whole number is refused with ``ValueError``.
     """
-    raw = np.asarray(trajectory, dtype=float)
-    if not (np.isfinite(raw) & (np.floor(raw) == raw)).all():
-        raise ValueError("trajectory states must be integers")
-    states = raw.astype(int)
+    states = _whole(trajectory, "trajectory states")
     outside = (states < 0) | (states >= game.num_states)
     if outside.any():
         raise IndexError(f"trajectory state {states[outside.argmax()]} out of range")

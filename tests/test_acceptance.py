@@ -53,8 +53,8 @@ def test_criterion_2_closed_form_micro_games():
         rep = ig.solve(game, tol=1e-9)
         errs.append(abs(rep.value[0] - expected))
         assert rep.converged and errs[-1] <= 1e-9
-    rep, aug = ig.solve_budgeted(g2, 2, 0, tol=1e-9)
-    grid = aug.value_grid(rep.value)
+    rep = ig.solve(g2, tol=1e-9, caps=(2, 0))
+    grid = ig.AugmentedGame(g2, 2, 0).value_grid(rep.value)
     for y, expected in [(0, 2.0), (1, 2.5), (2, 2.75)]:
         errs.append(abs(grid[0, y, 0] - expected))
         assert errs[-1] <= 1e-9
@@ -140,8 +140,8 @@ def test_criterion_6_linear_fa():
     games = [micro_game(0.5, 0.3), micro_game(0.5, 100.0), micro_game(2.0, 100.0)]
     for game in games:
         basis = ig.identity_basis(1)
-        r, report = ig.fit(game, basis, ig.FitConfig(samples=100_000, seed=0))
-        assert report.sup_dist_to_value <= 1e-3
+        r, _ = ig.fit(game, basis, ig.FitConfig(samples=100_000, seed=0))
+        assert np.abs(basis.field(r) - ig.solve(game, tol=1e-9).value).max() <= 1e-3
     rng = np.random.default_rng(31)
     bound_margins = []
     for k in range(10):
@@ -169,15 +169,16 @@ def test_criterion_7_budget_feasibility():
         ns = 2 + k % 2
         base = ig.random_game(ns, 1, 1, seed=8000 + k)
         n1, n2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        rep, aug = ig.solve_budgeted(base, n1, n2, tol=1e-8)
+        aug = ig.AugmentedGame(base, n1, n2)
+        rep = ig.solve(base, tol=1e-8, caps=aug.caps)
         grid = aug.value_grid(rep.value)
         assert (np.diff(grid, axis=1) >= -1e-8).all(), "value not monotone in own budget"
         assert (np.diff(grid, axis=2) <= 1e-8).all(), "value not antitone in rival budget"
         for seed in range(1000):
-            run = ig.simulate_budgeted(aug, rep.policy, 40, seed=seed,
-                                       start=seed % ns)
-            assert run.p1_interventions <= n1
-            assert run.p2_interventions <= n2
+            traj = ig.simulate(base, rep.policy, 40, seed=seed,
+                               start=aug.index(seed % ns, n1, n2), caps=aug.caps)
+            assert np.count_nonzero(traj.actions1) <= n1
+            assert np.count_nonzero(traj.actions2) <= n2
             trajectories += 1
     elapsed = time.time() - start
     _verdict("criterion 7: budget feasibility",

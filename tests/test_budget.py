@@ -28,7 +28,8 @@ def test_augmented_game_validates(g1):
 
 
 def test_budgeted_g2_hand_values(g2):
-    rep, aug = ig.solve_budgeted(g2, 2, 0, tol=1e-10)
+    aug = ig.AugmentedGame(g2, 2, 0)
+    rep = ig.solve(g2, tol=1e-10, caps=aug.caps)
     grid = aug.value_grid(rep.value)
     assert grid[0, 0, 0] == pytest.approx(2.0, abs=1e-9)
     assert grid[0, 1, 0] == pytest.approx(2.5, abs=1e-9)
@@ -42,7 +43,8 @@ def test_budgeted_g2_hand_values(g2):
 def test_budget_monotonicity_random_games():
     for k in range(4):
         base = ig.random_game(3, 1, 1, seed=800 + k)
-        rep, aug = ig.solve_budgeted(base, 2, 2, tol=1e-9)
+        aug = ig.AugmentedGame(base, 2, 2)
+        rep = ig.solve(base, tol=1e-9, caps=aug.caps)
         grid = aug.value_grid(rep.value)
         assert (np.diff(grid, axis=1) >= -1e-8).all()  # more own budget helps P1
         assert (np.diff(grid, axis=2) <= 1e-8).all()   # more opponent budget hurts P1
@@ -51,69 +53,77 @@ def test_budget_monotonicity_random_games():
 def test_large_budget_matches_unconstrained(g1, g2, g3):
     for game in (g1, g2, g3):
         free = ig.solve(game, tol=1e-10).value
-        rep, aug = ig.solve_budgeted(game, 40, 40, tol=1e-10)
-        grid = aug.value_grid(rep.value)
+        rep = ig.solve(game, tol=1e-10, caps=(40, 40))
+        grid = ig.AugmentedGame(game, 40, 40).value_grid(rep.value)
         assert abs(grid[0, 40, 40] - free[0]) <= 1e-6
 
 
 def test_one_shot_budget_matches_enumeration_oracle():
     for k in range(3):
         base = ig.random_game(3, 1, 0, seed=900 + k)
-        rep, aug = ig.solve_budgeted(base, 1, 0, tol=1e-11)
-        grid = aug.value_grid(rep.value)
+        rep = ig.solve(base, tol=1e-11, caps=(1, 0))
+        grid = ig.AugmentedGame(base, 1, 0).value_grid(rep.value)
         oracle = best_single_shot_value(base)
         assert np.abs(grid[:, 1, 0] - oracle).max() <= 1e-8
 
 
+def _full(aug, s=0):
+    """The flat index of base state ``s`` with both counters full."""
+    return aug.index(s, aug.n1, aug.n2)
+
+
 def test_simulate_budgeted_spends_frontloaded_budget(g2):
-    rep, aug = ig.solve_budgeted(g2, 2, 0, tol=1e-10)
-    run = ig.simulate_budgeted(aug, rep.policy, 100, seed=0)
-    assert run.p1_interventions == 2
-    assert np.flatnonzero(run.trajectory.actions1).tolist() == [0, 1]
+    aug = ig.AugmentedGame(g2, 2, 0)
+    rep = ig.solve(g2, tol=1e-10, caps=aug.caps)
+    traj = ig.simulate(g2, rep.policy, 100, seed=0, start=_full(aug), caps=aug.caps)
+    assert np.flatnonzero(traj.actions1).tolist() == [0, 1]
 
 
 def test_simulate_budgeted_zero_budgets_never_acts():
     base = ig.random_game(3, 2, 2, seed=5)
-    rep, aug = ig.solve_budgeted(base, 0, 0, tol=1e-9)
-    run = ig.simulate_budgeted(aug, rep.policy, 200, seed=3)
-    assert run.p1_interventions == 0 and run.p2_interventions == 0
+    rep = ig.solve(base, tol=1e-9, caps=(0, 0))
+    traj = ig.simulate(base, rep.policy, 200, seed=3, caps=(0, 0))
+    assert not traj.actions1.any() and not traj.actions2.any()
 
 
 def test_simulate_budgeted_deterministic():
     base = ig.random_game(3, 1, 1, seed=6)
-    rep, aug = ig.solve_budgeted(base, 1, 1, tol=1e-9)
-    r1 = ig.simulate_budgeted(aug, rep.policy, 50, seed=9)
-    r2 = ig.simulate_budgeted(aug, rep.policy, 50, seed=9)
-    assert np.array_equal(r1.trajectory.states, r2.trajectory.states)
+    aug = ig.AugmentedGame(base, 1, 1)
+    rep = ig.solve(base, tol=1e-9, caps=aug.caps)
+    t1, t2 = (ig.simulate(base, rep.policy, 50, seed=9, start=_full(aug), caps=aug.caps)
+              for _ in range(2))
+    assert np.array_equal(t1.states, t2.states)
 
 
 def test_feasibility_over_many_trajectories():
     rng = np.random.default_rng(0)
     for k in range(3):
         base = ig.random_game(2, 1, 1, seed=1000 + k)
-        n1, n2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        rep, aug = ig.solve_budgeted(base, n1, n2, tol=1e-8)
+        aug = ig.AugmentedGame(base, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        rep = ig.solve(base, tol=1e-8, caps=aug.caps)
         for seed in range(50):
-            run = ig.simulate_budgeted(aug, rep.policy, 40, seed=seed)
-            assert run.p1_interventions <= n1
-            assert run.p2_interventions <= n2
+            traj = ig.simulate(base, rep.policy, 40, seed=seed, start=_full(aug),
+                               caps=aug.caps)
+            assert np.count_nonzero(traj.actions1) <= aug.n1
+            assert np.count_nonzero(traj.actions2) <= aug.n2
 
 
 def test_masked_action_is_hard_fault(g2):
-    rep, aug = ig.solve_budgeted(g2, 1, 0, tol=1e-9)
+    aug = ig.AugmentedGame(g2, 1, 0)
     bad = ig.EquilibriumPolicy(
-        p1_acts=np.ones(aug.game.num_states, dtype=bool),
-        p1_action=np.ones(aug.game.num_states, dtype=int),
-        p2_acts=np.zeros(aug.game.num_states, dtype=bool),
-        p2_action=np.zeros(aug.game.num_states, dtype=int),
+        p1_acts=np.ones(aug.num_states, dtype=bool),
+        p1_action=np.ones(aug.num_states, dtype=int),
+        p2_acts=np.zeros(aug.num_states, dtype=bool),
+        p2_action=np.zeros(aug.num_states, dtype=int),
     )
     with pytest.raises(RuntimeError, match="masked"):
-        ig.simulate_budgeted(aug, bad, 10, seed=0)
+        ig.simulate(g2, bad, 10, seed=0, start=_full(aug), caps=aug.caps)
 
 
 def test_budgeted_qlearning_converges_small():
     base = ig.random_game(2, 1, 1, seed=14, gamma=0.8)
-    rep, aug = ig.solve_budgeted(base, 2, 1, tol=1e-10)
+    aug = ig.augment(base, 2, 1)
+    rep = ig.solve(base, tol=1e-10, caps=aug.caps)
     assert aug.game.num_states <= 20
     tol = 0.05 * (1 + np.abs(rep.q).max())
     for seed in range(3):
@@ -142,8 +152,9 @@ def test_factored_budget_matches_dense_augmentation(seed, ns, na, nb, masked, ca
     base = ig.random_game(ns, na, nb, seed=1100 + seed)
     if masked:
         base = _masked(base, seed)
-    rep, aug = ig.solve_budgeted(base, *caps, tol=1e-10)
-    dense = ig.solve(ig.augment(base, *caps).game, tol=1e-10)
+    aug = ig.augment(base, *caps)
+    rep = ig.solve(base, tol=1e-10, caps=caps)
+    dense = ig.solve(aug.game, tol=1e-10)
     assert rep.sweeps == dense.sweeps
     assert np.abs(rep.value - dense.value).max() <= 1e-12
     assert rep.q.shape == dense.q.shape
@@ -152,29 +163,30 @@ def test_factored_budget_matches_dense_augmentation(seed, ns, na, nb, masked, ca
     for field in ("p1_acts", "p1_action", "p2_acts", "p2_action"):
         np.testing.assert_array_equal(getattr(rep.policy, field),
                                       getattr(dense.policy, field))
-    start = seed % ns
-    run = ig.simulate_budgeted(aug, rep.policy, 300, seed=seed, start=start)
-    ref = ig.simulate(aug.game, dense.policy, 300, seed=seed,
-                      start=aug.index(start, *caps))
+    start = aug.index(seed % ns, *caps)
+    run = ig.simulate(base, rep.policy, 300, seed=seed, start=start, caps=caps)
+    ref = ig.simulate(aug.game, dense.policy, 300, seed=seed, start=start)
     for field in ("states", "actions1", "actions2", "rewards"):
-        np.testing.assert_array_equal(getattr(run.trajectory, field), getattr(ref, field))
+        np.testing.assert_array_equal(getattr(run, field), getattr(ref, field))
 
 
 def test_budgeted_paths_never_build_the_dense_model():
     base = ig.random_game(5, 2, 2, seed=3)
-    rep, aug = ig.solve_budgeted(base, 3, 2, tol=1e-9)
+    aug = ig.AugmentedGame(base, 3, 2)
+    rep = ig.solve(base, tol=1e-9, caps=aug.caps)
     aug.index(4, 3, 2), aug.labels, aug.value_grid(rep.value), aug.num_states
-    ig.simulate_budgeted(aug, rep.policy, 50, seed=0, start=4)
+    ig.simulate(base, rep.policy, 50, seed=0, start=_full(aug, 4), caps=aug.caps)
     assert "game" not in vars(aug)
     assert aug.num_states == aug.game.num_states == len(aug.labels) == 5 * 4 * 3
 
 
 def test_oversized_caps_refused_before_any_work():
     base = ig.random_game(3, 1, 1, seed=0)
-    with pytest.raises(ValueError, match="above the limit"):
-        ig.solve_budgeted(base, 10**9, 10**9)
-    with pytest.raises(ValueError, match="nonnegative"):
-        ig.solve_budgeted(base, -1, 0)
+    for caps, match in [((10**9, 10**9), "above the limit"), ((-1, 0), "nonnegative")]:
+        with pytest.raises(ValueError, match=match):
+            ig.AugmentedGame(base, *caps)
+        with pytest.raises(ValueError, match=match):
+            ig.solve(base, caps=caps)
 
 
 def test_dense_reference_refuses_an_oversized_kernel_before_building_it():

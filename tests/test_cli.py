@@ -443,6 +443,19 @@ def test_bad_discount_or_cost_exits_1_no_output(tmp_path, capsys, recwarn, sourc
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("nodes", [0, -1, 101, 400])
+def test_noise_nodes_outside_the_bound_exit_1_no_output(tmp_path, capsys, recwarn, nodes):
+    # At 400 nodes numpy's Gauss-Hermite weights overflow; the count is refused first.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"grid_size": 3, "noise_nodes": nodes}))
+    out = tmp_path / "out"
+    assert main(["solve", "--duopoly", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: noise_nodes must lie in 1..100, got {nodes}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_invalid_default_duopoly_message_is_one_short_line(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"kappa1": float("nan")}))

@@ -63,6 +63,15 @@ def test_build_duopoly_game_is_valid():
     assert game.num_actions1 == 4
 
 
+def test_noise_nodes_lie_in_one_to_the_bound():
+    for nodes in (1, 2, ig.envs.MAX_NOISE_NODES):
+        game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=3, noise_nodes=nodes))
+        assert ig.validate(game) == []
+    for nodes in (0, -1, ig.envs.MAX_NOISE_NODES + 1):
+        with pytest.raises(ValueError, match="noise_nodes"):
+            ig.DuopolyParams(noise_nodes=nodes)
+
+
 def test_sigma_zero_on_lattice_is_unit_mass():
     p = ig.DuopolyParams(sigma1=0.0, sigma2=0.0, noise_nodes=1, r1=0.0, r2=0.0,
                          grid_size=5)

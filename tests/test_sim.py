@@ -129,21 +129,6 @@ class _NoDraws:
         raise AssertionError("a step was taken")
 
 
-@pytest.mark.parametrize("start, cells, next_layers, error", [
-    (0, [0] * 5, [0] * 5, ValueError),
-    (0, [0] * 3, [0] * 6, ValueError),
-    (0, [], [], ValueError),
-    (0, [0, 5, 0], [0] * 3, IndexError),
-    (0, [0, -1, 0], [0] * 3, IndexError),
-    (3, [0] * 3, [0] * 3, IndexError),
-    (-1, [0] * 6, [0] * 6, IndexError),
-])
-def test_sampling_env_walk_refuses_a_bad_plan_before_any_draw(start, cells, next_layers, error):
-    env = ig.SamplingEnv(ig.random_game(3, 2, 2, seed=0), rng=_NoDraws())
-    with pytest.raises(error):
-        env.walk(start, cells, next_layers, 10)
-
-
 @pytest.mark.parametrize("start, caps", [(-1, None), (3, None), (-1, (1, 2)), (18, (1, 2))])
 def test_simulate_refuses_a_start_outside_the_states(start, caps):
     game = ig.random_game(3, 1, 1, seed=0)

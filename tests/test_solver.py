@@ -148,6 +148,18 @@ def test_evaluate_policies_precedence_masks_player1(g1):
     assert np.allclose(joint, only2)
 
 
+def test_evaluate_policies_refuses_actions_that_are_not_whole_numbers():
+    game = ig.random_game(4, 1, 1, seed=0)
+    for pol1, pol2 in [([0.7] * 4, [0] * 4), ([0] * 4, [0, 0, 0.5, 0]),
+                       ([0, np.nan, 0, 0], [0] * 4), ([0] * 4, np.array([0.0, np.inf, 0, 0]))]:
+        with pytest.raises(ValueError, match="integers"):
+            ig.evaluate_policies(game, pol1, pol2)
+    null = ig.evaluate_policies(game, [0] * 4, [0] * 4)
+    assert np.array_equal(ig.evaluate_policies(game, np.zeros(4), [0.0] * 4), null)
+    assert np.array_equal(ig.evaluate_policies(game, [1.0, 0, 1, 0], np.ones(4)),
+                          ig.evaluate_policies(game, [1, 0, 1, 0], [1] * 4))
+
+
 def test_minimax_oracle_micro(g1, g3):
     rep = ig.minimax_oracle(g1)
     assert rep.certified
@@ -501,6 +513,19 @@ def test_solve_refuses_a_bad_tol_or_sweep_budget(kwargs, message):
 def test_solve_refuses_a_v0_of_the_wrong_length(caps, entries, size):
     with pytest.raises(ValueError, match=f"v0 must hold {size} values"):
         ig.solve(ig.random_game(3, 1, 1, 0), v0=np.zeros(entries), caps=caps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("caps,size", [(None, 3), ((1, 1), 12)])
+def test_solve_refuses_a_v0_that_is_not_finite(caps, size, bad, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(solver, "bellman", no_sweep)
+    v0 = np.zeros(size)
+    v0[size // 2] = bad
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        ig.solve(ig.random_game(3, 1, 1, 0), v0=v0, max_sweeps=50, caps=caps)
 
 
 def test_finish_never_raises_the_residual(monkeypatch):

@@ -39,8 +39,9 @@ def _written(tmp_path, obj) -> bytes:
 
 
 def _budget_report(seed):
-    report, aug = ig.solve_budgeted(ig.random_game(4, 2, 1, seed=seed), 2, 1, tol=1e-9)
-    return report, [f"({s},{y},{z})" for s, y, z in aug.labels]
+    game = ig.random_game(4, 2, 1, seed=seed)
+    report = ig.solve(game, tol=1e-9, caps=(2, 1))
+    return report, [f"({s},{y},{z})" for s, y, z in ig.AugmentedGame(game, 2, 1).labels]
 
 
 def _documents():
