@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .game import ImpulseGame, check_kernel_size
-from .solver import MAX_AUGMENTED_CELLS, _layers
+from .solver import _layers
 
 
 @dataclass(frozen=True)

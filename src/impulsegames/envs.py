@@ -9,14 +9,13 @@ identity rather than an assumption.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, to_cells, validate
+from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, validate
 
 
 # Gauss-Hermite nodes of the duopoly's noise: the nodes solve an n x n
@@ -235,38 +234,18 @@ class BlockDraws:
 
 
 class SamplingEnv:
-    """Model-free access to a game: seeded uniform reset and step, probabilities hidden.
-
-    Exposes the state and action counts and the sampler's rows, none of the
-    game's tables.  Transitions and raw rewards are reachable only by
-    sampling, with one uniform per next state: :meth:`step` takes one checked
-    step, and ``learn``, ``fit`` and ``simulate`` bisect :attr:`rows` inline.
-    The draws come from ``rng`` (by default ``np.random.default_rng(seed)``):
-    :meth:`reset` and :meth:`step` call only its scalar ``integers(n)`` and
-    ``random()``, so a :class:`BlockDraws` serves them too.
-
-    ``rows[s][c]`` is the pair ``(cut cumulative row, raw reward)`` of cell
-    ``c`` of :attr:`ImpulseGame.cells` at state ``s``, built once as a tuple
-    of per-state tuples; the row is an ``array('d')``, and ``bisect_right(row,
-    u)`` of one uniform ``u`` is the next state.  It is a read-only view.  A
-    row whose sum rounds below 1 can draw past its end; such a draw lands on
-    the row's last state with positive mass.  So each row is cut just before
-    that state.  Masked cells have rows too: a caller that bisects them
-    without :meth:`step` must never execute a masked cell (one whose
-    :attr:`ImpulseGame.cell_costs` entry is not finite).
+    """Model-free access to a game: a seeded uniform :meth:`reset` and a
+    checked :meth:`step` on the game's :attr:`ImpulseGame.sampler_rows`
+    (:attr:`rows`, the same object); none of the game's tables is exposed.
+    The draws come from ``rng`` (by default ``np.random.default_rng(seed)``),
+    through its scalar ``integers(n)`` and ``random()`` only, so a
+    :class:`BlockDraws` serves too.
     """
 
     def __init__(self, game: ImpulseGame, seed=0, rng=None):
-        kernel = game.cells[0]
-        ns = game.num_states
-        last = ns - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)
-        self.rows = tuple(
-            tuple((array("d", row[:n].tobytes()), r)
-                  for row, n, r in zip(np.cumsum(kernel_s, axis=1), ends, rewards))
-            for kernel_s, ends, rewards in zip(kernel, last.tolist(),
-                                               to_cells(game.reward).tolist()))
+        self.rows = game.sampler_rows
         self._ok = np.isfinite(game.cell_costs).tolist()
-        self._ncells = kernel.shape[1]
+        self._ncells = game.cell_costs.shape[1]
         self._rng = np.random.default_rng(seed) if rng is None else rng
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1

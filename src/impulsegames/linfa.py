@@ -9,7 +9,7 @@ gamma-contractions; they differ in which player the middle do-nothing term
 shelters.  The sampled fit evaluates them at the visited state only, from
 a ``kernel @ Phi`` table built once per fit; its behaviour trajectory takes
 the learner's exploration draw (:func:`impulsegames.qlearn._explore`) and
-the sampler of :class:`impulsegames.envs.SamplingEnv`.
+the game's sampler, :attr:`impulsegames.game.ImpulseGame.sampler_rows`.
 
 The weighted projection is factored once per basis and weights
 (:func:`_projector`).  :func:`projected_iteration` sweeps through it and,
@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .envs import BlockDraws, SamplingEnv
+from .envs import BlockDraws
 from .game import ImpulseGame, cell_index
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
@@ -321,8 +321,8 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     limit, so it raises at the same sample as an exact check after every
     sample would.  The executed cell comes from a per-state list rebuilt
     with the policy, and the exploration slots are built once per run; the
-    next state is a bisection in that cell's row of
-    :attr:`impulsegames.envs.SamplingEnv.rows`, the view ``learn`` steps through.
+    next state is a bisection in that cell's row of the game's
+    :attr:`ImpulseGame.sampler_rows`, the table ``learn`` steps through.
     An ``r0`` that is not ``K`` finite coefficients is refused with
     ``ValueError`` before any draw.
     Every draw (reset state, exploration coin, slot and action, next-state
@@ -336,8 +336,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     if not np.isfinite(r).all():
         raise ValueError("r0 must be finite")
     rng = BlockDraws(config.seed)
-    env = SamplingEnv(game, rng=rng)
-    rows = env.rows
+    rows = game.sampler_rows
     phi = basis.matrix
     kernel, net = game.cells
     kphi = kernel @ phi
@@ -346,7 +345,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     na = game.num_actions1
     slots = _slots(game.cell_costs.tolist(), na)
     bound = float(np.abs(r).max())
-    s = env.reset()
+    s = rng.integers(game.num_states)
     cells = cell_index(na, *extract_policy(game, basis.field(r)).executed_actions).tolist()
     for t in range(config.samples):
         target = _sample_target(game, net[s] + gamma * (kphi[s] @ r), config.combinator)
@@ -366,7 +365,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
         cell = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else cells[s]
         s = bisect_right(rows[s][cell][0], rng.random())
         if (t + 1) % FIT_EPISODE_LEN == 0:
-            s = env.reset()
+            s = rng.integers(game.num_states)
     return r, FitReport(samples_run=config.samples)
 
 

@@ -7,7 +7,7 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 the game's ``cell_costs``) per executable cell, as cells of
 ``ImpulseGame.cells``, reads the net values through the greedy combinator,
 and returns ``Q[s, a, b]``.  Actions are cells: a step bisects the executed
-cell's row of :attr:`SamplingEnv.rows` with one uniform, inline.
+cell's row of :attr:`ImpulseGame.sampler_rows` with one uniform, inline.
 It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
 the value and policy off a learned table.  The ``LEARN_*`` constants fix the rest of its schedule.
 """
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .game import ImpulseGame, _write_csv, to_cells
-from .envs import _UNIT, BlockDraws, SamplingEnv
+from .envs import _UNIT, BlockDraws
 from .solver import TIE_EPS
 
 
@@ -136,11 +136,12 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     The learner reads only the game's static knowledge (action counts,
     discount and ``cell_costs``); transitions and raw rewards are reached
     only by sampling, one bisection of the executed cell's row of
-    :attr:`SamplingEnv.rows` per step, so the learning stays model-free.
-    Every draw (reset state, exploration coin, slot and action, next-state
-    uniform) comes from one :class:`BlockDraws` of ``config.seed``: the
-    scalar draws of ``np.random.default_rng(config.seed)``, bit for bit, read
-    from raw words fetched in blocks; the coin and the uniform are read from
+    :attr:`ImpulseGame.sampler_rows` per step, so the learning stays
+    model-free.  Every draw (reset state, exploration coin, slot and action,
+    next-state uniform) comes from one :class:`BlockDraws` of
+    ``config.seed``: the scalar draws of
+    ``np.random.default_rng(config.seed)``, bit for bit, read from raw words
+    fetched in blocks; the coin and the uniform are read from
     :attr:`BlockDraws.word` inline.  The steps run in segments that end at
     the next diagnostics row or episode reset.  The table and visit counts
     come back as ``(S, A, B)`` arrays, where cells in which both players act
@@ -153,7 +154,6 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     q = np.zeros((ns, na, nb)) if q0 is None else _table(q0, "q0", (ns, na, nb))
     ref = None if reference_q is None else to_cells(_table(reference_q, "reference_q", q.shape))
     draws = BlockDraws(config.seed)
-    env = SamplingEnv(game, rng=draws)
     steps = config.steps
     diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)
     cells = to_cells(q)
@@ -165,13 +165,13 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     best = [_greedy(net, na) for net in nets]
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
-    word, unit, rows = draws.word, _UNIT, env.rows
+    word, unit, rows = draws.word, _UNIT, game.sampler_rows
     gamma, neg_omega, isfinite, bisect = game.discount, -config.omega, math.isfinite, bisect_right
     eval_every, episode_len = LEARN_EVAL_EVERY, config.episode_len
-    s = env.reset()
+    s = draws.integers(ns)
     epoch_sup = 0.0
     # A step draws its coin and next-state uniform as `draws.random()` would, inline,
-    # and bisects the executed cell's row of `env.rows` without `SamplingEnv.step`'s
+    # and bisects the executed cell's row of `rows` without `SamplingEnv.step`'s
     # checks: `_greedy` never picks a masked cell (its net value is -inf for Player 1,
     # +inf for Player 2), and `_slots` lists finite-cost cells only.  The steps run in
     # segments that end at the next diagnostics row or episode reset.
@@ -217,7 +217,7 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
             diag.final_sup_delta = epoch_sup
             epoch_sup = 0.0
         if hi % episode_len == 0:
-            s = env.reset()
+            s = draws.integers(ns)
         lo = hi
     table, counts = np.array(table), np.array(counts, dtype=np.int64)
     q[:, :, 0], q[:, 0, 1:] = table[:, :na], table[:, na:]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DRAW_BLOCK, SamplingEnv
+from .envs import DRAW_BLOCK
 from .game import ImpulseGame, cell_index
 from .solver import EquilibriumPolicy, _layers
 
@@ -37,9 +37,9 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     """Roll the policy forward ``steps`` steps from ``start``.
 
     Player 2's action takes precedence wherever both flags are raised.  Each
-    step bisects the executed cell's row of :attr:`SamplingEnv.rows` with one
-    uniform, the one :meth:`SamplingEnv.step` would take, but the uniforms are
-    drawn ``DRAW_BLOCK`` at a time by ``rng.random(n)``.  Reaching a masked
+    step bisects the executed cell's row of :attr:`ImpulseGame.sampler_rows`
+    with one uniform, the one :meth:`SamplingEnv.step` would take, but the
+    uniforms are drawn ``DRAW_BLOCK`` at a time by ``rng.random(n)``.  Reaching a masked
     action is a hard fault (``RuntimeError``), since a correctly extracted
     policy never selects one; the generator may then have advanced to the end
     of its block.
@@ -74,7 +74,7 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     rng = np.random.default_rng(seed) if rng is None else rng
     # The plan at chain state x = s * L + l: the executed cell's row and the
     # next layer, or None where the cell is masked or its counter spent.
-    rows = SamplingEnv(game, rng=rng).rows
+    rows = game.sampler_rows
     ok = np.isfinite(game.cell_costs)[base, cells] & (y >= 0) & (z >= 0)
     plan = [(rows[s][c][0], nl) if k else None for s, c, nl, k in
             zip(base.tolist(), cells.tolist(), (y * nz + z).tolist(), ok.tolist())]

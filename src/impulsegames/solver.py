@@ -134,23 +134,39 @@ def _reduce(q, na: int) -> OperatorTerms:
     return OperatorTerms(noop, m1, act1, m1 > -np.inf, m2, act2, m2 < np.inf)
 
 
+def _state_terms(game: ImpulseGame, v, s: int) -> OperatorTerms:
+    """The operator's pieces at state ``s`` alone, from its row of
+    :attr:`ImpulseGame.cells`; an ``s`` outside ``0 .. S-1`` raises ``IndexError``."""
+    ns = game.num_states
+    if not 0 <= s < ns:
+        raise IndexError(f"state {s} outside 0..{ns - 1}")
+    kernel, net = game.cells
+    q = net[s] + game.discount * (kernel[s] @ np.asarray(v, dtype=float))
+    return _reduce(q[None], game.num_actions1)
+
+
 def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
     """Best immediate costly Player-1 action value at ``s`` (b held null).
 
     Returns ``(-inf, None)`` when Player 1 has no available non-null action.
+    A state outside ``0 .. S-1`` is refused with ``IndexError``.
     """
-    t = operator_terms(game, v)
-    if not t.has1[s]:
+    t = _state_terms(game, v, s)
+    if not t.has1[0]:
         return InterventionResult(-math.inf, None)
-    return InterventionResult(float(t.m1[s]), int(t.act1[s]))
+    return InterventionResult(float(t.m1[0]), int(t.act1[0]))
 
 
 def min_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
-    """Best immediate costly Player-2 action value at ``s`` (a held null)."""
-    t = operator_terms(game, v)
-    if not t.has2[s]:
+    """Best immediate costly Player-2 action value at ``s`` (a held null).
+
+    Returns ``(inf, None)`` when Player 2 has no available non-null action.
+    A state outside ``0 .. S-1`` is refused with ``IndexError``.
+    """
+    t = _state_terms(game, v, s)
+    if not t.has2[0]:
         return InterventionResult(math.inf, None)
-    return InterventionResult(float(t.m2[s]), int(t.act2[s]))
+    return InterventionResult(float(t.m2[0]), int(t.act2[0]))
 
 
 def noop_continuation(game: ImpulseGame, v) -> np.ndarray:

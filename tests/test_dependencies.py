@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency: every module of
 ``src/impulsegames`` imports only the standard library, numpy and the
-package itself."""
+package itself.  Each module other than ``__init__`` also uses every name
+it imports."""
 
 import ast
 import sys
@@ -25,3 +26,25 @@ def test_package_imports_only_stdlib_and_numpy():
     outside = [f"{path.name}:{line} imports {name}" for path in modules
                for line, name in _imports(path) if name not in ALLOWED]
     assert outside == []
+
+
+def _unused_imports(path):
+    """``(line, name)`` of every name ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_package_modules_use_every_name_they_import():
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) > 5
+    unused = [f"{path.name}:{line} imports {name}" for path in modules
+              for line, name in _unused_imports(path)]
+    assert unused == []

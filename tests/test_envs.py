@@ -124,6 +124,16 @@ def test_sampling_env_deterministic_rows():
     assert env.step(1, 0)[0] == 0
 
 
+def test_sampler_rows_are_built_once_per_game():
+    game = ig.random_game(6, 2, 2, seed=7)
+    rows = game.sampler_rows
+    assert ig.SamplingEnv(game).rows is rows
+    ig.simulate(game, ig.solve(game).policy, 50, seed=1)
+    ig.learn(game, ig.LearnConfig(steps=300, seed=1))
+    ig.fit(game, ig.identity_basis(6), ig.FitConfig(samples=300, seed=1))
+    assert game.sampler_rows is rows and ig.SamplingEnv(game, seed=2).rows is rows
+
+
 def test_sampling_env_seeded_repeatability():
     game = ig.random_game(4, 1, 1, seed=5)
     runs = []

@@ -153,10 +153,10 @@ def test_fit_without_a_divergence_limit_runs_through(g1):
                                 [0, 0, 0, 0, -np.inf], [0, 0, 0], np.zeros((1, 5))],
                          ids=["nan", "inf", "-inf", "short", "2-d"])
 def test_fit_refuses_a_bad_r0_before_any_draw(r0, monkeypatch):
-    def no_env(*args, **kwargs):
-        raise AssertionError("a sampler was built")
+    def no_draws(seed):
+        raise AssertionError("drew before the check")
 
-    monkeypatch.setattr(linfa, "SamplingEnv", no_env)
+    monkeypatch.setattr(linfa, "BlockDraws", no_draws)
     with pytest.raises(ValueError, match="r0"):
         ig.fit(ig.random_game(5, 1, 1, seed=0), ig.identity_basis(5),
                ig.FitConfig(samples=500), r0=r0)

@@ -32,6 +32,14 @@ def test_intervention_sentinels():
     assert ig.min_intervention(game, [0.0, 0.0], 0) == (math.inf, None)
 
 
+@pytest.mark.parametrize("answer", [ig.max_intervention, ig.min_intervention])
+@pytest.mark.parametrize("s", [-1, -3, 3, 4])
+def test_single_state_answers_refuse_a_state_outside_the_states(answer, s):
+    game = ig.random_game(3, 1, 1, seed=0)
+    with pytest.raises(IndexError, match=f"state {s} outside 0..2"):
+        answer(game, np.zeros(3), s)
+
+
 def test_intervention_argmax_tie_breaks_low():
     # two identical Player-1 actions: the lower index must win
     kernel = np.ones((1, 3, 1, 1))
