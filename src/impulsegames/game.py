@@ -613,6 +613,13 @@ def _scalar(x, key, kind):
     return kind(x)
 
 
+def _check_count(x, name: str) -> None:
+    """Refuse with ``ValueError`` naming ``name`` a count that is not an integer:
+    a bool, a fractional or integral float, a string.  numpy integers pass."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def game_from_dict(doc: dict) -> ImpulseGame:
     for key in _REQUIRED_KEYS:
         if key not in doc:

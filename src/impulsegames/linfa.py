@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .envs import BlockDraws
-from .game import ImpulseGame, cell_index
+from .game import ImpulseGame, _check_count, cell_index
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
                      _reduce, extract_policy, operator_terms, solve)
@@ -277,6 +277,7 @@ class FitConfig:
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
             raise ValueError(f"combinator must be one of {COMBINATORS}")
+        _check_count(self.samples, "samples")
         if self.samples < 0:
             raise ValueError(f"samples must be non-negative, got {self.samples}")
         if not self.divergence_limit > 0:

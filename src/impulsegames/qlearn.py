@@ -6,10 +6,14 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 (cost-exclusive) reward.  The learner keeps one raw and one net value (plus
 the game's ``cell_costs``) per executable cell, as cells of
 ``ImpulseGame.cells``, reads the net values through the greedy combinator,
-and returns ``Q[s, a, b]``.  Actions are cells: a step bisects the executed
-cell's row of :attr:`ImpulseGame.sampler_rows` with one uniform, inline.
-It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
-the value and policy off a learned table.  The ``LEARN_*`` constants fix the rest of its schedule.
+and returns ``Q[s, a, b]``.  Per state it keeps each player's best net value
+and cell (:func:`_side`) and the read-off they give; a step touches only the
+updated cell's side and rescans it only when its kept best cell gets worse.
+Actions are cells: a step bisects the executed cell's row of
+:attr:`ImpulseGame.sampler_rows` with one uniform, inline.  It explores by
+:func:`_explore`; :func:`impulsegames.solver.read_off` reads the value and
+policy off a learned table.  The ``LEARN_*`` constants fix the rest of its
+schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _write_csv, to_cells
+from .game import ImpulseGame, _check_count, _write_csv, to_cells
 from .envs import _UNIT, BlockDraws
 from .solver import TIE_EPS
 
@@ -51,6 +55,8 @@ class LearnConfig:
     episode_len: int = 100
 
     def __post_init__(self):
+        _check_count(self.steps, "steps")
+        _check_count(self.episode_len, "episode_len")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if not (0.5 < self.omega <= 1.0):
@@ -61,21 +67,28 @@ class LearnConfig:
             raise ValueError("episode_len must be positive")
 
 
+def _side(row, lo: int, hi: int, sign: float) -> tuple[float, int]:
+    """One player's best net value among cells ``lo .. hi-1`` of a row and the
+    first cell that holds it: the largest for Player 1 (``sign`` 1.0), the
+    smallest for Player 2 (``sign`` -1.0); ``(-sign * inf, 0)`` when no cell
+    beats that (an empty or fully masked side)."""
+    best, i = -math.inf, 0
+    for c in range(lo, hi):
+        x = sign * row[c]
+        if x > best:
+            best, i = x, c
+    return sign * best, i
+
+
 def _greedy(row, na: int) -> tuple[float, int]:
     """Greedy value at one state and the cell it executes, by the rule of
     ``solver._reduce`` and ``extract_policy``, from a plain list of the
     state's net values in the layout of ``ImpulseGame.cells``."""
     # `solver.read_off` on Python floats: a vectorised call on one row costs more per step.
     noop = row[0]
-    best1, i = -math.inf, 0
-    for c in range(1, na):
-        if row[c] > best1:
-            best1, i = row[c], c
+    best1, i = _side(row, 1, na, 1.0)
+    best2, j = _side(row, na, len(row), -1.0)
     inner = best1 if best1 > noop else noop
-    best2, j = math.inf, 0
-    for c in range(na, len(row)):
-        if row[c] < best2:
-            best2, j = row[c], c
     out = best2 if best2 < inner else inner
     if best2 < inner - TIE_EPS:
         return out, j
@@ -143,7 +156,12 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     ``np.random.default_rng(config.seed)``, bit for bit, read from raw words
     fetched in blocks; the coin and the uniform are read from
     :attr:`BlockDraws.word` inline.  The steps run in segments that end at
-    the next diagnostics row or episode reset.  The table and visit counts
+    the next diagnostics row or episode reset.  The read-off is kept per
+    state, with each player's best net value and cell: after an update only
+    the updated cell's side changes, the cell taking over when it beats the
+    kept best (or ties it from a lower index), and the side is rescanned only
+    when its kept best cell gets worse; the no-op and the two sides are then
+    combined by :func:`_greedy`'s rule, bit for bit.  The table and visit counts
     come back as ``(S, A, B)`` arrays, where cells in which both players act
     keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
     track the sup-norm distance to it over the cells executed so far.
@@ -161,8 +179,12 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     counts = [[0] * len(row) for row in table]
     costs = game.cell_costs.tolist()
     slots = _slots(costs, na)
-    # Each state's read-off; only the row a step updates is read off again.
-    best = [_greedy(net, na) for net in nets]
+    # Per state: each player's best net value and the cell that holds it (`_side`), and
+    # the read-off they give with the no-op, `_greedy`'s value in `vals`, its cell in `acts`.
+    width = na + nb - 1
+    best1, cell1 = map(list, zip(*[_side(net, 1, na, 1.0) for net in nets]))
+    best2, cell2 = map(list, zip(*[_side(net, na, width, -1.0) for net in nets]))
+    vals, acts = map(list, zip(*[_greedy(net, na) for net in nets]))
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
     word, unit, rows = draws.word, _UNIT, game.sampler_rows
@@ -172,9 +194,10 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     epoch_sup = 0.0
     # A step draws its coin and next-state uniform as `draws.random()` would, inline,
     # and bisects the executed cell's row of `rows` without `SamplingEnv.step`'s
-    # checks: `_greedy` never picks a masked cell (its net value is -inf for Player 1,
-    # +inf for Player 2), and `_slots` lists finite-cost cells only.  The steps run in
-    # segments that end at the next diagnostics row or episode reset.
+    # checks: the read-off never picks a masked cell (its net value is -inf for Player 1,
+    # +inf for Player 2, so it is never a side's kept best), and `_slots` lists
+    # finite-cost cells only.  The steps run in segments that end at the next
+    # diagnostics row or episode reset.
     lo = 0
     while lo < steps:
         hi = min(steps, (lo // eval_every + 1) * eval_every,
@@ -184,20 +207,47 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
             if epsilon > 0.0 and (word() >> 11) * unit < epsilon:
                 c = _explore(slots[s], draws)
             else:
-                c = best[s][1]
+                c = acts[s]
             cum, raw = rows[s][c]
             s2 = bisect(cum, (word() >> 11) * unit)
             row_counts, row = counts[s], table[s]
             row_counts[c] += 1
             alpha = row_counts[c] ** neg_omega
-            target = raw + gamma * best[s2][0]
+            target = raw + gamma * vals[s2]
             if not isfinite(target):
                 raise FloatingPointError(
                     f"non-finite update target at step {t}: check the reward model")
             delta = alpha * (target - row[c])
             row[c] += delta
-            nets[s][c] = row[c] + costs[s][c]
-            best[s] = _greedy(nets[s], na)
+            net = nets[s]
+            x = net[c] = row[c] + costs[s][c]
+            # Only c's side can change its best: a cell that beats the kept best, or ties
+            # it from a lower index, takes over; a kept best that gets no worse stays; a
+            # kept best that gets worse rescans its side.
+            if c >= na:
+                if c == cell2[s]:
+                    if x <= best2[s]:
+                        best2[s] = x
+                    else:
+                        best2[s], cell2[s] = _side(net, na, width, -1.0)
+                elif x < best2[s] or (x == best2[s] and c < cell2[s]):
+                    best2[s], cell2[s] = x, c
+            elif c:
+                if c == cell1[s]:
+                    if x >= best1[s]:
+                        best1[s] = x
+                    else:
+                        best1[s], cell1[s] = _side(net, 1, na, 1.0)
+                elif x > best1[s] or (x == best1[s] and c < cell1[s]):
+                    best1[s], cell1[s] = x, c
+            # `_greedy`'s combine, inline: as a call it costs more per step.
+            noop, b1, b2 = net[0], best1[s], best2[s]
+            inner = b1 if b1 > noop else noop
+            vals[s] = b2 if b2 < inner else inner
+            if b2 < inner - TIE_EPS:
+                acts[s] = cell2[s]
+            else:
+                acts[s] = cell1[s] if b1 > noop + TIE_EPS else 0
             if abs(delta) > epoch_sup:
                 epoch_sup = abs(delta)
             s = s2

@@ -136,8 +136,11 @@ def _reduce(q, na: int) -> OperatorTerms:
 
 def _state_terms(game: ImpulseGame, v, s: int) -> OperatorTerms:
     """The operator's pieces at state ``s`` alone, from its row of
-    :attr:`ImpulseGame.cells`; an ``s`` outside ``0 .. S-1`` raises ``IndexError``."""
+    :attr:`ImpulseGame.cells`.  An ``s`` that is not an integer (a bool included)
+    raises ``TypeError``; one outside ``0 .. S-1`` raises ``IndexError``."""
     ns = game.num_states
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise TypeError(f"state must be an integer, got {s!r}")
     if not 0 <= s < ns:
         raise IndexError(f"state {s} outside 0..{ns - 1}")
     kernel, net = game.cells
@@ -149,7 +152,8 @@ def max_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
     """Best immediate costly Player-1 action value at ``s`` (b held null).
 
     Returns ``(-inf, None)`` when Player 1 has no available non-null action.
-    A state outside ``0 .. S-1`` is refused with ``IndexError``.
+    A state that is not an integer is refused with ``TypeError``, one outside
+    ``0 .. S-1`` with ``IndexError``.
     """
     t = _state_terms(game, v, s)
     if not t.has1[0]:
@@ -161,7 +165,8 @@ def min_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
     """Best immediate costly Player-2 action value at ``s`` (a held null).
 
     Returns ``(inf, None)`` when Player 2 has no available non-null action.
-    A state outside ``0 .. S-1`` is refused with ``IndexError``.
+    A state that is not an integer is refused with ``TypeError``, one outside
+    ``0 .. S-1`` with ``IndexError``.
     """
     t = _state_terms(game, v, s)
     if not t.has2[0]:

@@ -245,8 +245,75 @@ def test_learn_config_rejects_nonpositive_periods(field):
         ig.LearnConfig(steps=10, **{field: 0})
 
 
+@pytest.mark.parametrize("make,field", [(ig.LearnConfig, "steps"),
+                                        (ig.LearnConfig, "episode_len"),
+                                        (ig.FitConfig, "samples")])
+@pytest.mark.parametrize("value", [2.5, 100.0, np.float64(3.0), True, False, np.True_, "100"])
+def test_configs_refuse_a_count_that_is_not_an_integer(make, field, value):
+    counts = {"steps": 100} if make is ig.LearnConfig else {"samples": 100}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make(**{**counts, field: value})
+
+
+def test_configs_take_numpy_integer_counts():
+    game = ig.random_game(4, 1, 1, seed=2)
+    cfg = ig.LearnConfig(steps=np.int64(1500), episode_len=np.int32(40), seed=3)
+    q, diag = ig.learn(game, cfg)
+    ref_q, ref_diag = ig.learn(game, ig.LearnConfig(steps=1500, episode_len=40, seed=3))
+    assert q.tobytes() == ref_q.tobytes() and diag.rows == ref_diag.rows
+    assert ig.FitConfig(samples=np.int64(7)).samples == 7
+
+
+def _tie_game(masked):
+    """``(game, {"q0": q0})``: an 8x(3+3) game and a start table on which the
+    learner's read-off meets exact and near ties all the time.
+
+    Costs are 1, the discount 1/2 and every reward and start value dyadic, and the
+    value stays 1 at every state whatever the learner does: Player 1 acts at even
+    states and Player 2 at odd ones.  Each acting cell either holds its net value
+    at 1 (a tie with the side's other holders), drops 1/2 away from it when first
+    updated (a kept best that does so gets worse, and its side is rescanned) or
+    starts 1/2 away and comes to 1 (it may tie the kept best from a lower index);
+    the last cell holds.  At states ``s % 4 >= 2`` the no-op's net value lies
+    2**-36 from 1, within ``TIE_EPS`` of the acting side's best.  ``masked`` masks
+    the idle side at states 0 and 1 and one of the first two cells of each side
+    at the others."""
+    ns, na, nb = 8, 4, 4
+    rng = np.random.default_rng(5)
+    kernel = rng.random((ns, na, nb, ns)) < 0.5
+    kernel[..., 0] = True
+    kernel = kernel / kernel.sum(-1, keepdims=True)
+    cost1, cost2 = np.ones((ns, na)), np.ones((ns, nb))
+    cost1[:, 0] = cost2[:, 0] = 0
+    kind = rng.integers(3, size=(ns, na - 1))  # 0 holds, 1 drops, 2 rises
+    kind[:, -1] = 0
+    p1, near = np.arange(ns) % 2 == 0, np.arange(ns) % 4 >= 2
+    reward, q0 = np.zeros((ns, na, nb)), np.zeros((ns, na, nb))
+    # Player 1's states: no-op at 0, Player 1 at net 1, Player 2 at net 2 and rising
+    reward[p1, 0, 0], q0[p1, 1:, 0], q0[p1, 0, 1:], reward[p1, 0, 1:] = -0.5, 2.0, 1.0, 1.5
+    reward[p1, 1:, 0] = np.where(kind[p1] == 1, 1.0, 1.5)
+    q0[p1, 1:, 0] -= 0.5 * (kind[p1] == 2)
+    # Player 2's states: no-op at 2, Player 1 at net 1, Player 2 at net 1
+    reward[~p1, 0, 0], q0[~p1, 0, 0], q0[~p1, 1:, 0], reward[~p1, 1:, 0] = 1.5, 2.0, 2.0, 1.5
+    reward[~p1, 0, 1:] = np.where(kind[~p1] == 1, 0.0, -0.5)
+    q0[~p1, 0, 1:] += 0.5 * (kind[~p1] == 2)
+    tiny = 2.0 ** -36
+    reward[p1 & near, 0, 0], q0[p1 & near, 0, 0] = 0.5 - tiny, 1 - tiny
+    reward[~p1 & near, 0, 0], q0[~p1 & near, 0, 0] = 0.5 + tiny, 1 + tiny
+    mask1, mask2 = np.ones((ns, na), dtype=bool), np.ones((ns, nb), dtype=bool)
+    if masked:
+        mask2[0, 1:] = mask1[1, 1:] = False
+        for s in range(2, ns):
+            mask1[s, 1 + s % 2] = mask2[s, 1 + (s // 2) % 2] = False
+    game = ig.ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
+                          cost_floor=1.0, discount=0.5, mask1=mask1, mask2=mask2)
+    return game, {"q0": q0}
+
+
 def _learner_case(case):
     """(game, learn keyword arguments) of one loop-reference case."""
+    if case.startswith("ties"):
+        return _tie_game(case == "ties_masked")
     if case in ("3x0x0", "5x1x1", "30x3x3"):
         spec = tuple(int(n) for n in case.split("x"))
         return ig.random_game(*spec, seed=spec[0]), {}
@@ -262,10 +329,11 @@ def _learner_case(case):
 
 @pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "30x3x3", "masked", "budget",
                                   "reference_q", "q0", "explore", "greedy", "eps_low",
-                                  "steps_1", "steps_999", "steps_2503"])
+                                  "steps_1", "steps_999", "steps_2503",
+                                  "ties", "ties_masked"])
 def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     game, kwargs = _learner_case(case)
-    start = {"greedy": 0.0, "eps_low": 0.005}.get(case, 0.2)
+    start = {"greedy": 0.0, "eps_low": 0.005, "ties": 1.0}.get(case, 0.2)
     cfg = ig.LearnConfig(steps=4000, seed=7, episode_len=50, epsilon_start=start)
     if case == "explore":
         # Exploration held at 1: every step draws a slot and an action by `integers`,

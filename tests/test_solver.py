@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,22 @@ def test_single_state_answers_refuse_a_state_outside_the_states(answer, s):
     game = ig.random_game(3, 1, 1, seed=0)
     with pytest.raises(IndexError, match=f"state {s} outside 0..2"):
         answer(game, np.zeros(3), s)
+
+
+@pytest.mark.parametrize("answer", [ig.max_intervention, ig.min_intervention])
+@pytest.mark.parametrize("s", [1.5, 1.0, True, False, np.True_, "1", None])
+def test_single_state_answers_refuse_a_state_that_is_not_an_integer(answer, s):
+    game = ig.random_game(3, 1, 1, seed=0)
+    with pytest.raises(TypeError, match=f"state must be an integer, got {re.escape(repr(s))}"):
+        answer(game, np.zeros(3), s)
+
+
+@pytest.mark.parametrize("answer", [ig.max_intervention, ig.min_intervention])
+def test_single_state_answers_take_numpy_integers(answer):
+    game = ig.random_game(3, 1, 1, seed=0)
+    v = np.arange(3.0)
+    for s in range(3):
+        assert answer(game, v, np.int32(s)) == answer(game, v, np.int64(s)) == answer(game, v, s)
 
 
 def test_intervention_argmax_tie_breaks_low():
