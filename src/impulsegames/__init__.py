@@ -4,9 +4,9 @@ A dense-table model (:mod:`impulsegames.game`), an exact nested min/max
 value-iteration solver with policy extraction and a brute-force saddle
 oracle (:mod:`impulsegames.solver`), model-free learning of the joint
 action table (:mod:`impulsegames.qlearn`), linear value approximation with
-an error-bound check (:mod:`impulsegames.linfa`), budget-capped play by
-state augmentation (:mod:`impulsegames.budget`), and a discretised
-advertising-duopoly environment (:mod:`impulsegames.envs`).
+an error-bound check (:mod:`impulsegames.linfa`), budget-capped play on
+remaining-intervention counter layers (:mod:`impulsegames.budget`), and a
+discretised advertising-duopoly environment (:mod:`impulsegames.envs`).
 """
 
 from .game import (

@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import ImpulseGame, check_kernel_size
+from .game import ImpulseGame, _index, check_kernel_size
 from .solver import _layers
 
 
@@ -51,6 +51,10 @@ class AugmentedGame:
         return self.n1, self.n2
 
     def index(self, s: int, y: int, z: int) -> int:
+        """The flat state of base state ``s`` with counters ``y`` and ``z``."""
+        s = _index(s, "state", self.base.num_states)
+        y = _index(y, "y", self.n1 + 1)
+        z = _index(z, "z", self.n2 + 1)
         return (s * (self.n1 + 1) + y) * (self.n2 + 1) + z
 
     @property

@@ -15,7 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .game import GameValidationError, ImpulseGame, _scalar, check_kernel_size, validate
+from .game import (GameValidationError, ImpulseGame, _count, _index, _scalar, check_kernel_size,
+                   validate)
 
 
 # Gauss-Hermite nodes of the duopoly's noise: the nodes solve an n x n
@@ -56,11 +57,8 @@ class DuopolyParams:
             raise ValueError("market_size must be positive")
         if not (0 < self.b1 <= 1 and 0 < self.b2 <= 1):
             raise ValueError("response rates must lie in (0, 1]")
-        if self.grid_size < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        if not 1 <= self.noise_nodes <= MAX_NOISE_NODES:
-            raise ValueError(f"noise_nodes must lie in 1..{MAX_NOISE_NODES}, "
-                             f"got {self.noise_nodes}")
+        _count(self.grid_size, "grid_size", 2)
+        _count(self.noise_nodes, "noise_nodes", 1, MAX_NOISE_NODES)
 
 
 def duopoly_params_from_dict(doc: dict) -> DuopolyParams:
@@ -246,7 +244,7 @@ class SamplingEnv:
         self.rows = game.sampler_rows
         self._ok = np.isfinite(game.cell_costs).tolist()
         self._ncells = game.cell_costs.shape[1]
-        self._rng = np.random.default_rng(seed) if rng is None else rng
+        self._rng = np.random.default_rng(_count(seed, "seed")) if rng is None else rng
         self.num_states = game.num_states
         self.num_actions1 = game.num_actions1
         self.num_actions2 = game.num_actions2
@@ -258,12 +256,10 @@ class SamplingEnv:
     def step(self, s: int, c: int) -> tuple[int, float]:
         """Execute cell ``c`` of :attr:`ImpulseGame.cells` at state ``s``: the
         next state (one uniform draw) and the raw (cost-exclusive) reward.  A
-        masked cell is a hard fault (``RuntimeError``).  Refused: a state
-        outside ``0 .. S-1`` or a cell outside ``0 .. A+B-2`` (``IndexError``)."""
-        if not 0 <= c < self._ncells:
-            raise IndexError(f"cell {c} outside 0..{self._ncells - 1}")
-        if not 0 <= s < self.num_states:
-            raise IndexError(f"state {s} outside 0..{self.num_states - 1}")
+        masked cell is a hard fault (``RuntimeError``).  ``c`` and ``s`` are
+        checked first by the index rule, :func:`impulsegames.game._index`."""
+        _index(c, "cell", self._ncells)
+        _index(s, "state", self.num_states)
         if not self._ok[s][c]:
             raise RuntimeError(f"masked cell {c} attempted at state {s}")
         row, reward = self.rows[s][c]

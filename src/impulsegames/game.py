@@ -291,8 +291,8 @@ class ImpulseGame:
         Discount factor in [0, 1).
     mask1, mask2 : bool array, optional
         Per-state action availability.  The null action must stay available
-        everywhere; defaults to everything allowed.  Used by the budgeted
-        construction to remove actions once a budget is spent.
+        everywhere; defaults to everything allowed.  Of the budgeted paths only
+        the dense reference ``AugmentedGame.game`` masks a spent budget's actions.
 
     Every table is stored read-only.  A read-only C-contiguous array of the
     right dtype that owns its memory (another game's table, say) is shared,
@@ -317,6 +317,7 @@ class ImpulseGame:
         if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[3]:
             raise ValueError(f"kernel must have shape (S, A, B, S), got {kernel.shape}")
         s, a, b, _ = kernel.shape
+        _count(s, "num_states", 1)
         reward = _frozen_array(self.reward)
         if reward.shape != (s, a, b):
             raise ValueError(f"reward must have shape {(s, a, b)}, got {reward.shape}")
@@ -479,10 +480,9 @@ def effective_reward(game: ImpulseGame, s: int, joint) -> float:
     maximiser's payoff under the zero-sum convention).
     """
     a, b = joint
-    if not (0 <= s < game.num_states):
-        raise IndexError(f"state {s} out of range")
-    if not (0 <= a < game.num_actions1 and 0 <= b < game.num_actions2):
-        raise IndexError(f"joint action ({a}, {b}) out of range")
+    _index(s, "state", game.num_states)
+    _index(a, "action1", game.num_actions1)
+    _index(b, "action2", game.num_actions2)
     r = float(game.reward[s, a, b])
     if a != 0:
         r -= float(game.cost1[s, a])
@@ -504,10 +504,10 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     Kernel rows are normalised uniform variates, rewards are uniform in
     [-1, 1] and costs uniform in [cost_floor, 2*cost_floor].
     """
-    if num_states < 1:
-        raise ValueError("num_states must be >= 1")
-    if num_actions1 < 0 or num_actions2 < 0:
-        raise ValueError("action counts must be >= 0")
+    _count(num_states, "num_states", 1)
+    _count(num_actions1, "num_actions1")
+    _count(num_actions2, "num_actions2")
+    _count(seed, "seed")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
     na, nb = num_actions1 + 1, num_actions2 + 1
@@ -613,11 +613,37 @@ def _scalar(x, key, kind):
     return kind(x)
 
 
-def _check_count(x, name: str) -> None:
-    """Refuse with ``ValueError`` naming ``name`` a count that is not an integer:
-    a bool, a fractional or integral float, a string.  numpy integers pass."""
+def _count(x, name: str, low: int = 0, high: int | None = None) -> int:
+    """``x`` as a Python ``int``; ``ValueError`` naming ``name`` unless it is an integer
+    (not a bool; numpy integers pass) in ``low .. high`` (unbounded above for ``None``)."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if x < low or (high is not None and x > high):
+        rule = (f"lie in {low}..{high}" if high is not None
+                else "be non-negative" if low == 0 else f"be at least {low}")
+        raise ValueError(f"{name} must {rule}, got {x}")
+    return int(x)
+
+
+def _index(x, name: str, n: int) -> int:
+    """``x`` as a Python ``int``; ``TypeError`` naming ``name`` unless it is an integer
+    (not a bool; numpy integers pass), ``IndexError`` outside ``0 .. n-1``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if not 0 <= x < n:
+        raise IndexError(f"{name} {x} outside 0..{n - 1}")
+    return int(x)
+
+
+def _finite_table(values, name: str, shape: tuple) -> np.ndarray:
+    """A float copy of ``values``, refused (``ValueError`` naming ``name``) unless
+    it has ``shape`` and only finite entries."""
+    table = np.array(values, dtype=float)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError(f"{name} must be finite")
+    return table
 
 
 def game_from_dict(doc: dict) -> ImpulseGame:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .envs import BlockDraws
-from .game import ImpulseGame, _check_count, cell_index
+from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
 from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
                      _reduce, extract_policy, operator_terms, solve)
@@ -277,9 +277,8 @@ class FitConfig:
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
             raise ValueError(f"combinator must be one of {COMBINATORS}")
-        _check_count(self.samples, "samples")
-        if self.samples < 0:
-            raise ValueError(f"samples must be non-negative, got {self.samples}")
+        _count(self.samples, "samples")
+        _count(self.seed, "seed")
         if not self.divergence_limit > 0:
             raise ValueError("divergence_limit must be positive (inf for no check), "
                              f"got {self.divergence_limit!r}")
@@ -331,11 +330,8 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     ``config.seed``: the scalar draws of ``np.random.default_rng(config.seed)``,
     bit for bit.
     """
-    r = np.zeros(basis.num_features) if r0 is None else np.array(r0, dtype=float)
-    if r.shape != (basis.num_features,):
-        raise ValueError(f"r0 must have shape ({basis.num_features},), got {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError("r0 must be finite")
+    k = basis.num_features
+    r = np.zeros(k) if r0 is None else _finite_table(r0, "r0", (k,))
     rng = BlockDraws(config.seed)
     rows = game.sampler_rows
     phi = basis.matrix

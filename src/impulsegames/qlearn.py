@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _check_count, _write_csv, to_cells
+from .game import ImpulseGame, _count, _finite_table, _write_csv, to_cells
 from .envs import _UNIT, BlockDraws
 from .solver import TIE_EPS
 
@@ -55,16 +55,13 @@ class LearnConfig:
     episode_len: int = 100
 
     def __post_init__(self):
-        _check_count(self.steps, "steps")
-        _check_count(self.episode_len, "episode_len")
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
+        _count(self.steps, "steps")
+        _count(self.episode_len, "episode_len", 1)
+        _count(self.seed, "seed")
         if not (0.5 < self.omega <= 1.0):
             raise ValueError("omega must lie in (0.5, 1]")
         if not 0.0 <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon_start must lie in [0, 1]")
-        if self.episode_len <= 0:
-            raise ValueError("episode_len must be positive")
 
 
 def _side(row, lo: int, hi: int, sign: float) -> tuple[float, int]:
@@ -131,17 +128,6 @@ class LearnDiagnostics:
         _write_csv(path, header, [np.array([row[key] for row in self.rows]) for key in header])
 
 
-def _table(values, name: str, shape: tuple) -> np.ndarray:
-    """A float copy of ``values``, refused (``ValueError`` naming ``name``) unless
-    it has ``shape`` and only finite entries."""
-    table = np.array(values, dtype=float)
-    if table.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-    if not np.isfinite(table).all():
-        raise ValueError(f"{name} must be finite")
-    return table
-
-
 def learn(game: ImpulseGame, config: LearnConfig, q0=None,
           reference_q=None) -> tuple[np.ndarray, LearnDiagnostics]:
     """Run the simulated-play learner for the configured step budget.
@@ -169,8 +155,9 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     that is not an ``(S, A, B)`` array of finite values.
     """
     ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
-    q = np.zeros((ns, na, nb)) if q0 is None else _table(q0, "q0", (ns, na, nb))
-    ref = None if reference_q is None else to_cells(_table(reference_q, "reference_q", q.shape))
+    q = np.zeros((ns, na, nb)) if q0 is None else _finite_table(q0, "q0", (ns, na, nb))
+    ref = (None if reference_q is None
+           else to_cells(_finite_table(reference_q, "reference_q", q.shape)))
     draws = BlockDraws(config.seed)
     steps = config.steps
     diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import DRAW_BLOCK
-from .game import ImpulseGame, cell_index
+from .game import ImpulseGame, _count, _index, cell_index
 from .solver import EquilibriumPolicy, _layers
 
 
@@ -50,12 +50,13 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     :meth:`AugmentedGame.index`), the next ``s`` is drawn from the base
     kernel and an executed costly action moves its player's counter down by
     one.  A costly action on a spent counter counts as masked, so a rollout
-    never overdraws a cap.  Negative ``steps``, bad caps or a policy whose
-    length is not the state count raise ``ValueError``; a bad ``start`` or an
-    action outside the game's raises ``IndexError``; all before any draw.
+    never overdraws a cap.  Before any draw, ``steps`` and ``seed`` must be
+    counts and ``start`` an index (the rules of :mod:`impulsegames.game`); bad
+    caps or a policy whose length is not the state count raise ``ValueError``,
+    an action outside the game's ``IndexError``.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    _count(steps, "steps")
+    _count(seed, "seed")
     ny, nz, spend = _layers(game, caps)
     layers = ny * nz
     size = game.num_states * layers
@@ -64,9 +65,7 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
         raise ValueError(f"policy has {len(a)} states, the rollout's game has {size}")
     if min(a.min(), b.min()) < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:
         raise IndexError("policy holds an action outside the game's actions")
-    start = int(start)
-    if not 0 <= start < size:
-        raise IndexError(f"start state {start} outside 0..{size - 1}")
+    start = _index(start, "start", size)
     base, layer = np.divmod(np.arange(size), layers)
     y, z = np.divmod(layer, nz)
     y, z = y - spend * (a != 0), z - spend * (b != 0)

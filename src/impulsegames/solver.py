@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _plain, cell_index, to_cells
+from .game import ImpulseGame, _count, _finite_table, _index, _plain, cell_index, to_cells
 
 TIE_EPS = 1e-10
 
@@ -77,10 +77,8 @@ def _layers(game: ImpulseGame, caps) -> tuple[int, int, int]:
     (one layer that never spends) for ``None``; bad caps raise ``ValueError``."""
     if caps is None:
         return 1, 1, 0
-    n1, n2 = caps
-    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (n1, n2)):
-        raise ValueError(f"caps must be nonnegative integers, got ({n1!r}, {n2!r})")
-    ny, nz = int(n1) + 1, int(n2) + 1
+    n1, n2 = (_count(n, "caps") for n in caps)
+    ny, nz = n1 + 1, n2 + 1
     cells = game.num_states * ny * nz * game.num_actions1 * game.num_actions2
     if cells > MAX_AUGMENTED_CELLS:
         raise ValueError(f"caps ({n1}, {n2}) give an augmented table of {cells} cells, "
@@ -136,13 +134,8 @@ def _reduce(q, na: int) -> OperatorTerms:
 
 def _state_terms(game: ImpulseGame, v, s: int) -> OperatorTerms:
     """The operator's pieces at state ``s`` alone, from its row of
-    :attr:`ImpulseGame.cells`.  An ``s`` that is not an integer (a bool included)
-    raises ``TypeError``; one outside ``0 .. S-1`` raises ``IndexError``."""
-    ns = game.num_states
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise TypeError(f"state must be an integer, got {s!r}")
-    if not 0 <= s < ns:
-        raise IndexError(f"state {s} outside 0..{ns - 1}")
+    :attr:`ImpulseGame.cells`, ``s`` checked by :func:`impulsegames.game._index`."""
+    s = _index(s, "state", game.num_states)
     kernel, net = game.cells
     q = net[s] + game.discount * (kernel[s] @ np.asarray(v, dtype=float))
     return _reduce(q[None], game.num_actions1)
@@ -234,6 +227,7 @@ class EquilibriumPolicy:
         return np.flatnonzero(self.p2_acts)
 
     def executed_pair(self, s: int) -> tuple[int, int]:
+        _index(s, "state", len(self.p1_acts))
         if self.p2_acts[s]:
             return 0, int(self.p2_action[s])
         if self.p1_acts[s]:
@@ -343,25 +337,20 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
     :mod:`impulsegames.budget` from the base game's tables.  A non-positive
-    or NaN ``tol``, a negative ``max_sweeps``, a discount outside [0, 1), bad
-    caps or a ``v0`` that is not one finite value per state (per augmented
-    state under caps) are refused with ``ValueError`` before any sweep.
+    or NaN ``tol``, a ``max_sweeps`` that is not a count, a discount outside
+    [0, 1), bad caps or a ``v0`` that is not one finite value per state (per
+    augmented state) are refused with ``ValueError`` before any sweep.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
+    _count(max_sweeps, "max_sweeps")
     g = game.discount
     if not 0.0 <= g < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {g}")
     threshold = tol * (1.0 - g) / g if g > 0 else tol
     size = game.num_states * math.prod(_layers(game, caps)[:2])
     finish = game.num_states <= FINISH_MAX_STATES
-    v = np.zeros(size) if v0 is None else np.array(v0, dtype=float)
-    if v.shape != (size,):
-        raise ValueError(f"v0 must hold {size} values, one per state, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("v0 must be finite")
+    v = np.zeros(size) if v0 is None else _finite_table(v0, "v0", (size,))
     residual = math.inf
     sweeps = 0
     converged = False
@@ -510,6 +499,7 @@ def minimax_oracle(game: ImpulseGame, max_enumeration: int = 1_000_000) -> Oracl
     all deterministic stationary pairs, certified when they coincide and
     match the iterative solution within ``CERT_TOL``.
     """
+    _count(max_enumeration, "max_enumeration")
     allowed1 = [[a for a in range(game.num_actions1) if a == 0 or game.mask1[s, a]]
                 for s in range(game.num_states)]
     allowed2 = [[b for b in range(game.num_actions2) if b == 0 or game.mask2[s, b]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,22 @@ def test_augment_state_count():
     assert aug.game.num_states == 3 * 3 * 2
     assert len(aug.labels) == 18
     assert aug.labels[aug.index(2, 1, 0)] == (2, 1, 0)
+
+
+@pytest.mark.parametrize("triple,error,message", [
+    ((0, 3, 0), IndexError, "y 3 outside 0..2"),        # would alias index(1, 0, 0)
+    ((5, 0, 0), IndexError, "state 5 outside 0..2"),    # would be past the 18 states
+    ((0, 0, 2), IndexError, "z 2 outside 0..1"),
+    ((-1, 0, 0), IndexError, "state -1 outside 0..2"),
+    ((0, -1, 0), IndexError, "y -1 outside 0..2"),
+    ((1.5, 0, 0), TypeError, "state must be an integer, got 1.5"),
+    ((0, True, 0), TypeError, "y must be an integer, got True"),
+    ((0, 0, "1"), TypeError, "z must be an integer, got '1'"),
+])
+def test_augmented_index_refuses_a_coordinate_outside_its_range(triple, error, message):
+    aug = ig.AugmentedGame(ig.random_game(3, 1, 1, seed=0), 2, 1)
+    with pytest.raises(error, match=re.escape(message)):
+        aug.index(*triple)
 
 
 def test_augment_zero_budgets_is_uncontrolled(g1):
@@ -182,7 +200,7 @@ def test_budgeted_paths_never_build_the_dense_model():
 
 def test_oversized_caps_refused_before_any_work():
     base = ig.random_game(3, 1, 1, seed=0)
-    for caps, match in [((10**9, 10**9), "above the limit"), ((-1, 0), "nonnegative")]:
+    for caps, match in [((10**9, 10**9), "above the limit"), ((-1, 0), "non-negative")]:
         with pytest.raises(ValueError, match=match):
             ig.AugmentedGame(base, *caps)
         with pytest.raises(ValueError, match=match):

@@ -95,6 +95,13 @@ def test_random_game_zero_states_rejected():
         ig.random_game(0, 1, 1, seed=0)
 
 
+def test_a_game_without_states_is_refused_by_its_constructor():
+    with pytest.raises(ValueError, match="num_states must be at least 1, got 0"):
+        ig.ImpulseGame(kernel=np.zeros((0, 2, 2, 0)), reward=np.zeros((0, 2, 2)),
+                       cost1=np.zeros((0, 2)), cost2=np.zeros((0, 2)), cost_floor=1.0,
+                       discount=0.5)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
 def test_random_game_discount_out_of_range_rejected(gamma):
     with pytest.raises(ValueError, match="gamma"):

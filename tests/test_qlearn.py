@@ -247,7 +247,9 @@ def test_learn_config_rejects_nonpositive_periods(field):
 
 @pytest.mark.parametrize("make,field", [(ig.LearnConfig, "steps"),
                                         (ig.LearnConfig, "episode_len"),
-                                        (ig.FitConfig, "samples")])
+                                        (ig.LearnConfig, "seed"),
+                                        (ig.FitConfig, "samples"),
+                                        (ig.FitConfig, "seed")])
 @pytest.mark.parametrize("value", [2.5, 100.0, np.float64(3.0), True, False, np.True_, "100"])
 def test_configs_refuse_a_count_that_is_not_an_integer(make, field, value):
     counts = {"steps": 100} if make is ig.LearnConfig else {"samples": 100}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,15 @@ def test_simulate_refuses_a_start_outside_the_states(start, caps):
         ig.simulate(game, _idle(n), 3, start=start, rng=_NoDraws(), caps=caps)
     # the first or last state is a valid start
     assert len(ig.simulate(game, _idle(n), 3, start=start % n, caps=caps).states) == 4
+
+
+@pytest.mark.parametrize("start", [1.5, True, np.True_, "1"])
+@pytest.mark.parametrize("caps", [None, (1, 2)])
+def test_simulate_refuses_a_start_that_is_not_an_integer(start, caps):
+    game = ig.random_game(3, 1, 1, seed=0)
+    n = 3 if caps is None else 18
+    with pytest.raises(TypeError, match=f"start must be an integer, got {re.escape(repr(start))}"):
+        ig.simulate(game, _idle(n), 3, start=start, rng=_NoDraws(), caps=caps)
 
 
 def _rollout_cases():

@@ -536,7 +536,7 @@ def test_solve_refuses_a_bad_tol_or_sweep_budget(kwargs, message):
 
 @pytest.mark.parametrize("caps,entries,size", [(None, 5, 3), ((1, 1), 3, 12)])
 def test_solve_refuses_a_v0_of_the_wrong_length(caps, entries, size):
-    with pytest.raises(ValueError, match=f"v0 must hold {size} values"):
+    with pytest.raises(ValueError, match=rf"v0 must have shape \({size},\)"):
         ig.solve(ig.random_game(3, 1, 1, 0), v0=np.zeros(entries), caps=caps)
 
 
@@ -617,7 +617,7 @@ def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chu
     assert rep.certified
 
 
-@pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (10**4, 10**4)])
+@pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (True, 0), (10**4, 10**4)])
 @pytest.mark.parametrize("call", ["solve", "bellman", "extract_policy", "q_from_value",
                                   "simulate", "augment"])
 def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
@@ -634,7 +634,7 @@ def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
     }[call]
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="nonnegative|above the limit"):
+        with pytest.raises(ValueError, match="integer|non-negative|above the limit"):
             run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
