@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import threading
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,12 @@ KERNEL_ROW_TOL = 1e-12
 # Largest transition kernel S*A*B*S (float64 entries, 128 MB at the limit) a
 # game may have; checked from the counts before any table is built.
 MAX_KERNEL_ENTRIES = 16_000_000
+
+# random_game's kernel draw: the fewest kernel entries per draw thread, and the
+# most per block a thread draws before dividing it by its row sums into the
+# kernel (512 KB, so the blocks in flight stay under a sixteenth of the kernel).
+_ENTRIES_PER_PART = 2**20
+_BLOCK_ENTRIES = 2**16
 
 
 class Violation(NamedTuple):
@@ -318,6 +325,8 @@ class ImpulseGame:
             raise ValueError(f"kernel must have shape (S, A, B, S), got {kernel.shape}")
         s, a, b, _ = kernel.shape
         _count(s, "num_states", 1)
+        _count(a, "num_actions1", 1)
+        _count(b, "num_actions2", 1)
         reward = _frozen_array(self.reward)
         if reward.shape != (s, a, b):
             raise ValueError(f"reward must have shape {(s, a, b)}, got {reward.shape}")
@@ -513,8 +522,8 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     na, nb = num_actions1 + 1, num_actions2 + 1
     check_kernel_size(num_states, na, nb)
     rng = np.random.default_rng(seed)
-    kernel = rng.uniform(0.1, 1.0, size=(num_states, na, nb, num_states))
-    kernel /= kernel.sum(axis=3, keepdims=True)
+    shape = (num_states, na, nb, num_states)
+    kernel = _random_kernel(rng, shape, _draw_parts(shape))
     reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
     cost1 = np.zeros((num_states, na))
     if num_actions1:
@@ -526,6 +535,77 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
         table.setflags(write=False)
     return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
                        cost_floor=cost_floor, discount=gamma)
+
+
+def _draw_parts(shape: tuple) -> int:
+    """How many threads draw a kernel of ``shape``: one per CPU this process
+    may run on, but none with fewer than ``_ENTRIES_PER_PART`` entries or
+    without a state of its own."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, math.prod(shape) // _ENTRIES_PER_PART, shape[0]))
+
+
+def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.ndarray:
+    """Uniform [0.1, 1) draws of ``shape`` from ``rng``, each last-axis row
+    divided by its sum, with ``rng`` left after the draws: bit for bit the
+    whole-array draw ``rng.uniform(0.1, 1.0, shape)`` normalised in place.
+
+    With ``parts > 1`` the leading axis is cut into ``parts`` contiguous
+    shares.  A share starting at ``lo`` is drawn from a copy of ``rng``'s
+    PCG64 advanced by ``lo`` states' entries (each double takes one 64-bit
+    output, so the copy produces exactly the share's numbers), in blocks of
+    at most ``_BLOCK_ENTRIES`` (or one row) divided straight into the
+    kernel.  This thread
+    draws share 0 and one thread per other share draws the rest; all are
+    joined before returning, and the first error raised in any share is
+    raised here.
+    """
+    if parts == 1:
+        kernel = rng.uniform(0.1, 1.0, size=shape)
+        kernel /= kernel.sum(axis=-1, keepdims=True)
+        return kernel
+    kernel = np.empty(shape)
+    bounds = [i * shape[0] // parts for i in range(parts + 1)]
+    errors = []
+
+    def draw(lo, hi):
+        try:
+            _draw_share(rng, kernel, lo, hi)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=draw, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        _draw_share(rng, kernel, bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    rng.bit_generator.advance(kernel.size)
+    return kernel
+
+
+def _draw_share(rng: np.random.Generator, kernel: np.ndarray, lo: int, hi: int) -> None:
+    """Fill states ``lo .. hi-1`` of ``kernel`` for :func:`_random_kernel`."""
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(lo * kernel[0].size)
+    draws = np.random.Generator(bits)
+    n = kernel.shape[-1]
+    rows = kernel[lo:hi].reshape(-1, n)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for a in range(0, len(rows), step):
+        block = draws.uniform(0.1, 1.0, size=(min(step, len(rows) - a), n))
+        np.divide(block, block.sum(axis=-1, keepdims=True), out=rows[a:a + step])
+        del block  # before the next block is drawn, so one block is held at a time
 
 
 def games_equal(g1: ImpulseGame, g2: ImpulseGame) -> bool:

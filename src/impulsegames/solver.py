@@ -77,7 +77,11 @@ def _layers(game: ImpulseGame, caps) -> tuple[int, int, int]:
     (one layer that never spends) for ``None``; bad caps raise ``ValueError``."""
     if caps is None:
         return 1, 1, 0
-    n1, n2 = (_count(n, "caps") for n in caps)
+    try:
+        n1, n2 = caps
+    except (TypeError, ValueError):
+        raise ValueError(f"caps must be a pair (n1, n2), got {caps!r}") from None
+    n1, n2 = _count(n1, "caps"), _count(n2, "caps")
     ny, nz = n1 + 1, n2 + 1
     cells = game.num_states * ny * nz * game.num_actions1 * game.num_actions2
     if cells > MAX_AUGMENTED_CELLS:

@@ -207,6 +207,16 @@ def test_oversized_caps_refused_before_any_work():
             ig.solve(base, caps=caps)
 
 
+@pytest.mark.parametrize("caps", [5, (1, 2, 3), (1,), []])
+def test_caps_that_are_not_a_pair_are_refused_by_name(caps):
+    base = ig.random_game(3, 1, 1, seed=0)
+    policy = ig.solve(base, tol=1e-9).policy
+    with pytest.raises(ValueError, match=r"caps must be a pair \(n1, n2\), got "):
+        ig.solve(base, caps=caps)
+    with pytest.raises(ValueError, match=r"caps must be a pair \(n1, n2\), got "):
+        ig.simulate(base, policy, 10, seed=0, caps=caps)
+
+
 def test_dense_reference_refuses_an_oversized_kernel_before_building_it():
     aug = ig.augment(ig.random_game(20, 2, 2, seed=0), 20, 20)  # 8,820 augmented states
     with pytest.raises(ValueError, match="above the limit"):

@@ -1,10 +1,13 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames import game as game_module
 from impulsegames.game import cell_index, to_cells
 
 from _oracles import copying_random_game_tables
@@ -99,6 +102,14 @@ def test_a_game_without_states_is_refused_by_its_constructor():
     with pytest.raises(ValueError, match="num_states must be at least 1, got 0"):
         ig.ImpulseGame(kernel=np.zeros((0, 2, 2, 0)), reward=np.zeros((0, 2, 2)),
                        cost1=np.zeros((0, 2)), cost2=np.zeros((0, 2)), cost_floor=1.0,
+                       discount=0.5)
+
+
+@pytest.mark.parametrize("a, b, name", [(0, 2, "num_actions1"), (2, 0, "num_actions2")])
+def test_a_game_without_a_null_action_is_refused_by_its_constructor(a, b, name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        ig.ImpulseGame(kernel=np.zeros((2, a, b, 2)), reward=np.zeros((2, a, b)),
+                       cost1=np.zeros((2, a)), cost2=np.zeros((2, b)), cost_floor=1.0,
                        discount=0.5)
 
 
@@ -246,10 +257,11 @@ def test_oversized_games_refused_before_any_table():
 
 
 @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 2, 1), (4, 0, 3), (4, 2, 0), (7, 1, 1),
-                                   (60, 7, 7)])
+                                   (60, 7, 7), (300, 7, 7)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 97])
 def test_random_game_draws_match_the_copying_construction(shape, seed):
-    """The in-place quotient keeps the seed contract bit for bit."""
+    """The in-place quotient, and above 2**20 kernel entries the split draw,
+    keep the seed contract bit for bit."""
     game = ig.random_game(*shape, seed)
     expected = copying_random_game_tables(*shape, seed)
     for table, ref in zip((game.kernel, game.reward, game.cost1, game.cost2), expected):
@@ -257,15 +269,61 @@ def test_random_game_draws_match_the_copying_construction(shape, seed):
         assert table.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 97])
+def test_a_kernel_split_in_parts_is_drawn_bit_for_bit(parts, seed, monkeypatch):
+    """Shares of 53 states, which no part count above 1 divides, drawn in
+    blocks of 5 rows, which cut states of 12 rows, give the whole-array
+    draws and leave the generator where the reward and cost draws start."""
+    num_states, na, nb = 53, 3, 4
+    monkeypatch.setattr(game_module, "_BLOCK_ENTRIES", 5 * num_states)
+    rng = np.random.default_rng(seed)
+    kernel = game_module._random_kernel(rng, (num_states, na, nb, num_states), parts)
+    reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
+    cost1, cost2 = (rng.uniform(0.1, 0.2, size=(num_states, n - 1)) for n in (na, nb))
+    expected = copying_random_game_tables(num_states, na - 1, nb - 1, seed)
+    assert kernel.tobytes() == expected[0].tobytes()
+    assert reward.tobytes() == expected[1].tobytes()
+    assert cost1.tobytes() == expected[2][:, 1:].tobytes()
+    assert cost2.tobytes() == expected[3][:, 1:].tobytes()
+
+
+def test_an_error_in_a_draw_thread_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
+    draw_share = game_module._draw_share
+    before = set(threading.enumerate())
+
+    def failing(rng, kernel, lo, hi):
+        if lo == 3:
+            raise RuntimeError(f"share from state {lo} failed")
+        draw_share(rng, kernel, lo, hi)
+
+    monkeypatch.setattr(game_module, "_draw_share", failing)
+    with pytest.raises(RuntimeError, match="share from state 3 failed"):
+        game_module._random_kernel(np.random.default_rng(0), (10, 2, 2, 10), 3)
+    assert set(threading.enumerate()) == before
+
+
+def test_the_draw_is_split_by_cpus_and_kernel_size():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = game_module._draw_parts
+    assert parts((300, 2, 2, 300)) == 1  # 360,000 entries, below 2**20
+    assert parts((300, 8, 8, 300)) == min(cpus, 5)  # 5,760,000 entries
+    assert parts((2, 1000, 1000, 2)) == min(cpus, 2)  # no share without a state
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_random_game_holds_one_kernel_at_its_peak(seed):
-    tracemalloc.start()
-    try:
-        game = ig.random_game(200, 3, 3, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * game.kernel.nbytes
+    """(300, 7, 7) is split on two or more CPUs, (200, 3, 3) never."""
+    ig.random_game(1, 0, 0, seed)  # the modules numpy imports on a first draw stay untraced
+    for shape in ((200, 3, 3), (300, 7, 7)):
+        tracemalloc.start()
+        try:
+            game = ig.random_game(*shape, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * game.kernel.nbytes, shape
+        del game
 
 
 def _rebuilt(game, **tables):
