@@ -34,9 +34,12 @@ KERNEL_ROW_TOL = 1e-12
 MAX_KERNEL_ENTRIES = 16_000_000
 
 # random_game's kernel draw: the fewest kernel entries per draw thread, and the
-# most per block a thread draws before dividing it by its row sums into the
-# kernel (512 KB, so the blocks in flight stay under a sixteenth of the kernel).
+# least and most per block a thread draws before dividing it by its row sums
+# into the kernel (32 KB and 512 KB; a block is otherwise a sixteenth of the
+# kernel, so the blocks in flight stay under a sixteenth of a kernel of 2**16
+# entries or more).
 _ENTRIES_PER_PART = 2**20
+_MIN_BLOCK_ENTRIES = 2**12
 _BLOCK_ENTRIES = 2**16
 
 
@@ -553,34 +556,36 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
     divided by its sum, with ``rng`` left after the draws: bit for bit the
     whole-array draw ``rng.uniform(0.1, 1.0, shape)`` normalised in place.
 
-    With ``parts > 1`` the leading axis is cut into ``parts`` contiguous
-    shares.  A share starting at ``lo`` is drawn from a copy of ``rng``'s
-    PCG64 advanced by ``lo`` states' entries (each double takes one 64-bit
-    output, so the copy produces exactly the share's numbers), in blocks of
-    at most ``_BLOCK_ENTRIES`` (or one row) divided straight into the
-    kernel.  This thread
-    draws share 0 and one thread per other share draws the rest; all are
-    joined before returning, and the first error raised in any share is
-    raised here.
+    The leading axis is cut into ``parts`` contiguous shares.  A share
+    starting at ``lo > 0`` is drawn from a copy of ``rng``'s PCG64 advanced
+    by ``lo`` states' entries (each double takes one 64-bit output, so the
+    copy produces exactly the share's numbers) on a thread of its own;
+    share 0 is drawn from ``rng`` itself on this thread once the copies are
+    made.  Every share is drawn in blocks of a sixteenth of the kernel, but
+    ``_MIN_BLOCK_ENTRIES`` to ``_BLOCK_ENTRIES`` (or one row), each divided
+    straight into the kernel.  All threads are joined before returning, and
+    the first error raised in any share is raised here.
     """
-    if parts == 1:
-        kernel = rng.uniform(0.1, 1.0, size=shape)
-        kernel /= kernel.sum(axis=-1, keepdims=True)
-        return kernel
     kernel = np.empty(shape)
     bounds = [i * shape[0] // parts for i in range(parts + 1)]
     errors = []
 
-    def draw(lo, hi):
+    def draw(draws, lo, hi):
         try:
-            _draw_share(rng, kernel, lo, hi)
+            _draw_share(draws, kernel, lo, hi)
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
+    copies = []
+    for lo in bounds[1:-1]:
+        bits = np.random.PCG64(0)
+        bits.state = rng.bit_generator.state
+        bits.advance(lo * kernel[0].size)
+        copies.append(np.random.Generator(bits))
     threads = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=draw, args=(lo, hi))
+        for draws, lo, hi in zip(copies, bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=draw, args=(draws, lo, hi))
             thread.start()
             threads.append(thread)
         _draw_share(rng, kernel, bounds[0], bounds[1])
@@ -589,19 +594,17 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
             thread.join()
     if errors:
         raise errors[0]
-    rng.bit_generator.advance(kernel.size)
+    rng.bit_generator.advance(kernel[bounds[1]:].size)
     return kernel
 
 
-def _draw_share(rng: np.random.Generator, kernel: np.ndarray, lo: int, hi: int) -> None:
-    """Fill states ``lo .. hi-1`` of ``kernel`` for :func:`_random_kernel`."""
-    bits = np.random.PCG64(0)
-    bits.state = rng.bit_generator.state
-    bits.advance(lo * kernel[0].size)
-    draws = np.random.Generator(bits)
+def _draw_share(draws: np.random.Generator, kernel: np.ndarray, lo: int, hi: int) -> None:
+    """Fill states ``lo .. hi-1`` of ``kernel`` for :func:`_random_kernel`
+    from ``draws``, which stands at the first of their entries."""
     n = kernel.shape[-1]
     rows = kernel[lo:hi].reshape(-1, n)
-    step = max(1, _BLOCK_ENTRIES // n)
+    # a sixteenth of the kernel, but 32 KB to 512 KB, and at least one row
+    step = max(1, min(max(kernel.size // 16, _MIN_BLOCK_ENTRIES), _BLOCK_ENTRIES) // n)
     for a in range(0, len(rows), step):
         block = draws.uniform(0.1, 1.0, size=(min(step, len(rows) - a), n))
         np.divide(block, block.sum(axis=-1, keepdims=True), out=rows[a:a + step])

@@ -260,8 +260,8 @@ def test_oversized_games_refused_before_any_table():
                                    (60, 7, 7), (300, 7, 7)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 97])
 def test_random_game_draws_match_the_copying_construction(shape, seed):
-    """The in-place quotient, and above 2**20 kernel entries the split draw,
-    keep the seed contract bit for bit."""
+    """The blocked draw, split in shares above 2**20 kernel entries, keeps
+    the seed contract bit for bit."""
     game = ig.random_game(*shape, seed)
     expected = copying_random_game_tables(*shape, seed)
     for table, ref in zip((game.kernel, game.reward, game.cost1, game.cost2), expected):
@@ -303,12 +303,17 @@ def test_an_error_in_a_draw_thread_reaches_the_caller_and_no_thread_outlives_it(
     assert set(threading.enumerate()) == before
 
 
-def test_the_draw_is_split_by_cpus_and_kernel_size():
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+def test_the_draw_is_split_by_cpus_and_kernel_size(monkeypatch):
     parts = game_module._draw_parts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     assert parts((300, 2, 2, 300)) == 1  # 360,000 entries, below 2**20
-    assert parts((300, 8, 8, 300)) == min(cpus, 5)  # 5,760,000 entries
-    assert parts((2, 1000, 1000, 2)) == min(cpus, 2)  # no share without a state
+    assert parts((300, 8, 8, 300)) == 5  # 5,760,000 entries
+    assert parts((2, 1000, 1000, 2)) == 2  # no share without a state
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert parts((300, 8, 8, 300)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert parts((300, 8, 8, 300)) == 3
 
 
 @pytest.mark.parametrize("seed", [0, 5])
