@@ -410,6 +410,35 @@ class ImpulseGame:
             for kernel_s, ends, rewards in zip(kernel, last.tolist(),
                                                to_cells(self.reward).tolist()))
 
+    def expect(self, x, state=None) -> np.ndarray:
+        """``E[x(s') | s, cell]`` for every cell of :attr:`cells`, shape
+        ``(S, A+B-1) + x.shape[1:]``, or ``(A+B-1,) + x.shape[1:]`` at the
+        index ``state`` alone.  ``x`` holds the states on its leading axis
+        (refused with ``ValueError`` otherwise) and any trailing axes.  All
+        states are one product of the whole cell table (:func:`_expect`);
+        one state is the product of its own rows, which may differ from the
+        whole table's in the last bits."""
+        x = np.asarray(x, dtype=float)
+        kernel = self.cells[0]
+        if state is not None:
+            kernel = kernel[_index(state, "state", self.num_states)]
+        if x.shape[:1] != (self.num_states,):
+            raise ValueError(f"a field must have the {self.num_states} states on its "
+                             f"leading axis, got shape {x.shape}")
+        return _expect(kernel, x)
+
+    def chain_rows(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel rows ``(..., S, S)`` and net rewards ``(..., S)`` of one cell
+        of :attr:`cells` per state: ``cells[..., s]`` is the column at state
+        ``s``, and leading axes are a batch.  The rows come back dense
+        ``(..., S, S)`` whatever the game stores, a sparse kernel included:
+        a chain solve on them is S x S, and so :func:`impulsegames.solver.solve`
+        takes its exact finish only on games of at most ``FINISH_MAX_STATES``
+        states and only sweeps, through :meth:`expect`, above that."""
+        kernel, net = self.cells
+        states = np.arange(self.num_states)
+        return kernel[states, cells], net[states, cells]
+
 
 def check_kernel_size(num_states: int, num_actions1: int, num_actions2: int) -> None:
     """Refuse a game whose kernel would exceed ``MAX_KERNEL_ENTRIES``, before
@@ -425,6 +454,16 @@ def to_cells(table: np.ndarray) -> np.ndarray:
     """``table[:, a, b, ...]`` at the pairs that can execute, in the layout of
     :attr:`ImpulseGame.cells`: shape ``(S, A+B-1, ...)``."""
     return np.concatenate([table[:, :, 0], table[:, 0, 1:]], axis=1)
+
+
+def _expect(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows ``kernel (..., S)`` applied to a field ``x (S, ...)`` over the next
+    state, shape ``kernel.shape[:-1] + x.shape[1:]``: one product of all the
+    rows with all of ``x``'s columns, the rule (and so the bits) of every
+    expectation over a whole table."""
+    ns = kernel.shape[-1]
+    flat = kernel.reshape(-1, ns) @ x.reshape(ns, -1)
+    return flat.reshape(kernel.shape[:-1] + x.shape[1:])
 
 
 def cell_index(num_actions1: int, a, b) -> np.ndarray:
@@ -489,9 +528,13 @@ def effective_reward(game: ImpulseGame, s: int, joint) -> float:
 
     The raw reward, minus Player 1's action cost when it acts, plus Player
     2's action cost when it acts (the minimiser paying a cost raises the
-    maximiser's payoff under the zero-sum convention).
+    maximiser's payoff under the zero-sum convention).  A ``joint`` that is
+    not a pair is refused with ``ValueError``.
     """
-    a, b = joint
+    try:
+        a, b = joint
+    except (TypeError, ValueError):
+        raise ValueError(f"joint must be a pair (a, b), got {joint!r}") from None
     _index(s, "state", game.num_states)
     _index(a, "action1", game.num_actions1)
     _index(b, "action2", game.num_actions2)

@@ -7,9 +7,13 @@ switch: ``"T"`` is min-outside (the solver's own nesting, so its fixed point
 is the game value) and ``"F"`` is the flipped max-outside form.  Both are
 gamma-contractions; they differ in which player the middle do-nothing term
 shelters.  The sampled fit evaluates them at the visited state only, from
-a ``kernel @ Phi`` table built once per fit; its behaviour trajectory takes
-the learner's exploration draw (:func:`impulsegames.qlearn._explore`) and
-the game's sampler, :attr:`impulsegames.game.ImpulseGame.sampler_rows`.
+the expectation of ``Phi`` under every cell, built once per fit by
+:meth:`impulsegames.game.ImpulseGame.expect`; its behaviour trajectory
+takes the learner's exploration draw (:func:`impulsegames.qlearn._explore`)
+and the game's sampler, :attr:`impulsegames.game.ImpulseGame.sampler_rows`.
+Policy chains come from :meth:`impulsegames.game.ImpulseGame.chain_rows`
+through :func:`impulsegames.solver._executed_chain`, so the module reads no
+kernel itself.
 
 The weighted projection is factored once per basis and weights
 (:func:`_projector`).  :func:`projected_iteration` sweeps through it and,
@@ -310,10 +314,10 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     only the trajectory is sampled.  The schedule is the ``FIT_*`` constants;
     coefficients above ``config.divergence_limit`` raise :class:`FitDivergenceError`.
 
-    Per sample the work runs on tables built once.  ``kernel @ Phi`` on the
-    cells table, S x (A+B-1) x K doubles and so never larger than the cells
-    kernel, gives the visited state's row of the operator as
-    ``net[s] + gamma * ((kernel @ Phi)[s] @ r)``; the ``"T"`` target is read
+    Per sample the work runs on tables built once.  ``E[Phi(next) | s, cell]``
+    from :meth:`ImpulseGame.expect`, S x (A+B-1) x K doubles and so never
+    larger than the cells kernel, gives the visited state's row of the
+    operator as ``net[s] + gamma * (E[Phi][s] @ r)``; the ``"T"`` target is read
     off that row on Python floats by the learner's scalar nesting (``"F"``
     takes the one-row vectorised nesting).  ``r`` moves in place along
     ``Phi[s]``.  The divergence check keeps a running upper bound on
@@ -335,8 +339,8 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     rng = BlockDraws(config.seed)
     rows = game.sampler_rows
     phi = basis.matrix
-    kernel, net = game.cells
-    kphi = kernel @ phi
+    net = game.cells[1]
+    kphi = game.expect(phi)
     phi_max = np.abs(phi).max(axis=1).tolist()
     gamma, limit = game.discount, config.divergence_limit
     na = game.num_actions1

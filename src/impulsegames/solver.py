@@ -11,6 +11,10 @@ its cost, and the do-nothing term is the null-pair reward plus the
 discounted expectation of ``v``.  When both players' action conditions
 trigger at the same state, only Player 2's action executes, so only the
 pairs of :attr:`ImpulseGame.cells` (null, ``(a, 0)``, ``(0, b)``) are read.
+The solver reads the transition only through the game: expectations of a
+value field from :meth:`ImpulseGame.expect`, and policy chains from
+:meth:`ImpulseGame.chain_rows`; :func:`q_from_value`, the one reader of the
+pairs where both players act, applies the same product to the full kernel.
 
 The operator is a gamma-contraction with a unique fixed point ``v*``, so any
 field ``v`` is certified by its residual alone:
@@ -32,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _count, _finite_table, _index, _plain, cell_index, to_cells
+from .game import ImpulseGame, _count, _expect, _finite_table, _index, _plain, cell_index, to_cells
 
 TIE_EPS = 1e-10
 
@@ -90,16 +94,23 @@ def _layers(game: ImpulseGame, caps) -> tuple[int, int, int]:
     return ny, nz, 1
 
 
-def _next_values(v, kernel, ny, nz, acts1, acts2):
-    """E[v(next) | cell] for the cells of ``kernel``, axes ``(s, cell..., s')``.
+def _field(game: ImpulseGame, v, ny: int = 1, nz: int = 1) -> np.ndarray:
+    """``v``, flat over ``(s, y, z)`` on the counter layers of :func:`_layers`,
+    as a float grid ``(S, ny, nz)``.  A field that is not one value per
+    (augmented) state is refused with ``ValueError`` naming ``v``: the one
+    shape check of every entry that takes a value field."""
+    v = np.asarray(v, dtype=float)
+    size = game.num_states * ny * nz
+    if v.shape != (size,):
+        raise ValueError(f"v must have shape ({size},), got {v.shape}")
+    return v.reshape(-1, ny, nz)
 
-    ``v`` is flat over ``(s, y, z)`` on the counter layers of :func:`_layers`,
-    the result gains trailing axes ``(y, z)``, and the cells ``acts1``/``acts2``
-    (where Player 1/2 acts) read their next value one counter step down.
+
+def _next_values(ev, acts1, acts2):
+    """E[v(next) | cell] from ``ev``, the expectation of a :func:`_field` grid,
+    axes ``(s, cell..., y, z)``: the cells ``acts1``/``acts2`` (where Player
+    1/2 acts) read their next value one counter step down, in place.
     """
-    ns = kernel.shape[-1]
-    grid = np.asarray(v, dtype=float).reshape(ns, ny * nz)
-    ev = (kernel.reshape(-1, ns) @ grid).reshape(kernel.shape[:-1] + (ny, nz))
     ev1, ev2 = ev[acts1], ev[acts2]  # views; numpy buffers the overlapping copies
     ev1[..., 1:, :] = ev1[..., :-1, :]
     ev2[..., 1:] = ev2[..., :-1]
@@ -115,10 +126,9 @@ def operator_terms(game: ImpulseGame, v, caps=None) -> OperatorTerms:
     player's cells; no caps is its one-layer case.
     """
     ny, nz, spend = _layers(game, caps)
-    kernel, net = game.cells
     na = game.num_actions1
-    ev = _next_values(v, kernel, ny, nz, np.s_[:, 1:na], np.s_[:, na:])
-    q = net[:, :, None, None] + game.discount * ev
+    ev = _next_values(game.expect(_field(game, v, ny, nz)), np.s_[:, 1:na], np.s_[:, na:])
+    q = game.cells[1][:, :, None, None] + game.discount * ev
     if spend:
         q[:, 1:na, 0] = -np.inf
         q[:, na:, :, 0] = np.inf
@@ -140,8 +150,8 @@ def _state_terms(game: ImpulseGame, v, s: int) -> OperatorTerms:
     """The operator's pieces at state ``s`` alone, from its row of
     :attr:`ImpulseGame.cells`, ``s`` checked by :func:`impulsegames.game._index`."""
     s = _index(s, "state", game.num_states)
-    kernel, net = game.cells
-    q = net[s] + game.discount * (kernel[s] @ np.asarray(v, dtype=float))
+    ev = game.expect(_field(game, v)[:, 0, 0], state=s)
+    q = game.cells[1][s] + game.discount * ev
     return _reduce(q[None], game.num_actions1)
 
 
@@ -173,8 +183,7 @@ def min_intervention(game: ImpulseGame, v, s: int) -> InterventionResult:
 
 def noop_continuation(game: ImpulseGame, v) -> np.ndarray:
     """Do-nothing continuation value for every state."""
-    kernel, net = game.cells
-    return net[:, 0] + game.discount * (kernel[:, 0] @ np.asarray(v, dtype=float))
+    return operator_terms(game, v).noop
 
 
 def _inner(t: OperatorTerms) -> np.ndarray:
@@ -200,10 +209,12 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     """Cost-exclusive action values: reward plus discounted expectation of v.
 
     Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
-    The one reader of the cells where both players act.
+    The one reader of the cells where both players act, and so of the full
+    kernel, which it applies by the product of :meth:`ImpulseGame.expect`.
     """
     ny, nz, _ = _layers(game, caps)
-    ev = _next_values(v, game.kernel, ny, nz, np.s_[:, 1:], np.s_[:, :, 1:])
+    ev = _next_values(_expect(game.kernel, _field(game, v, ny, nz)),
+                      np.s_[:, 1:], np.s_[:, :, 1:])
     q = game.reward[..., None, None] + game.discount * ev
     return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
 
@@ -287,8 +298,10 @@ def _policy(t: OperatorTerms) -> EquilibriumPolicy:
 def read_off(game: ImpulseGame, q) -> tuple[np.ndarray, EquilibriumPolicy]:
     """Greedy value and policy of a cost-exclusive ``(S, A, B)`` table, learned or from
     :func:`q_from_value`: the nesting of :func:`bellman` and the flag rule of
-    :func:`extract_policy` on its executable cells plus ``cell_costs``."""
-    t = _reduce(to_cells(np.asarray(q, dtype=float)) + game.cell_costs, game.num_actions1)
+    :func:`extract_policy` on its executable cells plus ``cell_costs``.  A ``q``
+    of another shape or with a non-finite entry is refused with ``ValueError``."""
+    q = _finite_table(q, "q", (game.num_states, game.num_actions1, game.num_actions2))
+    t = _reduce(to_cells(q) + game.cell_costs, game.num_actions1)
     return _combine(t), _policy(t)
 
 
@@ -387,8 +400,9 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
 
 def _executed_chain(game: ImpulseGame, pol1, pol2) -> tuple[np.ndarray, np.ndarray]:
     """Kernel rows ``(..., S, S)`` and net rewards ``(..., S)`` of the pairs
-    deterministic policy pairs ``(..., S)`` execute, one per state; leading
-    axes are a batch.  Player 2's non-null action suppresses Player 1's."""
+    deterministic policy pairs ``(..., S)`` execute, one per state, from
+    :meth:`ImpulseGame.chain_rows`; leading axes are a batch.  Player 2's
+    non-null action suppresses Player 1's."""
     ns, na, nb = game.reward.shape
     a = np.asarray(pol1, dtype=int)
     b = np.asarray(pol2, dtype=int)
@@ -397,14 +411,11 @@ def _executed_chain(game: ImpulseGame, pol1, pol2) -> tuple[np.ndarray, np.ndarr
     for name, x, n in (("1", a, na), ("2", b, nb)):
         if not 0 <= x.min() <= x.max() < n:
             raise IndexError(f"policy selects a Player-{name} action outside 0..{n - 1}")
-    col = cell_index(na, a, b)
-    states = np.arange(ns)
-    kernel, net = game.cells
-    r = net[states, col]
+    p, r = game.chain_rows(cell_index(na, a, b))
     masked = np.argwhere(np.isinf(r))
     if masked.size:
         raise ValueError(f"policy selects a masked action at state {masked[0, -1]}")
-    return kernel[states, col], r
+    return p, r
 
 
 def _chain_values(game: ImpulseGame, p, r) -> np.ndarray:

@@ -174,6 +174,47 @@ def loop_chain(game, pol1, pol2):
     return p, r
 
 
+def _cell_pairs(game):
+    """The pairs of the columns of ``ImpulseGame.cells``, written out here:
+    ``(a, 0)`` for every ``a``, then ``(0, b)`` for ``b >= 1``."""
+    return ([(a, 0) for a in range(game.num_actions1)]
+            + [(0, b) for b in range(1, game.num_actions2)])
+
+
+def loop_expect(game, x, state=None):
+    """E[x(s') | s, cell] at every state, or at ``state`` alone, summed one
+    kernel entry at a time from the full kernel's row of each cell's pair;
+    ``x`` has the states on its leading axis and any trailing axes."""
+    x = np.asarray(x, dtype=float)
+    pairs = _cell_pairs(game)
+    states = range(game.num_states) if state is None else [state]
+    out = np.zeros((len(states), len(pairs)) + x.shape[1:])
+    for i, s in enumerate(states):
+        for c, (a, b) in enumerate(pairs):
+            for t in range(game.num_states):
+                out[i, c] += game.kernel[s, a, b, t] * x[t]
+    return out if state is None else out[0]
+
+
+def loop_chain_rows(game, cells):
+    """Kernel rows and net rewards (-inf/+inf on a masked action) of one cell
+    per state, ``cells[..., s]`` at state ``s``, one entry at a time."""
+    cells = np.asarray(cells)
+    pairs = _cell_pairs(game)
+    p = np.zeros(cells.shape + (game.num_states,))
+    r = np.zeros(cells.shape)
+    for idx in np.ndindex(cells.shape):
+        s = idx[-1]
+        a, b = pairs[cells[idx]]
+        p[idx] = game.kernel[s, a, b]
+        r[idx] = game.reward[s, a, b]
+        if a:
+            r[idx] = r[idx] - game.cost1[s, a] if game.mask1[s, a] else -np.inf
+        if b:
+            r[idx] = r[idx] + game.cost2[s, b] if game.mask2[s, b] else np.inf
+    return p, r
+
+
 def pair_cell(game, pair):
     """The column of ``ImpulseGame.cells`` that the pair ``(a, 0)`` or ``(0, b)``
     occupies, written out here: ``a``, or ``A - 1 + b`` where Player 2 acts."""
@@ -323,7 +364,7 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
 
     The coefficients start at ``r0`` (zeros by default).  Each sample reads
     the visited state's row of net values ``net[s] + gamma * (kphi[s] @ r)``
-    from ``kphi = kernel @ Phi`` on the cells table, and moves ``r`` by
+    from ``kphi = kernel Phi`` on the cells table, and moves ``r`` by
     ``c * Phi[s]`` with ``c = alpha * (target - Phi[s] @ r)``.  An
     exploration coin is drawn only when ``epsilon > 0``.  The behaviour
     policy is read off by :func:`loop_operator` once per epoch; the row's
@@ -342,7 +383,11 @@ def loop_fit(game, basis, samples, seed, combinator, epsilon=0.2, step_power=0.8
     env = SamplingEnv(game, rng=rng)
     phi = basis.matrix
     kernel, net = game.cells
-    kphi = kernel @ phi
+    # The whole cell table times Phi in one product, the product form of
+    # `ImpulseGame.expect`: a product per state (`kernel @ phi`) may round
+    # differently, and the comparison is bit for bit.
+    ns = game.num_states
+    kphi = (kernel.reshape(-1, ns) @ phi).reshape(kernel.shape[:2] + phi.shape[1:])
     na = game.num_actions1
     slots = qlearn._slots(game.cell_costs.tolist(), na)
 

@@ -1,7 +1,10 @@
 """Public entries refuse a bad count or index by the argument rules of
 ``impulsegames.game``: a count that is not an integer or lies out of range
 raises ``ValueError``; an index that is not an integer raises ``TypeError``,
-one out of range ``IndexError``; each message names the argument."""
+one out of range ``IndexError``; each message names the argument.  A value
+field of the wrong length, a ``q`` table of the wrong shape or with a
+non-finite entry, and a ``joint`` that is not a pair raise ``ValueError``
+naming the argument too."""
 
 import re
 
@@ -75,3 +78,51 @@ _CASES = _refusals()
 def test_entries_refuse_a_bad_count_or_index_by_name(call, value, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(value)
+
+
+# Every entry that takes a value field `v`, on a 4-state game, with and without caps.
+_VALUE_ENTRIES = {
+    "bellman": ig.bellman,
+    "extract_policy": ig.extract_policy,
+    "q_from_value": ig.q_from_value,
+    "operator_terms": ig.solver.operator_terms,
+    "noop_continuation": lambda game, v, caps=None: ig.noop_continuation(game, v),
+    "max_intervention": lambda game, v, caps=None: ig.max_intervention(game, v, 0),
+    "min_intervention": lambda game, v, caps=None: ig.min_intervention(game, v, 0),
+}
+_CAPPED = ("bellman", "extract_policy", "q_from_value", "operator_terms")
+_FIELD_CASES = ([(entry, None, size) for entry in _VALUE_ENTRIES for size in (5, 3, (4, 1))]
+                + [(entry, (1, 1), size) for entry in _CAPPED for size in (4, 17)])
+
+
+@pytest.mark.parametrize("entry,caps,size", _FIELD_CASES,
+                         ids=[f"{e}-{c}-{n}" for e, c, n in _FIELD_CASES])
+def test_value_entries_refuse_a_field_of_the_wrong_length_by_name(entry, caps, size):
+    game = ig.random_game(4, 1, 1, seed=0)
+    want = 4 if caps is None else 16
+    call = _VALUE_ENTRIES[entry]
+    kwargs = {} if caps is None else {"caps": caps}
+    v = np.zeros(size)
+    with pytest.raises(ValueError, match=re.escape(f"v must have shape ({want},), got {v.shape}")):
+        call(game, v, **kwargs)
+    call(game, np.zeros(want), **kwargs)
+
+
+@pytest.mark.parametrize("q,message", [
+    (np.zeros((4, 3, 3)), "q must have shape (4, 3, 2), got (4, 3, 3)"),
+    (np.zeros((4, 6)), "q must have shape (4, 3, 2), got (4, 6)"),
+    (np.full((4, 3, 2), np.nan), "q must be finite"),
+    (np.where(np.eye(4, 6, dtype=bool).reshape(4, 3, 2), np.inf, 0.0), "q must be finite"),
+], ids=["too-wide", "flat", "nan", "inf"])
+def test_read_off_refuses_a_bad_q_table_by_name(q, message):
+    game = ig.random_game(4, 2, 1, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ig.read_off(game, q)
+
+
+@pytest.mark.parametrize("entry", [ig.effective_reward, ig.player2_reward])
+@pytest.mark.parametrize("joint", [(1, 2, 3), 5, (1,), None], ids=repr)
+def test_reward_entries_refuse_a_joint_that_is_not_a_pair(entry, joint):
+    game = ig.random_game(3, 1, 1, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"joint must be a pair (a, b), got {joint!r}")):
+        entry(game, 0, joint)
