@@ -10,7 +10,7 @@ identity rather than an assumption.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -53,12 +53,22 @@ class DuopolyParams:
     noise_nodes: int = 7
 
     def __post_init__(self):
+        _count(self.grid_size, "grid_size", 2)
+        _count(self.noise_nodes, "noise_nodes", 1, MAX_NOISE_NODES)
+        # Every float and investment level; an int (a count, or a whole float) is finite.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                named = [(f"{f.name}[{i}]", x) for i, x in enumerate(value)]
+            else:
+                named = [] if isinstance(value, int) else [(f.name, value)]
+            for name, x in named:
+                if not np.isfinite(x):
+                    raise ValueError(f"duopoly parameter '{name}' must be finite, got {x!r}")
         if self.market_size <= 0:
             raise ValueError("market_size must be positive")
         if not (0 < self.b1 <= 1 and 0 < self.b2 <= 1):
             raise ValueError("response rates must lie in (0, 1]")
-        _count(self.grid_size, "grid_size", 2)
-        _count(self.noise_nodes, "noise_nodes", 1, MAX_NOISE_NODES)
 
 
 def duopoly_params_from_dict(doc: dict) -> DuopolyParams:
@@ -123,7 +133,7 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     for every action pair; costs route through the game's cost tables and
     are not double counted inside the reward.  Raises ``GameValidationError``
     when the parameters give a game that breaks a model invariant (say a
-    discount outside [0, 1) or a NaN cost).
+    discount outside [0, 1) or a cost that is not positive).
     """
     g = params.grid_size
     check_kernel_size(g * g, len(params.investments1) + 1, len(params.investments2) + 1)

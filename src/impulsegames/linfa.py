@@ -72,6 +72,8 @@ class FeatureBasis:
             raise ValueError("basis must have at least one feature column")
         if m.shape[1] > m.shape[0]:
             raise ValueError("more features than states: columns cannot be independent")
+        if not np.isfinite(m).all():
+            raise ValueError("basis must be finite")
         sv = np.linalg.svd(m, compute_uv=False)
         if sv.min() <= RANK_TOL * max(1.0, sv.max()):
             raise ValueError("basis columns are not linearly independent")
@@ -88,6 +90,13 @@ class FeatureBasis:
 
     def field(self, r) -> np.ndarray:
         return self.matrix @ np.asarray(r, dtype=float)
+
+
+def _check_basis(game: ImpulseGame, basis: FeatureBasis) -> None:
+    """Refuse, with ``ValueError``, a basis whose state count is not the game's:
+    the one check of every entry that takes a game and a basis."""
+    if basis.num_states != game.num_states:
+        raise ValueError(f"basis has {basis.num_states} states, the game has {game.num_states}")
 
 
 def identity_basis(num_states: int) -> FeatureBasis:
@@ -188,6 +197,7 @@ def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
     the nesting, so with no actions at all both forms reduce to the plain
     one-step expected-value operator.
     """
+    _check_basis(game, basis)
     return _operator_on_field(game, basis.field(r), combinator)
 
 
@@ -228,6 +238,7 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combina
     iteration.  Stops at a delta of ``tol`` or after ``PROJECTED_MAX_ITER``
     iterations.  Returns the coefficients and one delta per iteration.
     """
+    _check_basis(game, basis)
     m = _projector(basis, weights)
     phi = basis.matrix
     r = np.zeros(basis.num_features)
@@ -327,13 +338,14 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     with the policy, and the exploration slots are built once per run; the
     next state is a bisection in that cell's row of the game's
     :attr:`ImpulseGame.sampler_rows`, the table ``learn`` steps through.
-    An ``r0`` that is not ``K`` finite coefficients is refused with
-    ``ValueError`` before any draw.
+    An ``r0`` that is not ``K`` finite coefficients, or a basis of another
+    state count, is refused with ``ValueError`` before any draw.
     Every draw (reset state, exploration coin, slot and action, next-state
     uniform) comes from one :class:`impulsegames.envs.BlockDraws` of
     ``config.seed``: the scalar draws of ``np.random.default_rng(config.seed)``,
     bit for bit.
     """
+    _check_basis(game, basis)
     k = basis.num_features
     r = np.zeros(k) if r0 is None else _finite_table(r0, "r0", (k,))
     rng = BlockDraws(config.seed)
@@ -416,6 +428,7 @@ def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
     ``weights`` takes :func:`bound_weights` of ``value`` (and the same
     nesting) from a caller that has it already; it depends on those only.
     """
+    _check_basis(game, basis)
     vhat = np.asarray(value, dtype=float)
     w = (bound_weights(game, vhat) if weights is None else weights).weights
     lhs = weighted_norm(w, basis.field(r) - vhat)

@@ -302,6 +302,23 @@ def test_bad_scalar_in_input_exits_1_no_output(tmp_path, capsys, source, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "gen"])
+@pytest.mark.parametrize("key,value", [("r1", float("nan")), ("sigma1", float("inf")),
+                                       ("market_size", float("nan")),
+                                       ("investments2", [1.0, float("-inf")])])
+def test_non_finite_duopoly_parameter_exits_1_no_output(tmp_path, capsys, recwarn, command,
+                                                        key, value):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"grid_size": 3, key: value}))
+    out = tmp_path / "out"
+    assert main([command, "--duopoly", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    name, bad = (f"{key}[1]", value[1]) if isinstance(value, list) else (key, value)
+    assert capsys.readouterr().err == (
+        f"error: duopoly parameter '{name}' must be finite, got {bad!r}\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("source", [[], ["--game"]])
 def test_gen_without_gen_or_duopoly_exits_1_no_output(tmp_path, g1_file, source):
     out = tmp_path / "out"
@@ -456,11 +473,14 @@ def test_noise_nodes_outside_the_bound_exit_1_no_output(tmp_path, capsys, recwar
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_invalid_default_duopoly_message_is_one_short_line(tmp_path, capsys):
+def test_invalid_game_message_is_one_short_line(tmp_path, capsys):
+    # Costs below the floor at every state: many violations, one short line.
+    doc = ig.game_to_dict(ig.random_game(30, 3, 3, seed=0))
+    doc["costs1"] = [[0.01] * 3] * 30
     path = tmp_path / "in.json"
-    path.write_text(json.dumps({"kappa1": float("nan")}))
+    path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["solve", "--duopoly", str(path), "--out", str(out)]) == 1
+    assert main(["solve", "--game", str(path), "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err.encode()) < 400

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -190,10 +192,22 @@ def test_duopoly_game_round_trips_through_spec_file(tmp_path):
     assert ig.games_equal(game, ig.load_game(path))
 
 
-@pytest.mark.parametrize("params", [{"gamma": 1.5}, {"kappa1": float("nan")}])
+@pytest.mark.parametrize("params", [{"gamma": 1.5}, {"kappa1": -5.0}])
 def test_build_duopoly_game_rejects_invalid_games(params):
     with pytest.raises(ig.GameValidationError):
         ig.build_duopoly_game(ig.DuopolyParams(grid_size=3, **params))
+
+
+_FLOAT_FIELDS = ["market_size", "b1", "b2", "r1", "r2", "sigma1", "sigma2", "h_slope",
+                 "kappa1", "kappa2", "gamma"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", _FLOAT_FIELDS + ["investments1", "investments2"])
+def test_duopoly_params_refuse_a_non_finite_number_by_name(key, bad):
+    value, name = ((1.0, bad), f"{key}[1]") if key.startswith("investments") else (bad, key)
+    with pytest.raises(ValueError, match=re.escape(f"duopoly parameter '{name}' must be finite")):
+        ig.DuopolyParams(**{key: value})
 
 
 def test_sampling_env_exposes_no_game_tables():

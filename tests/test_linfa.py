@@ -51,6 +51,31 @@ def test_basis_without_columns_rejected():
         ig.FeatureBasis(np.zeros((3, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_basis_rejected_by_name(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="basis must be finite"):
+        ig.FeatureBasis(m)
+
+
+@pytest.mark.parametrize("call", ["fit", "apply_operator", "projected_iteration",
+                                  "verify_bound"])
+@pytest.mark.parametrize("states", [4, 6])
+def test_basis_of_another_state_count_refused_by_name(call, states):
+    game = ig.random_game(5, 1, 1, seed=0)
+    basis = ig.identity_basis(states)
+    r = np.zeros(states)
+    run = {
+        "fit": lambda: ig.fit(game, basis, ig.FitConfig(samples=10)),
+        "apply_operator": lambda: ig.apply_operator(game, basis, r),
+        "projected_iteration": lambda: ig.projected_iteration(game, basis, np.ones(states)),
+        "verify_bound": lambda: ig.verify_bound(game, basis, r, np.zeros(5)),
+    }[call]
+    with pytest.raises(ValueError, match=f"basis has {states} states, the game has 5"):
+        run()
+
+
 def test_weights_must_be_positive():
     basis = ig.identity_basis(2)
     with pytest.raises(ValueError, match="positive"):

@@ -224,6 +224,16 @@ def test_intervention_times_refuses_non_integer_states():
         assert ig.intervention_times(game, policy, ok) == loop_intervention_times(game, policy, ok)
 
 
+@pytest.mark.parametrize("caps", [(1, 1), (0, 2)])
+def test_intervention_times_refuses_a_policy_of_another_state_count(caps):
+    # A budgeted policy has a state per counter layer; its base game has fewer.
+    game = ig.random_game(4, 1, 1, seed=0)
+    policy = ig.solve(game, tol=1e-10, caps=caps).policy
+    size = len(policy.p1_acts)
+    with pytest.raises(ValueError, match=f"policy has {size} states, the game has 4"):
+        ig.intervention_times(game, policy, [0, 1, 2, 3])
+
+
 def _random_policy(n, na, nb, rng):
     return ig.EquilibriumPolicy(
         p1_acts=rng.random(n) < 0.5, p1_action=rng.integers(na, size=n),
@@ -619,7 +629,7 @@ def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chu
 
 @pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (True, 0), (10**4, 10**4)])
 @pytest.mark.parametrize("call", ["solve", "bellman", "extract_policy", "q_from_value",
-                                  "simulate", "augment"])
+                                  "simulate", "learn", "augment"])
 def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
     game = ig.random_game(20, 2, 2, seed=0)
     v = np.zeros(game.num_states)
@@ -630,6 +640,7 @@ def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
         "extract_policy": lambda: ig.extract_policy(game, v, caps=caps),
         "q_from_value": lambda: ig.q_from_value(game, v, caps=caps),
         "simulate": lambda: ig.simulate(game, policy, 5, caps=caps),
+        "learn": lambda: ig.learn(game, ig.LearnConfig(steps=5), caps=caps),
         "augment": lambda: ig.augment(game, *caps),
     }[call]
     tracemalloc.start()
