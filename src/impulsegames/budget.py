@@ -8,16 +8,13 @@ keeps every trajectory feasible by construction.
 
 The budgeted game lives on states ``(s, y, z)``, but its kernel factors
 exactly into the base kernel times deterministic counter bookkeeping.  So
-the solver, the learner and the rollout run on the base game (``solve``,
-``learn`` and ``simulate`` with ``caps=(n1, n2)``): one sweep is one matmul
-of the base kernel against the ``(S, (n1+1)*(n2+1))`` value grid, then a
-shift of the acting player's counter axis, and a sampled step draws the
-next base state from the base game's rows and moves the acting player's
-counter.  :class:`AugmentedGame` names their states: a rollout from base
-state ``s`` with full counters starts at ``index(s, n1, n2)``.
+the solver and the rollout run on the base game (``solve`` and ``simulate``
+with ``caps=(n1, n2)``): one sweep is one matmul of the base kernel against
+the ``(S, (n1+1)*(n2+1))`` value grid, then a shift of the acting player's
+counter axis.  :class:`AugmentedGame` names their states: a rollout from
+base state ``s`` with full counters starts at ``index(s, n1, n2)``.
 :func:`augment` is the reference construction: its ``game`` is the dense
-model over the product space, which tests compare against; no library path
-builds it.
+model over the product space, which tests compare against.
 """
 
 from __future__ import annotations
@@ -122,7 +119,7 @@ def augment(base: ImpulseGame, n1: int, n2: int) -> AugmentedGame:
     """The budgeted game as a reference construction.
 
     Its ``game`` is the dense model over the counter-augmented state space,
-    which the factored solver, learner and rollout must agree with.  The
-    library's own budgeted paths never build it.
+    which the factored solver and rollout must agree with.  The library's
+    own budgeted paths never build it.
     """
     return AugmentedGame(base, n1, n2)

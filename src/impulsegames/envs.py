@@ -9,6 +9,7 @@ identity rather than an assumption.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -55,16 +56,17 @@ class DuopolyParams:
     def __post_init__(self):
         _count(self.grid_size, "grid_size", 2)
         _count(self.noise_nodes, "noise_nodes", 1, MAX_NOISE_NODES)
-        # Every float and investment level; an int (a count, or a whole float) is finite.
+        # Every float field and investment level, whatever holds it; an int is finite.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                named = [(f"{f.name}[{i}]", x) for i, x in enumerate(value)]
-            else:
-                named = [] if isinstance(value, int) else [(f.name, value)]
-            for name, x in named:
-                if not np.isfinite(x):
-                    raise ValueError(f"duopoly parameter '{name}' must be finite, got {x!r}")
+            if isinstance(value, numbers.Integral):
+                continue
+            flat = np.asarray(value, dtype=float).ravel()
+            bad = np.flatnonzero(~np.isfinite(flat))
+            if bad.size:
+                name = f.name if np.ndim(value) == 0 else f"{f.name}[{bad[0]}]"
+                raise ValueError(f"duopoly parameter '{name}' must be finite, "
+                                 f"got {float(flat[bad[0]])!r}")
         if self.market_size <= 0:
             raise ValueError("market_size must be positive")
         if not (0 < self.b1 <= 1 and 0 < self.b2 <= 1):

@@ -301,9 +301,8 @@ class ImpulseGame:
         Discount factor in [0, 1).
     mask1, mask2 : bool array, optional
         Per-state action availability.  The null action must stay available
-        everywhere; defaults to everything allowed.  The budgeted paths
-        (``caps``) mask a spent counter's actions on their counter layers, not
-        here; only the dense reference ``AugmentedGame.game`` writes them here.
+        everywhere; defaults to everything allowed.  Of the budgeted paths only
+        the dense reference ``AugmentedGame.game`` masks a spent budget's actions.
 
     Every table is stored read-only.  A read-only C-contiguous array of the
     right dtype that owns its memory (another game's table, say) is shared,

@@ -10,13 +10,10 @@ and returns ``Q[s, a, b]``.  Per state it keeps each player's best net value
 and cell (:func:`_side`) and the read-off they give; a step touches only the
 updated cell's side and rescans it only when its kept best cell gets worse.
 Actions are cells: a step bisects the executed cell's row of
-:attr:`ImpulseGame.sampler_rows` with one uniform, inline.  Under budget
-caps the same loop runs on the counter layers that ``solve`` and ``simulate``
-use, through the steps of :func:`impulsegames.solver._chain_steps`: a state
-is a base state and a layer, and the unbudgeted game is the one-layer case.
-It explores by :func:`_explore`; :func:`impulsegames.solver.read_off` reads
-the value and policy off a learned table.  The ``LEARN_*`` constants fix the
-rest of its schedule.
+:attr:`ImpulseGame.sampler_rows` with one uniform, inline.  It explores by
+:func:`_explore`; :func:`impulsegames.solver.read_off` reads the value and
+policy off a learned table.  The ``LEARN_*`` constants fix the rest of its
+schedule.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from .game import ImpulseGame, _count, _finite_table, _write_csv, to_cells
 from .envs import _UNIT, BlockDraws
-from .solver import TIE_EPS, _chain_steps, _layers
+from .solver import TIE_EPS
 
 
 # The exploration rate at the end of the step budget (a lower start is kept), and the
@@ -131,8 +128,8 @@ class LearnDiagnostics:
         _write_csv(path, header, [np.array([row[key] for row in self.rows]) for key in header])
 
 
-def learn(game: ImpulseGame, config: LearnConfig, q0=None, reference_q=None,
-          caps=None) -> tuple[np.ndarray, LearnDiagnostics]:
+def learn(game: ImpulseGame, config: LearnConfig, q0=None,
+          reference_q=None) -> tuple[np.ndarray, LearnDiagnostics]:
     """Run the simulated-play learner for the configured step budget.
 
     The learner reads only the game's static knowledge (action counts,
@@ -154,34 +151,20 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None, reference_q=None,
     come back as ``(S, A, B)`` arrays, where cells in which both players act
     keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
     track the sup-norm distance to it over the cells executed so far.
-
-    With ``caps=(n1, n2)`` the learner plays the budgeted game of
-    :mod:`impulsegames.budget` on counter layers, as ``simulate`` does: its
-    states are the flat ``(s, y, z)`` indices of :meth:`AugmentedGame.index`,
-    the next ``s`` is drawn from the base game's sampler rows, an executed
-    costly cell moves its player's counter down by one, and a spent counter
-    masks that player's costly cells.  Resets draw over all
-    ``S*(n1+1)*(n2+1)`` states, and ``S`` above counts them all, so ``q0``,
-    ``reference_q`` and the returned tables are laid out like
-    ``solve(game, caps=...).q``.  No caps is the one-layer case.
-    Refused with ``ValueError`` before any draw: bad caps (before anything is
-    allocated), and a ``q0`` or ``reference_q`` that is not an ``(S, A, B)``
-    array of finite values.
+    Refused with ``ValueError`` before any draw: a ``q0`` or ``reference_q``
+    that is not an ``(S, A, B)`` array of finite values.
     """
-    ny, nz, spend = _layers(game, caps)
-    layers = ny * nz
-    ns, na, nb = game.num_states * layers, game.num_actions1, game.num_actions2
+    ns, na, nb = game.num_states, game.num_actions1, game.num_actions2
     q = np.zeros((ns, na, nb)) if q0 is None else _finite_table(q0, "q0", (ns, na, nb))
     ref = (None if reference_q is None
            else to_cells(_finite_table(reference_q, "reference_q", q.shape)))
     draws = BlockDraws(config.seed)
     steps = config.steps
     diag = LearnDiagnostics(visits=np.zeros(q.shape, dtype=np.int64), steps_run=steps)
-    chain_costs, rows, nexts = _chain_steps(game, ny, nz, spend)
     cells = to_cells(q)
-    table, nets = cells.tolist(), (cells + chain_costs).tolist()
+    table, nets = cells.tolist(), (cells + game.cell_costs).tolist()
     counts = [[0] * len(row) for row in table]
-    costs = chain_costs.tolist()
+    costs = game.cell_costs.tolist()
     slots = _slots(costs, na)
     # Per state: each player's best net value and the cell that holds it (`_side`), and
     # the read-off they give with the no-op, `_greedy`'s value in `vals`, its cell in `acts`.
@@ -191,7 +174,7 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None, reference_q=None,
     vals, acts = map(list, zip(*[_greedy(net, na) for net in nets]))
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
-    word, unit = draws.word, _UNIT
+    word, unit, rows = draws.word, _UNIT, game.sampler_rows
     gamma, neg_omega, isfinite, bisect = game.discount, -config.omega, math.isfinite, bisect_right
     eval_every, episode_len = LEARN_EVAL_EVERY, config.episode_len
     s = draws.integers(ns)
@@ -213,7 +196,7 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None, reference_q=None,
             else:
                 c = acts[s]
             cum, raw = rows[s][c]
-            s2 = bisect(cum, (word() >> 11) * unit) * layers + nexts[s][c]
+            s2 = bisect(cum, (word() >> 11) * unit)
             row_counts, row = counts[s], table[s]
             row_counts[c] += 1
             alpha = row_counts[c] ** neg_omega

@@ -9,7 +9,7 @@ import numpy as np
 
 from .envs import DRAW_BLOCK
 from .game import ImpulseGame, _count, _index, cell_index
-from .solver import EquilibriumPolicy, _chain_steps, _layers
+from .solver import EquilibriumPolicy, _layers
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,17 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     if min(a.min(), b.min()) < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:
         raise IndexError("policy holds an action outside the game's actions")
     start = _index(start, "start", size)
+    base, layer = np.divmod(np.arange(size), layers)
+    y, z = np.divmod(layer, nz)
+    y, z = y - spend * (a != 0), z - spend * (b != 0)
     cells = cell_index(game.num_actions1, a, b)
     rng = np.random.default_rng(seed) if rng is None else rng
-    # The plan at chain state x: the executed cell's row and the next layer, or
-    # None where the cell is masked or its counter spent.
-    costs, rows, nexts = _chain_steps(game, ny, nz, spend)
-    ok = np.isfinite(costs[np.arange(size), cells])
-    plan = [(rows_x[c][0], nexts_x[c]) if k else None
-            for rows_x, nexts_x, c, k in zip(rows, nexts, cells.tolist(), ok.tolist())]
+    # The plan at chain state x = s * L + l: the executed cell's row and the
+    # next layer, or None where the cell is masked or its counter spent.
+    rows = game.sampler_rows
+    ok = np.isfinite(game.cell_costs)[base, cells] & (y >= 0) & (z >= 0)
+    plan = [(rows[s][c][0], nl) if k else None for s, c, nl, k in
+            zip(base.tolist(), cells.tolist(), (y * nz + z).tolist(), ok.tolist())]
     states = np.empty(steps + 1, dtype=np.int64)
     states[0] = x = start
     for lo in range(0, steps, DRAW_BLOCK):

@@ -94,26 +94,6 @@ def _layers(game: ImpulseGame, caps) -> tuple[int, int, int]:
     return ny, nz, 1
 
 
-def _chain_steps(game: ImpulseGame, ny: int, nz: int, spend: int) -> tuple:
-    """The sampled steps of the chain on the counter layers ``(ny, nz, spend)``
-    of :func:`_layers`, ``L = ny * nz``: ``(costs, rows, nexts)``.  Chain state
-    ``x = s * L + l`` is base state ``s`` on layer ``l = y * nz + z``.  ``costs``
-    is ``cell_costs`` per chain state, a spent counter's costly cells at -inf /
-    +inf; ``rows[x]`` is ``sampler_rows[s]`` (shared) and ``nexts[x][c]`` the
-    layer an executed ``c`` lands on, its player's counter one step down, so a
-    uniform ``u`` moves to ``bisect_right(rows[x][c][0], u) * L + nexts[x][c]``."""
-    layers, na = ny * nz, game.num_actions1
-    base, layer = np.divmod(np.arange(game.num_states * layers), layers)
-    y, z = np.divmod(layer, nz)
-    costs = game.cell_costs[base]
-    costs[:, 1:na][y < spend] = -np.inf
-    costs[:, na:][z < spend] = np.inf
-    shifts = [0] + [spend * nz] * (na - 1) + [spend] * (game.num_actions2 - 1)
-    per_layer = [[l - d for d in shifts] for l in range(layers)]
-    return (costs, [game.sampler_rows[s] for s in base.tolist()],
-            [per_layer[l] for l in layer.tolist()])
-
-
 def _field(game: ImpulseGame, v, ny: int = 1, nz: int = 1) -> np.ndarray:
     """``v``, flat over ``(s, y, z)`` on the counter layers of :func:`_layers`,
     as a float grid ``(S, ny, nz)``.  A field that is not one value per

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,11 +140,14 @@ def test_masked_action_is_hard_fault(g2):
 
 def test_budgeted_qlearning_converges_small():
     base = ig.random_game(2, 1, 1, seed=14, gamma=0.8)
-    rep = ig.solve(base, tol=1e-10, caps=(2, 1))
+    aug = ig.augment(base, 2, 1)
+    rep = ig.solve(base, tol=1e-10, caps=aug.caps)
+    assert aug.game.num_states <= 20
     tol = 0.05 * (1 + np.abs(rep.q).max())
     for seed in range(3):
-        q, diag = ig.learn(base, ig.LearnConfig(steps=200_000, seed=seed, episode_len=20),
-                           reference_q=rep.q, caps=(2, 1))
+        q, diag = ig.learn(aug.game,
+                           ig.LearnConfig(steps=200_000, seed=seed, episode_len=20),
+                           reference_q=rep.q)
         seen = diag.visits > 0
         assert np.abs(q[seen] - rep.q[seen]).max() <= tol
 
@@ -192,7 +194,6 @@ def test_budgeted_paths_never_build_the_dense_model():
     rep = ig.solve(base, tol=1e-9, caps=aug.caps)
     aug.index(4, 3, 2), aug.labels, aug.value_grid(rep.value), aug.num_states
     ig.simulate(base, rep.policy, 50, seed=0, start=_full(aug, 4), caps=aug.caps)
-    ig.learn(base, ig.LearnConfig(steps=50), reference_q=rep.q, caps=aug.caps)
     assert "game" not in vars(aug)
     assert aug.num_states == aug.game.num_states == len(aug.labels) == 5 * 4 * 3
 
@@ -214,8 +215,6 @@ def test_caps_that_are_not_a_pair_are_refused_by_name(caps):
         ig.solve(base, caps=caps)
     with pytest.raises(ValueError, match=r"caps must be a pair \(n1, n2\), got "):
         ig.simulate(base, policy, 10, seed=0, caps=caps)
-    with pytest.raises(ValueError, match=r"caps must be a pair \(n1, n2\), got "):
-        ig.learn(base, ig.LearnConfig(steps=10), caps=caps)
 
 
 def test_dense_reference_refuses_an_oversized_kernel_before_building_it():
@@ -223,25 +222,3 @@ def test_dense_reference_refuses_an_oversized_kernel_before_building_it():
     with pytest.raises(ValueError, match="above the limit"):
         aug.game
     assert "game" not in vars(aug)
-
-
-def test_budgeted_learn_runs_where_the_dense_model_is_refused():
-    # 20 x (2+2) under caps (8, 8): 1,620 chain states.  The dense kernel would take
-    # 189 MB and is refused; the learner's tables are 1,620 x 5 cells.
-    base = ig.random_game(20, 2, 2, seed=0)
-    with pytest.raises(ValueError, match="above the limit"):
-        ig.augment(base, 8, 8).game
-    aug = ig.AugmentedGame(base, 8, 8)
-    tracemalloc.start()
-    try:
-        q, diag = ig.learn(base, ig.LearnConfig(steps=5000, seed=1), caps=aug.caps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    assert q.shape == diag.visits.shape == (aug.num_states, 3, 3)
-    assert diag.visits.sum() == 5000
-    # no spent counter is drawn on: a player's costly cells go unvisited at its zero layer
-    visits = diag.visits.reshape(20, 9, 9, 3, 3)
-    assert not visits[:, 0, :, 1:, 0].any() and not visits[:, :, 0, 0, 1:].any()
-    assert visits[:, 1:, :, 1:, 0].any() and visits[:, :, 1:, 0, 1:].any()

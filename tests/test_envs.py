@@ -210,6 +210,17 @@ def test_duopoly_params_refuse_a_non_finite_number_by_name(key, bad):
         ig.DuopolyParams(**{key: value})
 
 
+@pytest.mark.parametrize("container", [list, tuple, np.array])
+def test_duopoly_investments_in_any_container_are_checked_by_position(container):
+    game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=3, investments1=container([1.0, 2.0])))
+    assert ig.games_equal(game, ig.build_duopoly_game(
+        ig.DuopolyParams(grid_size=3, investments1=(1.0, 2.0))))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"duopoly parameter 'investments2[2]' must be finite, got {bad!r}")):
+            ig.DuopolyParams(investments2=container([1.0, 2.0, bad]))
+
+
 def test_sampling_env_exposes_no_game_tables():
     env = ig.SamplingEnv(ig.random_game(3, 2, 1, seed=4))
     for name in ("kernel", "reward", "cost1", "cost2", "cell_costs"):

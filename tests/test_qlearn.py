@@ -353,46 +353,6 @@ def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     assert diag.rows == ref_rows
 
 
-@pytest.mark.parametrize("caps", [(0, 0), (2, 3), (3, 1), (0, 2)])
-@pytest.mark.parametrize("seed,shape,masked,start", [
-    (0, (4, 2, 2), False, 0.2), (1, (4, 2, 2), True, 1.0), (2, (5, 0, 2), True, 0.2),
-    (3, (5, 3, 0), False, 0.0), (4, (3, 1, 1), True, 0.2)])
-def test_budgeted_learn_matches_the_dense_model_bit_for_bit(seed, shape, masked, start, caps):
-    # On counter layers the learner takes the dense model's draws and steps: the dense
-    # sampler rows differ from the base rows only by exact zeros between the landing layers.
-    base = ig.random_game(*shape, seed=1200 + seed)
-    if masked:
-        base = randomly_masked(base, seed)
-    dense = ig.augment(base, *caps).game
-    size = (dense.num_states, shape[1] + 1, shape[2] + 1)
-    kwargs = {"q0": np.random.default_rng(seed).normal(size=size),
-              "reference_q": ig.solve(base, tol=1e-10, caps=caps).q}
-    cfg = ig.LearnConfig(steps=2500, seed=seed, episode_len=40, epsilon_start=start)
-    q, diag = ig.learn(base, cfg, caps=caps, **kwargs)
-    dense_q, dense_diag = ig.learn(dense, cfg, **kwargs)
-    loop_q, loop_visits, loop_rows = loop_learn(dense, cfg, **kwargs)
-    assert q.tobytes() == dense_q.tobytes() == loop_q.tobytes()
-    assert np.array_equal(diag.visits, dense_diag.visits)
-    assert np.array_equal(diag.visits, loop_visits)
-    assert diag.rows == dense_diag.rows == loop_rows
-
-
-def test_learn_with_zero_caps_is_the_run_with_every_costly_action_masked():
-    base = randomly_masked(ig.random_game(6, 2, 3, seed=12), 6)
-    mask1, mask2 = np.zeros((6, 3), dtype=bool), np.zeros((6, 4), dtype=bool)
-    mask1[:, 0] = mask2[:, 0] = True
-    idle = ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
-                          cost2=base.cost2, cost_floor=base.cost_floor, discount=base.discount,
-                          mask1=mask1, mask2=mask2)
-    q0 = np.random.default_rng(2).normal(size=(6, 3, 4))
-    cfg = ig.LearnConfig(steps=3000, seed=4, episode_len=30, epsilon_start=1.0)
-    q, diag = ig.learn(base, cfg, q0=q0, caps=(0, 0))
-    ref_q, ref_diag = ig.learn(idle, cfg, q0=q0)
-    assert q.tobytes() == ref_q.tobytes()
-    assert np.array_equal(diag.visits, ref_diag.visits) and diag.rows == ref_diag.rows
-    assert diag.visits[:, 0, 0].sum() == 3000
-
-
 @pytest.mark.parametrize("schedule", ["explore", "greedy", "default"])
 def test_learn_never_executes_a_masked_cell(schedule, monkeypatch):
     # The learner bisects the sampler's rows without `SamplingEnv.step`'s masked-cell

@@ -629,7 +629,7 @@ def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chu
 
 @pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (True, 0), (10**4, 10**4)])
 @pytest.mark.parametrize("call", ["solve", "bellman", "extract_policy", "q_from_value",
-                                  "simulate", "learn", "augment"])
+                                  "simulate", "augment"])
 def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
     game = ig.random_game(20, 2, 2, seed=0)
     v = np.zeros(game.num_states)
@@ -640,7 +640,6 @@ def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
         "extract_policy": lambda: ig.extract_policy(game, v, caps=caps),
         "q_from_value": lambda: ig.q_from_value(game, v, caps=caps),
         "simulate": lambda: ig.simulate(game, policy, 5, caps=caps),
-        "learn": lambda: ig.learn(game, ig.LearnConfig(steps=5), caps=caps),
         "augment": lambda: ig.augment(game, *caps),
     }[call]
     tracemalloc.start()

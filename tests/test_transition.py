@@ -17,8 +17,7 @@ from conftest import randomly_masked
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impulsegames"
 
 # The readers of the full kernel outside game.py, by module and qualified name:
-# the q table of the pairs where both players act, and the dense budget model, a
-# reference that no library path builds (bench/test_reference.py still reads it).
+# the q table of the pairs where both players act, and the dense budget model.
 EXEMPT = {("solver.py", "q_from_value"), ("budget.py", "AugmentedGame.game")}
 
 
