@@ -565,6 +565,8 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     _count(seed, "seed")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
+    if not (cost_floor > 0 and math.isfinite(2 * cost_floor)):
+        raise ValueError(f"cost_floor must be positive with a finite double, got {cost_floor!r}")
     na, nb = num_actions1 + 1, num_actions2 + 1
     check_kernel_size(num_states, na, nb)
     rng = np.random.default_rng(seed)

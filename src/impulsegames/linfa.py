@@ -38,8 +38,8 @@ import numpy as np
 from .envs import BlockDraws
 from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
-from .solver import (FINISH_EVERY, EquilibriumPolicy, _combine, _executed_chain, _policy,
-                     _reduce, extract_policy, operator_terms, solve)
+from .solver import (FINISH_EVERY, FINISH_MAX_STATES, EquilibriumPolicy, _combine,
+                     _executed_chain, _policy, _reduce, extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -164,18 +164,15 @@ def _nest(t, combinator: str) -> np.ndarray:
     raise ValueError(f"combinator must be one of {COMBINATORS}, got {combinator!r}")
 
 
-def _nest_actions(t, combinator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Player 1's and Player 2's actions of the cells :func:`_nest` picks, 0
-    where a player does not act: for ``"T"`` the flags of
+def _nest_policy(t, combinator: str) -> EquilibriumPolicy:
+    """The policy of the cells :func:`_nest` picks: for ``"T"`` the policy of
     :func:`impulsegames.solver.extract_policy`; for ``"F"`` Player 2 acts where
-    its best action beats the flipped inner term, else Player 1 acts where its
-    best action is below doing nothing."""
+    its best action beats the flipped inner term, and Player 1 where its best
+    action is below doing nothing."""
     if combinator == "T":
-        policy = _policy(t)
-        return policy.p1_action, policy.p2_action
-    p2 = t.has2 & (t.m2 > _flipped_inner(t))
-    p1 = t.has1 & (t.m1 < t.noop)
-    return np.where(p1, t.act1, 0), np.where(p2, t.act2, 0)
+        return _policy(t)
+    return EquilibriumPolicy(p1_action=np.where(t.has1 & (t.m1 < t.noop), t.act1, 0),
+                             p2_action=np.where(t.has2 & (t.m2 > _flipped_inner(t)), t.act2, 0))
 
 
 def _sample_target(game: ImpulseGame, row, combinator: str) -> float:
@@ -214,7 +211,7 @@ def stationary_distribution(game: ImpulseGame, policy) -> StationaryResult:
     are not strictly positive (transient states); callers then use uniform weights.
     """
     ns = game.num_states
-    p, _ = _executed_chain(game, policy.p1_action, policy.p2_action)
+    p, _ = _executed_chain(game, *policy.executed_actions)
     lazy = 0.5 * (np.eye(ns) + p)
     w = np.full(ns, 1.0 / ns)
     for _ in range(STATIONARY_MAX_ITER):
@@ -235,19 +232,22 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combina
     contracts, so the coefficient deltas shrink geometrically.  Every
     ``FINISH_EVERY`` iterations :func:`_finish` may replace the sweep's
     result, when its delta is smaller, so a refused finish costs no
-    iteration.  Stops at a delta of ``tol`` or after ``PROJECTED_MAX_ITER``
-    iterations.  Returns the coefficients and one delta per iteration.
+    iteration.  As in :func:`impulsegames.solver.solve`, a game of more than
+    ``FINISH_MAX_STATES`` states only sweeps.  Stops at a delta of ``tol`` or
+    after ``PROJECTED_MAX_ITER`` iterations.  Returns the coefficients and one
+    delta per iteration.
     """
     _check_basis(game, basis)
     m = _projector(basis, weights)
     phi = basis.matrix
+    finish = game.num_states <= FINISH_MAX_STATES
     r = np.zeros(basis.num_features)
     deltas = []
     for it in range(PROJECTED_MAX_ITER):
         t = operator_terms(game, phi @ r)
         nr = m @ _nest(t, combinator)
         delta = float(np.abs(nr - r).max())
-        if it and it % FINISH_EVERY == 0:
+        if finish and it and it % FINISH_EVERY == 0:
             jump = _finish(game, phi, m, t, combinator)
             if jump is not None and jump[1] < delta:
                 nr, delta = jump
@@ -268,7 +268,7 @@ def _finish(game: ImpulseGame, phi, m, t, combinator: str):
     by ``(Phi^T D Phi)^-1``, which turns it into ``(I - gamma M P Phi) r = M r_pi``
     with the projector ``M`` and forms no normal equations.
     """
-    p, reward = _executed_chain(game, *_nest_actions(t, combinator))
+    p, reward = _executed_chain(game, *_nest_policy(t, combinator).executed_actions)
     lhs = np.eye(m.shape[0]) - game.discount * (m @ (p @ phi))
     try:
         jump = np.linalg.solve(lhs, m @ reward)
@@ -406,9 +406,8 @@ def bound_weights(game: ImpulseGame, value, combinator: str = "T") -> Stationary
     ``value``: the stationary law of the chain of the cells that nesting picks
     there (for ``"T"`` the greedy policy's executed chain), or uniform
     weights with ``ergodic=False`` when that chain is not ergodic."""
-    a1, a2 = _nest_actions(operator_terms(game, value), combinator)
-    chain = EquilibriumPolicy(p1_acts=a1 != 0, p1_action=a1, p2_acts=a2 != 0, p2_action=a2)
-    w, ergodic = stationary_distribution(game, chain)
+    w, ergodic = stationary_distribution(game, _nest_policy(operator_terms(game, value),
+                                                            combinator))
     if not ergodic:
         w = np.full(game.num_states, 1.0 / game.num_states)
     return StationaryResult(weights=w, ergodic=ergodic)

@@ -36,7 +36,7 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
              seed=0, start: int = 0, rng=None, caps=None) -> Trajectory:
     """Roll the policy forward ``steps`` steps from ``start``.
 
-    Player 2's action takes precedence wherever both flags are raised.  Each
+    Player 2's action takes precedence where both act.  Each
     step bisects the executed cell's row of :attr:`ImpulseGame.sampler_rows`
     with one uniform, the one :meth:`SamplingEnv.step` would take, but the
     uniforms are drawn ``DRAW_BLOCK`` at a time by ``rng.random(n)``.  Reaching a masked

@@ -221,39 +221,40 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquilibriumPolicy:
-    """Per-state intervention flags and greedy actions for both players.
+    """Per-state greedy actions for both players, 0 where a player does not act.
 
-    Both flags may be raised at a state; at execution time Player 2 takes
-    precedence, so Player 1's action only runs where ``p1_acts`` holds and
-    ``p2_acts`` does not.
+    ``p1_acts``/``p2_acts`` are read off the actions.  Both players may act at
+    a state, and where both act Player 2 takes precedence, so Player 1's
+    action only runs where Player 2 does not act (:attr:`executed_actions`,
+    the one home of that rule for a policy).
     """
 
-    p1_acts: np.ndarray
     p1_action: np.ndarray
-    p2_acts: np.ndarray
     p2_action: np.ndarray
 
     @property
+    def p1_acts(self) -> np.ndarray:
+        return self.p1_action != 0
+
+    @property
+    def p2_acts(self) -> np.ndarray:
+        return self.p2_action != 0
+
+    @property
     def region1(self) -> np.ndarray:
-        return np.flatnonzero(self.p1_acts)
+        return np.flatnonzero(self.p1_action)
 
     @property
     def region2(self) -> np.ndarray:
-        return np.flatnonzero(self.p2_acts)
+        return np.flatnonzero(self.p2_action)
 
     def executed_pair(self, s: int) -> tuple[int, int]:
-        _index(s, "state", len(self.p1_acts))
-        if self.p2_acts[s]:
-            return 0, int(self.p2_action[s])
-        if self.p1_acts[s]:
-            return int(self.p1_action[s]), 0
-        return 0, 0
+        return self.executed_pairs()[_index(s, "state", len(self.p1_action))]
 
     @property
     def executed_actions(self) -> tuple[np.ndarray, np.ndarray]:
         """Both players' executed actions at every state, 0 where one does not act."""
-        return (np.where(self.p1_acts & ~self.p2_acts, self.p1_action, 0),
-                np.where(self.p2_acts, self.p2_action, 0))
+        return np.where(self.p2_action != 0, 0, self.p1_action), self.p2_action
 
     def executed_pairs(self) -> list[tuple[int, int]]:
         """:meth:`executed_pair` at every state, as one plain list."""
@@ -261,13 +262,14 @@ class EquilibriumPolicy:
         return list(zip(a.tolist(), b.tolist()))
 
     def to_records(self, labels=None) -> list[dict]:
+        p1, p2 = self.p1_acts, self.p2_acts
         rows = []
         for s, (a, b) in enumerate(self.executed_pairs()):
             rows.append({
                 "state": str(labels[s]) if labels is not None else s,
-                "p1_acts": bool(self.p1_acts[s]),
+                "p1_acts": bool(p1[s]),
                 "p1_action": int(self.p1_action[s]),
-                "p2_acts": bool(self.p2_acts[s]),
+                "p2_acts": bool(p2[s]),
                 "p2_action": int(self.p2_action[s]),
                 "executed_a": a,
                 "executed_b": b,
@@ -278,21 +280,17 @@ class EquilibriumPolicy:
 def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
     """Greedy equilibrium policy at a solved value field.
 
-    A player's flag is raised only on a strict improvement beyond
-    ``TIE_EPS``; exact ties resolve to not acting, since acting costs money
-    for no gain.  ``caps`` selects the budgeted game, as in :func:`bellman`.
+    A player acts only on a strict improvement beyond ``TIE_EPS``; exact
+    ties resolve to not acting, since acting costs money for no gain.
+    ``caps`` selects the budgeted game, as in :func:`bellman`.
     """
     return _policy(operator_terms(game, v, caps))
 
 
 def _policy(t: OperatorTerms) -> EquilibriumPolicy:
     """The flag rule of :func:`extract_policy` on the operator's pieces."""
-    p1 = t.m1 > t.noop + TIE_EPS
-    p2 = t.m2 < _inner(t) - TIE_EPS
-    return EquilibriumPolicy(
-        p1_acts=p1, p1_action=np.where(p1, t.act1, 0),
-        p2_acts=p2, p2_action=np.where(p2, t.act2, 0),
-    )
+    return EquilibriumPolicy(p1_action=np.where(t.m1 > t.noop + TIE_EPS, t.act1, 0),
+                             p2_action=np.where(t.m2 < _inner(t) - TIE_EPS, t.act2, 0))
 
 
 def read_off(game: ImpulseGame, q) -> tuple[np.ndarray, EquilibriumPolicy]:
@@ -443,9 +441,8 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
     """
     ns, (ny, nz, spend) = game.num_states, _layers(game, caps)
     if not spend:
-        return _chain_values(game, *_executed_chain(game, policy.p1_action, policy.p2_action))
-    a, b = (x.reshape(ns, ny, nz).transpose(1, 2, 0)
-            for x in (policy.p1_action, policy.p2_action))
+        return _chain_values(game, *_executed_chain(game, *policy.executed_actions))
+    a, b = (x.reshape(ns, ny, nz).transpose(1, 2, 0) for x in policy.executed_actions)
     v = np.zeros((ny, nz, ns))
     for d in range(ny + nz - 1):
         diagonal = np.arange(max(0, d - nz + 1), min(d, ny - 1) + 1)
@@ -453,8 +450,7 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
             y = diagonal[k]
             z = d - y
             p, r = _executed_chain(game, a[y, z], b[y, z])
-            acts2 = b[y, z] > 0
-            acts1 = (a[y, z] > 0) & ~acts2
+            acts1, acts2 = a[y, z] != 0, b[y, z] != 0
             below = p @ np.stack([v[np.maximum(y - 1, 0), z], v[y, np.maximum(z - 1, 0)]], axis=-1)
             r = r + game.discount * np.where(acts1, below[..., 0],
                                              np.where(acts2, below[..., 1], 0.0))
@@ -552,13 +548,11 @@ def intervention_times(game: ImpulseGame, policy: EquilibriumPolicy,
     A state that is not a whole number, or a policy whose length is not the
     game's state count, is refused with ``ValueError``.
     """
-    if len(policy.p1_acts) != game.num_states:
-        raise ValueError(f"policy has {len(policy.p1_acts)} states, "
-                         f"the game has {game.num_states}")
+    a, b = policy.executed_actions
+    if len(a) != game.num_states:
+        raise ValueError(f"policy has {len(a)} states, the game has {game.num_states}")
     states = _whole(trajectory, "trajectory states")
     outside = (states < 0) | (states >= game.num_states)
     if outside.any():
         raise IndexError(f"trajectory state {states[outside.argmax()]} out of range")
-    p2 = policy.p2_acts[states]
-    p1 = policy.p1_acts[states] & ~p2
-    return np.flatnonzero(p1).tolist(), np.flatnonzero(p2).tolist()
+    return np.flatnonzero(a[states]).tolist(), np.flatnonzero(b[states]).tolist()

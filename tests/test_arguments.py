@@ -126,3 +126,13 @@ def test_reward_entries_refuse_a_joint_that_is_not_a_pair(entry, joint):
     game = ig.random_game(3, 1, 1, seed=0)
     with pytest.raises(ValueError, match=re.escape(f"joint must be a pair (a, b), got {joint!r}")):
         entry(game, 0, joint)
+
+
+@pytest.mark.parametrize("cost_floor", [0.0, -0.1, np.nan, np.inf, -np.inf, 1e308],
+                         ids=repr)
+def test_random_game_refuses_a_cost_floor_that_is_not_positive_and_finite(cost_floor):
+    # 0 would give zero-cost actions; -0.1, NaN, inf and 1e308 (whose double
+    # overflows) failed inside numpy's uniform draw.
+    with pytest.raises(ValueError, match=re.escape(
+            f"cost_floor must be positive with a finite double, got {cost_floor!r}")):
+        ig.random_game(3, 1, 1, seed=0, cost_floor=cost_floor)

@@ -128,12 +128,8 @@ def test_feasibility_over_many_trajectories():
 
 def test_masked_action_is_hard_fault(g2):
     aug = ig.AugmentedGame(g2, 1, 0)
-    bad = ig.EquilibriumPolicy(
-        p1_acts=np.ones(aug.num_states, dtype=bool),
-        p1_action=np.ones(aug.num_states, dtype=int),
-        p2_acts=np.zeros(aug.num_states, dtype=bool),
-        p2_action=np.zeros(aug.num_states, dtype=int),
-    )
+    bad = ig.EquilibriumPolicy(p1_action=np.ones(aug.num_states, dtype=int),
+                               p2_action=np.zeros(aug.num_states, dtype=int))
     with pytest.raises(RuntimeError, match="masked"):
         ig.simulate(g2, bad, 10, seed=0, start=_full(aug), caps=aug.caps)
 

@@ -382,6 +382,34 @@ def test_singular_finish_solve_falls_back_to_sweeping(monkeypatch, combinator):
         assert _close(r, ref), (k, np.abs(r - ref).max())
 
 
+@pytest.mark.parametrize("combinator", ["T", "F"])
+def test_projected_iteration_above_the_state_limit_only_sweeps(monkeypatch, combinator):
+    finish = linfa._finish
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return finish(*args)
+
+    def refused(*args):
+        raise AssertionError("the finish ran above the state limit")
+
+    for k in range(6):
+        game, basis, w = _fit_case(k, "random")
+        # At the limit the finish runs, once per FINISH_EVERY iterations.
+        monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states)
+        monkeypatch.setattr(linfa, "_finish", counted)
+        calls.clear()
+        want, want_deltas = ig.projected_iteration(game, basis, w, combinator)
+        assert len(calls) == (len(want_deltas) - 1) // solver.FINISH_EVERY
+        # One state above it, the iteration sweeps to the same fixed point.
+        monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states - 1)
+        monkeypatch.setattr(linfa, "_finish", refused)
+        r, deltas = ig.projected_iteration(game, basis, w, combinator)
+        assert deltas[-1] <= 1e-12 and len(deltas) >= len(want_deltas)
+        assert _close(r, want), (k, np.abs(r - want).max())
+
+
 def test_projection_weights_match_lstsq():
     rng = np.random.default_rng(21)
     for ns, nf in [(1, 1), (5, 1), (6, 3), (40, 40), (120, 9)]:

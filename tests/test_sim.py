@@ -31,8 +31,7 @@ def _short_row_game():
 
 
 def _idle(n):
-    return ig.EquilibriumPolicy(p1_acts=np.zeros(n, dtype=bool), p1_action=np.zeros(n, dtype=int),
-                                p2_acts=np.zeros(n, dtype=bool), p2_action=np.zeros(n, dtype=int))
+    return ig.EquilibriumPolicy(p1_action=np.zeros(n, dtype=int), p2_action=np.zeros(n, dtype=int))
 
 
 def test_draw_past_row_end_lands_on_last_state_with_mass():
@@ -49,7 +48,6 @@ def test_draw_past_row_end_keeps_budget_counters():
     game = _short_row_game()
     aug = ig.augment(game, 2, 0)
     policy = _idle(aug.num_states)
-    policy.p1_acts[aug.index(0, 2, 0)] = True
     policy.p1_action[aug.index(0, 2, 0)] = 1
     traj = ig.simulate(game, policy, 3, start=aug.index(0, 2, 0),
                        rng=_FixedDraw(0.9999999999999999), caps=aug.caps)
@@ -194,9 +192,7 @@ def test_simulate_refuses_a_policy_of_the_wrong_length(n, caps, want):
 def test_simulate_refuses_an_action_outside_the_game(player):
     game = ig.random_game(3, 1, 1, seed=0)
     policy = _idle(3)
-    acts, action = (policy.p1_acts, policy.p1_action) if player == 1 else (
-        policy.p2_acts, policy.p2_action)
-    acts[2], action[2] = True, 2
+    (policy.p1_action if player == 1 else policy.p2_action)[2] = 2
     with pytest.raises(IndexError, match="outside the game's actions"):
         ig.simulate(game, policy, 20, rng=_NoDraws())
 
@@ -215,7 +211,6 @@ def _self_loops():
 def test_a_masked_action_is_a_fault_only_where_the_rollout_reaches_it():
     game = _self_loops()
     policy = _idle(3)
-    policy.p1_acts[:] = True
     policy.p1_action[:] = 1
     assert ig.simulate(game, policy, 50, start=0).states.tolist() == [0] * 51
     with pytest.raises(RuntimeError, match="masked cell 1 reached at state 1"):
@@ -226,7 +221,6 @@ def test_a_spent_counter_is_a_fault_only_where_the_rollout_reaches_it():
     game = _self_loops()
     aug = ig.augment(game, 1, 0)
     policy = _idle(aug.num_states)
-    policy.p1_acts[:] = True
     policy.p1_action[:] = 1
     start = aug.index(0, 1, 0)
     traj = ig.simulate(game, policy, 1, start=start, caps=aug.caps)

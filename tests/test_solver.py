@@ -236,8 +236,8 @@ def test_intervention_times_refuses_a_policy_of_another_state_count(caps):
 
 def _random_policy(n, na, nb, rng):
     return ig.EquilibriumPolicy(
-        p1_acts=rng.random(n) < 0.5, p1_action=rng.integers(na, size=n),
-        p2_acts=rng.random(n) < 0.3, p2_action=rng.integers(nb, size=n))
+        p1_action=np.where(rng.random(n) < 0.5, rng.integers(1, na, size=n), 0),
+        p2_action=np.where(rng.random(n) < 0.3, rng.integers(1, nb, size=n), 0))
 
 
 def test_intervention_times_match_loop_reference():
@@ -395,9 +395,7 @@ def test_policy_chains_match_per_state_loop(k, shape):
         p, r = loop_chain(game, *pols)
         np.testing.assert_allclose(ig.evaluate_policies(game, *pols),
                                    mrp_value(p, r, game.discount), rtol=0, atol=1e-10)
-        pol = ig.EquilibriumPolicy(
-            p1_acts=np.array(pols[0]) > 0, p1_action=np.array(pols[0]),
-            p2_acts=np.array(pols[1]) > 0, p2_action=np.array(pols[1]))
+        pol = ig.EquilibriumPolicy(p1_action=np.array(pols[0]), p2_action=np.array(pols[1]))
         w = ig.stationary_distribution(game, pol).weights
         assert np.abs(w @ p - w).max() <= 1e-9
 
