@@ -34,8 +34,8 @@ KERNEL_ROW_TOL = 1e-12
 MAX_KERNEL_ENTRIES = 16_000_000
 
 # random_game's kernel draw: the fewest kernel entries per draw thread, and the
-# least and most per block a thread draws before dividing it by its row sums
-# into the kernel (32 KB and 512 KB; a block is otherwise a sixteenth of the
+# least and most per block a thread draws into the kernel before dividing it by
+# its row sums (32 KB and 512 KB; a block is otherwise a sixteenth of the
 # kernel, so the blocks in flight stay under a sixteenth of a kernel of 2**16
 # entries or more).
 _ENTRIES_PER_PART = 2**20
@@ -607,9 +607,9 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
     copy produces exactly the share's numbers) on a thread of its own;
     share 0 is drawn from ``rng`` itself on this thread once the copies are
     made.  Every share is drawn in blocks of a sixteenth of the kernel, but
-    ``_MIN_BLOCK_ENTRIES`` to ``_BLOCK_ENTRIES`` (or one row), each divided
-    straight into the kernel.  All threads are joined before returning, and
-    the first error raised in any share is raised here.
+    ``_MIN_BLOCK_ENTRIES`` to ``_BLOCK_ENTRIES`` (or one row), each drawn,
+    scaled and divided in place in the kernel.  All threads are joined
+    before returning, and the first error raised in any share is raised here.
     """
     kernel = np.empty(shape)
     bounds = [i * shape[0] // parts for i in range(parts + 1)]
@@ -651,9 +651,11 @@ def _draw_share(draws: np.random.Generator, kernel: np.ndarray, lo: int, hi: int
     # a sixteenth of the kernel, but 32 KB to 512 KB, and at least one row
     step = max(1, min(max(kernel.size // 16, _MIN_BLOCK_ENTRIES), _BLOCK_ENTRIES) // n)
     for a in range(0, len(rows), step):
-        block = draws.uniform(0.1, 1.0, size=(min(step, len(rows) - a), n))
-        np.divide(block, block.sum(axis=-1, keepdims=True), out=rows[a:a + step])
-        del block  # before the next block is drawn, so one block is held at a time
+        # `uniform(0.1, 1.0)` is `0.1 + (1.0 - 0.1) * random()`, written in place
+        block = draws.random(out=rows[a:a + step])
+        block *= 1.0 - 0.1
+        block += 0.1
+        block /= block.sum(axis=-1, keepdims=True)
 
 
 def games_equal(g1: ImpulseGame, g2: ImpulseGame) -> bool:

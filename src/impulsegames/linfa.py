@@ -16,14 +16,15 @@ through :func:`impulsegames.solver._executed_chain`, so the module reads no
 kernel itself.
 
 The weighted projection is factored once per basis and weights
-(:func:`_projector`).  :func:`projected_iteration` sweeps through it and,
-every :data:`impulsegames.solver.FINISH_EVERY` iterations, tries the finish
-rule of :func:`impulsegames.solver.solve` on the projected problem: the
-cells the selected nesting picks at the current field form a policy chain,
-whose projected policy-evaluation equation (LSTD, Bradtke & Barto 1996; as
-in least-squares policy iteration for zero-sum Markov games, Lagoudakis &
-Parr 2002) is solved exactly, followed by one projected sweep.  The result
-is kept only when its coefficient delta is below the plain sweep's.
+(:func:`_projector`).  :func:`projected_iteration` sweeps through it and
+tries the finish of :func:`impulsegames.solver.solve` on the projected
+problem, under the same rule (:class:`impulsegames.solver._Settled`: the
+policy has stopped changing and was not tried before): the cells the
+selected nesting picks at the current field form a policy chain, whose
+projected policy-evaluation equation (LSTD, Bradtke & Barto 1996; as in
+least-squares policy iteration for zero-sum Markov games, Lagoudakis & Parr
+2002) is solved exactly, followed by one projected sweep.  The result is
+kept only when its coefficient delta is below the plain sweep's.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 from .envs import BlockDraws
 from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
-from .solver import (FINISH_EVERY, FINISH_MAX_STATES, EquilibriumPolicy, _combine,
-                     _executed_chain, _policy, _reduce, extract_policy, operator_terms, solve)
+from .solver import (FINISH_MAX_STATES, EquilibriumPolicy, _combine, _executed_chain,
+                     _policy, _reduce, _Settled, extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -229,26 +230,32 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combina
     """Deterministic fixed point of projection composed with the operator.
 
     Iterates coefficients through project(operator(field)); the composite
-    contracts, so the coefficient deltas shrink geometrically.  Every
-    ``FINISH_EVERY`` iterations :func:`_finish` may replace the sweep's
-    result, when its delta is smaller, so a refused finish costs no
-    iteration.  As in :func:`impulsegames.solver.solve`, a game of more than
-    ``FINISH_MAX_STATES`` states only sweeps.  Stops at a delta of ``tol`` or
-    after ``PROJECTED_MAX_ITER`` iterations.  Returns the coefficients and one
-    delta per iteration.
+    contracts, so the coefficient deltas shrink geometrically.  When the
+    policy the nesting picks at an iteration's field executes what the
+    previous iteration's did and has not been tried (:class:`impulsegames.solver._Settled`,
+    the rule of :func:`impulsegames.solver.solve`), :func:`_finish` may
+    replace the sweep's result, when its delta is smaller, so a refused
+    finish costs no iteration.  As in :func:`impulsegames.solver.solve`, a
+    game of more than ``FINISH_MAX_STATES`` states only sweeps.  Stops at a
+    delta of ``tol`` or after ``PROJECTED_MAX_ITER`` iterations.  A
+    non-positive or NaN ``tol`` is refused with ``ValueError`` before any
+    sweep.  Returns the coefficients and one delta per iteration.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     _check_basis(game, basis)
     m = _projector(basis, weights)
     phi = basis.matrix
     finish = game.num_states <= FINISH_MAX_STATES
+    settled = _Settled()
     r = np.zeros(basis.num_features)
     deltas = []
-    for it in range(PROJECTED_MAX_ITER):
+    for _ in range(PROJECTED_MAX_ITER):
         t = operator_terms(game, phi @ r)
         nr = m @ _nest(t, combinator)
         delta = float(np.abs(nr - r).max())
-        if finish and it and it % FINISH_EVERY == 0:
-            jump = _finish(game, phi, m, t, combinator)
+        if finish and settled(policy := _nest_policy(t, combinator)):
+            jump = _finish(game, phi, m, policy, combinator)
             if jump is not None and jump[1] < delta:
                 nr, delta = jump
         deltas.append(delta)
@@ -258,17 +265,17 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combina
     return r, deltas
 
 
-def _finish(game: ImpulseGame, phi, m, t, combinator: str):
-    """The projected fixed point of the chain the nesting picks at the
-    operator's pieces ``t``, then one projected sweep: ``(coefficients,
-    delta)``, or None when the system is singular.
+def _finish(game: ImpulseGame, phi, m, policy: EquilibriumPolicy, combinator: str):
+    """The projected fixed point of the chain ``policy`` executes, then one
+    projected sweep of the nesting: ``(coefficients, delta)``, or None when
+    the system is singular.
 
     The chain's projected policy-evaluation equation
     ``Phi^T D (I - gamma P) Phi r = Phi^T D r_pi`` is solved multiplied through
     by ``(Phi^T D Phi)^-1``, which turns it into ``(I - gamma M P Phi) r = M r_pi``
     with the projector ``M`` and forms no normal equations.
     """
-    p, reward = _executed_chain(game, *_nest_policy(t, combinator).executed_actions)
+    p, reward = _executed_chain(game, *policy.executed_actions)
     lhs = np.eye(m.shape[0]) - game.discount * (m @ (p @ phi))
     try:
         jump = np.linalg.solve(lhs, m @ reward)

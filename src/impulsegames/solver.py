@@ -19,10 +19,11 @@ pairs where both players act, applies the same product to the full kernel.
 The operator is a gamma-contraction with a unique fixed point ``v*``, so any
 field ``v`` is certified by its residual alone:
 ``||v - v*|| <= gamma ||T v - v|| / (1 - gamma)`` for ``T v``, whatever
-produced ``v``.  :func:`solve` sweeps, and every :data:`FINISH_EVERY` sweeps
-jumps to the exact value of the greedy policy's executed chain (modified
-policy iteration, Puterman & Shin 1978; strategy iteration for stochastic
-games, Hoffman & Karp 1966).  Linear solves on policy chains have one home,
+produced ``v``.  :func:`solve` sweeps, and once the greedy policy stops
+changing between sweeps jumps to the exact value of its executed chain
+(modified policy iteration, Puterman & Shin 1978; strategy iteration for
+stochastic games, Hoffman & Karp 1966); :class:`_Settled` is the rule that
+picks the sweep.  Linear solves on policy chains have one home,
 :func:`_executed_chain` plus :func:`_chain_values`, shared by that finish,
 :func:`evaluate_policies` and :func:`minimax_oracle`.
 """
@@ -41,9 +42,6 @@ from .game import ImpulseGame, _count, _expect, _finite_table, _index, _plain, c
 TIE_EPS = 1e-10
 
 CERT_TOL = 1e-8
-
-# `solve` tries its exact finish after every this many sweeps.
-FINISH_EVERY = 10
 
 # Largest base state count S that gets the finish; its solves are S x S,
 # under caps too.  Above it the finish saves little time on games with few
@@ -303,6 +301,28 @@ def read_off(game: ImpulseGame, q) -> tuple[np.ndarray, EquilibriumPolicy]:
     return _combine(t), _policy(t)
 
 
+class _Settled:
+    """The finish rule of :func:`solve` and
+    :func:`impulsegames.linfa.projected_iteration`, called once per sweep with
+    the greedy policy read off that sweep's operator pieces: true when the
+    policy executes what the previous sweep's did and has not been finished
+    before.  A finish's value depends only on the executed actions it
+    evaluates, so a policy that is still changing, or one already tried, is
+    not worth a linear solve."""
+
+    def __init__(self):
+        self._last = None
+        self._tried = set()
+
+    def __call__(self, policy: EquilibriumPolicy) -> bool:
+        key = b"".join(a.tobytes() for a in policy.executed_actions)
+        take = key == self._last and key not in self._tried
+        self._last = key
+        if take:
+            self._tried.add(key)
+        return take
+
+
 def _finite_or_none(x: float):
     """JSON has no infinity: a diagnostic that never became finite is null."""
     return x if math.isfinite(x) else None
@@ -343,11 +363,13 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     """Iterate the operator to its unique fixed point.
 
     Stops when the sweep residual drops below ``tol * (1 - gamma) / gamma``,
-    which guarantees a sup-norm error of at most ``tol``.  Every
-    ``FINISH_EVERY`` sweeps it evaluates the greedy policy's executed chain
-    exactly and applies one sweep to that value (the finish, which counts as
-    a sweep); the result replaces the iterate only when its residual is
-    smaller, so the residual never grows and convergence rests on the sweeps.
+    which guarantees a sup-norm error of at most ``tol``.  When the greedy
+    policy read off a sweep's operator pieces executes what the previous
+    sweep's did and has not been tried (:class:`_Settled`), it evaluates
+    that policy's executed chain exactly and applies one sweep to that value
+    (the finish, in place of the sweep and counted as one); the
+    result replaces the sweep's only when its residual is smaller, so a
+    refused finish costs no sweep and convergence rests on the sweeps.
     Games with more than ``FINISH_MAX_STATES`` base states only sweep.  A
     report that ran out of sweeps comes back flagged ``converged=False``.  With
     ``caps=(n1, n2)`` it solves the budgeted game of
@@ -366,25 +388,22 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     size = game.num_states * math.prod(_layers(game, caps)[:2])
     finish = game.num_states <= FINISH_MAX_STATES
     v = np.zeros(size) if v0 is None else _finite_table(v0, "v0", (size,))
+    settled = _Settled()
     residual = math.inf
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
-        if finish and sweeps and sweeps % FINISH_EVERY == 0:
-            # The finish's sweep follows a jump, so it bypasses `bellman`,
-            # which sees only the contraction steps.
-            w = _policy_values(game, extract_policy(game, v, caps), caps)
+        t = operator_terms(game, v, caps)
+        nv = _combine(t)
+        delta = float(np.abs(nv - v).max())
+        if finish and settled(policy := _policy(t)):
+            w = _policy_values(game, policy, caps)
             nw = _combine(operator_terms(game, w, caps))
-            sweeps += 1
             jump = float(np.abs(nw - w).max())
-            if not jump < residual:
-                continue
-            v, residual = nw, jump
-        else:
-            nv = bellman(game, v, caps)
-            residual = float(np.abs(nv - v).max())
-            v = nv
-            sweeps += 1
+            if jump < delta:
+                nv, delta = nw, jump
+        v, residual = nv, delta
+        sweeps += 1
         if residual <= threshold:
             converged = True
             break

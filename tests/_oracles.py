@@ -2,7 +2,9 @@
 
 Everything here is written with plain per-state loops, deliberately sharing
 no code with the vectorised solver; ``loop_vi`` iterates whatever operator
-it is handed.
+it is handed.  The cadence loops are the exception: they drive the library's
+own operator and finish on the earlier fixed schedule, so that only the
+schedule differs from the library's loops.
 """
 
 import itertools
@@ -69,6 +71,74 @@ def sweep_projected_iteration(operator, basis, weights, tol=1e-12, max_iter=100_
     for _ in range(max_iter):
         nr, *_ = np.linalg.lstsq(phi * sq[:, None], operator(phi @ r) * sq, rcond=None)
         delta = float(np.abs(nr - r).max())
+        deltas.append(delta)
+        r = nr
+        if delta <= tol:
+            break
+    return r, deltas
+
+
+# The sweeps between two finishes of the cadence loops below.
+FINISH_EVERY = 10
+
+
+def cadence_solve(game, tol=1e-9, max_sweeps=100_000, caps=None, every=FINISH_EVERY):
+    """``solver.solve`` with its finish on a fixed cadence: every ``every``
+    sweeps, in place of a sweep and counted as one, the exact value of the
+    greedy policy's executed chain and one sweep on it, kept only when its
+    residual is below the last sweep's.  The operator, read-off and chain
+    solve are the library's, so a report compares bit for bit.  Returns a
+    ``solver.SolveReport``."""
+    from impulsegames import solver
+
+    g = game.discount
+    threshold = tol * (1.0 - g) / g if g > 0 else tol
+    ny, nz = (1, 1) if caps is None else (caps[0] + 1, caps[1] + 1)
+    v = np.zeros(game.num_states * ny * nz)
+    residual, sweeps, converged = float("inf"), 0, False
+    while sweeps < max_sweeps:
+        if sweeps and sweeps % every == 0:
+            w = solver._policy_values(game, solver.extract_policy(game, v, caps), caps)
+            nw = solver.bellman(game, w, caps)
+            sweeps += 1
+            jump = float(np.abs(nw - w).max())
+            if not jump < residual:
+                continue
+            v, residual = nw, jump
+        else:
+            nv = solver.bellman(game, v, caps)
+            residual = float(np.abs(nv - v).max())
+            v = nv
+            sweeps += 1
+        if residual <= threshold:
+            converged = True
+            break
+    return solver.SolveReport(
+        value=v, q=solver.q_from_value(game, v, caps),
+        policy=solver.extract_policy(game, v, caps), sweeps=sweeps, residual=residual,
+        error_bound=g * residual / (1.0 - g), converged=converged)
+
+
+def cadence_projected_iteration(game, basis, weights, combinator="T", tol=1e-12,
+                                every=FINISH_EVERY):
+    """``linfa.projected_iteration`` with its finish on a fixed cadence: every
+    ``every`` iterations the library's ``linfa._finish`` on the policy the
+    nesting picks, kept when its delta is below the sweep's.  Returns
+    ``(coefficients, deltas)``."""
+    from impulsegames import linfa, solver
+
+    m = linfa._projector(basis, weights)
+    phi = basis.matrix
+    r = np.zeros(basis.num_features)
+    deltas = []
+    for it in range(linfa.PROJECTED_MAX_ITER):
+        t = solver.operator_terms(game, phi @ r)
+        nr = m @ linfa._nest(t, combinator)
+        delta = float(np.abs(nr - r).max())
+        if it and it % every == 0:
+            jump = linfa._finish(game, phi, m, linfa._nest_policy(t, combinator), combinator)
+            if jump is not None and jump[1] < delta:
+                nr, delta = jump
         deltas.append(delta)
         r = nr
         if delta <= tol:

@@ -50,7 +50,7 @@ def test_solve_budget_exhaustion_exits_2(tmp_path):
     ig.save_game(ig.random_game(4, 2, 2, seed=0, gamma=0.9), game_path)
     out = tmp_path / "out"
     code = main(["solve", "--game", str(game_path), "--tol", "1e-12",
-                 "--max-sweeps", "5", "--out", str(out)])
+                 "--max-sweeps", "1", "--out", str(out)])
     assert code == 2
     report = json.loads((out / "solve_report.json").read_text())
     assert not report["converged"]

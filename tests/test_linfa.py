@@ -377,7 +377,8 @@ def test_singular_finish_solve_falls_back_to_sweeping(monkeypatch, combinator):
             lambda v: linfa._operator_on_field(game, v, combinator), basis.matrix, w)
         refused.clear()
         r, deltas = ig.projected_iteration(game, basis, w, combinator)
-        assert len(refused) == (len(deltas) - 1) // solver.FINISH_EVERY
+        # The finish was tried, and refused.
+        assert refused
         assert deltas[-1] <= 1e-12
         assert _close(r, ref), (k, np.abs(r - ref).max())
 
@@ -396,12 +397,12 @@ def test_projected_iteration_above_the_state_limit_only_sweeps(monkeypatch, comb
 
     for k in range(6):
         game, basis, w = _fit_case(k, "random")
-        # At the limit the finish runs, once per FINISH_EVERY iterations.
+        # At the limit the finish runs.
         monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states)
         monkeypatch.setattr(linfa, "_finish", counted)
         calls.clear()
         want, want_deltas = ig.projected_iteration(game, basis, w, combinator)
-        assert len(calls) == (len(want_deltas) - 1) // solver.FINISH_EVERY
+        assert calls
         # One state above it, the iteration sweeps to the same fixed point.
         monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states - 1)
         monkeypatch.setattr(linfa, "_finish", refused)
@@ -421,3 +422,16 @@ def test_projection_weights_match_lstsq():
             want, *_ = np.linalg.lstsq(basis.matrix * sq[:, None], target * sq, rcond=None)
             got = ig.projection_weights(basis, w, target)
             assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12, -np.inf])
+def test_projected_iteration_refuses_a_tol_that_is_not_positive(monkeypatch, tol):
+    # `solve`'s rule and message, before any sweep: a NaN or negative tol
+    # never stops the iteration, which then runs PROJECTED_MAX_ITER sweeps.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(linfa, "operator_terms", no_sweep)
+    game = ig.random_game(6, 1, 1, 0)
+    with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+        ig.projected_iteration(game, ig.identity_basis(6), np.ones(6), tol=tol)

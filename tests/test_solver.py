@@ -93,9 +93,10 @@ def test_solve_policies(g1, g2, g3):
 
 
 def test_solve_max_sweeps_flags_nonconverged(g1):
-    rep = ig.solve(g1, tol=1e-12, max_sweeps=3)
+    # One sweep: no finish can run before the greedy policy has been read twice.
+    rep = ig.solve(g1, tol=1e-12, max_sweeps=1)
     assert not rep.converged
-    assert rep.sweeps == 3
+    assert rep.sweeps == 1
 
 
 def test_q_fixed_point_identity(g1):
@@ -554,33 +555,27 @@ def test_solve_refuses_a_v0_that_is_not_finite(caps, size, bad, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(solver, "bellman", no_sweep)
+    monkeypatch.setattr(solver, "operator_terms", no_sweep)
     v0 = np.zeros(size)
     v0[size // 2] = bad
     with pytest.raises(ValueError, match="v0 must be finite"):
         ig.solve(ig.random_game(3, 1, 1, 0), v0=v0, max_sweeps=50, caps=caps)
 
 
-def test_finish_never_raises_the_residual(monkeypatch):
-    # A finish whose residual is not below the iterate's is dropped, so the
-    # sweeps inside `solve` keep contracting by gamma.
-    residuals = []
-    sweep = solver.bellman
-
-    def recording(game, v, caps=None):
-        nv = sweep(game, v, caps)
-        residuals.append(float(np.abs(nv - v).max()))
-        return nv
-
-    monkeypatch.setattr(solver, "bellman", recording)
+def test_finish_never_raises_the_residual():
+    # A finish whose residual is not below the sweep's is dropped, so the
+    # residuals of `solve`, finishes included, keep contracting by gamma.  The
+    # loop is deterministic: a budget of k sweeps reports the k-th residual.
     for seed in range(12):
         gamma = (0.9, 0.99)[seed % 2]
         game = _deterministic_game(seed, 3 + seed % 3, 3, 3, gamma)
-        residuals.clear()
         rep = ig.solve(game, tol=1e-9)
+        residuals = [ig.solve(game, tol=1e-9, max_sweeps=k).residual
+                     for k in range(1, rep.sweeps + 1)]
+        assert residuals[-1] == rep.residual
         for before, after in zip(residuals, residuals[1:]):
             assert after <= gamma * before + 1e-12
-        ref, _, _ = loop_vi(lambda v: sweep(game, v), np.zeros(game.num_states), gamma)
+        ref, _, _ = loop_vi(lambda v: ig.bellman(game, v), np.zeros(game.num_states), gamma)
         assert rep.converged and np.abs(rep.value - ref).max() <= 2e-9
 
 
