@@ -1,9 +1,9 @@
 """Command-line front door: solve, learn, simulate, oracle, budget, fit, gen.
 
-Exit codes: 0 success, 1 input error (bad file, bad flags), 2 the run
-finished but did not reach its goal (no convergence / uncertified).  All
-randomness in a run flows from one seeded generator, and every output file
-is byte-reproducible given the same flags.
+Exit codes: 0 success, 1 input error (bad file, bad flags, a request too
+large for memory), 2 the run finished but did not reach its goal (no
+convergence / uncertified).  All randomness in a run flows from one seeded
+generator, and every output file is byte-reproducible given the same flags.
 """
 
 from __future__ import annotations
@@ -290,8 +290,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

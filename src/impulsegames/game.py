@@ -34,13 +34,13 @@ KERNEL_ROW_TOL = 1e-12
 MAX_KERNEL_ENTRIES = 16_000_000
 
 # random_game's kernel draw: the fewest kernel entries per draw thread, and the
-# least and most per block a thread draws into the kernel before dividing it by
-# its row sums (32 KB and 512 KB; a block is otherwise a sixteenth of the
-# kernel, so the blocks in flight stay under a sixteenth of a kernel of 2**16
-# entries or more).
+# most per block (512 KB, or one row) a thread draws into the kernel before
+# dividing it by its row sums.
 _ENTRIES_PER_PART = 2**20
-_MIN_BLOCK_ENTRIES = 2**12
 _BLOCK_ENTRIES = 2**16
+
+# Entries of one broken rule that `validate` lists.
+_LISTED_PER_RULE = 10
 
 
 class Violation(NamedTuple):
@@ -473,53 +473,50 @@ def cell_index(num_actions1: int, a, b) -> np.ndarray:
     return np.where(b != 0, b + (num_actions1 - 1), a)
 
 
+def _listed(code: str, bad: np.ndarray, describe) -> list[Violation]:
+    """Violations ``code`` at the first ``_LISTED_PER_RULE`` true entries of
+    ``bad``, in index order, with ``(where, message)`` from ``describe`` on
+    the entry's indices; the last one listed says how many more there are."""
+    flat = np.flatnonzero(bad)
+    listed = np.column_stack(np.unravel_index(flat[:_LISTED_PER_RULE], bad.shape)).tolist()
+    out = [Violation(code, *describe(*index)) for index in listed]
+    if len(flat) > len(out):
+        out[-1] = out[-1]._replace(message=f"{out[-1].message} ({len(flat) - len(out)} more)")
+    return out
+
+
 def validate(game: ImpulseGame) -> list[Violation]:
     """Check every model invariant; violations come back as data, not raises.
 
-    An empty list means the game is well-formed.
+    An empty list means the game is well-formed.  A rule broken at many
+    entries lists only the first few (:func:`_listed`; per player for costs
+    and masks).
     """
     out = []
     row_sums = game.kernel.sum(axis=3)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > KERNEL_ROW_TOL)
-    for s, a, b in bad:
-        out.append(Violation(
-            "kernel-row-sum", (int(s), int(a), int(b)),
-            f"kernel row (s={s}, a={a}, b={b}) sums to {float(row_sums[s, a, b])!r}, expected 1",
-        ))
-    neg = np.argwhere(game.kernel < 0)
-    for s, a, b, t in neg:
-        out.append(Violation(
-            "kernel-negative", (int(s), int(a), int(b), int(t)),
-            f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative",
-        ))
+    out += _listed("kernel-row-sum", np.abs(row_sums - 1.0) > KERNEL_ROW_TOL, lambda s, a, b: (
+        (s, a, b),
+        f"kernel row (s={s}, a={a}, b={b}) sums to {float(row_sums[s, a, b])!r}, expected 1"))
+    out += _listed("kernel-negative", game.kernel < 0, lambda s, a, b, t: (
+        (s, a, b, t), f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative"))
     if not np.isfinite(game.kernel).all():
         out.append(Violation("kernel-not-finite", (), "kernel has non-finite entries"))
     if not (game.cost_floor > 0):
         out.append(Violation(
             "cost-floor", (), f"cost_floor must be > 0, got {game.cost_floor!r}"))
-    for name, costs, width in (("1", game.cost1, game.num_actions1),
-                               ("2", game.cost2, game.num_actions2)):
-        if width > 1:
-            low = np.argwhere(~(costs[:, 1:] >= game.cost_floor))
-            for s, j in low:
-                out.append(Violation(
-                    "cost-below-floor", (name, int(s), int(j) + 1),
-                    f"cost{name}(s={s}, action={j + 1}) = {float(costs[s, j + 1])!r} "
-                    f"is below the floor {game.cost_floor}",
-                ))
-    if not np.isfinite(game.reward).all():
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(game.reward))[0])
-        out.append(Violation(
-            "reward-not-finite", where, f"reward at (s,a,b)={where} is not finite"))
+    for name, costs in (("1", game.cost1), ("2", game.cost2)):
+        out += _listed("cost-below-floor", ~(costs[:, 1:] >= game.cost_floor), lambda s, j: (
+            (name, s, j + 1),
+            f"cost{name}(s={s}, action={j + 1}) = {float(costs[s, j + 1])!r} "
+            f"is below the floor {game.cost_floor}"))
+    out += _listed("reward-not-finite", ~np.isfinite(game.reward), lambda *where: (
+        where, f"reward at (s,a,b)={where} is not finite"))
     if not (0.0 <= game.discount < 1.0):
         out.append(Violation(
             "discount-range", (), f"discount must be < 1 and >= 0, got {game.discount!r}"))
     for name, mask in (("1", game.mask1), ("2", game.mask2)):
-        if not mask[:, 0].all():
-            s = int(np.argwhere(~mask[:, 0])[0][0])
-            out.append(Violation(
-                "mask-null-action", (name, s),
-                f"null action of player {name} is masked at state {s}"))
+        out += _listed("mask-null-action", ~mask[:, 0], lambda s: (
+            (name, s), f"null action of player {name} is masked at state {s}"))
     return out
 
 
@@ -606,10 +603,10 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
     by ``lo`` states' entries (each double takes one 64-bit output, so the
     copy produces exactly the share's numbers) on a thread of its own;
     share 0 is drawn from ``rng`` itself on this thread once the copies are
-    made.  Every share is drawn in blocks of a sixteenth of the kernel, but
-    ``_MIN_BLOCK_ENTRIES`` to ``_BLOCK_ENTRIES`` (or one row), each drawn,
-    scaled and divided in place in the kernel.  All threads are joined
-    before returning, and the first error raised in any share is raised here.
+    made.  Every share is drawn in blocks of at most ``_BLOCK_ENTRIES``
+    entries (or one row), each drawn, scaled and divided in place in the
+    kernel.  All threads are joined before returning, and the first error
+    raised in any share is raised here.
     """
     kernel = np.empty(shape)
     bounds = [i * shape[0] // parts for i in range(parts + 1)]
@@ -648,8 +645,7 @@ def _draw_share(draws: np.random.Generator, kernel: np.ndarray, lo: int, hi: int
     from ``draws``, which stands at the first of their entries."""
     n = kernel.shape[-1]
     rows = kernel[lo:hi].reshape(-1, n)
-    # a sixteenth of the kernel, but 32 KB to 512 KB, and at least one row
-    step = max(1, min(max(kernel.size // 16, _MIN_BLOCK_ENTRIES), _BLOCK_ENTRIES) // n)
+    step = max(1, _BLOCK_ENTRIES // n)
     for a in range(0, len(rows), step):
         # `uniform(0.1, 1.0)` is `0.1 + (1.0 - 0.1) * random()`, written in place
         block = draws.random(out=rows[a:a + step])

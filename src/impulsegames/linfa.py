@@ -16,15 +16,13 @@ through :func:`impulsegames.solver._executed_chain`, so the module reads no
 kernel itself.
 
 The weighted projection is factored once per basis and weights
-(:func:`_projector`).  :func:`projected_iteration` sweeps through it and
-tries the finish of :func:`impulsegames.solver.solve` on the projected
-problem, under the same rule (:class:`impulsegames.solver._Settled`: the
-policy has stopped changing and was not tried before): the cells the
-selected nesting picks at the current field form a policy chain, whose
-projected policy-evaluation equation (LSTD, Bradtke & Barto 1996; as in
-least-squares policy iteration for zero-sum Markov games, Lagoudakis & Parr
-2002) is solved exactly, followed by one projected sweep.  The result is
-kept only when its coefficient delta is below the plain sweep's.
+(:func:`_projector`).  :func:`projected_iteration` runs the fixed-point loop
+of :func:`impulsegames.solver.solve`, :func:`impulsegames.solver._iterate`,
+on the projected problem: its sweep is a projected sweep, and its finish
+solves the projected policy-evaluation equation of the chain of the cells
+the selected nesting picks (:func:`_finish`; LSTD, Bradtke & Barto 1996; as
+in least-squares policy iteration for zero-sum Markov games, Lagoudakis &
+Parr 2002).
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ import numpy as np
 from .envs import BlockDraws
 from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
-from .solver import (FINISH_MAX_STATES, EquilibriumPolicy, _combine, _executed_chain,
-                     _policy, _reduce, _Settled, extract_policy, operator_terms, solve)
+from .solver import (EquilibriumPolicy, _combine, _executed_chain, _iterate, _policy, _reduce,
+                     extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -108,18 +106,17 @@ def constant_basis(num_states: int) -> FeatureBasis:
     return FeatureBasis(np.ones((num_states, 1)))
 
 
-def _check_weights(weights, num_states):
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (num_states,):
-        raise ValueError(f"weights must have shape ({num_states},)")
+def _check_weights(weights, num_states: int) -> np.ndarray:
+    """``weights`` by :func:`impulsegames.game._finite_table`, and positive."""
+    w = _finite_table(weights, "weights", (num_states,))
     if not (w > 0).all():
         raise ValueError("state weights must be strictly positive")
-    return w / w.sum()
+    return w
 
 
 def weighted_norm(weights, x) -> float:
-    w = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
+    w = _check_weights(weights, len(x))
     return math.sqrt(float(w @ (x * x)) / w.sum())
 
 
@@ -128,7 +125,8 @@ def _projector(basis: FeatureBasis, weights) -> np.ndarray:
     its weighted least-squares coefficients: ``M = R^-1 Q^T diag(sqrt w)``
     from a QR factoring of ``diag(sqrt w) Phi``.  ``M`` also equals
     ``(Phi^T D Phi)^-1 Phi^T D`` with ``D = diag(w)``."""
-    sq = np.sqrt(_check_weights(weights, basis.num_states))
+    w = _check_weights(weights, basis.num_states)
+    sq = np.sqrt(w / w.sum())
     q, upper = np.linalg.qr(basis.matrix * sq[:, None])
     return np.linalg.solve(upper, q.T) * sq
 
@@ -144,10 +142,6 @@ def project(basis: FeatureBasis, weights, target) -> np.ndarray:
     Idempotent, and non-expansive in the same weighted norm.
     """
     return basis.field(projection_weights(basis, weights, target))
-
-
-def _operator_on_field(game: ImpulseGame, lam, combinator: str) -> np.ndarray:
-    return _nest(operator_terms(game, lam), combinator)
 
 
 def _flipped_inner(t) -> np.ndarray:
@@ -196,7 +190,7 @@ def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
     one-step expected-value operator.
     """
     _check_basis(game, basis)
-    return _operator_on_field(game, basis.field(r), combinator)
+    return _nest(operator_terms(game, basis.field(r)), combinator)
 
 
 class StationaryResult(NamedTuple):
@@ -229,46 +223,30 @@ def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combina
                         tol: float = 1e-12) -> tuple[np.ndarray, list[float]]:
     """Deterministic fixed point of projection composed with the operator.
 
-    Iterates coefficients through project(operator(field)); the composite
-    contracts, so the coefficient deltas shrink geometrically.  When the
-    policy the nesting picks at an iteration's field executes what the
-    previous iteration's did and has not been tried (:class:`impulsegames.solver._Settled`,
-    the rule of :func:`impulsegames.solver.solve`), :func:`_finish` may
-    replace the sweep's result, when its delta is smaller, so a refused
-    finish costs no iteration.  As in :func:`impulsegames.solver.solve`, a
-    game of more than ``FINISH_MAX_STATES`` states only sweeps.  Stops at a
-    delta of ``tol`` or after ``PROJECTED_MAX_ITER`` iterations.  A
-    non-positive or NaN ``tol`` is refused with ``ValueError`` before any
-    sweep.  Returns the coefficients and one delta per iteration.
+    Iterates coefficients through project(operator(field)), a contraction,
+    in :func:`impulsegames.solver.solve`'s loop
+    (:func:`impulsegames.solver._iterate`), whose finish takes the projected
+    fixed point (:func:`_finish`) of the settled policy the nesting picks.
+    Stops at a delta of ``tol``, which must be positive (``ValueError``), or
+    after ``PROJECTED_MAX_ITER`` iterations.  Returns the coefficients and
+    one delta per iteration.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     _check_basis(game, basis)
     m = _projector(basis, weights)
     phi = basis.matrix
-    finish = game.num_states <= FINISH_MAX_STATES
-    settled = _Settled()
-    r = np.zeros(basis.num_features)
-    deltas = []
-    for _ in range(PROJECTED_MAX_ITER):
+
+    def sweep(r):
         t = operator_terms(game, phi @ r)
-        nr = m @ _nest(t, combinator)
-        delta = float(np.abs(nr - r).max())
-        if finish and settled(policy := _nest_policy(t, combinator)):
-            jump = _finish(game, phi, m, policy, combinator)
-            if jump is not None and jump[1] < delta:
-                nr, delta = jump
-        deltas.append(delta)
-        r = nr
-        if delta <= tol:
-            break
-    return r, deltas
+        return m @ _nest(t, combinator), t
+
+    return _iterate(game, np.zeros(basis.num_features), sweep,
+                    lambda t: _nest_policy(t, combinator),
+                    lambda policy: _finish(game, phi, m, policy), tol, PROJECTED_MAX_ITER)
 
 
-def _finish(game: ImpulseGame, phi, m, policy: EquilibriumPolicy, combinator: str):
-    """The projected fixed point of the chain ``policy`` executes, then one
-    projected sweep of the nesting: ``(coefficients, delta)``, or None when
-    the system is singular.
+def _finish(game: ImpulseGame, phi, m, policy: EquilibriumPolicy):
+    """The projected fixed point of the chain ``policy`` executes, or None
+    when that system is singular.
 
     The chain's projected policy-evaluation equation
     ``Phi^T D (I - gamma P) Phi r = Phi^T D r_pi`` is solved multiplied through
@@ -278,11 +256,9 @@ def _finish(game: ImpulseGame, phi, m, policy: EquilibriumPolicy, combinator: st
     p, reward = _executed_chain(game, *policy.executed_actions)
     lhs = np.eye(m.shape[0]) - game.discount * (m @ (p @ phi))
     try:
-        jump = np.linalg.solve(lhs, m @ reward)
+        return np.linalg.solve(lhs, m @ reward)
     except np.linalg.LinAlgError:
         return None
-    nr = m @ _operator_on_field(game, phi @ jump, combinator)
-    return nr, float(np.abs(nr - jump).max())
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     ny, nz, spend = _layers(game, caps)
     layers = ny * nz
     size = game.num_states * layers
-    a, b = (x.astype(np.int64) for x in policy.executed_actions)
+    a, b = policy.executed_actions
     if len(a) != size:
         raise ValueError(f"policy has {len(a)} states, the rollout's game has {size}")
     if min(a.min(), b.min()) < 0 or a.max() >= game.num_actions1 or b.max() >= game.num_actions2:

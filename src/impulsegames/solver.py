@@ -22,10 +22,11 @@ field ``v`` is certified by its residual alone:
 produced ``v``.  :func:`solve` sweeps, and once the greedy policy stops
 changing between sweeps jumps to the exact value of its executed chain
 (modified policy iteration, Puterman & Shin 1978; strategy iteration for
-stochastic games, Hoffman & Karp 1966); :class:`_Settled` is the rule that
-picks the sweep.  Linear solves on policy chains have one home,
-:func:`_executed_chain` plus :func:`_chain_values`, shared by that finish,
-:func:`evaluate_policies` and :func:`minimax_oracle`.
+stochastic games, Hoffman & Karp 1966), in :func:`_iterate`, the one loop
+it shares with :func:`impulsegames.linfa.projected_iteration`.  Linear
+solves on policy chains have one home, :func:`_executed_chain` plus
+:func:`_chain_values`, shared by that finish, :func:`evaluate_policies` and
+:func:`minimax_oracle`.
 """
 
 from __future__ import annotations
@@ -221,14 +222,26 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
 class EquilibriumPolicy:
     """Per-state greedy actions for both players, 0 where a player does not act.
 
-    ``p1_acts``/``p2_acts`` are read off the actions.  Both players may act at
-    a state, and where both act Player 2 takes precedence, so Player 1's
-    action only runs where Player 2 does not act (:attr:`executed_actions`,
-    the one home of that rule for a policy).
+    Stored as read-only 1-D integer arrays of one length; anything else is
+    refused with ``ValueError`` naming the field.  ``p1_acts``/``p2_acts``
+    are read off the actions.  Where both players act Player 2 takes
+    precedence (:attr:`executed_actions`, the one home of that rule for a
+    policy).
     """
 
     p1_action: np.ndarray
     p2_action: np.ndarray
+
+    def __post_init__(self):
+        for name in ("p1_action", "p2_action"):
+            x = _whole(getattr(self, name), name)
+            if x.ndim != 1:
+                raise ValueError(f"{name} must be one action per state, got shape {x.shape}")
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
+        if len(self.p1_action) != len(self.p2_action):
+            raise ValueError(f"p1_action has {len(self.p1_action)} states, "
+                             f"p2_action has {len(self.p2_action)}")
 
     @property
     def p1_acts(self) -> np.ndarray:
@@ -302,9 +315,8 @@ def read_off(game: ImpulseGame, q) -> tuple[np.ndarray, EquilibriumPolicy]:
 
 
 class _Settled:
-    """The finish rule of :func:`solve` and
-    :func:`impulsegames.linfa.projected_iteration`, called once per sweep with
-    the greedy policy read off that sweep's operator pieces: true when the
+    """The finish rule of :func:`_iterate`, called once per sweep with the
+    greedy policy read off that sweep's operator pieces: true when the
     policy executes what the previous sweep's did and has not been finished
     before.  A finish's value depends only on the executed actions it
     evaluates, so a policy that is still changing, or one already tried, is
@@ -363,66 +375,81 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     """Iterate the operator to its unique fixed point.
 
     Stops when the sweep residual drops below ``tol * (1 - gamma) / gamma``,
-    which guarantees a sup-norm error of at most ``tol``.  When the greedy
-    policy read off a sweep's operator pieces executes what the previous
-    sweep's did and has not been tried (:class:`_Settled`), it evaluates
-    that policy's executed chain exactly and applies one sweep to that value
-    (the finish, in place of the sweep and counted as one); the
-    result replaces the sweep's only when its residual is smaller, so a
-    refused finish costs no sweep and convergence rests on the sweeps.
-    Games with more than ``FINISH_MAX_STATES`` base states only sweep.  A
-    report that ran out of sweeps comes back flagged ``converged=False``.  With
-    ``caps=(n1, n2)`` it solves the budgeted game of
-    :mod:`impulsegames.budget` from the base game's tables.  A non-positive
-    or NaN ``tol``, a ``max_sweeps`` that is not a count, a discount outside
-    [0, 1), bad caps or a ``v0`` that is not one finite value per state (per
-    augmented state) are refused with ``ValueError`` before any sweep.
+    which guarantees a sup-norm error of at most ``tol``, in :func:`_iterate`:
+    operator sweeps, and a finish on the exact value of the settled greedy
+    policy's executed chain (:func:`_policy_values`).  A report that ran out
+    of sweeps comes back flagged ``converged=False``.  With ``caps=(n1, n2)``
+    it solves the budgeted game of :mod:`impulsegames.budget` from the base
+    game's tables.  A non-positive or NaN ``tol``, a ``max_sweeps`` that is
+    not a count, a discount outside [0, 1), bad caps or a ``v0`` that is not
+    one finite value per state (per augmented state) are refused with
+    ``ValueError`` before any sweep.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     _count(max_sweeps, "max_sweeps")
     g = game.discount
     if not 0.0 <= g < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {g}")
-    threshold = tol * (1.0 - g) / g if g > 0 else tol
+    # a tol that is not positive reaches `_iterate`'s refusal as given; one that is stays so
+    threshold = max(tol * (1.0 - g) / g, math.ulp(0.0)) if g > 0 and tol > 0 else tol
     size = game.num_states * math.prod(_layers(game, caps)[:2])
-    finish = game.num_states <= FINISH_MAX_STATES
     v = np.zeros(size) if v0 is None else _finite_table(v0, "v0", (size,))
-    settled = _Settled()
-    residual = math.inf
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
+
+    def sweep(v):
         t = operator_terms(game, v, caps)
-        nv = _combine(t)
-        delta = float(np.abs(nv - v).max())
-        if finish and settled(policy := _policy(t)):
-            w = _policy_values(game, policy, caps)
-            nw = _combine(operator_terms(game, w, caps))
-            jump = float(np.abs(nw - w).max())
-            if jump < delta:
-                nv, delta = nw, jump
-        v, residual = nv, delta
-        sweeps += 1
-        if residual <= threshold:
-            converged = True
-            break
-    error_bound = g * residual / (1.0 - g)
+        return _combine(t), t
+
+    v, residuals = _iterate(game, v, sweep, _policy,
+                            lambda policy: _policy_values(game, policy, caps),
+                            threshold, max_sweeps)
+    residual = residuals[-1] if residuals else math.inf
     return SolveReport(
         value=v, q=q_from_value(game, v, caps), policy=extract_policy(game, v, caps),
-        sweeps=sweeps, residual=residual, error_bound=error_bound,
-        converged=converged,
+        sweeps=len(residuals), residual=residual, error_bound=g * residual / (1.0 - g),
+        converged=bool(residuals) and residual <= threshold,
     )
 
 
-def _executed_chain(game: ImpulseGame, pol1, pol2) -> tuple[np.ndarray, np.ndarray]:
+def _iterate(game: ImpulseGame, x, sweep, read, evaluate, tol: float, max_iter: int):
+    """The fixed-point loop of :func:`solve` and
+    :func:`impulsegames.linfa.projected_iteration`, from ``x``.
+
+    ``sweep(x)`` gives the next iterate and the operator pieces ``read``
+    takes a policy from.  Once that policy is settled (:class:`_Settled`),
+    the loop sweeps once from its fixed point ``evaluate(policy)`` (unless
+    None), counted as one iteration, and keeps the result only when its
+    delta is below the sweep's, so convergence rests on the sweeps.  Games
+    of more than ``FINISH_MAX_STATES`` base states only sweep.  Stops at a
+    delta of at most ``tol`` (positive, else ``ValueError``) or after
+    ``max_iter`` iterations.  Returns the last iterate and its deltas.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    finish = game.num_states <= FINISH_MAX_STATES
+    settled = _Settled()
+    deltas = []
+    while len(deltas) < max_iter:
+        nx, t = sweep(x)
+        delta = float(np.abs(nx - x).max())
+        if finish and settled(policy := read(t)):
+            w = evaluate(policy)
+            if w is not None:
+                nw = sweep(w)[0]
+                jump = float(np.abs(nw - w).max())
+                if jump < delta:
+                    nx, delta = nw, jump
+        x = nx
+        deltas.append(delta)
+        if delta <= tol:
+            break
+    return x, deltas
+
+
+def _executed_chain(game: ImpulseGame, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Kernel rows ``(..., S, S)`` and net rewards ``(..., S)`` of the pairs
-    deterministic policy pairs ``(..., S)`` execute, one per state, from
-    :meth:`ImpulseGame.chain_rows`; leading axes are a batch.  Player 2's
-    non-null action suppresses Player 1's."""
+    deterministic policy pairs ``(..., S)``, integer arrays, execute, one per
+    state, from :meth:`ImpulseGame.chain_rows`; leading axes are a batch.
+    Player 2's non-null action suppresses Player 1's."""
     ns, na, nb = game.reward.shape
-    a = np.asarray(pol1, dtype=int)
-    b = np.asarray(pol2, dtype=int)
     if a.shape[-1:] != (ns,) or b.shape[-1:] != (ns,):
         raise ValueError(f"policies must have shape ({ns},)")
     for name, x, n in (("1", a, na), ("2", b, nb)):

@@ -123,8 +123,8 @@ def cadence_projected_iteration(game, basis, weights, combinator="T", tol=1e-12,
                                 every=FINISH_EVERY):
     """``linfa.projected_iteration`` with its finish on a fixed cadence: every
     ``every`` iterations the library's ``linfa._finish`` on the policy the
-    nesting picks, kept when its delta is below the sweep's.  Returns
-    ``(coefficients, deltas)``."""
+    nesting picks and one projected sweep from it, kept when its delta is
+    below the sweep's.  Returns ``(coefficients, deltas)``."""
     from impulsegames import linfa, solver
 
     m = linfa._projector(basis, weights)
@@ -136,9 +136,12 @@ def cadence_projected_iteration(game, basis, weights, combinator="T", tol=1e-12,
         nr = m @ linfa._nest(t, combinator)
         delta = float(np.abs(nr - r).max())
         if it and it % every == 0:
-            jump = linfa._finish(game, phi, m, linfa._nest_policy(t, combinator), combinator)
-            if jump is not None and jump[1] < delta:
-                nr, delta = jump
+            jump = linfa._finish(game, phi, m, linfa._nest_policy(t, combinator))
+            if jump is not None:
+                nw = m @ linfa._nest(solver.operator_terms(game, phi @ jump), combinator)
+                jump_delta = float(np.abs(nw - jump).max())
+                if jump_delta < delta:
+                    nr, delta = nw, jump_delta
         deltas.append(delta)
         r = nr
         if delta <= tol:

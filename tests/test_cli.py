@@ -543,3 +543,25 @@ def test_library_writers_leave_no_file_when_a_write_fails(tmp_path, monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         diag.to_csv(tmp_path / "diag.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type int64",
+     "error: Unable to allocate 7.28 TiB"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_a_request_too_large_for_memory_exits_1_no_output(tmp_path, capsys, monkeypatch,
+                                                          message, line):
+    # As `simulate --steps 1000000000000` ends: numpy cannot allocate the
+    # trajectory, before any file is written.
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "simulate", too_large)
+    out = tmp_path / "out"
+    assert main(["simulate", "--gen", "3,1,1,0", "--steps", "1000000000000",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(line)

@@ -6,6 +6,9 @@ evaluates, so the results are pinned bit for bit against the earlier loops
 that tried the finish every ``FINISH_EVERY`` sweeps (``_oracles``); only the
 sweep counts differ."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,48 @@ from conftest import randomly_masked
 from impulsegames import linfa, solver
 
 SHAPES = [(6, 2, 2), (9, 1, 3), (4, 3, 0), (7, 0, 2), (10, 2, 3), (3, 1, 1)]
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impulsegames"
+
+
+def _loop_pieces(path):
+    """``(enclosing definition, piece, line)`` of every construction of
+    ``_Settled``, read of ``FINISH_MAX_STATES`` and ``"tol must be positive"``
+    message in the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def owner(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return ""
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "_Settled":
+                yield owner(node), "_Settled()", node.lineno
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            if getattr(node, "id", getattr(node, "attr", None)) == "FINISH_MAX_STATES":
+                yield owner(node), "FINISH_MAX_STATES", node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("tol must be positive")):
+            yield owner(node), "tol refusal", node.lineno
+
+
+def test_the_loop_lives_in_iterate_alone():
+    # `solve` and `projected_iteration` share `solver._iterate`: the finish
+    # rule, the state limit on the finish and the tol refusal live there.
+    pieces = [(path.name, name, piece, line) for path in sorted(PACKAGE.glob("*.py"))
+              for name, piece, line in _loop_pieces(path)]
+    outside = sorted(f"{module}:{line} {piece} in {name or 'module'}"
+                     for module, name, piece, line in pieces
+                     if (module, name) != ("solver.py", "_iterate"))
+    assert outside == []
+    assert sorted(piece for *_, piece, _ in pieces) == \
+        ["FINISH_MAX_STATES", "_Settled()", "tol refusal"]
 
 
 def _same_report(rep, ref):
@@ -184,9 +229,9 @@ def test_projected_iteration_finishes_only_a_settled_policy_not_tried_before(mon
         events.append(("read", _key(policy)))
         return policy
 
-    def finishing(game, phi, m, policy, combinator):
+    def finishing(game, phi, m, policy):
         events.append(("finish", _key(policy)))
-        return finish(game, phi, m, policy, combinator)
+        return finish(game, phi, m, policy)
 
     cases, finishes = _fit_cases(), 0
     for name, game, basis, w in cases:

@@ -47,6 +47,47 @@ def test_validation_error_message_shows_first_three_violations():
     assert "= nan is below" in str(err)
 
 
+def test_validate_lists_a_bounded_number_of_entries_per_rule():
+    # Every kernel entry negative and every row summing to -1: 812,700 broken
+    # entries, of which the first _LISTED_PER_RULE per rule are listed.
+    game = ig.random_game(300, 2, 2, 0)
+    bad = ig.ImpulseGame(kernel=-game.kernel, reward=game.reward, cost1=game.cost1,
+                         cost2=game.cost2, cost_floor=game.cost_floor, discount=game.discount)
+    tracemalloc.start()
+    try:
+        violations = ig.validate(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = game_module._LISTED_PER_RULE
+    assert [v.code for v in violations] == ["kernel-row-sum"] * n + ["kernel-negative"] * n
+    assert [v.where for v in violations[:3]] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    assert [v.where for v in violations[n:n + 2]] == [(0, 0, 0, 0), (0, 0, 0, 1)]
+    assert all(type(i) is int for v in violations for i in v.where)
+    assert violations[n - 1].message.endswith(f"({300 * 9 - n} more)")
+    assert violations[-1].message.endswith(f"({bad.kernel.size - n} more)")
+    assert not any(v.message.endswith("more)") for v in violations[:n - 1])
+    assert peak < 2 * bad.kernel.nbytes
+
+
+def test_every_rule_lists_its_entries_in_index_order():
+    game = ig.random_game(4, 2, 2, seed=0)
+    reward = game.reward.copy()
+    reward[1:, 1:] = np.nan
+    mask2 = np.ones((4, 3), dtype=bool)
+    mask2[[0, 3], 0] = False
+    bad = ig.ImpulseGame(kernel=game.kernel, reward=reward, cost1=game.cost1, cost2=game.cost2,
+                         cost_floor=game.cost_floor, discount=game.discount, mask2=mask2)
+    violations = ig.validate(bad)
+    rewards = [v for v in violations if v.code == "reward-not-finite"]
+    assert [v.where for v in rewards[:2]] == [(1, 1, 0), (1, 1, 1)]
+    assert len(rewards) == game_module._LISTED_PER_RULE
+    assert rewards[-1].message == "reward at (s,a,b)=(2, 2, 0) is not finite (8 more)"
+    masks = [v for v in violations if v.code == "mask-null-action"]
+    assert [v.where for v in masks] == [("2", 0), ("2", 3)]
+    assert masks[1].message == "null action of player 2 is masked at state 3"
+
+
 def test_discount_out_of_range_is_reported():
     game = micro_game(0.5, 0.3, gamma=1.0)
     codes = [v.code for v in ig.validate(game)]

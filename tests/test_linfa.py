@@ -82,6 +82,20 @@ def test_weights_must_be_positive():
         ig.project(basis, [0.0, 1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad,message", [
+    ([np.inf, 1.0, 1.0], "weights must be finite"),
+    ([np.nan, 1.0, 1.0], "weights must be finite"),
+    ([1.0, -1.0, 1.0], "state weights must be strictly positive"),
+    ([1.0, 1.0], r"weights must have shape \(3,\), got \(2,\)"),
+])
+def test_bad_weights_are_refused_by_name(bad, message):
+    basis = ig.FeatureBasis(np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match=message):
+        ig.projection_weights(basis, bad, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=message):
+        ig.weighted_norm(bad, [1.0, 2.0, 3.0])
+
+
 def test_apply_operator_no_actions_is_td():
     game = ig.random_game(3, 0, 0, seed=5)
     basis = ig.identity_basis(3)
@@ -351,7 +365,7 @@ def test_projected_iteration_matches_the_sweep_only_reference(combinator, basis_
     for k in range(8):
         game, basis, w = _fit_case(k, basis_kind)
         ref, ref_deltas = sweep_projected_iteration(
-            lambda v: linfa._operator_on_field(game, v, combinator), basis.matrix, w)
+            lambda v: linfa._nest(solver.operator_terms(game, v), combinator), basis.matrix, w)
         r, deltas = ig.projected_iteration(game, basis, w, combinator)
         assert ref_deltas[-1] <= 1e-12 and deltas[-1] <= 1e-12
         assert len(deltas) <= len(ref_deltas)
@@ -374,7 +388,7 @@ def test_singular_finish_solve_falls_back_to_sweeping(monkeypatch, combinator):
     for k in range(4):
         game, basis, w = _fit_case(k, "random")
         ref, ref_deltas = sweep_projected_iteration(
-            lambda v: linfa._operator_on_field(game, v, combinator), basis.matrix, w)
+            lambda v: linfa._nest(solver.operator_terms(game, v), combinator), basis.matrix, w)
         refused.clear()
         r, deltas = ig.projected_iteration(game, basis, w, combinator)
         # The finish was tried, and refused.
@@ -398,13 +412,13 @@ def test_projected_iteration_above_the_state_limit_only_sweeps(monkeypatch, comb
     for k in range(6):
         game, basis, w = _fit_case(k, "random")
         # At the limit the finish runs.
-        monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states)
+        monkeypatch.setattr(solver, "FINISH_MAX_STATES", game.num_states)
         monkeypatch.setattr(linfa, "_finish", counted)
         calls.clear()
         want, want_deltas = ig.projected_iteration(game, basis, w, combinator)
         assert calls
         # One state above it, the iteration sweeps to the same fixed point.
-        monkeypatch.setattr(linfa, "FINISH_MAX_STATES", game.num_states - 1)
+        monkeypatch.setattr(solver, "FINISH_MAX_STATES", game.num_states - 1)
         monkeypatch.setattr(linfa, "_finish", refused)
         r, deltas = ig.projected_iteration(game, basis, w, combinator)
         assert deltas[-1] <= 1e-12 and len(deltas) >= len(want_deltas)

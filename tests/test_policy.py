@@ -73,6 +73,33 @@ def test_a_policy_is_two_arrays_with_read_only_flags():
                              p2_acts=np.zeros(3, dtype=bool), p2_action=np.zeros(3, dtype=int))
 
 
+def test_a_policy_holds_read_only_integer_arrays_of_one_length():
+    # Lists, and arrays of whole floats, become integer arrays: each player's
+    # actions are their own, not one scalar comparison of the whole list.
+    policy = ig.EquilibriumPolicy(p1_action=[0, 1, 2], p2_action=np.array([0.0, 0.0, 1.0]))
+    a, b = policy.executed_actions
+    assert a.tolist() == [0, 1, 0] and b.tolist() == [0, 0, 1]
+    assert policy.p1_acts.tolist() == [False, True, True]
+    for x in (policy.p1_action, policy.p2_action):
+        assert x.dtype.kind == "i" and not x.flags.writeable
+    assert [r["executed_a"] for r in policy.to_records()] == [0, 1, 0]
+    game = ig.random_game(3, 3, 2, seed=0)
+    assert ig.intervention_times(game, policy, [0, 1, 2, 1]) == ([1, 3], [2])
+    assert len(ig.simulate(game, policy, 5).rewards) == 5
+
+
+@pytest.mark.parametrize("p1,p2,message", [
+    ([0, 0.5, 0], [0, 0, 0], "p1_action must be integers"),
+    ([0, 0, 0], [0, np.nan, 0], "p2_action must be integers"),
+    ([0, 1], [0, 0, 0], "p1_action has 2 states, p2_action has 3"),
+    (1, [0], r"p1_action must be one action per state, got shape \(\)"),
+    ([0, 1], [[0, 1]], r"p2_action must be one action per state, got shape \(1, 2\)"),
+])
+def test_a_policy_refuses_actions_that_are_not_one_whole_number_per_state(p1, p2, message):
+    with pytest.raises(ValueError, match=message):
+        ig.EquilibriumPolicy(p1_action=p1, p2_action=p2)
+
+
 def _game(kind, seed):
     game = ig.random_game(9, 2, 3, seed=seed)
     return randomly_masked(game, seed) if kind == "masked" else game

@@ -47,8 +47,9 @@ def test_draw_past_row_end_lands_on_last_state_with_mass():
 def test_draw_past_row_end_keeps_budget_counters():
     game = _short_row_game()
     aug = ig.augment(game, 2, 0)
-    policy = _idle(aug.num_states)
-    policy.p1_action[aug.index(0, 2, 0)] = 1
+    a = np.zeros(aug.num_states, dtype=int)
+    a[aug.index(0, 2, 0)] = 1
+    policy = ig.EquilibriumPolicy(p1_action=a, p2_action=np.zeros(aug.num_states, dtype=int))
     traj = ig.simulate(game, policy, 3, start=aug.index(0, 2, 0),
                        rng=_FixedDraw(0.9999999999999999), caps=aug.caps)
     assert [aug.labels[x] for x in traj.states] == [(0, 2, 0), (2, 1, 0), (2, 1, 0),
@@ -191,8 +192,9 @@ def test_simulate_refuses_a_policy_of_the_wrong_length(n, caps, want):
 @pytest.mark.parametrize("player", [1, 2])
 def test_simulate_refuses_an_action_outside_the_game(player):
     game = ig.random_game(3, 1, 1, seed=0)
-    policy = _idle(3)
-    (policy.p1_action if player == 1 else policy.p2_action)[2] = 2
+    actions = [np.zeros(3, dtype=int), np.zeros(3, dtype=int)]
+    actions[player - 1][2] = 2
+    policy = ig.EquilibriumPolicy(*actions)
     with pytest.raises(IndexError, match="outside the game's actions"):
         ig.simulate(game, policy, 20, rng=_NoDraws())
 
@@ -208,10 +210,13 @@ def _self_loops():
                           cost_floor=0.1, discount=0.9, mask1=mask1)
 
 
+def _player1_everywhere(n):
+    return ig.EquilibriumPolicy(p1_action=np.ones(n, dtype=int), p2_action=np.zeros(n, dtype=int))
+
+
 def test_a_masked_action_is_a_fault_only_where_the_rollout_reaches_it():
     game = _self_loops()
-    policy = _idle(3)
-    policy.p1_action[:] = 1
+    policy = _player1_everywhere(3)
     assert ig.simulate(game, policy, 50, start=0).states.tolist() == [0] * 51
     with pytest.raises(RuntimeError, match="masked cell 1 reached at state 1"):
         ig.simulate(game, policy, 50, start=1)
@@ -220,8 +225,7 @@ def test_a_masked_action_is_a_fault_only_where_the_rollout_reaches_it():
 def test_a_spent_counter_is_a_fault_only_where_the_rollout_reaches_it():
     game = _self_loops()
     aug = ig.augment(game, 1, 0)
-    policy = _idle(aug.num_states)
-    policy.p1_action[:] = 1
+    policy = _player1_everywhere(aug.num_states)
     start = aug.index(0, 1, 0)
     traj = ig.simulate(game, policy, 1, start=start, caps=aug.caps)
     assert [aug.labels[x] for x in traj.states] == [(0, 1, 0), (0, 0, 0)]

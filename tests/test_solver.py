@@ -543,6 +543,12 @@ def test_solve_refuses_a_bad_tol_or_sweep_budget(kwargs, message):
         ig.solve(ig.random_game(3, 1, 1, 0), **kwargs)
 
 
+def test_solve_takes_the_smallest_positive_tol():
+    # tol * (1 - gamma) / gamma underflows to 0 here; the tol is still positive.
+    rep = ig.solve(ig.random_game(3, 1, 1, 0), tol=5e-324, max_sweeps=50)
+    assert rep.sweeps >= 1 and (rep.residual <= 5e-324 or not rep.converged)
+
+
 @pytest.mark.parametrize("caps,entries,size", [(None, 5, 3), ((1, 1), 3, 12)])
 def test_solve_refuses_a_v0_of_the_wrong_length(caps, entries, size):
     with pytest.raises(ValueError, match=rf"v0 must have shape \({size},\)"):
