@@ -33,7 +33,7 @@ def describe(name, game, expected):
     print(f"{name}: value {rep.value[0]:.6f} (expected {expected}), "
           f"{who}, solved in {rep.sweeps} sweeps")
     oracle = ig.minimax_oracle(game)
-    print(f"    enumeration oracle: upper {oracle.upper[0]:.6f}, "
+    print(f"    best-response oracle: upper {oracle.upper[0]:.6f}, "
           f"lower {oracle.lower[0]:.6f}, certified={oracle.certified}")
 
 

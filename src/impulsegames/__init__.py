@@ -1,7 +1,7 @@
 """Two-player zero-sum stochastic games where every non-null action costs.
 
 A dense-table model (:mod:`impulsegames.game`), an exact nested min/max
-value-iteration solver with policy extraction and a brute-force saddle
+value-iteration solver with policy extraction and a best-response saddle
 oracle (:mod:`impulsegames.solver`), model-free learning of the joint
 action table (:mod:`impulsegames.qlearn`), linear value approximation with
 an error-bound check (:mod:`impulsegames.linfa`), budget-capped play on
@@ -26,7 +26,6 @@ from .game import (
     validate,
 )
 from .solver import (
-    EnumerationBudgetError,
     EquilibriumPolicy,
     OracleReport,
     SolveReport,

@@ -124,7 +124,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     game = _obtain_game(args)
-    report = minimax_oracle(game, max_enumeration=args.max_enumeration)
+    report = minimax_oracle(game)
     out = _outdir(args)
     _write_json(os.path.join(out, "oracle.json"), report._doc())
     return 0 if report.certified else 2
@@ -255,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("oracle", help="certify the value by policy enumeration")
+    p = sub.add_parser("oracle", help="certify the value by two exact best responses")
     common(p)
-    p.add_argument("--max-enumeration", type=int, default=1_000_000)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fit", help="linear value approximation and bound check")

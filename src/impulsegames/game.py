@@ -44,11 +44,14 @@ _LISTED_PER_RULE = 10
 
 
 class Violation(NamedTuple):
-    """One broken model invariant: a short code, offending indices, message."""
+    """One broken model invariant: a short code, offending indices, message,
+    and the broken entries it stands for (more than 1 on the last one
+    :func:`_listed` lists of a rule broken at entries it does not list)."""
 
     code: str
     where: tuple
     message: str
+    count: int = 1
 
 
 class GameFormatError(ValueError):
@@ -62,7 +65,7 @@ class GameValidationError(ValueError):
         self.violations = list(violations)
         shown = [v.message for v in self.violations[:3]]
         if len(self.violations) > 3:
-            shown[-1] += f" ({len(self.violations) - 3} more)"
+            shown[-1] += f" ({sum(v.count for v in self.violations[3:])} more)"
         super().__init__("; ".join(shown))
 
 
@@ -476,12 +479,14 @@ def cell_index(num_actions1: int, a, b) -> np.ndarray:
 def _listed(code: str, bad: np.ndarray, describe) -> list[Violation]:
     """Violations ``code`` at the first ``_LISTED_PER_RULE`` true entries of
     ``bad``, in index order, with ``(where, message)`` from ``describe`` on
-    the entry's indices; the last one listed says how many more there are."""
+    the entry's indices; the last one listed says how many more there are,
+    and counts them."""
     flat = np.flatnonzero(bad)
     listed = np.column_stack(np.unravel_index(flat[:_LISTED_PER_RULE], bad.shape)).tolist()
     out = [Violation(code, *describe(*index)) for index in listed]
     if len(flat) > len(out):
-        out[-1] = out[-1]._replace(message=f"{out[-1].message} ({len(flat) - len(out)} more)")
+        more = len(flat) - len(out)
+        out[-1] = out[-1]._replace(message=f"{out[-1].message} ({more} more)", count=1 + more)
     return out
 
 

@@ -8,8 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import DRAW_BLOCK
-from .game import ImpulseGame, _count, _index, cell_index
+from .game import MAX_KERNEL_ENTRIES, ImpulseGame, _count, _index, cell_index
 from .solver import EquilibriumPolicy, _layers
+
+# Most steps one rollout takes: it holds about seven 8-byte arrays of one
+# entry per step, as many bytes at the limit as the largest kernel.
+MAX_STEPS = MAX_KERNEL_ENTRIES // 7
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,13 @@ def simulate(game: ImpulseGame, policy: EquilibriumPolicy, steps: int,
     :meth:`AugmentedGame.index`), the next ``s`` is drawn from the base
     kernel and an executed costly action moves its player's counter down by
     one.  A costly action on a spent counter counts as masked, so a rollout
-    never overdraws a cap.  Before any draw, ``steps`` and ``seed`` must be
-    counts and ``start`` an index (the rules of :mod:`impulsegames.game`); bad
-    caps or a policy whose length is not the state count raise ``ValueError``,
-    an action outside the game's ``IndexError``.
+    never overdraws a cap.  Before any draw or allocation, ``steps`` must be
+    a count of at most ``MAX_STEPS``, ``seed`` a count and ``start`` an index
+    (the rules of :mod:`impulsegames.game`); bad caps or a policy whose
+    length is not the state count raise ``ValueError``, an action outside
+    the game's ``IndexError``.
     """
-    _count(steps, "steps")
+    _count(steps, "steps", high=MAX_STEPS)
     _count(seed, "seed")
     ny, nz, spend = _layers(game, caps)
     layers = ny * nz

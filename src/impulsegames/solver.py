@@ -23,15 +23,14 @@ produced ``v``.  :func:`solve` sweeps, and once the greedy policy stops
 changing between sweeps jumps to the exact value of its executed chain
 (modified policy iteration, Puterman & Shin 1978; strategy iteration for
 stochastic games, Hoffman & Karp 1966), in :func:`_iterate`, the one loop
-it shares with :func:`impulsegames.linfa.projected_iteration`.  Linear
-solves on policy chains have one home, :func:`_executed_chain` plus
-:func:`_chain_values`, shared by that finish, :func:`evaluate_policies` and
-:func:`minimax_oracle`.
+it shares with :func:`impulsegames.linfa.projected_iteration` and with
+:func:`_best_response`, by which :func:`minimax_oracle` certifies a saddle.
+Linear solves on policy chains have one home, :func:`_executed_chain` plus
+:func:`_chain_values`, shared by that finish and :func:`evaluate_policies`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -386,11 +385,7 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     ``ValueError`` before any sweep.
     """
     _count(max_sweeps, "max_sweeps")
-    g = game.discount
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {g}")
-    # a tol that is not positive reaches `_iterate`'s refusal as given; one that is stays so
-    threshold = max(tol * (1.0 - g) / g, math.ulp(0.0)) if g > 0 and tol > 0 else tol
+    g, threshold = game.discount, _threshold(game, tol)
     size = game.num_states * math.prod(_layers(game, caps)[:2])
     v = np.zeros(size) if v0 is None else _finite_table(v0, "v0", (size,))
 
@@ -409,8 +404,18 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     )
 
 
+def _threshold(game: ImpulseGame, tol: float) -> float:
+    """The sweep residual ``tol * (1 - gamma) / gamma`` that puts a fixed point within
+    ``tol`` (a ``tol`` that is not positive comes back as given, for :func:`_iterate` to
+    refuse); a discount outside [0, 1) raises ``ValueError``."""
+    g = game.discount
+    if not 0.0 <= g < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {g}")
+    return max(tol * (1.0 - g) / g, math.ulp(0.0)) if g > 0 and tol > 0 else tol
+
+
 def _iterate(game: ImpulseGame, x, sweep, read, evaluate, tol: float, max_iter: int):
-    """The fixed-point loop of :func:`solve` and
+    """The fixed-point loop of :func:`solve`, :func:`_best_response` and
     :func:`impulsegames.linfa.projected_iteration`, from ``x``.
 
     ``sweep(x)`` gives the next iterate and the operator pieces ``read``
@@ -527,10 +532,6 @@ def evaluate_policies(game: ImpulseGame, pol1, pol2) -> np.ndarray:
     return _chain_values(game, *_executed_chain(game, pol1, pol2))
 
 
-class EnumerationBudgetError(ValueError):
-    """The deterministic policy space is too large to enumerate."""
-
-
 class OracleReport(NamedTuple):
     upper: np.ndarray
     lower: np.ndarray
@@ -549,39 +550,44 @@ class OracleReport(NamedTuple):
         return _plain(self._doc())
 
 
-def minimax_oracle(game: ImpulseGame, max_enumeration: int = 1_000_000) -> OracleReport:
-    """Brute-force saddle check by enumerating deterministic policy pairs.
+def _best_response(game: ImpulseGame, policy: EquilibriumPolicy, player: int) -> np.ndarray:
+    """Exact value of ``player``'s best response to the other's actions in ``policy``, by
+    :func:`_iterate` with :func:`_policy_values` as its finish.  Player 1 faces Player 2's
+    actions: ``(0, b)`` executes where Player 2 acts, elsewhere ``max(noop, m1)``.  Player
+    2 faces Player 1's own actions, not the executed ones (0 wherever Player 2 acts):
+    ``min(q of that cell, m2)``."""
+    a, b = policy.p1_action, policy.executed_actions[1]
+    fixed = a if player == 2 else cell_index(game.num_actions1, 0, b)
+    rows, pinned = np.arange(game.num_states), (b != 0) | (player == 2)
 
-    Returns the per-state min-max (upper) and max-min (lower) values over
-    all deterministic stationary pairs, certified when they coincide and
-    match the iterative solution within ``CERT_TOL``.
+    def sweep(v):  # noop is the fixed player's cell; only the responder's executable actions stay
+        q = game.cells[1] + game.discount * game.expect(v)
+        t = _reduce(q, game.num_actions1)
+        t = t._replace(noop=q[rows, fixed], m1=np.where(pinned, -np.inf, t.m1),
+                       m2=t.m2 if player == 2 else np.full_like(t.m2, np.inf))
+        return _combine(t), t
+
+    def read(t):
+        own = _policy(t).executed_actions[player - 1]
+        return EquilibriumPolicy(own, b) if player == 1 else EquilibriumPolicy(a, own)
+
+    return _iterate(game, np.zeros(game.num_states), sweep, read,
+                    lambda p: _policy_values(game, p), _threshold(game, 1e-10), 100_000)[0]
+
+
+def minimax_oracle(game: ImpulseGame) -> OracleReport:
+    """Saddle check by two exact best responses to the policy of :func:`solve`.
+
+    ``upper`` is Player 1's best-response value against Player 2's actions,
+    ``lower`` Player 2's against Player 1's.  Whatever the policy, they bound
+    the game's value from above and below at every state (Hoffman & Karp
+    1966), so the report is certified, at any state count, when they
+    coincide and match the iterative solution within ``CERT_TOL``.
     """
-    _count(max_enumeration, "max_enumeration")
-    allowed1 = [[a for a in range(game.num_actions1) if a == 0 or game.mask1[s, a]]
-                for s in range(game.num_states)]
-    allowed2 = [[b for b in range(game.num_actions2) if b == 0 or game.mask2[s, b]]
-                for s in range(game.num_states)]
-    count1 = math.prod(len(ch) for ch in allowed1)
-    count2 = math.prod(len(ch) for ch in allowed2)
-    if count1 * count2 > max_enumeration:
-        raise EnumerationBudgetError(
-            f"{count1 * count2} policy pairs exceed the enumeration budget {max_enumeration}")
-    pols1 = np.array(list(itertools.product(*allowed1)))
-    pols2 = np.array(list(itertools.product(*allowed2)))
-    ns, pairs = game.num_states, count1 * count2
-    values = np.empty((pairs, ns))
-    for k in _batches(pairs, ns):
-        values[k] = _chain_values(game, *_executed_chain(game, pols1[k // count2],
-                                                         pols2[k % count2]))
-    values = values.reshape(count1, count2, ns)
-    upper = values.max(axis=0).min(axis=0)
-    lower = values.min(axis=1).max(axis=0)
-    vhat = solve(game, tol=1e-10).value
-    certified = bool(
-        np.abs(upper - lower).max() <= CERT_TOL
-        and np.abs(upper - vhat).max() <= CERT_TOL
-        and np.abs(lower - vhat).max() <= CERT_TOL
-    )
+    report = solve(game, tol=1e-10)
+    upper, lower = (_best_response(game, report.policy, player) for player in (1, 2))
+    vhat = report.value
+    certified = bool(np.abs([upper - lower, upper - vhat, lower - vhat]).max() <= CERT_TOL)
     return OracleReport(upper=upper, lower=lower, certified=certified, value=vhat)
 
 

@@ -247,6 +247,35 @@ def loop_chain(game, pol1, pol2):
     return p, r
 
 
+def _policies(game, mask):
+    """Every deterministic policy of the player whose action mask is ``mask``."""
+    return itertools.product(*[[x for x in range(mask.shape[1]) if x == 0 or mask[s, x]]
+                               for s in range(game.num_states)])
+
+
+def _loop_value(game, pol1, pol2):
+    """Exact value of the chain the policy pair executes, from :func:`loop_chain`."""
+    return mrp_value(*loop_chain(game, pol1, pol2), game.discount)
+
+
+def loop_oracle(game):
+    """Per-state upper (min over Player 2 of max over Player 1) and lower
+    (max-min) values over every deterministic policy pair, one per-state
+    chain solve per pair."""
+    values = np.array([[_loop_value(game, p1, p2) for p2 in _policies(game, game.mask2)]
+                       for p1 in _policies(game, game.mask1)])
+    return values.max(axis=0).min(axis=0), values.min(axis=1).max(axis=0)
+
+
+def loop_best_response(game, pol1, pol2, player):
+    """``player``'s best-response value at every state against the other's
+    fixed policy: the per-state max (Player 1) or min (Player 2) over every
+    deterministic policy of ``player``."""
+    if player == 1:
+        return np.max([_loop_value(game, p1, pol2) for p1 in _policies(game, game.mask1)], axis=0)
+    return np.min([_loop_value(game, pol1, p2) for p2 in _policies(game, game.mask2)], axis=0)
+
+
 def _cell_pairs(game):
     """The pairs of the columns of ``ImpulseGame.cells``, written out here:
     ``(a, 0)`` for every ``a``, then ``(0, b)`` for ``b >= 1``."""

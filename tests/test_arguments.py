@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames.sim import MAX_STEPS
 
 # Not integers: a bool, a fraction, a whole float and a string.
 NOT_INTEGERS = [True, 2.5, 3.0, "1"]
@@ -34,10 +35,9 @@ def _refusals():
         ("DuopolyParams", lambda x: ig.DuopolyParams(grid_size=x), "grid_size",
          {1: "be at least 2"}),
         ("DuopolyParams", lambda x: ig.DuopolyParams(noise_nodes=x), "noise_nodes", {}),
-        ("minimax_oracle", lambda x: ig.minimax_oracle(game, max_enumeration=x),
-         "max_enumeration", {-1: "be non-negative"}),
         ("solve", lambda x: ig.solve(game, max_sweeps=x), "max_sweeps", {}),
-        ("simulate", lambda x: ig.simulate(game, policy, x), "steps", {}),
+        ("simulate", lambda x: ig.simulate(game, policy, x), "steps",
+         {-1: f"lie in 0..{MAX_STEPS}", MAX_STEPS + 1: f"lie in 0..{MAX_STEPS}"}),
         ("simulate", lambda x: ig.simulate(game, policy, 3, seed=x), "seed",
          {-1: "be non-negative"}),
         ("SamplingEnv", lambda x: ig.SamplingEnv(game, seed=x), "seed", {-1: "be non-negative"}),

@@ -156,10 +156,15 @@ def test_mutually_exclusive_game_sources(tmp_path, g1_file, capsys):
     ["solve", "--gen", "3,1,x,0"],
     ["solve", "--gen", "0,1,1,0"],
     ["solve", "--gen", "3,1,1"],
+    ["oracle", "--gen", "3,1,1,0", "--max-enumeration", "5"],
+    ["simulate", "--gen", "3,1,1,0", "--steps", "1000000000000"],
+    ["budget", "--gen", "3,1,1,0", "--n1", "1", "--n2", "1", "--steps", "1000000000000"],
 ], ids=["unknown-flag", "bad-float", "bad-choice", "missing-required", "negative-fit-steps",
         "negative-learn-steps", "negative-simulate-steps", "negative-budget-steps",
         "nan-tol", "negative-max-sweeps", "unknown-command", "gen-negative-seed",
-        "gen-float-seed", "gen-word-field", "gen-no-states", "gen-three-fields"])
+        "gen-float-seed", "gen-word-field", "gen-no-states", "gen-three-fields",
+        "oracle-has-no-enumeration-budget", "simulate-steps-above-limit",
+        "budget-steps-above-limit"])
 def test_bad_flags_exit_1_with_one_line_and_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
@@ -552,8 +557,8 @@ def test_library_writers_leave_no_file_when_a_write_fails(tmp_path, monkeypatch)
 ], ids=["numpy", "bare"])
 def test_a_request_too_large_for_memory_exits_1_no_output(tmp_path, capsys, monkeypatch,
                                                           message, line):
-    # As `simulate --steps 1000000000000` ends: numpy cannot allocate the
-    # trajectory, before any file is written.
+    # A run that numpy cannot allocate for, here a rollout, ends before any
+    # file is written.
     def too_large(*args, **kwargs):
         raise MemoryError(message)
 

@@ -20,7 +20,7 @@ COMMANDS = {
     "solve": ["--max-sweeps", "200"],
     "learn": ["--steps", "300"],
     "simulate": ["--max-sweeps", "200", "--steps", "20", "--start", "1"],
-    "oracle": ["--max-enumeration", "5000"],
+    "oracle": [],
     "fit": ["--steps", "300"],
     "budget": ["--n1", "1", "--n2", "1", "--max-sweeps", "200", "--steps", "20"],
     "gen": [],
@@ -113,12 +113,12 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys, seed):
 
 
 # The JSON file each subcommand writes, the most states its random game may
-# have (policy enumeration is exponential in them), and flags that make it finish.
+# have, and flags that make it finish.
 JSON_OUTPUTS = {
     "solve": ("solve_report.json", 12, []),
     "learn": ("q.json", 8, ["--steps", "300"]),
     "simulate": ("interventions.json", 12, ["--steps", "30", "--start", "1"]),
-    "oracle": ("oracle.json", 4, []),
+    "oracle": ("oracle.json", 12, []),
     "fit": ("fit_report.json", 8, ["--steps", "300"]),
     "budget": ("budget_report.json", 8, ["--n1", "2", "--n2", "1", "--steps", "30"]),
     "gen": ("game.json", 12, []),

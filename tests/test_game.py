@@ -47,6 +47,18 @@ def test_validation_error_message_shows_first_three_violations():
     assert "= nan is below" in str(err)
 
 
+def test_validation_error_counts_the_entries_it_does_not_list():
+    # 40 * 9 rows sum to -1 and all 40 * 9 * 40 entries are negative: the
+    # message shows three rows and counts every other broken entry.
+    game = ig.random_game(40, 2, 2, 0)
+    bad = ig.ImpulseGame(kernel=-game.kernel, reward=game.reward, cost1=game.cost1,
+                         cost2=game.cost2, cost_floor=game.cost_floor, discount=game.discount)
+    violations = ig.validate(bad)
+    assert sum(v.count for v in violations) == 40 * 9 + 40 * 9 * 40
+    assert [v.count for v in violations[:3]] == [1, 1, 1]
+    assert str(ig.GameValidationError(violations)).endswith(" (14757 more)")
+
+
 def test_validate_lists_a_bounded_number_of_entries_per_rule():
     # Every kernel entry negative and every row summing to -1: 812,700 broken
     # entries, of which the first _LISTED_PER_RULE per rule are listed.

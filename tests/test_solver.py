@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import tracemalloc
@@ -9,8 +8,8 @@ import pytest
 import impulsegames as ig
 from impulsegames import solver
 
-from _oracles import (loop_chain, loop_intervention_times, loop_operator, loop_vi, mrp_value,
-                      single_agent_impulse_vi)
+from _oracles import (loop_best_response, loop_chain, loop_intervention_times, loop_operator,
+                      loop_oracle, loop_vi, mrp_value, single_agent_impulse_vi)
 from conftest import micro_game
 
 
@@ -200,10 +199,19 @@ def test_minimax_oracle_random_game_certifies():
     assert rep.certified
 
 
-def test_minimax_oracle_declines_over_budget():
-    game = ig.random_game(6, 2, 2, seed=0)
-    with pytest.raises(ig.EnumerationBudgetError):
-        ig.minimax_oracle(game, max_enumeration=10)
+def test_minimax_oracle_certifies_beyond_any_enumeration():
+    # 3**60 deterministic policy pairs
+    rep = ig.minimax_oracle(ig.random_game(30, 2, 2, seed=0))
+    assert rep.certified and np.abs(rep.upper - rep.lower).max() <= solver.CERT_TOL
+
+
+@pytest.mark.parametrize("game", [lambda: ig.random_game(300, 7, 7, seed=45),
+                                  lambda: ig.build_duopoly_game(ig.DuopolyParams())],
+                         ids=["random-300x7x7", "duopoly"])
+def test_minimax_oracle_certifies_large_games(game):
+    game = game()
+    rep = ig.minimax_oracle(game)
+    assert rep.certified and rep.upper.shape == (game.num_states,)
 
 
 def test_intervention_times(g1, g2, g3):
@@ -602,28 +610,34 @@ def test_layered_policy_value_matches_dense_augmented_chain(monkeypatch, k, shap
         monkeypatch.undo()
 
 
-def _per_pair_oracle(game):
-    """Upper and lower values from one ``evaluate_policies`` call per pair."""
-    allowed = [[[x for x in range(mask.shape[1]) if x == 0 or mask[s, x]]
-                for s in range(game.num_states)] for mask in (game.mask1, game.mask2)]
-    values = np.array([[ig.evaluate_policies(game, p1, p2)
-                        for p2 in itertools.product(*allowed[1])]
-                       for p1 in itertools.product(*allowed[0])])
-    return values.max(axis=0).min(axis=0), values.min(axis=1).max(axis=0)
-
-
-@pytest.mark.parametrize("chunk_pairs", [None, 1, 7])
 @pytest.mark.parametrize("seed,ns,masked", [(0, 3, False), (1, 4, False), (2, 3, True),
                                             (3, 4, True)])
-def test_stacked_oracle_matches_per_pair_loop(monkeypatch, seed, ns, masked, chunk_pairs):
+def test_stacked_oracle_matches_per_pair_loop(seed, ns, masked):
     game = _cross_game(2300 + seed, ns, 2, 2, masked)
-    if chunk_pairs is not None:
-        monkeypatch.setattr(solver, "CHAIN_BATCH_BYTES", chunk_pairs * 8 * ns * ns)
     rep = ig.minimax_oracle(game)
-    upper, lower = _per_pair_oracle(game)
-    np.testing.assert_array_equal(rep.upper, upper)
-    np.testing.assert_array_equal(rep.lower, lower)
+    upper, lower = loop_oracle(game)
+    np.testing.assert_allclose(rep.upper, upper, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.lower, lower, rtol=0, atol=1e-12)
     assert rep.certified
+
+
+@pytest.mark.parametrize("k,shape", list(enumerate(CROSS_GAMES)))
+def test_best_responses_match_policy_enumeration(k, shape):
+    game = _cross_game(2400 + k, *shape)
+    rng = np.random.default_rng(k)
+    policies = [ig.solve(game, tol=1e-10).policy]
+    for _ in range(3):
+        # random actions: where both players act, Player 1's own action is
+        # not the executed one
+        policies.append(ig.EquilibriumPolicy(*[[int(rng.choice(np.flatnonzero(row)))
+                                                for row in mask]
+                                               for mask in (game.mask1, game.mask2)]))
+    for policy in policies:
+        pol1, pol2 = policy.p1_action, policy.p2_action
+        for player in (1, 2):
+            np.testing.assert_allclose(solver._best_response(game, policy, player),
+                                       loop_best_response(game, pol1, pol2, player),
+                                       rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("caps", [(-1, 0), (0, -2), (1.5, 0), (True, 0), (10**4, 10**4)])
