@@ -13,7 +13,10 @@ import pytest
 
 import impulsegames as ig
 import impulsegames.game as game_module
+from impulsegames.cli import main
 from impulsegames.game import _write_csv
+
+from conftest import randomly_masked
 
 
 def _expected(header, columns) -> bytes:
@@ -91,10 +94,10 @@ def test_a_long_table_is_formatted_one_block_at_a_time(tmp_path, monkeypatch):
     assert (tmp_path / "long.csv").read_bytes() == _expected(["t", "s", "x", "y"], columns)
 
 
-def _dict_writer_bytes(rows) -> bytes:
+def _dict_writer_bytes(rows, fieldnames=("step", "sup_norm_delta", "dist_to_qhat", "epsilon",
+                                          "seed")) -> bytes:
     out = io.StringIO(newline="")
-    writer = csv.DictWriter(
-        out, fieldnames=["step", "sup_norm_delta", "dist_to_qhat", "epsilon", "seed"])
+    writer = csv.DictWriter(out, fieldnames=list(fieldnames))
     writer.writeheader()
     writer.writerows(rows)
     return out.getvalue().encode("utf-8")
@@ -112,3 +115,28 @@ def test_learn_diagnostics_match_dict_writer_byte_for_byte(tmp_path, monkeypatch
     assert {type(row["dist_to_qhat"]) for row in diag.rows} <= {float if reference else str}
     diag.to_csv(tmp_path / "diag.csv")
     assert (tmp_path / "diag.csv").read_bytes() == _dict_writer_bytes(diag.rows)
+
+
+POLICY_GAMES = {
+    "plain": lambda: ig.random_game(30, 3, 2, seed=4),
+    "masked": lambda: randomly_masked(ig.random_game(12, 2, 2, seed=6), seed=1),
+    "action-free": lambda: ig.random_game(5, 0, 0, seed=2),
+    "duopoly": lambda: ig.build_duopoly_game(ig.DuopolyParams(grid_size=5)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name", sorted(POLICY_GAMES))
+def test_policy_csv_is_the_dict_writer_over_the_policy_records(tmp_path, monkeypatch, name,
+                                                               block):
+    if block is not None:
+        monkeypatch.setattr(game_module, "_BLOCK_ROWS", block)
+    game = POLICY_GAMES[name]()
+    ig.save_game(game, tmp_path / "g.json")
+    out = tmp_path / "out"
+    assert main(["solve", "--game", str(tmp_path / "g.json"), "--tol", "1e-9",
+                 "--out", str(out)]) == 0
+    report = ig.solve(ig.load_game(tmp_path / "g.json"), tol=1e-9)
+    records = report.policy.to_records()
+    rows = [{**rec, "value": v} for rec, v in zip(records, report.value.tolist())]
+    assert (out / "policy.csv").read_bytes() == _dict_writer_bytes(rows, [*records[0], "value"])

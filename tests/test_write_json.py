@@ -75,6 +75,20 @@ def test_every_report_matches_json_dump_byte_for_byte(tmp_path, name, doc, plain
     assert _written(tmp_path, doc) == _expected(plain)
 
 
+def test_budget_policy_rows_round_trip_labels_that_need_escaping(tmp_path):
+    report, labels = _budget_report(5)
+    # Quotes, commas, non-ASCII text, escapes and a trailing NUL, which a
+    # numpy string array would drop.
+    odd = ['say "hi"', "a,b", "é ☃", "nul\x00", "\x00", "back\\slash", "%s", "{}", "\n"]
+    labels = [odd[i % len(odd)] + ("" if i < len(odd) else str(i)) for i in range(len(labels))]
+    path = tmp_path / "budget_report.json"
+    _write_json(path, report._doc(labels))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert [row["state"] for row in doc["policy"]] == labels
+    assert doc["policy"] == report.policy.to_records(labels)
+    assert path.read_bytes() == _expected(report.to_dict(labels))
+
+
 def test_masked_game_file_carries_integer_masks(tmp_path):
     path = tmp_path / "g.json"
     game = randomly_masked(ig.random_game(4, 2, 2, seed=1), seed=2)
