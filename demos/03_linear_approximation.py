@@ -19,7 +19,8 @@ print("exact values:", np.round(exact.value, 4))
 ramp = np.arange(6.0)
 basis = ig.FeatureBasis(np.column_stack([np.ones(6), ramp / ramp.max()]))
 
-w = ig.linfa.bound_weights(game, exact.value).weights
+weights = ig.linfa.bound_weights(game, exact.value)
+w = weights.weights
 print("stationary weights of the equilibrium chain:", np.round(w, 4))
 
 r, deltas = ig.projected_iteration(game, basis, w, combinator="T")
@@ -30,7 +31,7 @@ ratios = [deltas[i + 1] / deltas[i] for i in range(min(8, len(deltas) - 1)) if d
 print(f"coefficient deltas: {np.array(deltas[:8])}")
 print(f"their ratios: {np.round(ratios, 3)} (discount is {game.discount})")
 
-bound = ig.verify_bound(game, basis, r, value=exact.value)
+bound = ig.verify_bound(game, basis, r, value=exact.value, weights=weights)
 print(f"\nerror bound: |field - value|_w = {bound.lhs:.5f} <= "
       f"{bound.rhs:.5f} = (1 - g^2)^-0.5 * projection error  -> holds={bound.holds}")
 

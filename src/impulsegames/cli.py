@@ -76,10 +76,8 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     doc = report._doc()
     _write_json(os.path.join(out, "solve_report.json"), doc)
-    records = doc["policy"]
-    columns = [np.array([rec[key] for rec in records]) for key in records[0]]
-    _write_csv(os.path.join(out, "policy.csv"), [*records[0], "value"],
-               [*columns, report.value])
+    table = doc["policy"].columns
+    _write_csv(os.path.join(out, "policy.csv"), [*table, "value"], [*table.values(), report.value])
     if not report.converged:
         log.warning("stopped after %d sweeps with residual %.3g", report.sweeps,
                     report.residual)

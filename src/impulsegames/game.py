@@ -18,9 +18,7 @@ import threading
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -104,10 +102,10 @@ def _write_json(path, obj) -> None:
     scalars), ``obj`` may hold numpy arrays, written as their ``tolist()``:
     a float or integer array is formatted in blocks along its leading axis,
     one ``repr`` map per block, and each block is written before the next is
-    made.  A list of flat dicts with one key set (records) is formatted with
-    one row template; such a list, or one of scalars, is written a batch of
-    items at a time.  A non-finite float, in an array or not, raises
-    ``ValueError`` and leaves no file."""
+    made.  A :class:`_Table` is written as the list of its rows, a batch of
+    rows at a time, each filled into one row template; every other list
+    takes ``json``'s own walk.  A non-finite float, in an array or not,
+    raises ``ValueError`` and leaves no file."""
     _write_whole(path, lambda f: (f.writelines(_encode(obj, 0)), f.write("\n")))
 
 
@@ -150,9 +148,8 @@ def _write_csv(path, header, columns) -> None:
     _write_whole(path, write, newline="")
 
 
-# Numbers of an array, and items of a list of scalars or records, formatted
-# per piece: a piece's strings and text are what writing a table holds beyond
-# the table itself.
+# Numbers of an array, and rows of a table, formatted per piece: a piece's
+# strings and text are what writing a table holds beyond the table itself.
 _BLOCK_NUMBERS = 1 << 11
 _BLOCK_ITEMS = 1 << 8
 
@@ -184,9 +181,22 @@ def _json_scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-# Encoders of a column whose values all have exactly one of these types.
-_COLUMN_ENCODERS = {str: _quote, int: int.__repr__, float: _json_float,
-                    bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Named 1-D numpy columns of one length, in order, that :func:`_write_json`
+    writes as the list of its rows; a dict of arrays stays a dict.  A string
+    column is an object array, since a ``str`` array drops trailing NULs."""
+
+    columns: dict
+
+    def tolist(self) -> list[dict]:
+        """One dict per row, keys in column order, values as arrays' ``tolist()`` gives them."""
+        return [dict(zip(self.columns, row))
+                for row in zip(*(col.tolist() for col in self.columns.values()))]
+
+
+# Encoders of a table column, by dtype kind; an object column takes _json_scalar.
+_KIND_ENCODERS = {"b": ("false", "true").__getitem__, "i": int.__repr__, "f": _json_float}
 
 
 def _encode(obj, level: int):
@@ -194,6 +204,8 @@ def _encode(obj, level: int):
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(obj, np.ndarray):
         yield from _array(obj, level)
+    elif isinstance(obj, _Table):
+        yield from _table(obj, level)
     elif isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -202,51 +214,32 @@ def _encode(obj, level: int):
             sep = "," + inner
         yield close + "}" if obj else "{}"
     elif isinstance(obj, (list, tuple)):
-        items = _records(obj, level + 1)
-        if items is None and not any(isinstance(x, (dict, list, tuple, np.ndarray))
-                                     for x in obj):
-            items = map(_json_scalar, obj)
-        if not obj:
-            yield "[]"
-        elif items is not None:
-            sep = "[" + inner
-            while batch := list(islice(items, _BLOCK_ITEMS)):
-                yield sep + ("," + inner).join(batch)
-                sep = "," + inner
-            yield close + "]"
-        else:
-            sep = "[" + inner
-            for item in obj:
-                yield sep
-                yield from _encode(item, level + 1)
-                sep = "," + inner
-            yield close + "]"
+        sep = "[" + inner
+        for item in obj:
+            yield sep
+            yield from _encode(item, level + 1)
+            sep = "," + inner
+        yield close + "]" if obj else "[]"
     else:
         yield _json_scalar(obj)
 
 
-def _records(rows, level: int):
-    """The texts of ``rows`` at nesting ``level``, one per row, made as they
-    are read, when ``rows`` is a list of flat dicts sharing one key set
-    (records): each column has one encoder, picked from its value types, and
-    each row is filled into one template.  None for any other list."""
-    if not rows or type(rows[0]) is not dict or not rows[0]:
-        return None
-    keys = rows[0].keys()
-    if not all(type(row) is dict and row.keys() == keys for row in rows):
-        return None
-    keys = sorted(keys)
-    columns = []
-    for key in keys:
-        kinds = set(map(type, map(itemgetter(key), rows)))
-        if not kinds <= _COLUMN_ENCODERS.keys():
-            return None  # a container or a subclass: the generic path
-        encode = _COLUMN_ENCODERS[kinds.pop()] if len(kinds) == 1 else _json_scalar
-        columns.append(map(encode, map(itemgetter(key), rows)))
+def _table(table: _Table, level: int):
+    """The text of ``table.tolist()`` at nesting ``level``, ``_BLOCK_ITEMS``
+    rows at a time: each row fills one template, in which each column's
+    values are encoded by the one encoder its dtype picks."""
+    keys = sorted(table.columns)
+    n = len(table.columns[keys[0]]) if keys else 0
     inner = "\n" + "  " * (level + 1)
-    template = ("{" + ",".join(inner + _quote(key).replace("%", "%%") + ": %s" for key in keys)
-                + "\n" + "  " * level + "}")
-    return map(template.__mod__, zip(*columns))
+    template = ("{" + ",".join(inner + "  " + _quote(key).replace("%", "%%") + ": %s"
+                               for key in keys) + inner + "}")
+    sep = "[" + inner
+    for lo in range(0, n, _BLOCK_ITEMS):
+        texts = [map(_KIND_ENCODERS.get(col.dtype.kind, _json_scalar),
+                     col[lo:lo + _BLOCK_ITEMS].tolist()) for col in map(table.columns.get, keys)]
+        yield sep + ("," + inner).join(map(template.__mod__, zip(*texts)))
+        sep = "," + inner
+    yield "\n" + "  " * level + "]" if n else "[]"
 
 
 def _array(arr: np.ndarray, level: int):
@@ -700,9 +693,10 @@ def _game_doc(game: ImpulseGame) -> dict:
 
 
 def _plain(doc: dict) -> dict:
-    """``doc`` with each array value replaced by its ``tolist()``: the public
-    form of a document a private builder makes for :func:`_write_json`."""
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+    """``doc`` with each array or :class:`_Table` value replaced by its
+    ``tolist()``: the public form of a document a private builder makes for
+    :func:`_write_json`."""
+    return {key: value.tolist() if isinstance(value, (np.ndarray, _Table)) else value
             for key, value in doc.items()}
 
 

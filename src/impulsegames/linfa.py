@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,7 +397,7 @@ def bound_weights(game: ImpulseGame, value, combinator: str = "T") -> Stationary
 
 
 def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
-                 value, *, weights: Optional[StationaryResult] = None) -> BoundReport:
+                 value, *, weights: StationaryResult) -> BoundReport:
     """Check the approximation-error bound against the exact value field.
 
     In the stationary-weighted norm of the equilibrium chain (uniform
@@ -407,12 +407,12 @@ def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,
 
     ``value`` is the exact fixed point of the fit's nesting,
     :func:`exact_fixed_point`: the game value from :func:`solve` for ``"T"``.
-    ``weights`` takes :func:`bound_weights` of ``value`` (and the same
-    nesting) from a caller that has it already; it depends on those only.
+    ``weights`` is :func:`bound_weights` of ``value`` at the same nesting;
+    only the caller knows that nesting, so it passes them.
     """
     _check_basis(game, basis)
     vhat = np.asarray(value, dtype=float)
-    w = (bound_weights(game, vhat) if weights is None else weights).weights
+    w = weights.weights
     lhs = weighted_norm(w, basis.field(r) - vhat)
     proj = project(basis, w, vhat)
     rhs = (1.0 - game.discount ** 2) ** -0.5 * weighted_norm(w, proj - vhat)

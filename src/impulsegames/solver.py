@@ -37,7 +37,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import ImpulseGame, _count, _expect, _finite_table, _index, _plain, cell_index, to_cells
+from .game import (ImpulseGame, _count, _expect, _finite_table, _index, _plain, _Table, cell_index,
+                   to_cells)
 
 TIE_EPS = 1e-10
 
@@ -225,7 +226,7 @@ class EquilibriumPolicy:
     refused with ``ValueError`` naming the field.  ``p1_acts``/``p2_acts``
     are read off the actions.  Where both players act Player 2 takes
     precedence (:attr:`executed_actions`, the one home of that rule for a
-    policy).
+    policy; :meth:`executed_pair` applies it at one state).
     """
 
     p1_action: np.ndarray
@@ -259,7 +260,8 @@ class EquilibriumPolicy:
         return np.flatnonzero(self.p2_action)
 
     def executed_pair(self, s: int) -> tuple[int, int]:
-        return self.executed_pairs()[_index(s, "state", len(self.p1_action))]
+        s = _index(s, "state", len(self.p1_action))
+        return (0 if self.p2_action[s] else int(self.p1_action[s])), int(self.p2_action[s])
 
     @property
     def executed_actions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,20 +273,22 @@ class EquilibriumPolicy:
         a, b = self.executed_actions
         return list(zip(a.tolist(), b.tolist()))
 
+    def _table(self, labels=None) -> _Table:
+        """One row per state: ``state`` (the index, or ``str`` of its entry of
+        ``labels``, refused with ``ValueError`` unless one per state), the
+        flags, the actions and the executed pair."""
+        n = len(self.p1_action)
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"labels has {len(labels)} entries, the policy has {n} states")
+        state = np.arange(n) if labels is None else np.array([str(x) for x in labels], object)
+        a, b = self.executed_actions
+        return _Table({"state": state, "p1_acts": self.p1_acts, "p1_action": self.p1_action,
+                       "p2_acts": self.p2_acts, "p2_action": self.p2_action,
+                       "executed_a": a, "executed_b": b})
+
     def to_records(self, labels=None) -> list[dict]:
-        p1, p2 = self.p1_acts, self.p2_acts
-        rows = []
-        for s, (a, b) in enumerate(self.executed_pairs()):
-            rows.append({
-                "state": str(labels[s]) if labels is not None else s,
-                "p1_acts": bool(p1[s]),
-                "p1_action": int(self.p1_action[s]),
-                "p2_acts": bool(p2[s]),
-                "p2_action": int(self.p2_action[s]),
-                "executed_a": a,
-                "executed_b": b,
-            })
-        return rows
+        """The policy table as one plain dict per state, as the reports write it."""
+        return self._table(labels).tolist()
 
 
 def extract_policy(game: ImpulseGame, v, caps=None) -> EquilibriumPolicy:
@@ -355,7 +359,7 @@ class SolveReport:
         return {
             "value": self.value,
             "q": self.q,
-            "policy": self.policy.to_records(labels),
+            "policy": self.policy._table(labels),
             "sweeps": self.sweeps,
             "residual": _finite_or_none(self.residual),
             "error_bound": _finite_or_none(self.error_bound),

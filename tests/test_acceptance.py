@@ -153,7 +153,8 @@ def test_criterion_6_linear_fa():
         if not ergodic:
             w = np.full(4, 0.25)
         r, _ = ig.projected_iteration(game, basis, w, "T")
-        bound = ig.verify_bound(game, basis, r, value=vhat)
+        bound = ig.verify_bound(game, basis, r, value=vhat,
+                                weights=ig.linfa.StationaryResult(w, ergodic))
         assert bound.holds, f"bound failed on game {k}: {bound.lhs} > {bound.rhs}"
         bound_margins.append(round(bound.rhs - bound.lhs, 4))
     elapsed = time.time() - start

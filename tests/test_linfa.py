@@ -70,7 +70,8 @@ def test_basis_of_another_state_count_refused_by_name(call, states):
         "fit": lambda: ig.fit(game, basis, ig.FitConfig(samples=10)),
         "apply_operator": lambda: ig.apply_operator(game, basis, r),
         "projected_iteration": lambda: ig.projected_iteration(game, basis, np.ones(states)),
-        "verify_bound": lambda: ig.verify_bound(game, basis, r, np.zeros(5)),
+        "verify_bound": lambda: ig.verify_bound(game, basis, r, np.zeros(5),
+                                                weights=ig.linfa.bound_weights(game, np.zeros(5))),
     }[call]
     with pytest.raises(ValueError, match=f"basis has {states} states, the game has 5"):
         run()
@@ -210,7 +211,8 @@ def test_fit_divergence_detector(g1):
 def test_verify_bound_identity_basis_zero_error(g1):
     rep = ig.solve(g1, tol=1e-12)
     r = rep.value.copy()
-    out = ig.verify_bound(g1, ig.identity_basis(1), r, value=rep.value)
+    out = ig.verify_bound(g1, ig.identity_basis(1), r, value=rep.value,
+                          weights=ig.linfa.bound_weights(g1, rep.value))
     assert out.lhs <= 1e-12 and out.rhs <= 1e-12 and out.holds
 
 
@@ -230,8 +232,26 @@ def test_verify_bound_random_games_hold():
         if not ergodic:
             w = np.full(4, 0.25)
         r, _ = ig.projected_iteration(game, basis, w, "T")
-        out = ig.verify_bound(game, basis, r, value=vhat)
+        out = ig.verify_bound(game, basis, r, value=vhat,
+                              weights=ig.linfa.StationaryResult(w, ergodic))
         assert out.holds
+
+
+def test_verify_bound_checks_in_the_norm_of_the_weights_it_is_given():
+    # The "F" fixed point's own weights differ from those of the "T" chain
+    # there, so verify_bound cannot pick them and takes them from the caller.
+    with pytest.raises(TypeError, match="weights"):
+        ig.verify_bound(ig.random_game(3, 1, 1, seed=0), ig.identity_basis(3), np.zeros(3),
+                        np.zeros(3))
+    game = ig.random_game(12, 2, 2, seed=5)
+    basis = ig.FeatureBasis(np.random.default_rng(5).normal(size=(12, 2)))
+    value = ig.linfa.exact_fixed_point(game, "F")
+    own, other = (ig.linfa.bound_weights(game, value, c) for c in ("F", "T"))
+    assert np.abs(own.weights - other.weights).max() > 0.03
+    r, _ = ig.projected_iteration(game, basis, own.weights, "F")
+    out = ig.verify_bound(game, basis, r, value, weights=own)
+    assert out.lhs == ig.weighted_norm(own.weights, basis.field(r) - value)
+    assert abs(out.lhs / ig.verify_bound(game, basis, r, value, weights=other).lhs - 1) > 0.05
 
 
 @pytest.mark.parametrize("combinator", ["T", "F"])

@@ -7,6 +7,7 @@ actions on seeded policies in which both players act at some states."""
 
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,15 @@ FIELDS = {"p1_acts", "p2_acts", "p1_action", "p2_action"}
 EXEMPT = [("solver.py", "_best_response", "p1_action")]
 
 
-def _policy_reads(path):
-    """``(qualified name of the enclosing definition, attribute, line)`` of
-    every read of a policy's flags or actions in the module at ``path``."""
+# The policy table's columns named outside solver.py: the trajectory files
+# name their executed pair as the table does.
+COLUMN_EXEMPT = [("cli.py", "cmd_budget", "executed_a"), ("cli.py", "cmd_budget", "executed_b"),
+                 ("cli.py", "cmd_simulate", "executed_a"), ("cli.py", "cmd_simulate", "executed_b")]
+
+
+def _nodes(path):
+    """``(qualified name of the enclosing definition, node)`` of every node of
+    the module at ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
@@ -42,8 +49,15 @@ def _policy_reads(path):
         return ".".join(reversed(names))
 
     for node in ast.walk(tree):
+        yield owner(node), node
+
+
+def _policy_reads(path):
+    """``(qualified name of the enclosing definition, attribute, line)`` of
+    every read of a policy's flags or actions in the module at ``path``."""
+    for name, node in _nodes(path):
         if isinstance(node, ast.Attribute) and node.attr in FIELDS:
-            yield owner(node), node.attr, node.lineno
+            yield name, node.attr, node.lineno
 
 
 def test_only_the_policy_reads_its_flags_and_actions():
@@ -55,6 +69,22 @@ def test_only_the_policy_reads_its_flags_and_actions():
                if name.split(".")[0] != "EquilibriumPolicy"]
     assert outside == EXEMPT
     assert {module for module, *_ in reads} == {"solver.py"}
+
+
+def test_only_the_solver_names_the_policy_table_and_no_module_asks_for_records():
+    # "state" names far more than the column, so it is left out.
+    columns = set(ig.EquilibriumPolicy(p1_action=[0], p2_action=[0]).to_records()[0]) - {"state"}
+    assert len(columns) == 6
+    modules = sorted(PACKAGE.glob("*.py"))
+    literals = sorted((path.name, name, node.value) for path in modules
+                      for name, node in _nodes(path)
+                      if isinstance(node, ast.Constant) and node.value in columns)
+    assert [x for x in literals if x[0] != "solver.py"] == COLUMN_EXEMPT
+    assert {value for module, _, value in literals if module == "solver.py"} == columns
+    calls = [(path.name, name) for path in modules for name, node in _nodes(path)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "to_records"]
+    assert calls == []
 
 
 def test_a_policy_is_two_arrays_with_read_only_flags():
@@ -86,6 +116,31 @@ def test_a_policy_holds_read_only_integer_arrays_of_one_length():
     game = ig.random_game(3, 3, 2, seed=0)
     assert ig.intervention_times(game, policy, [0, 1, 2, 1]) == ([1, 3], [2])
     assert len(ig.simulate(game, policy, 5).rewards) == 5
+
+
+@pytest.mark.parametrize("length", [0, 3, 5])
+def test_labels_of_another_length_than_the_states_are_refused_by_name(length):
+    report = ig.solve(ig.random_game(4, 1, 1, seed=0))
+    labels = [f"s{i}" for i in range(length)]
+    for call in (report.policy.to_records, report.to_dict, report._doc):
+        with pytest.raises(ValueError, match=f"labels has {length} entries, the policy has 4"):
+            call(labels)
+
+
+def test_executed_pair_reads_only_its_state():
+    n = 200_000
+    policy = ig.EquilibriumPolicy(p1_action=np.arange(n) % 3,
+                                  p2_action=np.where(np.arange(n) % 5 == 0, 2, 0))
+    tracemalloc.start()
+    try:
+        pairs = [policy.executed_pair(s) for s in (0, 1, 5, n - 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == [(0, 2), (1, 0), (0, 2), (1, 0)]
+    assert all(type(x) is int for pair in pairs for x in pair)
+    # Every state's pairs would take megabytes.
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("p1,p2,message", [

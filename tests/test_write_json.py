@@ -11,14 +11,15 @@ import pytest
 
 import impulsegames as ig
 import impulsegames.game as game_module
-from impulsegames.game import _game_doc, _write_json
+from impulsegames.game import _game_doc, _Table, _write_json
 
 from conftest import randomly_masked
 
 
 def _plain(obj):
-    """``obj`` with every array, at any depth, replaced by its ``tolist()``."""
-    if isinstance(obj, np.ndarray):
+    """``obj`` with every array or table, at any depth, replaced by its
+    ``tolist()``."""
+    if isinstance(obj, (np.ndarray, _Table)):
         return obj.tolist()
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
@@ -135,6 +136,41 @@ def test_edge_cases_match_json_dump(tmp_path, monkeypatch, name, block):
         monkeypatch.setattr(game_module, "_BLOCK_NUMBERS", block)
         monkeypatch.setattr(game_module, "_BLOCK_ITEMS", block)
     assert _written(tmp_path, EDGE_CASES[name]) == _expected(EDGE_CASES[name])
+
+
+def _labels(n):
+    labels = np.empty(n, dtype=object)
+    labels[:] = [["(0,1,2)", 'say "hi"', "é☃", "nul\x00", "%s", "{}"][i % 6] for i in range(n)]
+    return labels
+
+
+TABLES = {
+    "columns of every kind": _Table({
+        "state": _labels(9), "acts": np.arange(9) % 3 == 0, "action": np.arange(9) - 4,
+        "count": np.arange(9, dtype=np.uint8), "x": np.linspace(-1.0, 1.0, 9),
+        "mixed": np.array([1, 1.0, True, None, "1", -0.0, 2 ** 70, 5e-324, ""], dtype=object)}),
+    "odd keys": _Table({"é ☃ \"q\" {} %s %": np.arange(3), "%d": np.zeros(3)}),
+    "zero rows": _Table({"a": np.zeros(0, dtype=int), "b": np.zeros(0)}),
+    "zero columns": _Table({}),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 5])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tables_are_written_as_the_list_of_their_rows(tmp_path, monkeypatch, name, block):
+    if block is not None:
+        monkeypatch.setattr(game_module, "_BLOCK_ITEMS", block)
+    table = TABLES[name]
+    doc = {"table": table, "nested": [table, {"t": table}]}
+    assert _written(tmp_path, doc) == _expected(doc)
+    assert _written(tmp_path, table) == _expected(table.tolist())
+
+
+def test_a_non_finite_table_value_is_refused_and_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(game_module, "_BLOCK_ITEMS", 2)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _write_json(tmp_path / "doc.json", {"t": _Table({"x": np.array([0.0, 1.0, np.nan])})})
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4), (3, 1, 2, 5), (1, 1, 1), (5, 1)])
