@@ -32,10 +32,10 @@ KERNEL_ROW_TOL = 1e-12
 MAX_KERNEL_ENTRIES = 16_000_000
 
 # random_game's kernel draw: the fewest kernel entries per draw thread, and the
-# most per block (512 KB, or one row) a thread draws into the kernel before
-# dividing it by its row sums.
+# most per block of whole states (256 KB, or one state) a thread draws into its
+# scratch buffer and divides by its row sums before splitting it into the tables.
 _ENTRIES_PER_PART = 2**20
-_BLOCK_ENTRIES = 2**16
+_BLOCK_ENTRIES = 2**15
 
 # Entries of one broken rule that `validate` lists.
 _LISTED_PER_RULE = 10
@@ -102,10 +102,11 @@ def _write_json(path, obj) -> None:
     scalars), ``obj`` may hold numpy arrays, written as their ``tolist()``:
     a float or integer array is formatted in blocks along its leading axis,
     one ``repr`` map per block, and each block is written before the next is
-    made.  A :class:`_Table` is written as the list of its rows, a batch of
-    rows at a time, each filled into one row template; every other list
-    takes ``json``'s own walk.  A non-finite float, in an array or not,
-    raises ``ValueError`` and leaves no file."""
+    made; a :class:`_Pairs` table is written the same way, each block
+    assembled from its parts.  A :class:`_Table` is written as the list of
+    its rows, a batch of rows at a time, each filled into one row template;
+    every other list takes ``json``'s own walk.  A non-finite float, in an
+    array or not, raises ``ValueError`` and leaves no file."""
     _write_whole(path, lambda f: (f.writelines(_encode(obj, 0)), f.write("\n")))
 
 
@@ -202,7 +203,7 @@ _KIND_ENCODERS = {"b": ("false", "true").__getitem__, "i": int.__repr__, "f": _j
 def _encode(obj, level: int):
     """The JSON text of ``obj`` at nesting ``level``, in pieces."""
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, _Pairs)):
         yield from _array(obj, level)
     elif isinstance(obj, _Table):
         yield from _table(obj, level)
@@ -242,42 +243,98 @@ def _table(table: _Table, level: int):
     yield "\n" + "  " * level + "]" if n else "[]"
 
 
-def _array(arr: np.ndarray, level: int):
+def _array(arr, level: int):
     """The text of ``arr.tolist()`` at nesting ``level``, in blocks of whole
-    rows along the leading axis.  Leaf ``j`` of a block is followed by the
-    separator that closes and reopens as many inner lists as the index
-    rolls over there, so one join per block places every bracket."""
-    if arr.ndim == 0 or arr.size == 0 or arr.dtype.kind not in "fiu":
+    rows along the leading axis, each sliced out of ``arr`` (an array, or a
+    :class:`_Pairs` table, which assembles only the block).  Leaf ``j`` of a
+    block is followed by the separator that closes and reopens as many
+    inner lists as the index rolls over there, so one join per block places
+    every bracket."""
+    k, size = len(arr.shape), math.prod(arr.shape)
+    if k == 0 or size == 0 or arr.dtype.kind not in "fiu":
         yield from _encode(arr.tolist(), level)
         return
-    k = arr.ndim
     nl = ["\n" + "  " * (level + d) for d in range(k + 1)]
     # seps[r]: between two leaves across r inner list boundaries
     seps = ["".join(nl[k - i] + "]" for i in range(1, r + 1)) + ","
             + "".join(nl[k - i] + "[" for i in range(r, 0, -1)) + nl[k] for r in range(k)]
-    row = arr.size // arr.shape[0]
-    per_block = max(1, _BLOCK_NUMBERS // row) * row
+    row = size // arr.shape[0]
+    rows = max(1, _BLOCK_NUMBERS // row)
+    per_block = rows * row
     pattern = [seps[0]] * per_block
     stride = 1
     for r in range(1, k):
         stride *= arr.shape[k - r]
         pattern[stride - 1::stride] = [seps[r]] * (per_block // stride)
     is_float = arr.dtype.kind == "f"
-    flat = arr.reshape(-1)
     yield "".join("[" + nl[d] for d in range(1, k + 1))
-    for start in range(0, flat.size, per_block):
-        block = flat[start:start + per_block]
+    for lo in range(0, arr.shape[0], rows):
+        block = arr[lo:lo + rows].reshape(-1)
         if is_float and not np.isfinite(block).all():
             raise _not_compliant(block[~np.isfinite(block)][0].item())
         parts = [None] * (2 * block.size)
         parts[0::2] = map(float.__repr__ if is_float else int.__repr__, block.tolist())
         parts[1::2] = pattern[:block.size]
-        if start + per_block >= flat.size:
+        if lo + rows >= arr.shape[0]:
             parts[-1] = "".join(nl[k - i] + "]" for i in range(1, k + 1))
         yield "".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
+class _Pairs:
+    """A table over every action pair, ``(S, A, B, ...)``, held as its two
+    parts: ``cells`` ``(S, A+B-1, ...)``, the pairs that can execute in the
+    layout of :attr:`ImpulseGame.cells` (column ``a`` is ``(a, 0)``, column
+    ``A - 1 + b`` is ``(0, b)``), and ``both`` ``(S, (A-1)(B-1), ...)``, the
+    pairs where both players act, row-major over ``(a - 1, b - 1)``.  The one
+    home of that layout: indexing a slice of states assembles the whole
+    table there, and assigning to one splits a whole table into the parts."""
+
+    cells: np.ndarray
+    both: np.ndarray
+    na: int
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.cells), self.na, self.cells.shape[1] - self.na + 1) + self.cells.shape[2:]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.cells, self.both)
+
+    def _at(self, states: slice) -> _Pairs:
+        return _Pairs(self.cells[states], self.both[states], self.na)
+
+    def _views(self, full: np.ndarray) -> tuple:
+        """``(view of full, view of a part)`` for each of the three places a
+        pair's entry sits."""
+        (ns, na, nb), rest = full.shape[:3], full.shape[3:]
+        return ((full[:, :, 0], self.cells[:, :na]), (full[:, 0, 1:], self.cells[:, na:]),
+                (full[:, 1:, 1:], self.both.reshape((ns, na - 1, nb - 1) + rest)))
+
+    def __getitem__(self, states: slice) -> np.ndarray:
+        """The whole table at a slice of states, assembled."""
+        part = self._at(states)
+        full = np.empty(part.shape, part.dtype)
+        for whole, view in part._views(full):
+            whole[...] = view
+        return full
+
+    def __setitem__(self, states: slice, full: np.ndarray) -> None:
+        """Split the whole table ``full`` into the parts at a slice of states."""
+        for whole, view in self._at(states)._views(full):
+            view[...] = whole
+
+    def tolist(self) -> list:
+        return self[:].tolist()
+
+
+def _empty_pairs(ns: int, na: int, nb: int) -> _Pairs:
+    """Unfilled cell and both-act kernel tables of a game of these counts."""
+    return _Pairs(np.empty((ns, na + nb - 1, ns)), np.empty((ns, (na - 1) * (nb - 1), ns)), na)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ImpulseGame:
     """A finite zero-sum stochastic game where non-null actions are costly.
 
@@ -300,79 +357,117 @@ class ImpulseGame:
         everywhere; defaults to everything allowed.  Of the budgeted paths only
         the dense reference ``AugmentedGame.game`` masks a spent budget's actions.
 
-    Every table is stored read-only.  A read-only C-contiguous array of the
-    right dtype that owns its memory (another game's table, say) is shared,
-    not copied; a view or a writeable array is copied, so the caller may go
-    on changing it; a list or an array of another dtype is converted once
-    and the conversion is kept.  Only the array's own flags are checked: a
-    caller that hands over a read-only array must not make it writeable
-    again or keep a writeable view of it, or every game sharing it changes.
+    The game stores each kernel row once, split into two read-only tables:
+    ``cell_kernel`` ``(S, A+B-1, S)``, the rows of the pairs that can execute
+    under Player 2's precedence (null, ``(a, 0)``, ``(0, b)``; it is
+    ``cells[0]``), and ``both_kernel`` ``(S, (A-1)(B-1), S)``, the rows where
+    both players act, row-major over ``(a - 1, b - 1)``.  The ``kernel``
+    handed in is split once, so it is always copied.  :attr:`kernel` is the
+    full table again, assembled on first read.
+
+    Every other table is stored read-only.  A read-only C-contiguous array
+    of the right dtype that owns its memory (another game's table, say) is
+    shared, not copied; a view or a writeable array is copied, so the caller
+    may go on changing it; a list or an array of another dtype is converted
+    once and the conversion is kept.  Only the array's own flags are
+    checked: a caller that hands over a read-only array must not make it
+    writeable again or keep a writeable view of it, or every game sharing
+    it changes.
     """
 
-    kernel: np.ndarray
+    cell_kernel: np.ndarray
+    both_kernel: np.ndarray
     reward: np.ndarray
     cost1: np.ndarray
     cost2: np.ndarray
     cost_floor: float
     discount: float
-    mask1: np.ndarray = None
-    mask2: np.ndarray = None
+    mask1: np.ndarray
+    mask2: np.ndarray
 
-    def __post_init__(self):
-        kernel = _frozen_array(self.kernel)
+    def __init__(self, kernel, reward, cost1, cost2, cost_floor, discount, mask1=None,
+                 mask2=None):
+        kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[3]:
             raise ValueError(f"kernel must have shape (S, A, B, S), got {kernel.shape}")
         s, a, b, _ = kernel.shape
         _count(s, "num_states", 1)
         _count(a, "num_actions1", 1)
         _count(b, "num_actions2", 1)
-        reward = _frozen_array(self.reward)
+        pairs = _empty_pairs(s, a, b)
+        pairs[:] = kernel
+        self._store(pairs, reward, cost1, cost2, cost_floor, discount, mask1, mask2)
+
+    @classmethod
+    def _from_pairs(cls, pairs: _Pairs, *tables) -> ImpulseGame:
+        """A game on kernel tables the caller hands over as they are, read-only
+        and owning their memory; ``tables`` are the constructor's after ``kernel``."""
+        game = cls.__new__(cls)
+        game._store(pairs, *tables)
+        return game
+
+    def _store(self, pairs: _Pairs, reward, cost1, cost2, cost_floor, discount, mask1=None,
+               mask2=None) -> None:
+        s, a, b = pairs.shape[:3]
+        reward = _frozen_array(reward)
         if reward.shape != (s, a, b):
             raise ValueError(f"reward must have shape {(s, a, b)}, got {reward.shape}")
-        cost1 = _frozen_array(self.cost1)
+        cost1 = _frozen_array(cost1)
         if cost1.shape != (s, a):
             raise ValueError(f"cost1 must have shape {(s, a)}, got {cost1.shape}")
-        cost2 = _frozen_array(self.cost2)
+        cost2 = _frozen_array(cost2)
         if cost2.shape != (s, b):
             raise ValueError(f"cost2 must have shape {(s, b)}, got {cost2.shape}")
-        mask1 = np.ones((s, a), dtype=bool) if self.mask1 is None else self.mask1
-        mask2 = np.ones((s, b), dtype=bool) if self.mask2 is None else self.mask2
+        mask1 = np.ones((s, a), dtype=bool) if mask1 is None else mask1
+        mask2 = np.ones((s, b), dtype=bool) if mask2 is None else mask2
         mask1 = _frozen_array(mask1, dtype=bool)
         mask2 = _frozen_array(mask2, dtype=bool)
         if mask1.shape != (s, a) or mask2.shape != (s, b):
             raise ValueError("action masks must match the (state, action) table shapes")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "reward", reward)
-        object.__setattr__(self, "cost1", cost1)
-        object.__setattr__(self, "cost2", cost2)
-        object.__setattr__(self, "mask1", mask1)
-        object.__setattr__(self, "mask2", mask2)
-        object.__setattr__(self, "cost_floor", float(self.cost_floor))
-        object.__setattr__(self, "discount", float(self.discount))
+        for table in (pairs.cells, pairs.both):
+            table.setflags(write=False)
+        for name, value in (("cell_kernel", pairs.cells), ("both_kernel", pairs.both),
+                            ("reward", reward), ("cost1", cost1), ("cost2", cost2),
+                            ("mask1", mask1), ("mask2", mask2),
+                            ("cost_floor", float(cost_floor)), ("discount", float(discount))):
+            object.__setattr__(self, name, value)
 
     @property
     def num_states(self) -> int:
-        return self.kernel.shape[0]
+        return self.reward.shape[0]
 
     @property
     def num_actions1(self) -> int:
-        return self.kernel.shape[1]
+        return self.reward.shape[1]
 
     @property
     def num_actions2(self) -> int:
-        return self.kernel.shape[2]
+        return self.reward.shape[2]
+
+    def _pairs(self) -> _Pairs:
+        return _Pairs(self.cell_kernel, self.both_kernel, self.num_actions1)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The full transition kernel ``(S, A, B, S)``, read-only, assembled
+        from the two stored tables on first read and kept: ``S*A*B*S``
+        doubles on top of them (82 MB at 800 states and 3+3 actions).  No
+        path of ``solve``, ``learn``, ``fit``, ``simulate`` or the CLI
+        reads it."""
+        kernel = self._pairs()[:]
+        kernel.setflags(write=False)
+        return kernel
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Kernel rows ``(S, A+B-1, S)`` and net rewards ``(S, A+B-1)`` of the
-        pairs that can execute under Player 2's precedence, built on first use:
-        column ``a`` is ``(a, 0)``, ``A - 1 + b`` is ``(0, b)``.  A net reward
-        is the raw reward plus :attr:`cell_costs`."""
-        kernel = to_cells(self.kernel)
+        pairs that can execute under Player 2's precedence: column ``a`` is
+        ``(a, 0)``, ``A - 1 + b`` is ``(0, b)``.  The rows are the stored
+        :attr:`cell_kernel` itself; the net rewards, the raw rewards plus
+        :attr:`cell_costs`, are built on first use."""
         net = to_cells(self.reward) + self.cell_costs
-        kernel.setflags(write=False)
         net.setflags(write=False)
-        return kernel, net
+        return self.cell_kernel, net
 
     @cached_property
     def cell_costs(self) -> np.ndarray:
@@ -398,13 +493,20 @@ class ImpulseGame:
         about as many doubles as the kernel of :attr:`cells` (37 MB at 800
         states and 3+3 actions), lives as long as the game and is shared:
         callers must not write to it."""
-        kernel = self.cells[0]
+        kernel = self.cell_kernel
         last = self.num_states - 1 - np.argmax(kernel[..., ::-1] > 0, axis=2)
         return tuple(
             tuple((array("d", row[:n].tobytes()), r)
                   for row, n, r in zip(np.cumsum(kernel_s, axis=1), ends, rewards))
             for kernel_s, ends, rewards in zip(kernel, last.tolist(),
                                                to_cells(self.reward).tolist()))
+
+    def _field(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[:1] != (self.num_states,):
+            raise ValueError(f"a field must have the {self.num_states} states on its "
+                             f"leading axis, got shape {x.shape}")
+        return x
 
     def expect(self, x, state=None) -> np.ndarray:
         """``E[x(s') | s, cell]`` for every cell of :attr:`cells`, shape
@@ -414,14 +516,20 @@ class ImpulseGame:
         states are one product of the whole cell table (:func:`_expect`);
         one state is the product of its own rows, which may differ from the
         whole table's in the last bits."""
-        x = np.asarray(x, dtype=float)
-        kernel = self.cells[0]
+        kernel = self.cell_kernel
         if state is not None:
             kernel = kernel[_index(state, "state", self.num_states)]
-        if x.shape[:1] != (self.num_states,):
-            raise ValueError(f"a field must have the {self.num_states} states on its "
-                             f"leading axis, got shape {x.shape}")
-        return _expect(kernel, x)
+        return _expect(kernel, self._field(x))
+
+    def expect_pairs(self, x) -> np.ndarray:
+        """``E[x(s') | s, a, b]`` for every action pair, shape ``(S, A, B) +
+        x.shape[1:]``, ``x`` as in :meth:`expect`: one product of each stored
+        table, placed by the pair layout, so the cells' entries are those of
+        :meth:`expect` bit for bit.  No pair where both players act ever
+        executes; this is for tables over all pairs, such as ``q``."""
+        x = self._field(x)
+        return _Pairs(_expect(self.cell_kernel, x), _expect(self.both_kernel, x),
+                      self.num_actions1)[:]
 
     def chain_rows(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """Kernel rows ``(..., S, S)`` and net rewards ``(..., S)`` of one cell
@@ -491,13 +599,18 @@ def validate(game: ImpulseGame) -> list[Violation]:
     and masks).
     """
     out = []
-    row_sums = game.kernel.sum(axis=3)
+    tables = (game.cell_kernel, game.both_kernel)
+
+    def pairs(rule):  # a rule on both stored tables, in the (S, A, B, ...) layout
+        return _Pairs(*map(rule, tables), game.num_actions1)[:]
+
+    row_sums = pairs(lambda k: k.sum(axis=2))
     out += _listed("kernel-row-sum", np.abs(row_sums - 1.0) > KERNEL_ROW_TOL, lambda s, a, b: (
         (s, a, b),
         f"kernel row (s={s}, a={a}, b={b}) sums to {float(row_sums[s, a, b])!r}, expected 1"))
-    out += _listed("kernel-negative", game.kernel < 0, lambda s, a, b, t: (
+    out += _listed("kernel-negative", pairs(lambda k: k < 0), lambda s, a, b, t: (
         (s, a, b, t), f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative"))
-    if not np.isfinite(game.kernel).all():
+    if not all(np.isfinite(k).all() for k in tables):
         out.append(Violation("kernel-not-finite", (), "kernel has non-finite entries"))
     if not (game.cost_floor > 0):
         out.append(Violation(
@@ -566,7 +679,7 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     check_kernel_size(num_states, na, nb)
     rng = np.random.default_rng(seed)
     shape = (num_states, na, nb, num_states)
-    kernel = _random_kernel(rng, shape, _draw_parts(shape))
+    pairs = _random_kernel(rng, shape, _draw_parts(shape))
     reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
     cost1 = np.zeros((num_states, na))
     if num_actions1:
@@ -574,10 +687,9 @@ def random_game(num_states: int, num_actions1: int, num_actions2: int, seed,
     cost2 = np.zeros((num_states, nb))
     if num_actions2:
         cost2[:, 1:] = rng.uniform(cost_floor, 2 * cost_floor, size=(num_states, num_actions2))
-    for table in (kernel, reward, cost1, cost2):
+    for table in (reward, cost1, cost2):
         table.setflags(write=False)
-    return ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
-                       cost_floor=cost_floor, discount=gamma)
+    return ImpulseGame._from_pairs(pairs, reward, cost1, cost2, cost_floor, gamma)
 
 
 def _draw_parts(shape: tuple) -> int:
@@ -591,28 +703,29 @@ def _draw_parts(shape: tuple) -> int:
     return max(1, min(cpus, math.prod(shape) // _ENTRIES_PER_PART, shape[0]))
 
 
-def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.ndarray:
-    """Uniform [0.1, 1) draws of ``shape`` from ``rng``, each last-axis row
-    divided by its sum, with ``rng`` left after the draws: bit for bit the
-    whole-array draw ``rng.uniform(0.1, 1.0, shape)`` normalised in place.
+def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> _Pairs:
+    """Uniform [0.1, 1) draws of a kernel of ``shape`` from ``rng``, each
+    last-axis row divided by its sum, with ``rng`` left after the draws: bit
+    for bit the whole-array draw ``rng.uniform(0.1, 1.0, shape)`` normalised
+    in place, but stored as the game stores it, split into its two tables
+    (:class:`_Pairs`); the whole kernel is never built.
 
     The leading axis is cut into ``parts`` contiguous shares.  A share
     starting at ``lo > 0`` is drawn from a copy of ``rng``'s PCG64 advanced
     by ``lo`` states' entries (each double takes one 64-bit output, so the
     copy produces exactly the share's numbers) on a thread of its own;
     share 0 is drawn from ``rng`` itself on this thread once the copies are
-    made.  Every share is drawn in blocks of at most ``_BLOCK_ENTRIES``
-    entries (or one row), each drawn, scaled and divided in place in the
-    kernel.  All threads are joined before returning, and the first error
+    made.  All threads are joined before returning, and the first error
     raised in any share is raised here.
     """
-    kernel = np.empty(shape)
+    pairs = _empty_pairs(*shape[:3])
+    per_state = math.prod(shape[1:])
     bounds = [i * shape[0] // parts for i in range(parts + 1)]
     errors = []
 
     def draw(draws, lo, hi):
         try:
-            _draw_share(draws, kernel, lo, hi)
+            _draw_share(draws, pairs, lo, hi)
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -620,7 +733,7 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
     for lo in bounds[1:-1]:
         bits = np.random.PCG64(0)
         bits.state = rng.bit_generator.state
-        bits.advance(lo * kernel[0].size)
+        bits.advance(lo * per_state)
         copies.append(np.random.Generator(bits))
     threads = []
     try:
@@ -628,35 +741,40 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> np.nda
             thread = threading.Thread(target=draw, args=(draws, lo, hi))
             thread.start()
             threads.append(thread)
-        _draw_share(rng, kernel, bounds[0], bounds[1])
+        _draw_share(rng, pairs, bounds[0], bounds[1])
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[0]
-    rng.bit_generator.advance(kernel[bounds[1]:].size)
-    return kernel
+    rng.bit_generator.advance((shape[0] - bounds[1]) * per_state)
+    return pairs
 
 
-def _draw_share(draws: np.random.Generator, kernel: np.ndarray, lo: int, hi: int) -> None:
-    """Fill states ``lo .. hi-1`` of ``kernel`` for :func:`_random_kernel`
-    from ``draws``, which stands at the first of their entries."""
-    n = kernel.shape[-1]
-    rows = kernel[lo:hi].reshape(-1, n)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for a in range(0, len(rows), step):
+def _draw_share(draws: np.random.Generator, pairs: _Pairs, lo: int, hi: int) -> None:
+    """Fill states ``lo .. hi-1`` of ``pairs`` for :func:`_random_kernel` from
+    ``draws``, which stands at the first of their entries: blocks of whole
+    states, at most ``_BLOCK_ENTRIES`` entries (or one state), are drawn,
+    scaled and divided by their row sums in place in one scratch buffer,
+    then split into the two tables."""
+    shape = pairs.shape
+    step = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
+    scratch = np.empty((min(step, hi - lo),) + shape[1:])
+    for s in range(lo, hi, step):
         # `uniform(0.1, 1.0)` is `0.1 + (1.0 - 0.1) * random()`, written in place
-        block = draws.random(out=rows[a:a + step])
+        block = draws.random(out=scratch[:min(step, hi - s)])
         block *= 1.0 - 0.1
         block += 0.1
         block /= block.sum(axis=-1, keepdims=True)
+        pairs[s:s + len(block)] = block
 
 
 def games_equal(g1: ImpulseGame, g2: ImpulseGame) -> bool:
     """Exact field-for-field equality (used for round-trip checks)."""
     return (
-        g1.kernel.shape == g2.kernel.shape
-        and np.array_equal(g1.kernel, g2.kernel)
+        g1.reward.shape == g2.reward.shape
+        and np.array_equal(g1.cell_kernel, g2.cell_kernel)
+        and np.array_equal(g1.both_kernel, g2.both_kernel)
         and np.array_equal(g1.reward, g2.reward)
         and np.array_equal(g1.cost1, g2.cost1)
         and np.array_equal(g1.cost2, g2.cost2)
@@ -672,8 +790,9 @@ _REQUIRED_KEYS = ("states", "actions1", "actions2", "gamma", "cost_floor",
 
 
 def _game_doc(game: ImpulseGame) -> dict:
-    """The game-spec document with its tables as arrays, the one layout
-    :func:`game_to_dict` and :func:`save_game` write."""
+    """The game-spec document with its tables as arrays, the kernel as its
+    two stored tables (:class:`_Pairs`, never assembled whole), the one
+    layout :func:`game_to_dict` and :func:`save_game` write."""
     doc = {
         "states": game.num_states,
         "actions1": game.num_actions1,
@@ -683,7 +802,7 @@ def _game_doc(game: ImpulseGame) -> dict:
         "rewards": game.reward,
         "costs1": game.cost1[:, 1:],
         "costs2": game.cost2[:, 1:],
-        "kernel": game.kernel,
+        "kernel": game._pairs(),
     }
     if not game.mask1.all():
         doc["mask1"] = game.mask1.astype(int)
@@ -693,10 +812,10 @@ def _game_doc(game: ImpulseGame) -> dict:
 
 
 def _plain(doc: dict) -> dict:
-    """``doc`` with each array or :class:`_Table` value replaced by its
+    """``doc`` with each array, :class:`_Table` or :class:`_Pairs` value replaced by its
     ``tolist()``: the public form of a document a private builder makes for
     :func:`_write_json`."""
-    return {key: value.tolist() if isinstance(value, (np.ndarray, _Table)) else value
+    return {key: value.tolist() if isinstance(value, (np.ndarray, _Table, _Pairs)) else value
             for key, value in doc.items()}
 
 

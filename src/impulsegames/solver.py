@@ -14,7 +14,8 @@ pairs of :attr:`ImpulseGame.cells` (null, ``(a, 0)``, ``(0, b)``) are read.
 The solver reads the transition only through the game: expectations of a
 value field from :meth:`ImpulseGame.expect`, and policy chains from
 :meth:`ImpulseGame.chain_rows`; :func:`q_from_value`, the one reader of the
-pairs where both players act, applies the same product to the full kernel.
+pairs where both players act, takes its expectations from
+:meth:`ImpulseGame.expect_pairs`.
 
 The operator is a gamma-contraction with a unique fixed point ``v*``, so any
 field ``v`` is certified by its residual alone:
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .game import (ImpulseGame, _count, _expect, _finite_table, _index, _plain, _Table, cell_index,
+from .game import (ImpulseGame, _count, _finite_table, _index, _plain, _Table, cell_index,
                    to_cells)
 
 TIE_EPS = 1e-10
@@ -208,11 +209,14 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     """Cost-exclusive action values: reward plus discounted expectation of v.
 
     Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
-    The one reader of the cells where both players act, and so of the full
-    kernel, which it applies by the product of :meth:`ImpulseGame.expect`.
+    The one reader of the pairs where both players act: its expectations
+    are :meth:`ImpulseGame.expect_pairs`, one product of each of the game's
+    two stored kernel tables, so the full kernel is never assembled.  The
+    executable cells' entries come from the same product as the operator's
+    (:meth:`ImpulseGame.expect`).
     """
     ny, nz, _ = _layers(game, caps)
-    ev = _next_values(_expect(game.kernel, _field(game, v, ny, nz)),
+    ev = _next_values(game.expect_pairs(_field(game, v, ny, nz)),
                       np.s_[:, 1:], np.s_[:, :, 1:])
     q = game.reward[..., None, None] + game.discount * ev
     return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
@@ -473,8 +477,13 @@ def _executed_chain(game: ImpulseGame, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain_values(game: ImpulseGame, p, r) -> np.ndarray:
     """Values of discounted chains with kernel rows ``p`` and rewards ``r``:
-    one solve of ``(I - gamma p) v = r`` over any leading batch axes."""
-    lhs = np.eye(p.shape[-1]) - game.discount * p
+    one solve of ``(I - gamma p) v = r`` over any leading batch axes.  The
+    left side is built in place in ``p``, which the caller hands over and
+    must not read again: ``0 - gamma p`` (the bits of ``I - gamma p`` off the
+    diagonal, a zero there kept ``+0.0``), then ``+ 1`` on the diagonal."""
+    lhs = np.subtract(0.0, np.multiply(p, game.discount, out=p), out=p)
+    states = np.arange(p.shape[-1])
+    lhs[..., states, states] += 1.0
     return np.linalg.solve(lhs, r[..., None])[..., 0]
 
 

@@ -298,6 +298,53 @@ def loop_expect(game, x, state=None):
     return out if state is None else out[0]
 
 
+def _counter_q(game, ev, caps):
+    """``q`` over the augmented states from the expectations ``ev`` ``(S, A, B,
+    ny, nz)`` of the value grid: a pair where Player 1 acts reads its next
+    value one ``y`` step down, then one where Player 2 acts one ``z`` step
+    down, as ``solver.q_from_value`` has always placed them."""
+    ns, na, nb = game.reward.shape
+    if caps is not None:
+        ev[:, 1:, :, 1:, :] = ev[:, 1:, :, :-1, :].copy()
+        ev[:, :, 1:, :, 1:] = ev[:, :, 1:, :, :-1].copy()
+    q = game.reward[..., None, None] + game.discount * ev
+    return q.transpose(0, 3, 4, 1, 2).reshape(-1, na, nb)
+
+
+def _grid(game, v, caps):
+    ny, nz = (1, 1) if caps is None else (caps[0] + 1, caps[1] + 1)
+    return np.asarray(v, dtype=float).reshape(game.num_states, ny * nz), (ny, nz)
+
+
+def full_kernel_q(game, v, caps=None):
+    """``q_from_value`` as it was computed before a game split its kernel: one
+    product of the whole ``(S*A*B, S)`` kernel with the value grid.  A row of
+    another product may round differently in its last bits, where the BLAS
+    takes the last rows of a product by another path."""
+    ns, na, nb = game.reward.shape
+    x, layers = _grid(game, v, caps)
+    ev = (game.kernel.reshape(-1, ns) @ x).reshape((ns, na, nb) + layers)
+    return _counter_q(game, ev, caps)
+
+
+def pair_table_q(game, v, caps=None):
+    """``q_from_value`` from the full kernel's rows gathered by loops into a
+    table of the executable cells' rows and one of the rows where both
+    players act, each taken in one product with the value grid, and the
+    results put back at their pairs by loops."""
+    ns, na, nb = game.reward.shape
+    x, layers = _grid(game, v, caps)
+    both_pairs = [(a, b) for a in range(1, na) for b in range(1, nb)]
+    ev = np.empty((ns, na, nb) + layers)
+    for pairs in (_cell_pairs(game), both_pairs):
+        rows = np.array([[game.kernel[s, a, b] for a, b in pairs] for s in range(ns)])
+        products = (rows.reshape(-1, ns) @ x).reshape((ns, len(pairs)) + layers)
+        for s in range(ns):
+            for c, (a, b) in enumerate(pairs):
+                ev[s, a, b] = products[s, c]
+    return _counter_q(game, ev, caps)
+
+
 def loop_chain_rows(game, cells):
     """Kernel rows and net rewards (-inf/+inf on a masked action) of one cell
     per state, ``cells[..., s]`` at state ``s``, one entry at a time."""

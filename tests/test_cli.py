@@ -570,3 +570,23 @@ def test_a_request_too_large_for_memory_exits_1_no_output(tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "40,2,2,3"], ["gen", "--gen", "6,2,1,4"], ["oracle", "--gen", "4,1,1,2"],
+    ["learn", "--gen", "5,1,1,1", "--steps", "300"], ["simulate", "--gen", "8,2,2,1"],
+    ["budget", "--gen", "6,1,1,3", "--n1", "2", "--n2", "1"],
+    ["fit", "--gen", "8,1,1,2", "--steps", "300"], ["solve", "--game", "GAME"],
+    ["simulate", "--duopoly", "DUOPOLY"]], ids=lambda argv: " ".join(argv[:2]))
+def test_no_subcommand_assembles_the_full_kernel(tmp_path, monkeypatch, argv):
+    """A game stores its kernel as two tables; every subcommand runs on them."""
+    ig.save_game(ig.random_game(7, 2, 2, seed=8), tmp_path / "g.json")
+    (tmp_path / "d.json").write_text(json.dumps({"grid_size": 4}))
+    argv = [{"GAME": str(tmp_path / "g.json"), "DUOPOLY": str(tmp_path / "d.json")}.get(x, x)
+            for x in argv]
+    games = []
+    obtain = cli_module._obtain_game
+    monkeypatch.setattr(cli_module, "_obtain_game", lambda args: games.append(obtain(args))
+                        or games[-1])
+    assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+    assert len(games) == 1 and "kernel" not in games[0].__dict__

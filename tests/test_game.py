@@ -322,16 +322,36 @@ def test_random_game_draws_match_the_copying_construction(shape, seed):
         assert table.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 3, 2), (6, 0, 2), (6, 2, 0), (9, 2, 3)])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_the_assembled_kernel_is_the_copying_draw(shape, parts, monkeypatch):
+    """The two stored tables and the kernel assembled from them, with no
+    both-act rows, one state, and a draw split over two parts."""
+    monkeypatch.setattr(game_module, "_draw_parts", lambda shape: min(parts, shape[0]))
+    game = ig.random_game(*shape, seed=7)
+    kernel = copying_random_game_tables(*shape, 7)[0]
+    ns, na, nb = game.reward.shape
+    assert "kernel" not in game.__dict__
+    assert game.cell_kernel.tobytes() == to_cells(kernel).tobytes()
+    assert game.both_kernel.shape == (ns, (na - 1) * (nb - 1), ns)
+    assert game.both_kernel.tobytes() == kernel[:, 1:, 1:].tobytes()
+    assert game.cells[0] is game.cell_kernel
+    assert game.kernel.tobytes() == kernel.tobytes() and game.kernel.shape == kernel.shape
+    assert game.kernel is game.kernel and not game.kernel.flags.writeable
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3, 5])
 @pytest.mark.parametrize("seed", [0, 97])
 def test_a_kernel_split_in_parts_is_drawn_bit_for_bit(parts, seed, monkeypatch):
     """Shares of 53 states, which no part count above 1 divides, drawn in
-    blocks of 5 rows, which cut states of 12 rows, give the whole-array
-    draws and leave the generator where the reward and cost draws start."""
+    blocks of 3 whole states, so most shares end on a shorter block, give
+    the whole-array draws, split into the two tables, and leave the
+    generator where the reward and cost draws start."""
     num_states, na, nb = 53, 3, 4
-    monkeypatch.setattr(game_module, "_BLOCK_ENTRIES", 5 * num_states)
+    monkeypatch.setattr(game_module, "_BLOCK_ENTRIES", 3 * na * nb * num_states + 5)
     rng = np.random.default_rng(seed)
-    kernel = game_module._random_kernel(rng, (num_states, na, nb, num_states), parts)
+    pairs = game_module._random_kernel(rng, (num_states, na, nb, num_states), parts)
+    kernel = pairs[:]
     reward = rng.uniform(-1.0, 1.0, size=(num_states, na, nb))
     cost1, cost2 = (rng.uniform(0.1, 0.2, size=(num_states, n - 1)) for n in (na, nb))
     expected = copying_random_game_tables(num_states, na - 1, nb - 1, seed)
@@ -393,15 +413,21 @@ def _rebuilt(game, **tables):
 
 def test_a_game_built_from_another_games_tables_shares_them():
     game = ig.random_game(100, 3, 3, seed=0)
+    kernel = game.kernel  # assembled before tracing: the constructor takes a full kernel
     tracemalloc.start()
     try:
         twin = _rebuilt(game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for name in ("kernel", "reward", "cost1", "cost2", "mask1", "mask2"):
+    for name in ("reward", "cost1", "cost2", "mask1", "mask2"):
         assert getattr(twin, name) is getattr(game, name)
-    assert peak < game.cost1.nbytes  # no table, not even the smallest, was allocated
+    # the kernel handed in is split once into the two stored tables, its one copy
+    for name in ("cell_kernel", "both_kernel"):
+        table, own = getattr(game, name), getattr(twin, name)
+        assert own.tobytes() == table.tobytes() and not np.shares_memory(own, kernel)
+    assert twin.cell_kernel.nbytes + twin.both_kernel.nbytes == kernel.nbytes
+    assert peak < kernel.nbytes + game.cost1.nbytes  # no other table was allocated
 
 
 def test_writeable_caller_arrays_are_copied():

@@ -8,9 +8,10 @@ import pytest
 import impulsegames as ig
 from impulsegames import solver
 
-from _oracles import (loop_best_response, loop_chain, loop_intervention_times, loop_operator,
-                      loop_oracle, loop_vi, mrp_value, single_agent_impulse_vi)
-from conftest import micro_game
+from _oracles import (full_kernel_q, loop_best_response, loop_chain, loop_intervention_times,
+                      loop_operator, loop_oracle, loop_vi, mrp_value, pair_table_q,
+                      single_agent_impulse_vi)
+from conftest import micro_game, randomly_masked
 
 
 def test_max_intervention_micro_values(g1):
@@ -663,3 +664,72 @@ def test_every_caps_path_refuses_bad_caps_before_any_allocation(call, caps):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _q_games():
+    return {"random": ig.random_game(9, 2, 3, seed=6),
+            "masked": randomly_masked(ig.random_game(7, 3, 2, seed=2), 5),
+            "one-sided": ig.random_game(6, 0, 2, seed=1),
+            "one-state": ig.random_game(1, 2, 2, seed=4),
+            "duopoly": ig.build_duopoly_game(ig.DuopolyParams(grid_size=5))}
+
+
+Q_GAMES = _q_games()
+
+
+@pytest.mark.parametrize("caps", [None, (0, 0), (2, 1), (1, 3)], ids=str)
+@pytest.mark.parametrize("name", list(Q_GAMES))
+def test_q_from_value_is_each_stored_tables_product_at_its_pairs(name, caps):
+    """Bit for bit the products of the two kernel tables, placed at their
+    pairs; within a few ulps of the full kernel's one product, whose rows a
+    BLAS may round by another path than the tables' (a product's last rows,
+    or the rows at a thread's edge)."""
+    game = Q_GAMES[name]
+    ny, nz = (1, 1) if caps is None else (caps[0] + 1, caps[1] + 1)
+    v = np.random.default_rng(len(name)).normal(size=game.num_states * ny * nz)
+    q = ig.q_from_value(game, v, caps)
+    assert q.tobytes() == pair_table_q(game, v, caps).tobytes()
+    full = full_kernel_q(game, v, caps)
+    np.testing.assert_allclose(q, full, rtol=4 * np.finfo(float).eps,
+                               atol=4 * np.finfo(float).eps * np.abs(full).max())
+
+
+
+@pytest.mark.parametrize("seed", [0, 45])
+def test_a_dense_solve_holds_the_stored_kernel_tables_once(seed):
+    """``solve(random_game(300, 7, 7))`` peaks at the game's two stored kernel
+    tables plus at most 4 S x S doubles, the bound set before measuring: the
+    finish's chain rows and the solver's copy of them, and as much again for
+    the draw's block buffer, the rewards, the fields and ``q``.  A copy of
+    the executable cells' rows (15 S x S) or the full kernel (64 S x S) is
+    far above it.  Neither the solve nor the draw assembles the kernel."""
+    ig.solve(ig.random_game(3, 1, 1, seed))  # the modules numpy imports on first use stay untraced
+    ns = 300
+    tracemalloc.start()
+    try:
+        game = ig.random_game(ns, 7, 7, seed)
+        report = ig.solve(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and "kernel" not in game.__dict__
+    assert peak <= game.cell_kernel.nbytes + game.both_kernel.nbytes + 4 * 8 * ns * ns
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+def test_chain_values_build_i_minus_gamma_p_in_place_with_its_bits(gamma):
+    """The left side built in the rows handed over is ``np.eye - gamma p`` bit
+    for bit, its zeros ``+0.0`` where a row holds ``0.0`` or ``-0.0``, and so
+    is every value solved from it."""
+    rng = np.random.default_rng(int(10 * gamma))
+    p = rng.random((3, 6, 6))
+    p[p < 0.4] = 0.0
+    p[0, 1, 2] = p[1, 3, 3] = -0.0
+    r = rng.normal(size=(3, 6))
+    r[:, 0] = 0.0
+    game = ig.random_game(6, 1, 1, seed=0, gamma=gamma)
+    lhs = np.eye(6) - gamma * p
+    work = p.copy()
+    values = solver._chain_values(game, work, r)
+    assert work.tobytes() == lhs.tobytes()
+    assert values.tobytes() == np.linalg.solve(lhs, r[..., None])[..., 0].tobytes()

@@ -1,8 +1,10 @@
 """The transition has one home: ``ImpulseGame.expect`` (the expectation of a
-field under each cell) and ``ImpulseGame.chain_rows`` (the kernel rows and
-net rewards of one cell per state).  Outside ``game.py`` no module of
-``src/impulsegames`` reads the kernel itself, and both entries match plain
-loops over the full kernel."""
+field under each cell), ``ImpulseGame.expect_pairs`` (the same under every
+action pair) and ``ImpulseGame.chain_rows`` (the kernel rows and net rewards
+of one cell per state).  Outside ``game.py`` no module of
+``src/impulsegames`` reads the kernel or its stored tables itself, bar the
+dense budget reference, and the entries match plain loops over the full
+kernel."""
 
 import ast
 from pathlib import Path
@@ -11,20 +13,23 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
+from impulsegames.game import to_cells
 from _oracles import loop_chain_rows, loop_expect
 from conftest import randomly_masked
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impulsegames"
 
 # The readers of the full kernel outside game.py, by module and qualified name:
-# the q table of the pairs where both players act, and the dense budget model.
-EXEMPT = {("solver.py", "q_from_value"), ("budget.py", "AugmentedGame.game")}
+# the dense budget model.
+EXEMPT = {("budget.py", "AugmentedGame.game")}
+# The kernel and the two tables a game stores it in.
+KERNEL_NAMES = {"kernel", "cell_kernel", "both_kernel"}
 
 
 def _kernel_reads(path):
     """``(qualified name of the enclosing definition, line)`` of every read of
-    ``.kernel``, and of ``.cells`` other than ``.cells[1]`` (net rewards), in
-    the module at ``path``."""
+    ``.kernel`` or a stored kernel table, and of ``.cells`` other than
+    ``.cells[1]`` (net rewards), in the module at ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
@@ -42,7 +47,7 @@ def _kernel_reads(path):
         parent = parents[node]
         net_only = (isinstance(parent, ast.Subscript) and parent.value is node
                     and isinstance(parent.slice, ast.Constant) and parent.slice.value == 1)
-        if node.attr == "kernel" or (node.attr == "cells" and not net_only):
+        if node.attr in KERNEL_NAMES or (node.attr == "cells" and not net_only):
             yield owner(node), node.lineno
 
 
@@ -87,6 +92,23 @@ def test_expect_matches_the_loop_at_every_state_and_at_one(name, field):
         one = game.expect(x, state=s)
         assert one.shape == (ncells,) + x.shape[1:]
         np.testing.assert_allclose(one, loop_expect(game, x, state=s), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("name", list(GAMES))
+def test_expect_pairs_matches_the_loop_and_is_expect_on_the_cells(name, field):
+    game = GAMES[name]
+    ns, na, nb = game.reward.shape
+    x = _fields(ns)[field]
+    ev = game.expect_pairs(x)
+    assert ev.shape == (ns, na, nb) + x.shape[1:]
+    want = np.zeros(ev.shape)
+    for s, a, b, t in np.ndindex(ns, na, nb, ns):
+        want[s, a, b] += game.kernel[s, a, b, t] * x[t]
+    np.testing.assert_allclose(ev, want, rtol=0, atol=1e-12)
+    assert to_cells(ev).tobytes() == game.expect(x).tobytes()
+    with pytest.raises(ValueError, match=f"the {ns} states on its leading axis"):
+        game.expect_pairs(x[1:])
 
 
 def test_expect_of_a_list_field_and_of_a_numpy_state():

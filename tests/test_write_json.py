@@ -11,7 +11,7 @@ import pytest
 
 import impulsegames as ig
 import impulsegames.game as game_module
-from impulsegames.game import _game_doc, _Table, _write_json
+from impulsegames.game import _game_doc, _Pairs, _Table, _write_json
 
 from conftest import randomly_masked
 
@@ -19,7 +19,7 @@ from conftest import randomly_masked
 def _plain(obj):
     """``obj`` with every array or table, at any depth, replaced by its
     ``tolist()``."""
-    if isinstance(obj, (np.ndarray, _Table)):
+    if isinstance(obj, (np.ndarray, _Table, _Pairs)):
         return obj.tolist()
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
@@ -216,6 +216,20 @@ def test_a_game_file_is_written_without_a_nested_list_of_its_kernel(tmp_path, mo
     finally:
         tracemalloc.stop()
     # A nested list of the kernel alone takes about four times its bytes; the
-    # writer holds one block of it at a time.
+    # writer holds one block of it at a time, assembled from the game's two
+    # stored tables, and never the whole kernel.
+    assert "kernel" not in game.__dict__
     assert peak < game.kernel.nbytes / 2
     assert path.read_bytes() == _expected(ig.game_to_dict(game))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+@pytest.mark.parametrize("shape", [(5, 1, 1), (5, 3, 1), (1, 1, 4), (7, 2, 3)], ids=str)
+def test_a_pair_table_is_written_as_its_assembled_whole(tmp_path, monkeypatch, shape, block):
+    monkeypatch.setattr(game_module, "_BLOCK_NUMBERS", block)
+    ns, na, nb = shape
+    full = np.random.default_rng(ns * na * nb).normal(size=(ns, na, nb, ns))
+    pairs = game_module._empty_pairs(ns, na, nb)
+    pairs[:] = full
+    assert pairs.shape == full.shape and pairs[:].tobytes() == full.tobytes()
+    assert _written(tmp_path, {"k": pairs}) == _expected({"k": full})
