@@ -791,8 +791,9 @@ _REQUIRED_KEYS = ("states", "actions1", "actions2", "gamma", "cost_floor",
 
 def _game_doc(game: ImpulseGame) -> dict:
     """The game-spec document with its tables as arrays, the kernel as its
-    two stored tables (:class:`_Pairs`, never assembled whole), the one
-    layout :func:`game_to_dict` and :func:`save_game` write."""
+    two stored tables (:class:`_Pairs`, which :func:`save_game` writes a
+    block of states at a time), the one layout :func:`game_to_dict` and
+    :func:`save_game` write."""
     doc = {
         "states": game.num_states,
         "actions1": game.num_actions1,
