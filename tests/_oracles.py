@@ -427,6 +427,38 @@ def copying_random_game_tables(num_states, num_actions1, num_actions2, seed,
     return tuple(np.array(t, dtype=float) for t in (kernel, reward, cost1, cost2))
 
 
+def loop_duopoly_tables(params):
+    """The two kernel tables of ``build_duopoly_game(params)`` built the way
+    it first built them: per action pair, ``duopoly_step_mean`` and one
+    ``_axis_distribution`` per firm, their outer product divided out of place
+    by its row sums into a full ``(S, A, B, S)`` kernel, which the public
+    constructor then splits.  Returns ``(cell_kernel, both_kernel)``."""
+    from impulsegames import ImpulseGame, duopoly_step_mean
+    from impulsegames.envs import _axis_distribution
+    g = params.grid_size
+    grid = np.linspace(0.0, params.market_size, g)
+    s1, s2 = np.repeat(grid, g), np.tile(grid, g)
+    ns = g * g
+    levels1 = (0.0,) + tuple(params.investments1)
+    levels2 = (0.0,) + tuple(params.investments2)
+    if params.noise_nodes > 1:
+        nodes, w = np.polynomial.hermite_e.hermegauss(params.noise_nodes)
+        weights = w / w.sum()
+    else:
+        nodes, weights = np.zeros(1), np.ones(1)
+    kernel = np.empty((ns, len(levels1), len(levels2), ns))
+    for ai, u1 in enumerate(levels1):
+        for bi, u2 in enumerate(levels2):
+            d1, d2 = duopoly_step_mean(params, s1, s2, u1, u2)
+            p1 = _axis_distribution(d1, params.sigma1, grid, nodes, weights)
+            p2 = _axis_distribution(d2, params.sigma2, grid, nodes, weights)
+            joint = np.einsum("si,sj->sij", p1, p2).reshape(ns, ns)
+            kernel[:, ai, bi, :] = joint / joint.sum(axis=1, keepdims=True)
+    game = ImpulseGame(kernel, np.zeros(kernel.shape[:3]), np.zeros((ns, len(levels1))),
+                       np.zeros((ns, len(levels2))), 1.0, params.gamma)
+    return game.cell_kernel, game.both_kernel
+
+
 def loop_intervention_times(game, policy, trajectory):
     """Indices along a state trajectory where each player's action executes,
     one state at a time: ``(taus, rhos)`` for Player 1 and Player 2."""
