@@ -16,8 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .game import (GameValidationError, ImpulseGame, _count, _index, _scalar, check_kernel_size,
-                   validate)
+from .game import (GameValidationError, ImpulseGame, _count, _empty_pairs, _fill_kernel, _index,
+                   _scalar, check_kernel_size, validate)
 
 
 # Gauss-Hermite nodes of the duopoly's noise: the nodes solve an n x n
@@ -128,14 +128,18 @@ def _axis_distribution(mean, sigma, grid, nodes, weights):
 
 
 def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
-    """Materialise the duopoly as a dense game over the sales lattice.
+    """Build the duopoly as a game over the sales lattice.
 
     States enumerate lattice pairs row-major: state ``i*G + j`` holds
-    ``(S1, S2) = (grid[i], grid[j])``.  Rewards are ``h_slope * (S1 - S2)``
-    for every action pair; costs route through the game's cost tables and
-    are not double counted inside the reward.  Raises ``GameValidationError``
-    when the parameters give a game that breaks a model invariant (say a
-    discount outside [0, 1) or a cost that is not positive).
+    ``(S1, S2) = (grid[i], grid[j])``.  A firm's sales move with its own
+    investment alone, so a pair's kernel row is the outer product of one
+    lattice distribution per firm, divided by its sum, made a block of
+    states at a time into the game's two kernel tables; no full kernel is
+    built.  Rewards are ``h_slope * (S1 - S2)`` for every action pair;
+    costs route through the game's cost tables and are not double counted
+    inside the reward.  Raises ``GameValidationError`` when the parameters
+    give a game that breaks a model invariant (say a discount outside
+    [0, 1) or a cost that is not positive).
     """
     g = params.grid_size
     check_kernel_size(g * g, len(params.investments1) + 1, len(params.investments2) + 1)
@@ -160,19 +164,22 @@ def build_duopoly_game(params: DuopolyParams) -> ImpulseGame:
     cost2 = np.zeros((ns, nb))
     cost2[:, 1:] = params.kappa2 + np.asarray(params.investments2)[None, :]
 
-    kernel = np.empty((ns, na, nb, ns))
-    for ai, u1 in enumerate(levels1):
-        for bi, u2 in enumerate(levels2):
-            d1, d2 = duopoly_step_mean(params, s1, s2, u1, u2)
-            p1 = _axis_distribution(d1, params.sigma1, grid, nodes, weights)
-            p2 = _axis_distribution(d2, params.sigma2, grid, nodes, weights)
-            joint = np.einsum("si,sj->sij", p1, p2).reshape(ns, ns)
-            kernel[:, ai, bi, :] = joint / joint.sum(axis=1, keepdims=True)
+    # each firm's next-sales distributions (S, levels, G)
+    d1, d2 = duopoly_step_mean(params, s1[:, None], s2[:, None], np.array(levels1),
+                               np.array(levels2))
+    p1 = _axis_distribution(d1.ravel(), params.sigma1, grid, nodes, weights).reshape(ns, na, g)
+    p2 = _axis_distribution(d2.ravel(), params.sigma2, grid, nodes, weights).reshape(ns, nb, g)
 
+    def rows(block, lo):
+        k = len(block)
+        np.einsum("sai,sbj->sabij", p1[lo:lo + k], p2[lo:lo + k],
+                  out=block.reshape(k, na, nb, g, g))
+
+    pairs = _empty_pairs(ns, na, nb)
+    _fill_kernel(pairs, rows, 0, ns)
     floor = min(params.kappa1 + min(levels1[1:], default=1.0),
                 params.kappa2 + min(levels2[1:], default=1.0))
-    game = ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
-                       cost_floor=floor, discount=params.gamma)
+    game = ImpulseGame._from_pairs(pairs, reward, cost1, cost2, floor, params.gamma)
     violations = validate(game)
     if violations:
         raise GameValidationError(violations)

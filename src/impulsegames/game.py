@@ -31,9 +31,10 @@ KERNEL_ROW_TOL = 1e-12
 # game may have; checked from the counts before any table is built.
 MAX_KERNEL_ENTRIES = 16_000_000
 
-# random_game's kernel draw: the fewest kernel entries per draw thread, and the
-# most per block of whole states (256 KB, or one state) a thread draws into its
-# scratch buffer and divides by its row sums before splitting it into the tables.
+# The fewest kernel entries per random_game draw thread; and the most per block
+# of whole states (256 KB, or one state) that every generated kernel, drawn or
+# the duopoly's, is made in and divided by its row sums before it is split into
+# the tables (_fill_kernel).
 _ENTRIES_PER_PART = 2**20
 _BLOCK_ENTRIES = 2**15
 
@@ -608,8 +609,10 @@ def validate(game: ImpulseGame) -> list[Violation]:
     out += _listed("kernel-row-sum", np.abs(row_sums - 1.0) > KERNEL_ROW_TOL, lambda s, a, b: (
         (s, a, b),
         f"kernel row (s={s}, a={a}, b={b}) sums to {float(row_sums[s, a, b])!r}, expected 1"))
-    out += _listed("kernel-negative", pairs(lambda k: k < 0), lambda s, a, b, t: (
-        (s, a, b, t), f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative"))
+    # the full-layout mask only when an entry is negative; fmin passes over NaNs
+    if any(np.fmin.reduce(k, axis=None, initial=0.0) < 0 for k in tables):
+        out += _listed("kernel-negative", pairs(lambda k: k < 0), lambda s, a, b, t: (
+            (s, a, b, t), f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative"))
     if not all(np.isfinite(k).all() for k in tables):
         out.append(Violation("kernel-not-finite", (), "kernel has non-finite entries"))
     if not (game.cost_floor > 0):
@@ -708,7 +711,7 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> _Pairs
     last-axis row divided by its sum, with ``rng`` left after the draws: bit
     for bit the whole-array draw ``rng.uniform(0.1, 1.0, shape)`` normalised
     in place, but stored as the game stores it, split into its two tables
-    (:class:`_Pairs`); the whole kernel is never built.
+    (:class:`_Pairs`) by :func:`_fill_kernel`; the whole kernel is never built.
 
     The leading axis is cut into ``parts`` contiguous shares.  A share
     starting at ``lo > 0`` is drawn from a copy of ``rng``'s PCG64 advanced
@@ -723,9 +726,16 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> _Pairs
     bounds = [i * shape[0] // parts for i in range(parts + 1)]
     errors = []
 
+    def uniform(draws):  # `uniform(0.1, 1.0)` is `0.1 + (1.0 - 0.1) * random()`, in place
+        def rows(block, lo):
+            draws.random(out=block)
+            block *= 1.0 - 0.1
+            block += 0.1
+        return rows
+
     def draw(draws, lo, hi):
         try:
-            _draw_share(draws, pairs, lo, hi)
+            _fill_kernel(pairs, uniform(draws), lo, hi)
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -741,7 +751,7 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> _Pairs
             thread = threading.Thread(target=draw, args=(draws, lo, hi))
             thread.start()
             threads.append(thread)
-        _draw_share(rng, pairs, bounds[0], bounds[1])
+        _fill_kernel(pairs, uniform(rng), bounds[0], bounds[1])
     finally:
         for thread in threads:
             thread.join()
@@ -751,20 +761,20 @@ def _random_kernel(rng: np.random.Generator, shape: tuple, parts: int) -> _Pairs
     return pairs
 
 
-def _draw_share(draws: np.random.Generator, pairs: _Pairs, lo: int, hi: int) -> None:
-    """Fill states ``lo .. hi-1`` of ``pairs`` for :func:`_random_kernel` from
-    ``draws``, which stands at the first of their entries: blocks of whole
-    states, at most ``_BLOCK_ENTRIES`` entries (or one state), are drawn,
-    scaled and divided by their row sums in place in one scratch buffer,
-    then split into the two tables."""
+def _fill_kernel(pairs: _Pairs, rows, lo: int, hi: int) -> None:
+    """Fill states ``lo .. hi-1`` of the kernel tables ``pairs`` with the rows
+    that ``rows(block, s)`` makes, each divided by its sum: the one loop of
+    every generated kernel (:func:`random_game`'s draw, the duopoly).  Blocks
+    of whole states, at most ``_BLOCK_ENTRIES`` entries (or one state), are
+    made in one scratch buffer: ``rows`` writes the non-negative rows of
+    states ``s .. s + len(block) - 1`` into ``block`` ``(k, A, B, S)``, which
+    is divided by its row sums in place and split into the two tables."""
     shape = pairs.shape
     step = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
     scratch = np.empty((min(step, hi - lo),) + shape[1:])
     for s in range(lo, hi, step):
-        # `uniform(0.1, 1.0)` is `0.1 + (1.0 - 0.1) * random()`, written in place
-        block = draws.random(out=scratch[:min(step, hi - s)])
-        block *= 1.0 - 0.1
-        block += 0.1
+        block = scratch[:min(step, hi - s)]
+        rows(block, s)
         block /= block.sum(axis=-1, keepdims=True)
         pairs[s:s + len(block)] = block
 

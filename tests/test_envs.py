@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import impulsegames as ig
 from impulsegames.envs import DRAW_BLOCK, BlockDraws
 
-from _oracles import pair_cell
+from _oracles import loop_duopoly_tables, pair_cell
 
 
 def test_step_mean_pure_decay():
@@ -63,6 +64,34 @@ def test_build_duopoly_game_is_valid():
     assert ig.validate(game) == []
     assert game.num_states == 49
     assert game.num_actions1 == 4
+
+
+@pytest.mark.parametrize("params", [
+    {"grid_size": 2}, {"grid_size": 9}, {"grid_size": 11},
+    {"grid_size": 7, "b1": 0.3, "b2": 0.9, "r1": 0.02, "r2": 0.11, "sigma1": 2.0, "sigma2": 9.5},
+    {"grid_size": 9, "noise_nodes": 1},
+    {"grid_size": 5, "investments1": ()}, {"grid_size": 5, "investments2": ()},
+    {"grid_size": 6, "investments1": (3.0,)}, {"grid_size": 6, "investments2": (0.5,)}])
+def test_duopoly_kernel_tables_are_the_per_pair_loop_bit_for_bit(params):
+    p = ig.DuopolyParams(**params)
+    game = ig.build_duopoly_game(p)
+    for table, ref in zip((game.cell_kernel, game.both_kernel), loop_duopoly_tables(p)):
+        assert table.shape == ref.shape and table.dtype == ref.dtype
+        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+        assert not table.flags.writeable
+
+
+def test_a_duopoly_build_holds_little_beyond_its_kernel_tables():
+    """Grid 21: the two stored tables, 24.9 MB, and at most a quarter more
+    (a full (S, A, B, S) kernel beside them would be twice as much)."""
+    ig.build_duopoly_game(ig.DuopolyParams(grid_size=3))  # first-call imports stay untraced
+    tracemalloc.start()
+    try:
+        game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (game.cell_kernel.nbytes + game.both_kernel.nbytes)
 
 
 def test_noise_nodes_lie_in_one_to_the_bound():

@@ -82,6 +82,28 @@ def test_validate_lists_a_bounded_number_of_entries_per_rule():
     assert peak < 2 * bad.kernel.nbytes
 
 
+@pytest.mark.parametrize("where", [(1, 2, 1, 3), (2, 0, 1, 0), (3, 2, 0, 2)])
+@pytest.mark.parametrize("nan_at", [None, (2, 1, 2, 0), (0, 1, 0, 1)])
+def test_a_single_negative_kernel_entry_is_listed_beside_a_nan(where, nan_at):
+    """One negative entry, in the both-act table or in the cell table, its row
+    still summing to 1, is the one negativity listed; a NaN in either table
+    (whose row sum is no longer checked) adds only the finiteness rule."""
+    kernel = ig.random_game(4, 2, 2, seed=0).kernel.copy()
+    x = kernel[where]
+    kernel[where] = -x
+    kernel[where[:3] + ((where[3] + 1) % 4,)] += 2 * x
+    if nan_at is not None:
+        kernel[nan_at] = np.nan
+    bad = ig.ImpulseGame(kernel, np.zeros((4, 3, 3)), np.full((4, 3), 0.5), np.full((4, 3), 0.5),
+                         0.1, 0.9)
+    s, a, b, t = where
+    expected = [ig.Violation("kernel-negative", where,
+                             f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative")]
+    if nan_at is not None:
+        expected.append(ig.Violation("kernel-not-finite", (), "kernel has non-finite entries"))
+    assert ig.validate(bad) == expected
+
+
 def test_every_rule_lists_its_entries_in_index_order():
     game = ig.random_game(4, 2, 2, seed=0)
     reward = game.reward.copy()
@@ -362,15 +384,15 @@ def test_a_kernel_split_in_parts_is_drawn_bit_for_bit(parts, seed, monkeypatch):
 
 
 def test_an_error_in_a_draw_thread_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
-    draw_share = game_module._draw_share
+    fill_kernel = game_module._fill_kernel
     before = set(threading.enumerate())
 
-    def failing(rng, kernel, lo, hi):
+    def failing(pairs, rows, lo, hi):
         if lo == 3:
             raise RuntimeError(f"share from state {lo} failed")
-        draw_share(rng, kernel, lo, hi)
+        fill_kernel(pairs, rows, lo, hi)
 
-    monkeypatch.setattr(game_module, "_draw_share", failing)
+    monkeypatch.setattr(game_module, "_fill_kernel", failing)
     with pytest.raises(RuntimeError, match="share from state 3 failed"):
         game_module._random_kernel(np.random.default_rng(0), (10, 2, 2, 10), 3)
     assert set(threading.enumerate()) == before
