@@ -31,10 +31,10 @@ KERNEL_ROW_TOL = 1e-12
 # game may have; checked from the counts before any table is built.
 MAX_KERNEL_ENTRIES = 16_000_000
 
-# The fewest kernel entries per random_game draw thread; and the most per block
-# of whole states (256 KB, or one state) that every generated kernel, drawn or
-# the duopoly's, is made in and divided by its row sums before it is split into
-# the tables (_fill_kernel).
+# The fewest kernel entries per random_game draw thread; and, for every
+# generated kernel (the draw, the duopoly), the most entries per block of whole
+# states (256 KB, or one state) that _fill_kernel makes in its scratch buffer
+# and divides by its row sums before splitting it into the tables.
 _ENTRIES_PER_PART = 2**20
 _BLOCK_ENTRIES = 2**15
 
