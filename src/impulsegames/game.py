@@ -613,7 +613,9 @@ def validate(game: ImpulseGame) -> list[Violation]:
     if any(np.fmin.reduce(k, axis=None, initial=0.0) < 0 for k in tables):
         out += _listed("kernel-negative", pairs(lambda k: k < 0), lambda s, a, b, t: (
             (s, a, b, t), f"kernel entry (s={s}, a={a}, b={b}, s'={t}) is negative"))
-    if not all(np.isfinite(k).all() for k in tables):
+    # a NaN carries through min and max, so no table-sized mask; a table is empty when a
+    # player has no actions
+    if not all(k.size == 0 or math.isfinite(k.min()) and math.isfinite(k.max()) for k in tables):
         out.append(Violation("kernel-not-finite", (), "kernel has non-finite entries"))
     if not (game.cost_floor > 0):
         out.append(Violation(

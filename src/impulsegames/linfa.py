@@ -11,6 +11,8 @@ the expectation of ``Phi`` under every cell, built once per fit by
 :meth:`impulsegames.game.ImpulseGame.expect`; its behaviour trajectory
 takes the learner's exploration draw (:func:`impulsegames.qlearn._explore`)
 and the game's sampler, :attr:`impulsegames.game.ImpulseGame.sampler_rows`.
+Per policy epoch it draws the trajectory first and then sweeps the weights
+over it.
 Policy chains come from :meth:`impulsegames.game.ImpulseGame.chain_rows`
 through :func:`impulsegames.solver._executed_chain`, so the module reads no
 kernel itself.
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envs import BlockDraws
+from .envs import _UNIT, BlockDraws
 from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
 from .solver import (EquilibriumPolicy, _combine, _executed_chain, _iterate, _policy, _reduce,
@@ -174,7 +176,8 @@ def _sample_target(game: ImpulseGame, row, combinator: str) -> float:
     """The selected operator's value at one state from that state's row of
     net cell values, ``net[s] + gamma * E[v(next) | cell]``: ``"T"`` through
     the learner's scalar read-off on the row's Python floats (one vectorised
-    call on one row costs more), ``"F"`` through the one-row :func:`_nest`."""
+    call on one row costs more; :func:`fit` builds that row on Python floats
+    itself), ``"F"`` through the one-row :func:`_nest`."""
     if combinator != "T":
         return _nest(_reduce(row[None], game.num_actions1), combinator)[0]
     return _greedy(row.tolist(), game.num_actions1)[0]
@@ -308,19 +311,28 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     only the trajectory is sampled.  The schedule is the ``FIT_*`` constants;
     coefficients above ``config.divergence_limit`` raise :class:`FitDivergenceError`.
 
-    Per sample the work runs on tables built once.  ``E[Phi(next) | s, cell]``
-    from :meth:`ImpulseGame.expect`, S x (A+B-1) x K doubles and so never
-    larger than the cells kernel, gives the visited state's row of the
-    operator as ``net[s] + gamma * (E[Phi][s] @ r)``; the ``"T"`` target is read
-    off that row on Python floats by the learner's scalar nesting (``"F"``
-    takes the one-row vectorised nesting).  ``r`` moves in place along
-    ``Phi[s]``.  The divergence check keeps a running upper bound on
+    Each epoch (``FIT_EPOCH`` samples between two policy refreshes) runs two
+    loops.  The trajectory loop draws the epoch's states first: no draw reads
+    ``r`` until the next refresh.  The executed cell comes from a per-state
+    list rebuilt with the policy, or from the exploration slots built once
+    per run; the next state is a bisection in that cell's row of the game's
+    :attr:`ImpulseGame.sampler_rows`, the table ``learn`` steps through,
+    on a uniform read inline as ``learn`` reads it.  The update loop then
+    moves ``r`` over those states, on per-state views of tables built once.
+    ``E[Phi(next) | s, cell]`` from :meth:`ImpulseGame.expect`, S x (A+B-1) x
+    K doubles and so never larger than the cells kernel, gives the visited
+    state's row of the operator as ``net[s] + gamma * (E[Phi][s] @ r)``; the
+    ``"T"`` target is read off that row on Python floats by the learner's
+    scalar nesting (``"F"`` takes the one-row vectorised nesting).  ``r``
+    moves in place along ``Phi[s]``.  The refresh follows the epoch's last
+    update, and the draw after the epoch's last sample follows the refresh,
+    so it opens the next epoch's trajectory loop; memory stays one epoch of
+    states.  ``E[Phi]`` is one product of the whole cell table: the rows of
+    the visited states alone, as a product of their own, may round
+    differently.  The divergence check keeps a running upper bound on
     ``max |r|`` and takes the exact maximum only when the bound passes the
     limit, so it raises at the same sample as an exact check after every
-    sample would.  The executed cell comes from a per-state list rebuilt
-    with the policy, and the exploration slots are built once per run; the
-    next state is a bisection in that cell's row of the game's
-    :attr:`ImpulseGame.sampler_rows`, the table ``learn`` steps through.
+    sample would.
     An ``r0`` that is not ``K`` finite coefficients, or a basis of another
     state count, is refused with ``ValueError`` before any draw.
     Every draw (reset state, exploration coin, slot and action, next-state
@@ -332,37 +344,57 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
     k = basis.num_features
     r = np.zeros(k) if r0 is None else _finite_table(r0, "r0", (k,))
     rng = BlockDraws(config.seed)
-    rows = game.sampler_rows
+    word, unit, rows = rng.word, _UNIT, game.sampler_rows
+    ns, na = game.num_states, game.num_actions1
+    samples, gamma, limit = config.samples, game.discount, config.divergence_limit
+    greedy = config.combinator == "T"
     phi = basis.matrix
     net = game.cells[1]
-    kphi = game.expect(phi)
+    # Per-state views, built once: the rows of E[Phi], Phi and the net values
+    # (Python floats for the "T" read-off).
+    kphi, phis = list(game.expect(phi)), list(phi)
+    nets = net.tolist() if greedy else list(net)
     phi_max = np.abs(phi).max(axis=1).tolist()
-    gamma, limit = game.discount, config.divergence_limit
-    na = game.num_actions1
     slots = _slots(game.cell_costs.tolist(), na)
+    dot, bisect = np.dot, bisect_right
     bound = float(np.abs(r).max())
-    s = rng.integers(game.num_states)
+    s = rng.integers(ns)
     cells = cell_index(na, *extract_policy(game, basis.field(r)).executed_actions).tolist()
-    for t in range(config.samples):
-        target = _sample_target(game, net[s] + gamma * (kphi[s] @ r), config.combinator)
-        c = (1.0 + t) ** -FIT_STEP_POWER * (target - phi[s] @ r)
-        r += c * phi[s]
-        # An upper bound on max |r|, with room for the update's rounding; the
-        # exact maximum is taken only when the bound passes the limit.
-        bound = (bound + abs(c) * phi_max[s]) * (1.0 + 1e-12)
-        if bound > limit:
-            bound = float(np.abs(r).max())
+    for lo in range(0, samples, FIT_EPOCH):
+        hi = min(samples, lo + FIT_EPOCH)
+        # The trajectory loop: the state of each sample after the first is drawn
+        # from the previous one's, and no draw reads `r` between two refreshes.
+        # The draw that follows an epoch's last sample comes after that epoch's
+        # refresh, so it opens the next epoch's loop.  As in `learn`: policy cells
+        # and `_slots` are never masked, so the cell's row is bisected without
+        # `SamplingEnv.step`'s checks.
+        states = [] if lo else [s]
+        for t in range(lo or 1, hi):
+            cell = _explore(slots[s], rng) if (word() >> 11) * unit < FIT_EPSILON else cells[s]
+            s = bisect(rows[s][cell][0], (word() >> 11) * unit)
+            if t % FIT_EPISODE_LEN == 0:
+                s = rng.integers(ns)
+            states.append(s)
+        # The update loop over those states; it leaves `s` at the epoch's last state.
+        for t, s in enumerate(states, lo):
+            y = dot(kphi[s], r)
+            if greedy:
+                target = _greedy([x + gamma * v for x, v in zip(nets[s], y.tolist())], na)[0]
+            else:
+                target = _sample_target(game, nets[s] + gamma * y, "F")
+            p = phis[s]
+            c = (1.0 + t) ** -FIT_STEP_POWER * (target - dot(p, r))
+            r += c * p
+            # An upper bound on max |r|, with room for the update's rounding; the
+            # exact maximum is taken only when the bound passes the limit.
+            bound = (bound + abs(c) * phi_max[s]) * (1.0 + 1e-12)
             if bound > limit:
-                raise FitDivergenceError(t, r)
-        if (t + 1) % FIT_EPOCH == 0:
+                bound = float(np.abs(r).max())
+                if bound > limit:
+                    raise FitDivergenceError(t, r)
+        if hi < samples:
             cells = cell_index(na, *extract_policy(game, phi @ r).executed_actions).tolist()
-        # As in `learn`: policy cells and `_slots` are never masked, so the cell's
-        # row is bisected without `SamplingEnv.step`'s checks.
-        cell = _explore(slots[s], rng) if rng.random() < FIT_EPSILON else cells[s]
-        s = bisect_right(rows[s][cell][0], rng.random())
-        if (t + 1) % FIT_EPISODE_LEN == 0:
-            s = rng.integers(game.num_states)
-    return r, FitReport(samples_run=config.samples)
+    return r, FitReport(samples_run=samples)
 
 
 class BoundReport(NamedTuple):

@@ -82,6 +82,39 @@ def test_validate_lists_a_bounded_number_of_entries_per_rule():
     assert peak < 2 * bad.kernel.nbytes
 
 
+def test_validate_allocates_no_table_sized_mask():
+    game = ig.random_game(300, 7, 7, 3)
+    stored = game.cell_kernel.nbytes + game.both_kernel.nbytes
+    tracemalloc.start()
+    try:
+        violations = ig.validate(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak <= 0.02 * stored, (peak, stored)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 0, 0, 2), (2, 1, 1, 0), None],
+                         ids=["cell", "both", "none"])
+@pytest.mark.parametrize("actions2", [2, 0])
+def test_the_finiteness_rule_reads_both_tables_and_passes_an_empty_one(bad, where, actions2):
+    """A non-finite entry in either stored table is reported once; a player
+    without actions leaves ``both_kernel`` empty, and that table passes."""
+    kernel = ig.random_game(3, 2, actions2, seed=1).kernel.copy()
+    if where is not None and where[2] < kernel.shape[2]:
+        kernel[where] = bad
+    game = ig.ImpulseGame(kernel, np.zeros(kernel.shape[:3]), np.full((3, 3), 0.5),
+                          np.full((3, actions2 + 1), 0.5), 0.1, 0.9)
+    assert game.both_kernel.size == (0 if actions2 == 0 else 3 * 4 * 3)
+    flagged = [v for v in ig.validate(game) if v.code == "kernel-not-finite"]
+    want = [] if np.isfinite(kernel).all() else [
+        ig.Violation("kernel-not-finite", (), "kernel has non-finite entries")]
+    assert flagged == want
+    assert bool(flagged) == (where is not None and where[2] < kernel.shape[2])
+
+
 @pytest.mark.parametrize("where", [(1, 2, 1, 3), (2, 0, 1, 0), (3, 2, 0, 2)])
 @pytest.mark.parametrize("nan_at", [None, (2, 1, 2, 0), (0, 1, 0, 1)])
 def test_a_single_negative_kernel_entry_is_listed_beside_a_nan(where, nan_at):

@@ -311,7 +311,8 @@ def _polynomial_basis(grid_size):
 
 @pytest.mark.parametrize("combinator", ["T", "F"])
 @pytest.mark.parametrize("case", ["duopoly-identity", "masked-random-basis",
-                                  "duopoly81-polynomial", "masked-random-basis-r0"])
+                                  "duopoly81-polynomial", "masked-random-basis-r0",
+                                  "one-state", "one-sided"])
 def test_fit_matches_the_loop_reference_bit_for_bit(case, combinator):
     r0 = None
     if case == "duopoly-identity":
@@ -320,17 +321,57 @@ def test_fit_matches_the_loop_reference_bit_for_bit(case, combinator):
     elif case == "duopoly81-polynomial":
         game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=9))
         basis = _polynomial_basis(9)
+    elif case == "one-state":
+        game, basis = ig.random_game(1, 2, 2, seed=41), ig.identity_basis(1)
+    elif case == "one-sided":
+        # Player 2 has no actions: its side of every nesting and of the exploration is empty.
+        game = randomly_masked(ig.random_game(12, 3, 0, seed=41), 41)
+        basis = ig.FeatureBasis(np.random.default_rng(41).normal(size=(12, 4)))
     else:
         game = randomly_masked(ig.random_game(25, 3, 2, seed=41), 41)
         rng = np.random.default_rng(41)
         basis = ig.FeatureBasis(rng.normal(size=(25, 6)))
         if case.endswith("-r0"):
             r0 = rng.normal(scale=3.0, size=6)
-    # 3500 samples cross three epochs (policy refreshes) and 35 episodes.
-    config = ig.FitConfig(samples=3500, seed=5, combinator=combinator)
-    r, _ = ig.fit(game, basis, config, r0=r0)
-    want = loop_fit(game, basis, 3500, 5, combinator, r0=r0)
+    # Around the epoch edges (policy refreshes every 1000 samples); 3500 samples
+    # cross three epochs and 35 episodes.
+    for samples in (0, 1, 999, 1000, 1001, 2000, 3500):
+        config = ig.FitConfig(samples=samples, seed=5, combinator=combinator)
+        r, _ = ig.fit(game, basis, config, r0=r0)
+        want = loop_fit(game, basis, samples, 5, combinator, r0=r0)
+        assert r.tobytes() == want.tobytes(), (samples, np.abs(r - want).max())
+
+
+@pytest.mark.parametrize("states, features, game_seed, samples, seed, combinator", [
+    (200, 1, 0, 3, 9, "T"), (200, 1, 3, 7, 13, "F"), (200, 3, 3, 30, 2, "T")])
+def test_short_fits_read_the_rows_of_the_whole_product(states, features, game_seed, samples,
+                                                       seed, combinator):
+    """Fits that visit a few states of a larger game.  A product of the visited
+    rows alone can round differently from the whole product (a row's bits
+    depend on where it falls in the BLAS kernel's row groups): on OpenBLAS's
+    Haswell kernels each of these fits then leaves the reference's bits."""
+    game = ig.random_game(states, 2, 2, seed=game_seed)
+    basis = ig.FeatureBasis(np.random.default_rng(game_seed).normal(size=(states, features)))
+    r, _ = ig.fit(game, basis, ig.FitConfig(samples=samples, seed=seed, combinator=combinator))
+    want = loop_fit(game, basis, samples, seed, combinator)
     assert r.tobytes() == want.tobytes(), np.abs(r - want).max()
+
+
+@pytest.mark.parametrize("step", [999, 1000])
+def test_divergence_at_an_epoch_edge_keeps_the_loop_prefix(step):
+    """On a 1-state game at discount 0.99 |r| climbs at every sample, so a limit
+    equal to |r| after sample ``step - 1`` is first passed at ``step``: the last
+    sample of the first epoch (999), or the first after its refresh (1000)."""
+    game = ig.random_game(1, 2, 2, seed=3, gamma=0.99)
+    basis = ig.identity_basis(1)
+    norms = []
+    loop_fit(game, basis, 1001, 7, "T", norms=norms)
+    assert all(b > a for a, b in zip(norms, norms[1:]))
+    with pytest.raises(ig.FitDivergenceError) as exc:
+        ig.fit(game, basis, ig.FitConfig(samples=2000, seed=7, divergence_limit=norms[step - 1]))
+    assert exc.value.step == step
+    want = loop_fit(game, basis, step + 1, 7, "T")
+    assert exc.value.r.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("with_r0", [False, True], ids=["zeros", "r0"])
