@@ -13,9 +13,10 @@ trigger at the same state, only Player 2's action executes, so only the
 pairs of :attr:`ImpulseGame.cells` (null, ``(a, 0)``, ``(0, b)``) are read.
 The solver reads the transition only through the game: expectations of a
 value field from :meth:`ImpulseGame.expect`, and policy chains from
-:meth:`ImpulseGame.chain_rows`; :func:`q_from_value`, the one reader of the
-pairs where both players act, takes its expectations from
-:meth:`ImpulseGame.expect_pairs`.
+:meth:`ImpulseGame.chain_rows`; the pairs where both players act are read
+only for ``q`` tables (:func:`q_from_value`, and :func:`solve`'s report,
+which reads its policy off the cells of the same product), from
+:meth:`ImpulseGame.expect_pairs` in :func:`_pair_values`.
 
 The operator is a gamma-contraction with a unique fixed point ``v*``, so any
 field ``v`` is certified by its residual alone:
@@ -26,8 +27,11 @@ changing between sweeps jumps to the exact value of its executed chain
 stochastic games, Hoffman & Karp 1966), in :func:`_iterate`, the one loop
 it shares with :func:`impulsegames.linfa.projected_iteration` and with
 :func:`_best_response`, by which :func:`minimax_oracle` certifies a saddle.
-Linear solves on policy chains have one home, :func:`_executed_chain` plus
-:func:`_chain_values`, shared by that finish and :func:`evaluate_policies`.
+Linear solves on policy chains have one home: :func:`_executed_chain` builds
+the chain, and :func:`_chain_values` holds the one direct solve, shared by
+that finish and :func:`evaluate_policies`.  The finish of an unbudgeted
+game first tries GMRES on the chain (:func:`_krylov_values`), which falls
+back to that direct solve by one cost rule.
 """
 
 from __future__ import annotations
@@ -45,10 +49,30 @@ TIE_EPS = 1e-10
 
 CERT_TOL = 1e-8
 
-# Largest base state count S that gets the finish; its solves are S x S,
-# under caps too.  Above it the finish saves little time on games with few
-# actions and adds three S x S arrays to peak memory.
+# Largest base state count S that gets the finish; its chains are dense
+# S x S, under caps too.  Above it the finish saves little time on games
+# with few actions and adds an S x S chain to peak memory, and a direct
+# solve's copy of it where GMRES falls back.
 FINISH_MAX_STATES = 2000
+
+# The cost rule of the finish's GMRES (:func:`_krylov_values`), set by
+# measurement on one BLAS thread.  One GMRES step, a product ``P x`` and its
+# orthogonalisation, took 1/33 to 1/106 of the direct solve on chains of 256
+# to 2,000 states, so a solve may take ``S // KRYLOV_STEP_STATES`` steps; it
+# is not tried where that is under ``KRYLOV_MIN_STEPS`` (below 256 states
+# Python's overhead per step eats the gain).  From step ``KRYLOV_WARMUP`` on
+# a solve predicts its total from the last step's residual reduction and
+# gives up as soon as that exceeds its steps: a random game's chain stops
+# after 8-11 steps, a duopoly's local chain, which needs 32-41, gives up
+# after 4.  Earlier steps do not predict: on a random chain at gamma near 1
+# the first three may stall before the rate settles.  The first solve stops
+# at a relative residual of ``KRYLOV_TOL`` in the 2-norm, the refinement at
+# ``KRYLOV_REFINE_TOL`` of the residual it is given.
+KRYLOV_STEP_STATES = 16
+KRYLOV_MIN_STEPS = 16
+KRYLOV_WARMUP = 4
+KRYLOV_TOL = 1e-13
+KRYLOV_REFINE_TOL = 1e-6
 
 # Bytes of stacked chain kernels (S x S each) one solve takes at once; the
 # solve holds a few arrays of this size.
@@ -128,6 +152,15 @@ def operator_terms(game: ImpulseGame, v, caps=None) -> OperatorTerms:
     ny, nz, spend = _layers(game, caps)
     na = game.num_actions1
     ev = _next_values(game.expect(_field(game, v, ny, nz)), np.s_[:, 1:na], np.s_[:, na:])
+    return _terms(game, ev, spend)
+
+
+def _terms(game: ImpulseGame, ev, spend: int) -> OperatorTerms:
+    """The operator's pieces, flat over ``(s, y, z)``, from ``ev``, E[v(next)]
+    of each of :attr:`ImpulseGame.cells` on the counter layers, axes ``(s,
+    cell, y, z)``, read one counter step down by :func:`_next_values`; with
+    ``spend`` a spent counter masks its player's cells."""
+    na = game.num_actions1
     q = game.cells[1][:, :, None, None] + game.discount * ev
     if spend:
         q[:, 1:na, 0] = -np.inf
@@ -209,15 +242,25 @@ def q_from_value(game: ImpulseGame, v, caps=None) -> np.ndarray:
     """Cost-exclusive action values: reward plus discounted expectation of v.
 
     Shape ``(S, A, B)``, or ``(S*(n1+1)*(n2+1), A, B)`` under ``caps``.
-    The one reader of the pairs where both players act: its expectations
-    are :meth:`ImpulseGame.expect_pairs`, one product of each of the game's
-    two stored kernel tables, so the full kernel is never assembled.  The
-    executable cells' entries come from the same product as the operator's
-    (:meth:`ImpulseGame.expect`).
+    Its expectations are :meth:`ImpulseGame.expect_pairs`, one product of
+    each of the game's two stored kernel tables, so the full kernel is never
+    assembled.  The executable cells' entries come from the same product as
+    the operator's (:meth:`ImpulseGame.expect`).
     """
-    ny, nz, _ = _layers(game, caps)
-    ev = _next_values(game.expect_pairs(_field(game, v, ny, nz)),
-                      np.s_[:, 1:], np.s_[:, :, 1:])
+    return _pair_q(game, _pair_values(game, v, *_layers(game, caps)[:2]))
+
+
+def _pair_values(game: ImpulseGame, v, ny: int, nz: int) -> np.ndarray:
+    """E[v(next)] of every action pair on the counter layers, axes ``(s, a, b,
+    y, z)``, read one counter step down by :func:`_next_values`.  Its cells
+    (:func:`impulsegames.game.to_cells`) are the ``ev`` of :func:`_terms` bit
+    for bit: the same product, and the same shift, copied."""
+    return _next_values(game.expect_pairs(_field(game, v, ny, nz)),
+                        np.s_[:, 1:], np.s_[:, :, 1:])
+
+
+def _pair_q(game: ImpulseGame, ev) -> np.ndarray:
+    """:func:`q_from_value`'s table from :func:`_pair_values`."""
     q = game.reward[..., None, None] + game.discount * ev
     return q.transpose(0, 3, 4, 1, 2).reshape((-1,) + q.shape[1:3])
 
@@ -394,7 +437,8 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
     """
     _count(max_sweeps, "max_sweeps")
     g, threshold = game.discount, _threshold(game, tol)
-    size = game.num_states * math.prod(_layers(game, caps)[:2])
+    ny, nz, spend = _layers(game, caps)
+    size = game.num_states * ny * nz
     v = np.zeros(size) if v0 is None else _finite_table(v0, "v0", (size,))
 
     def sweep(v):
@@ -405,8 +449,9 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
                             lambda policy: _policy_values(game, policy, caps),
                             threshold, max_sweeps)
     residual = residuals[-1] if residuals else math.inf
+    ev = _pair_values(game, v, ny, nz)  # one product for the report's q and policy
     return SolveReport(
-        value=v, q=q_from_value(game, v, caps), policy=extract_policy(game, v, caps),
+        value=v, q=_pair_q(game, ev), policy=_policy(_terms(game, to_cells(ev), spend)),
         sweeps=len(residuals), residual=residual, error_bound=g * residual / (1.0 - g),
         converged=bool(residuals) and residual <= threshold,
     )
@@ -475,6 +520,78 @@ def _executed_chain(game: ImpulseGame, a, b) -> tuple[np.ndarray, np.ndarray]:
     return p, r
 
 
+def _krylov_values(p, r, gamma: float):
+    """Value of the chain with kernel rows ``p (S, S)`` and rewards ``r (S,)``
+    by GMRES on ``(I - gamma p) v = r`` (:func:`_gmres`), or None where the
+    cost rule (``KRYLOV_STEP_STATES`` and after) leaves it to the direct
+    solve: too few states, or a residual that falls too slowly.  One step of
+    iterative refinement, GMRES on the residual the first solve leaves, takes
+    out the error that residual hides along the chain's slow modes (near the
+    constant field when gamma is near 1), which later sweeps would shrink
+    only by gamma each."""
+    steps = len(r) // KRYLOV_STEP_STATES
+    if steps < KRYLOV_MIN_STEPS:
+        return None
+    v = _gmres(p, r, gamma, steps, KRYLOV_TOL)
+    if v is None:
+        return None
+    fix = _gmres(p, r - (v - gamma * (p @ v)), gamma, steps, KRYLOV_REFINE_TOL)
+    return v if fix is None else v + fix
+
+
+def _gmres(p, r, gamma: float, steps: int, tol: float):
+    """Unrestarted GMRES (Saad & Schultz 1986) on ``(I - gamma p) x = r`` from
+    ``x = 0``, to a residual of ``tol * |r|`` in the 2-norm within ``steps``
+    steps, else None; from step ``KRYLOV_WARMUP`` on it gives up as soon as
+    the last step's reduction of the residual, kept up, would need more than
+    ``steps``.  ``p`` is only read.  Arnoldi runs on ``p`` itself, with
+    classical Gram-Schmidt done twice: ``I - gamma p`` has the same Krylov
+    basis, and its Hessenberg matrix is the identity minus ``gamma`` times
+    ``p``'s, triangularised by Givens rotations as it grows; the last entry
+    of the rotated ``|r| e1`` is the residual's norm."""
+    ns = len(r)
+    beta = math.sqrt(r @ r)
+    if beta == 0.0:
+        return np.zeros(ns)
+    basis = np.empty((steps + 1, ns))
+    np.divide(r, beta, out=basis[0])
+    cols, cs, sn, g, res = [], [], [], [beta], 1.0
+    for k in range(steps):
+        w = p @ basis[k]
+        v = basis[:k + 1]
+        h = v @ w
+        w -= h @ v
+        h2 = v @ w
+        w -= h2 @ v
+        h += h2
+        hn = math.sqrt(w @ w)
+        col = (h * -gamma).tolist()
+        col[k] += 1.0
+        below = -gamma * hn
+        for i in range(k):
+            col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], \
+                cs[i] * col[i + 1] - sn[i] * col[i]
+        d = math.hypot(col[k], below)
+        cs.append(col[k] / d)
+        sn.append(below / d)
+        col[k] = d
+        cols.append(col)
+        g.append(-sn[k] * g[k])
+        g[k] *= cs[k]
+        n, last, res = k + 1, res, abs(g[k + 1]) / beta
+        if res <= tol:
+            y = [0.0] * n
+            for i in range(n - 1, -1, -1):
+                y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, n))) / cols[i][i]
+            return np.array(y) @ basis[:n]
+        if n >= KRYLOV_WARMUP:
+            rate = res / last
+            if rate >= 1.0 or n + math.log(tol / res) / math.log(rate) > steps:
+                return None
+        np.divide(w, hn, out=basis[n])
+    return None
+
+
 def _chain_values(game: ImpulseGame, p, r) -> np.ndarray:
     """Values of discounted chains with kernel rows ``p`` and rewards ``r``:
     one solve of ``(I - gamma p) v = r`` over any leading batch axes.  The
@@ -497,15 +614,22 @@ def _batches(n: int, ns: int):
 def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> np.ndarray:
     """Exact value of the chain ``policy`` executes, flat like ``solve``'s.
 
-    Under ``caps`` an executed action moves its player's counter down, so the
-    chain is block-triangular over counter layers ``(y, z)``: the layers of
-    one diagonal ``y + z`` take stacked S x S solves (see :func:`_batches`),
-    lower diagonals first, and nothing is solved over the whole augmented
-    space.
+    Without caps the chain's dense rows go to GMRES first
+    (:func:`_krylov_values`) and to the direct solve of :func:`_chain_values`
+    where its cost rule gives up, so the result is exact to a relative
+    residual near double precision either way; the finish is only an
+    accelerator of :func:`_iterate`, which keeps it only when its delta is
+    smaller.  Under ``caps`` an executed action moves its player's counter
+    down, so the chain is block-triangular over counter layers ``(y, z)``:
+    the layers of one diagonal ``y + z`` take stacked S x S direct solves
+    (see :func:`_batches`), lower diagonals first, and nothing is solved over
+    the whole augmented space.
     """
     ns, (ny, nz, spend) = game.num_states, _layers(game, caps)
     if not spend:
-        return _chain_values(game, *_executed_chain(game, *policy.executed_actions))
+        p, r = _executed_chain(game, *policy.executed_actions)
+        v = _krylov_values(p, r, game.discount)
+        return _chain_values(game, p, r) if v is None else v
     a, b = (x.reshape(ns, ny, nz).transpose(1, 2, 0) for x in policy.executed_actions)
     v = np.zeros((ny, nz, ns))
     for d in range(ny + nz - 1):

@@ -4,7 +4,10 @@ sweep's did, and only if that policy has not been finished before
 (``solver._Settled``).  A finish's value depends only on the policy it
 evaluates, so the results are pinned bit for bit against the earlier loops
 that tried the finish every ``FINISH_EVERY`` sweeps (``_oracles``); only the
-sweep counts differ."""
+sweep counts differ.  The finish evaluates a chain by GMRES where the cost
+rule takes it (``solver._krylov_values``) and by the direct solve of
+``solver._chain_values`` elsewhere; the two are checked against each other,
+and which one each kind of chain takes."""
 
 import ast
 from pathlib import Path
@@ -22,10 +25,9 @@ SHAPES = [(6, 2, 2), (9, 1, 3), (4, 3, 0), (7, 0, 2), (10, 2, 3), (3, 1, 1)]
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impulsegames"
 
 
-def _loop_pieces(path):
-    """``(enclosing definition, piece, line)`` of every construction of
-    ``_Settled``, read of ``FINISH_MAX_STATES`` and ``"tol must be positive"``
-    message in the module at ``path``."""
+def _parsed(path):
+    """The syntax tree of the module at ``path`` and a function giving the
+    name of a node's enclosing definition (``""`` at module level)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
@@ -36,6 +38,14 @@ def _loop_pieces(path):
                 return node.name
         return ""
 
+    return tree, owner
+
+
+def _loop_pieces(path):
+    """``(enclosing definition, piece, line)`` of every construction of
+    ``_Settled``, read of ``FINISH_MAX_STATES`` and ``"tol must be positive"``
+    message in the module at ``path``."""
+    tree, owner = _parsed(path)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
@@ -60,6 +70,41 @@ def test_the_loop_lives_in_iterate_alone():
     assert outside == []
     assert sorted(piece for *_, piece, _ in pieces) == \
         ["FINISH_MAX_STATES", "_Settled()", "tol refusal"]
+
+
+KRYLOV = ("_krylov_values", "_gmres", "KRYLOV_STEP_STATES", "KRYLOV_MIN_STEPS",
+           "KRYLOV_WARMUP", "KRYLOV_TOL", "KRYLOV_REFINE_TOL")
+
+
+def _chain_solve_pieces(path):
+    """``(enclosing definition, piece)`` of every read of a name of ``KRYLOV``
+    (plain or as an attribute) and of ``linalg.solve`` in the module at
+    ``path``."""
+    tree, owner = _parsed(path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in KRYLOV:
+                yield owner(node), name
+            elif name == "solve" and getattr(getattr(node, "value", None), "attr", "") == "linalg":
+                yield owner(node), "linalg.solve"
+
+
+def test_chain_solves_live_in_the_finish_alone():
+    # Linear solves on policy chains have one home: the one direct solve is
+    # `_chain_values`', and GMRES and its cost rule are read only by the
+    # finish's evaluation.
+    pieces = {(path.name, *piece) for path in PACKAGE.glob("*.py")
+              for piece in _chain_solve_pieces(path)
+              if path.name == "solver.py" or piece[1] != "linalg.solve"}
+    assert pieces == {("solver.py", "_chain_values", "linalg.solve"),
+                      ("solver.py", "_policy_values", "_krylov_values"),
+                      ("solver.py", "_krylov_values", "_gmres"),
+                      ("solver.py", "_krylov_values", "KRYLOV_STEP_STATES"),
+                      ("solver.py", "_krylov_values", "KRYLOV_MIN_STEPS"),
+                      ("solver.py", "_krylov_values", "KRYLOV_TOL"),
+                      ("solver.py", "_krylov_values", "KRYLOV_REFINE_TOL"),
+                      ("solver.py", "_gmres", "KRYLOV_WARMUP")}
 
 
 def _same_report(rep, ref):
@@ -243,3 +288,137 @@ def test_projected_iteration_finishes_only_a_settled_policy_not_tried_before(mon
         finishes += _settled_schedule(events, tail=0)
         monkeypatch.undo()
     assert finishes >= len(cases) // 2
+
+
+def _direct(game, p, r):
+    return solver._chain_values(game, p.copy(), r)
+
+
+def _close_to_direct(game, v, ref):
+    # Both solves are backward stable, so each is within a few rounding
+    # errors times the condition number of I - gamma P, at most
+    # (1 + gamma) / (1 - gamma) in the sup norm, of the exact values.
+    g = game.discount
+    scale = (1 + g) / (1 - g) * np.finfo(float).eps * max(1.0, np.abs(ref).max())
+    assert np.abs(v - ref).max() <= 4 * scale
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95, 0.99])
+@pytest.mark.parametrize("shape", [(256, 3, 3), (400, 2, 4), (800, 3, 3)])
+def test_gmres_matches_the_direct_solve_on_random_chains(shape, gamma):
+    for seed in range(3):
+        game = ig.random_game(*shape, seed=500 + seed, gamma=gamma)
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, shape[1], shape[0])
+        b = np.where(rng.random(shape[0]) < 0.3, rng.integers(0, shape[2], shape[0]), 0)
+        p, r = solver._executed_chain(game, a, b)
+        v = solver._krylov_values(p, r, gamma)
+        assert v is not None
+        _close_to_direct(game, v, _direct(game, p, r))
+
+
+def test_gmres_matches_the_direct_solve_on_a_masked_game():
+    game = randomly_masked(ig.random_game(300, 3, 3, seed=7, gamma=0.95), 7)
+    policy = ig.solve(game).policy
+    p, r = solver._executed_chain(game, *policy.executed_actions)
+    v = solver._krylov_values(p, r, game.discount)
+    assert v is not None
+    _close_to_direct(game, v, _direct(game, p, r))
+    _close_to_direct(game, solver._policy_values(game, policy), _direct(game, p, r))
+
+
+def test_a_zero_reward_chain_is_worth_zero():
+    base = ig.random_game(256, 2, 2, seed=8, gamma=0.9)
+    game = ig.ImpulseGame(kernel=base.kernel, reward=np.zeros_like(base.reward),
+                          cost1=base.cost1, cost2=base.cost2, cost_floor=base.cost_floor,
+                          discount=base.discount)
+    p, r = solver._executed_chain(game, np.zeros(256, dtype=int), np.zeros(256, dtype=int))
+    v = solver._krylov_values(p, r, game.discount)
+    assert v.tobytes() == np.zeros(256).tobytes()
+    _close_to_direct(game, v, _direct(game, p, r))
+
+
+def _cycle_game(ns, gamma):
+    """One action per player; every state moves to the next, round a cycle."""
+    kernel = np.zeros((ns, 1, 1, ns))
+    kernel[np.arange(ns), 0, 0, (np.arange(ns) + 1) % ns] = 1.0
+    reward = np.random.default_rng(ns).normal(size=(ns, 1, 1))
+    return ig.ImpulseGame(kernel=kernel, reward=reward, cost1=np.zeros((ns, 1)),
+                          cost2=np.zeros((ns, 1)), cost_floor=0.1, discount=gamma)
+
+
+class _Steps:
+    """A chain's rows that count the products GMRES takes of them."""
+
+    def __init__(self, p):
+        self.p, self.count = p, 0
+
+    def __matmul__(self, x):
+        self.count += 1
+        return self.p @ x
+
+
+def test_a_chain_that_defeats_gmres_takes_the_direct_solves_bits():
+    # A permutation cycle's spectrum is spread round a circle of radius
+    # gamma: GMRES would need about S steps, so it gives up after its warm-up
+    # and the finish returns the direct solve's values bit for bit.
+    game = _cycle_game(512, 0.99)
+    zero = np.zeros(512, dtype=int)
+    p, r = solver._executed_chain(game, zero, zero)
+    steps = _Steps(p)
+    assert solver._krylov_values(steps, r, game.discount) is None
+    assert steps.count == solver.KRYLOV_WARMUP
+    policy = ig.EquilibriumPolicy(p1_action=zero, p2_action=zero)
+    assert solver._policy_values(game, policy).tobytes() == _direct(game, p, r).tobytes()
+
+
+def _spy_on_the_finish(monkeypatch):
+    """Record the finish's evaluations: ``("gmres", took it)`` per call of
+    ``_krylov_values`` and ``"direct"`` per direct solve, with the GMRES
+    products each call took."""
+    events = []
+    krylov, direct = solver._krylov_values, solver._chain_values
+
+    def counting_krylov(p, r, gamma):
+        steps = _Steps(p)
+        v = krylov(steps, r, gamma)
+        events.append(("gmres", v is not None, steps.count))
+        return v
+
+    def counting_direct(game, p, r):
+        events.append(("direct",))
+        return direct(game, p, r)
+
+    monkeypatch.setattr(solver, "_krylov_values", counting_krylov)
+    monkeypatch.setattr(solver, "_chain_values", counting_direct)
+    return events
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.95])
+@pytest.mark.parametrize("shape", [(800, 3, 3), (300, 7, 7)])
+def test_the_dense_shapes_finish_by_gmres_on_the_third_sweep(monkeypatch, shape, gamma):
+    # The benchmark's dense shapes (at the CLI's discount and at 0.95): GMRES
+    # takes the finish, with no fall back to the direct solve, and its values
+    # end the solve on the third sweep as the direct solve's do.
+    game = ig.random_game(*shape, seed=0, gamma=gamma)
+    events = _spy_on_the_finish(monkeypatch)
+    for tol in (1e-9, 1e-12):
+        events.clear()
+        rep = ig.solve(game, tol=tol)
+        assert rep.sweeps == 3 and rep.converged
+        assert [e[:2] for e in events] == [("gmres", True)]
+
+
+@pytest.mark.parametrize("grid", [11, 17])
+def test_the_duopoly_keeps_the_direct_solve_and_its_report(monkeypatch, grid):
+    # The duopoly's local chains make GMRES slow: at grid 11 (121 states) it
+    # is not tried, at grid 17 (289) it gives up after its warm-up at every
+    # finish.  The report is the direct solve's bit for bit.
+    game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=grid))
+    events = _spy_on_the_finish(monkeypatch)
+    rep = ig.solve(game)
+    tried = grid * grid // solver.KRYLOV_STEP_STATES >= solver.KRYLOV_MIN_STEPS
+    finish = [("gmres", False, solver.KRYLOV_WARMUP if tried else 0), ("direct",)]
+    assert events and events == finish * (len(events) // 2)
+    monkeypatch.setattr(solver, "_krylov_values", lambda p, r, gamma: None)
+    _same_report(rep, ig.solve(game))
