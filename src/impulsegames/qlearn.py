@@ -7,8 +7,9 @@ only the executed cell toward a sampled one-step bootstrap target on the raw
 the game's ``cell_costs``) per executable cell, as cells of
 ``ImpulseGame.cells``, reads the net values through the greedy combinator,
 and returns ``Q[s, a, b]``.  Per state it keeps each player's best net value
-and cell (:func:`_side`) and the read-off they give; a step touches only the
-updated cell's side and rescans it only when its kept best cell gets worse.
+and cell (:func:`_side`), a bound on the side's runner-up (:func:`_ranked`)
+and the read-off they give; a step touches only the updated cell's side and
+rescans it only when its kept best falls behind the runner-up.
 Actions are cells: a step bisects the executed cell's row of
 :attr:`ImpulseGame.sampler_rows` with one uniform, inline.  It explores by
 :func:`_explore`; :func:`impulsegames.solver.read_off` reads the value and
@@ -77,6 +78,16 @@ def _side(row, lo: int, hi: int, sign: float) -> tuple[float, int]:
     return sign * best, i
 
 
+def _ranked(row, lo: int, hi: int, sign: float) -> tuple[float, int, float, int]:
+    """One player's best net value and cell among cells ``lo .. hi-1``
+    (:func:`_side`), then the side's runner-up: the best of its other cells
+    under the same order (value first, then the lowest cell), by
+    :func:`_side` on the cells on either side of the best."""
+    best, i = _side(row, lo, hi, sign)
+    left, right = _side(row, lo, i, sign), _side(row, max(i + 1, lo), hi, sign)
+    return (best, i, *(left if sign * left[0] >= sign * right[0] else right))
+
+
 def _greedy(row, na: int) -> tuple[float, int]:
     """Greedy value at one state and the cell it executes, by the rule of
     ``solver._reduce`` and ``extract_policy``, from a plain list of the
@@ -143,11 +154,16 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     fetched in blocks; the coin and the uniform are read from
     :attr:`BlockDraws.word` inline.  The steps run in segments that end at
     the next diagnostics row or episode reset.  The read-off is kept per
-    state, with each player's best net value and cell: after an update only
-    the updated cell's side changes, the cell taking over when it beats the
-    kept best (or ties it from a lower index), and the side is rescanned only
-    when its kept best cell gets worse; the no-op and the two sides are then
-    combined by :func:`_greedy`'s rule, bit for bit.  The table and visit counts
+    state, with each player's best net value and cell and its runner-up, the
+    best of the side's other cells: after an update only the updated cell's
+    side changes.  A cell beats another with a better value, or the same from
+    a lower index.  A cell that beats the kept best takes over, and the best
+    it displaced becomes the runner-up; one that beats the runner-up becomes
+    it; a kept best that gets worse stays while it beats the runner-up, and
+    only when it does not is the side rescanned.  A runner-up that gets worse
+    keeps its old value as a bound, which can cost an extra rescan but never
+    a wrong read-off.  The no-op and the two sides are then combined by
+    :func:`_greedy`'s rule, bit for bit.  The table and visit counts
     come back as ``(S, A, B)`` arrays, where cells in which both players act
     keep their ``q0`` value.  When ``reference_q`` is given, the diagnostics
     track the sup-norm distance to it over the cells executed so far.
@@ -166,11 +182,13 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
     counts = [[0] * len(row) for row in table]
     costs = game.cell_costs.tolist()
     slots = _slots(costs, na)
-    # Per state: each player's best net value and the cell that holds it (`_side`), and
-    # the read-off they give with the no-op, `_greedy`'s value in `vals`, its cell in `acts`.
+    # Per state: each player's best net value and the cell that holds it (`_side`), a
+    # bound on the side's runner-up and its cell (`_ranked`), and the read-off they give
+    # with the no-op, `_greedy`'s value in `vals`, its cell in `acts`.
     width = na + nb - 1
-    best1, cell1 = map(list, zip(*[_side(net, 1, na, 1.0) for net in nets]))
-    best2, cell2 = map(list, zip(*[_side(net, na, width, -1.0) for net in nets]))
+    best1, cell1, next1, ncell1 = map(list, zip(*[_ranked(net, 1, na, 1.0) for net in nets]))
+    best2, cell2, next2, ncell2 = map(list, zip(*[_ranked(net, na, width, -1.0)
+                                                  for net in nets]))
     vals, acts = map(list, zip(*[_greedy(net, na) for net in nets]))
     eps0 = config.epsilon_start
     eps_span = min(eps0, LEARN_EPSILON_END) - eps0
@@ -208,25 +226,40 @@ def learn(game: ImpulseGame, config: LearnConfig, q0=None,
             row[c] += delta
             net = nets[s]
             x = net[c] = row[c] + costs[s][c]
-            # Only c's side can change its best: a cell that beats the kept best, or ties
-            # it from a lower index, takes over; a kept best that gets no worse stays; a
-            # kept best that gets worse rescans its side.
+            # Only c's side can change.  "Beats" is `_side`'s order: a better value, or
+            # the same from a lower cell.  The kept best stays while it beats the
+            # runner-up bound, and the side is rescanned only once it does not; a cell
+            # that beats the kept best takes over, and the best it displaced becomes
+            # the runner-up; a cell that beats the bound becomes the runner-up.  A
+            # runner-up that gets worse keeps its old value as the bound.
             if c >= na:
-                if c == cell2[s]:
-                    if x <= best2[s]:
+                b, k = best2[s], cell2[s]
+                if c == k:
+                    r = next2[s]
+                    if x < r or (x == r and c < ncell2[s]):
                         best2[s] = x
                     else:
-                        best2[s], cell2[s] = _side(net, na, width, -1.0)
-                elif x < best2[s] or (x == best2[s] and c < cell2[s]):
-                    best2[s], cell2[s] = x, c
+                        best2[s], cell2[s], next2[s], ncell2[s] = _ranked(net, na, width, -1.0)
+                elif x < b or (x == b and c < k):
+                    best2[s], cell2[s], next2[s], ncell2[s] = x, c, b, k
+                else:
+                    r = next2[s]
+                    if x < r or (x == r and c < ncell2[s]):
+                        next2[s], ncell2[s] = x, c
             elif c:
-                if c == cell1[s]:
-                    if x >= best1[s]:
+                b, k = best1[s], cell1[s]
+                if c == k:
+                    r = next1[s]
+                    if x > r or (x == r and c < ncell1[s]):
                         best1[s] = x
                     else:
-                        best1[s], cell1[s] = _side(net, 1, na, 1.0)
-                elif x > best1[s] or (x == best1[s] and c < cell1[s]):
-                    best1[s], cell1[s] = x, c
+                        best1[s], cell1[s], next1[s], ncell1[s] = _ranked(net, 1, na, 1.0)
+                elif x > b or (x == b and c < k):
+                    best1[s], cell1[s], next1[s], ncell1[s] = x, c, b, k
+                else:
+                    r = next1[s]
+                    if x > r or (x == r and c < ncell1[s]):
+                        next1[s], ncell1[s] = x, c
             # `_greedy`'s combine, inline: as a call it costs more per step.
             noop, b1, b2 = net[0], best1[s], best2[s]
             inner = b1 if b1 > noop else noop

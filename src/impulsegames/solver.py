@@ -31,7 +31,8 @@ Linear solves on policy chains have one home: :func:`_executed_chain` builds
 the chain, and :func:`_chain_values` holds the one direct solve, shared by
 that finish and :func:`evaluate_policies`.  The finish of an unbudgeted
 game first tries GMRES on the chain (:func:`_krylov_values`), which falls
-back to that direct solve by one cost rule.
+back to that direct solve by one cost rule; once it falls back, the rest of
+that run's finishes take the direct solve alone.
 """
 
 from __future__ import annotations
@@ -445,8 +446,9 @@ def solve(game: ImpulseGame, tol: float = 1e-9, max_sweeps: int = 100_000,
         t = operator_terms(game, v, caps)
         return _combine(t), t
 
+    gmres = [True]
     v, residuals = _iterate(game, v, sweep, _policy,
-                            lambda policy: _policy_values(game, policy, caps),
+                            lambda policy: _policy_values(game, policy, caps, gmres),
                             threshold, max_sweeps)
     residual = residuals[-1] if residuals else math.inf
     ev = _pair_values(game, v, ny, nz)  # one product for the report's q and policy
@@ -611,7 +613,8 @@ def _batches(n: int, ns: int):
     return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> np.ndarray:
+def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None,
+                   gmres=None) -> np.ndarray:
     """Exact value of the chain ``policy`` executes, flat like ``solve``'s.
 
     Without caps the chain's dense rows go to GMRES first
@@ -619,16 +622,23 @@ def _policy_values(game: ImpulseGame, policy: EquilibriumPolicy, caps=None) -> n
     where its cost rule gives up, so the result is exact to a relative
     residual near double precision either way; the finish is only an
     accelerator of :func:`_iterate`, which keeps it only when its delta is
-    smaller.  Under ``caps`` an executed action moves its player's counter
-    down, so the chain is block-triangular over counter layers ``(y, z)``:
-    the layers of one diagonal ``y + z`` take stacked S x S direct solves
-    (see :func:`_batches`), lower diagonals first, and nothing is solved over
-    the whole augmented space.
+    smaller.  ``gmres``, where given, carries one :func:`_iterate` run's
+    verdict from finish to finish: a one-item list, ``[True]`` at the start,
+    that turns ``[False]`` where :func:`_krylov_values` leaves a chain to the
+    direct solve, after which the run's later chains go straight to it (a
+    run's chains are of one game and differ in a few states' actions, so
+    GMRES fares alike on them).  Under ``caps`` an executed action moves its
+    player's counter down, so the chain is block-triangular over counter
+    layers ``(y, z)``: the layers of one diagonal ``y + z`` take stacked
+    S x S direct solves (see :func:`_batches`), lower diagonals first, and
+    nothing is solved over the whole augmented space.
     """
     ns, (ny, nz, spend) = game.num_states, _layers(game, caps)
     if not spend:
         p, r = _executed_chain(game, *policy.executed_actions)
-        v = _krylov_values(p, r, game.discount)
+        gmres = [True] if gmres is None else gmres
+        v = _krylov_values(p, r, game.discount) if gmres[0] else None
+        gmres[0] = v is not None
         return _chain_values(game, p, r) if v is None else v
     a, b = (x.reshape(ns, ny, nz).transpose(1, 2, 0) for x in policy.executed_actions)
     v = np.zeros((ny, nz, ns))
@@ -708,8 +718,10 @@ def _best_response(game: ImpulseGame, policy: EquilibriumPolicy, player: int) ->
         own = _policy(t).executed_actions[player - 1]
         return EquilibriumPolicy(own, b) if player == 1 else EquilibriumPolicy(a, own)
 
+    gmres = [True]
     return _iterate(game, np.zeros(game.num_states), sweep, read,
-                    lambda p: _policy_values(game, p), _threshold(game, 1e-10), 100_000)[0]
+                    lambda p: _policy_values(game, p, gmres=gmres), _threshold(game, 1e-10),
+                    100_000)[0]
 
 
 def minimax_oracle(game: ImpulseGame) -> OracleReport:

@@ -245,9 +245,9 @@ def test_solve_finishes_only_a_settled_policy_not_tried_before(monkeypatch, caps
         events.append(("read", _key(policy)))
         return policy
 
-    def finishing(game, policy, caps=None):
+    def finishing(game, policy, *rest):
         events.append(("finish", _key(policy)))
-        return values(game, policy, caps)
+        return values(game, policy, *rest)
 
     monkeypatch.setattr(solver, "_policy", reading)
     monkeypatch.setattr(solver, "_policy_values", finishing)
@@ -412,13 +412,50 @@ def test_the_dense_shapes_finish_by_gmres_on_the_third_sweep(monkeypatch, shape,
 @pytest.mark.parametrize("grid", [11, 17])
 def test_the_duopoly_keeps_the_direct_solve_and_its_report(monkeypatch, grid):
     # The duopoly's local chains make GMRES slow: at grid 11 (121 states) it
-    # is not tried, at grid 17 (289) it gives up after its warm-up at every
-    # finish.  The report is the direct solve's bit for bit.
+    # is not tried, at grid 17 (289) it gives up after its warm-up at the
+    # first finish, and the later finishes take the direct solve alone.  The
+    # report is the direct solve's bit for bit.
     game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=grid))
     events = _spy_on_the_finish(monkeypatch)
     rep = ig.solve(game)
     tried = grid * grid // solver.KRYLOV_STEP_STATES >= solver.KRYLOV_MIN_STEPS
     finish = [("gmres", False, solver.KRYLOV_WARMUP if tried else 0), ("direct",)]
-    assert events and events == finish * (len(events) // 2)
+    assert len(events) > len(finish) and events == finish + [("direct",)] * (len(events) - 2)
     monkeypatch.setattr(solver, "_krylov_values", lambda p, r, gamma: None)
     _same_report(rep, ig.solve(game))
+
+
+@pytest.mark.parametrize("grid,once,every", [(17, [False], [False] * 3),
+                                             (31, [True, True, False], [True, True, False, False])],
+                         ids=["grid17", "grid31"])
+def test_a_run_stops_trying_gmres_once_it_gives_up(monkeypatch, grid, once, every):
+    # `_gmres`' entries, True where it converged.  Once GMRES gives up on one
+    # of a run's chains, the run's later finishes go straight to the direct
+    # solve.  At grid 17 the first of `solve`'s three finishes gives up; at
+    # grid 31 the first finish converges (its solve and its refinement) and
+    # the second gives up, so the third is not tried.  The oracle's solve is
+    # a run like `solve`'s, and each of its best responses a run of its own
+    # that gives up at its first finish.  The reports are bit for bit those
+    # of a finish that tries GMRES every time (`every`).
+    entries, run_gmres = [], solver._gmres
+
+    def counting(*args):
+        x = run_gmres(*args)
+        entries.append(x is not None)
+        return x
+
+    monkeypatch.setattr(solver, "_gmres", counting)
+    game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=grid))
+    rep = ig.solve(game)
+    assert entries == once
+    entries.clear()
+    oracle = ig.minimax_oracle(game)
+    assert entries == once + [False, False]
+    values = solver._policy_values
+    monkeypatch.setattr(solver, "_policy_values",
+                        lambda game, policy, caps=None, gmres=None: values(game, policy, caps))
+    entries.clear()
+    _same_report(rep, ig.solve(game))
+    assert entries == every
+    for got, want in zip(oracle, ig.minimax_oracle(game)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

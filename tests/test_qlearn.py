@@ -312,11 +312,90 @@ def _tie_game(masked):
     return game, {"q0": q0}
 
 
+# Scores (start, end) of the three costly cells of one side at a state of
+# `_ranked_game`, higher the better for the side's player.  "low" and "high":
+# the best falls to exactly the runner-up's score, from a lower and from a
+# higher cell than the runner-up's; "middle": the runner-up ties a cell on the
+# best's other side.  "stale", "stale_high" and "stale_below": the runner-up
+# gets worse, then the best falls between the old runner-up and the true
+# second, or below both.  Only exploration updates a cell other than the
+# kept best, so whether the runner-up moves first is up to its draws: the
+# stale kinds come four times per player, the others twice.
+RANKS = {"low": ((3, 1), (1, 1), (0, 0)), "high": ((0, 0), (1, 1), (3, 1)),
+         "middle": ((1, 1), (3, 1), (1, 1)), "stale": ((6, 3), (4, 1), (2, 2)),
+         "stale_high": ((4, 1), (2, 2), (6, 3)), "stale_below": ((6, 2), (4, 1), (3, 3))}
+
+
+def _ranked_game():
+    """``(game, {"q0": q0})``: a 53x(3+3) game on which each costly cell's net
+    value moves once, at its first update, between two scores of ``RANKS``,
+    and the learner's kept value of each such state is read by others.
+
+    Discount 1/2, costs 1 and every start value and reward dyadic.  At the
+    first 18 states Player 1 acts with score ``k`` at net ``1 + k/16``: the
+    no-op holds net 0 and Player 2's cells hold 2, so the state's value is
+    Player 1's best.  At the next 18 Player 2 acts with score ``k`` at net
+    ``1/2 - k/16``: the no-op and Player 1's cells hold 1.  All of them move
+    to state 36, where only the no-op is available and holds 1, so each of
+    their cells' update targets stays fixed and the cell reaches it at its
+    first update.  The last 16 states, reached only by resets, have only the
+    no-op too and move to states 0-35 at random, so that their values, means
+    of the learner's kept values there, show a wrong kept value even where
+    the read-off's cell is right."""
+    kinds = [kind for kind in RANKS for _ in range(4 if kind.startswith("stale") else 2)]
+    half, na, nb = len(kinds), 4, 4
+    sink, ns = 2 * half, 2 * half + 17
+    kernel = np.zeros((ns, na, nb, ns))
+    kernel[:sink, ..., sink] = 1.0
+    kernel[sink, ..., sink] = 1.0
+    kernel[sink + 1:, ..., :sink] = 1.0 / sink
+    cost1, cost2 = np.ones((ns, na)), np.ones((ns, nb))
+    cost1[:, 0] = cost2[:, 0] = 0
+    mask1, mask2 = np.ones((ns, na), dtype=bool), np.ones((ns, nb), dtype=bool)
+    mask1[sink:, 1:] = mask2[sink:, 1:] = False
+    # each net value n holds where q0 is its raw value r = n + cost and the reward r - 1/2
+    net0, net = np.zeros((ns, na + nb - 1)), np.zeros((ns, na + nb - 1))
+    net0[:half, na:] = net[:half, na:] = 2.0
+    net0[half:sink, :na] = net[half:sink, :na] = 1.0
+    net0[sink, 0] = net[sink, 0] = 1.0
+    for s, kind in enumerate(kinds):
+        for i, ends in enumerate(RANKS[kind]):
+            net0[s, 1 + i], net[s, 1 + i] = (1 + k / 16 for k in ends)
+            net0[half + s, na + i], net[half + s, na + i] = (0.5 - k / 16 for k in ends)
+    costs = np.concatenate([np.zeros((ns, 1)), -cost1[:, 1:], cost2[:, 1:]], axis=1)
+    q0, reward = np.zeros((ns, na, nb)), np.zeros((ns, na, nb))
+    for table, cells in ((q0, net0 - costs), (reward, net - costs - 0.5)):
+        table[:, :, 0], table[:, 0, 1:] = cells[:, :na], cells[:, na:]
+    reward[sink + 1:] = q0[sink + 1:] = 0.0
+    game = ig.ImpulseGame(kernel=kernel, reward=reward, cost1=cost1, cost2=cost2,
+                          cost_floor=1.0, discount=0.5, mask1=mask1, mask2=mask2)
+    return game, {"q0": q0}
+
+
+def _one_cell_game():
+    """A 6x(3+3) random game whose sides keep one cell or none: one-cell sides
+    next to a fully masked one at states 0, 1, 3 and 4, two one-cell sides at
+    state 2, and nothing masked at state 5."""
+    base = ig.random_game(6, 3, 3, seed=17)
+    mask1, mask2 = np.zeros((6, 4), dtype=bool), np.zeros((6, 4), dtype=bool)
+    mask1[:, 0] = mask2[:, 0] = True
+    for s, (a, b) in enumerate([(2, 0), (0, 3), (3, 1), (1, 0), (0, 2)]):
+        mask1[s, a] = mask2[s, b] = True
+    mask1[5], mask2[5] = True, True
+    return ig.ImpulseGame(kernel=base.kernel, reward=base.reward, cost1=base.cost1,
+                          cost2=base.cost2, cost_floor=base.cost_floor,
+                          discount=base.discount, mask1=mask1, mask2=mask2)
+
+
 def _learner_case(case):
     """(game, learn keyword arguments) of one loop-reference case."""
     if case.startswith("ties"):
         return _tie_game(case == "ties_masked")
-    if case in ("3x0x0", "5x1x1", "30x3x3"):
+    if case.startswith("ranked"):
+        return _ranked_game()
+    if case == "one_cell":
+        return _one_cell_game(), {}
+    if case in ("3x0x0", "5x1x1", "12x4x2", "30x3x3"):
         spec = tuple(int(n) for n in case.split("x"))
         return ig.random_game(*spec, seed=spec[0]), {}
     if case == "budget":
@@ -329,14 +408,18 @@ def _learner_case(case):
     return game, {}
 
 
-@pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "30x3x3", "masked", "budget",
+@pytest.mark.parametrize("case", ["3x0x0", "5x1x1", "12x4x2", "30x3x3", "masked", "budget",
                                   "reference_q", "q0", "explore", "greedy", "eps_low",
                                   "steps_1", "steps_999", "steps_2503",
-                                  "ties", "ties_masked"])
+                                  "ties", "ties_masked", "ranked", "ranked_greedy",
+                                  "one_cell"])
 def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     game, kwargs = _learner_case(case)
-    start = {"greedy": 0.0, "eps_low": 0.005, "ties": 1.0}.get(case, 0.2)
-    cfg = ig.LearnConfig(steps=4000, seed=7, episode_len=50, epsilon_start=start)
+    start = {"greedy": 0.0, "eps_low": 0.005, "ties": 1.0, "ranked": 1.0,
+             "ranked_greedy": 0.0}.get(case, 0.2)
+    # The ranked game's observing states are reached only by resets.
+    cfg = ig.LearnConfig(steps=4000, seed=7, episode_len=2 if case.startswith("ranked") else 50,
+                         epsilon_start=start)
     if case == "explore":
         # Exploration held at 1: every step draws a slot and an action by `integers`,
         # so 32-bit halves interleave with doubles and resets across many draw blocks.
@@ -351,6 +434,30 @@ def test_learn_matches_loop_reference_bit_for_bit(case, monkeypatch):
     assert q.tobytes() == ref_q.tobytes()
     assert np.array_equal(diag.visits, ref_visits)
     assert diag.rows == ref_rows
+
+
+@pytest.mark.parametrize("spec,steps,limit", [((30, 3, 3, 2), 40_000, 0.05),
+                                              ((5, 1, 1, 0), 20_000, 0.005),
+                                              ((5, 1, 1, 4), 20_000, 0.005)],
+                         ids=["30x3x3", "5x1x1-0", "5x1x1-4"])
+def test_learn_rescans_a_side_only_when_its_best_falls_behind(spec, steps, limit, monkeypatch):
+    # `_side` calls made by the step loop: those of a run less those of a run of
+    # no steps, which reads off every state once.  A side is rescanned only when
+    # its kept best falls behind the kept runner-up, which a one-cell side never
+    # has; rescanning whenever the kept best gets worse called `_side` on 27% of
+    # the steps on the first game and on 41% and 26% on the others.
+    calls, side = [], qlearn._side
+
+    def counting(*args):
+        calls.append(args)
+        return side(*args)
+
+    monkeypatch.setattr(qlearn, "_side", counting)
+    game = ig.random_game(*spec)
+    ig.learn(game, ig.LearnConfig(steps=0, seed=3))
+    setup = len(calls)
+    ig.learn(game, ig.LearnConfig(steps=steps, seed=3))
+    assert (len(calls) - 2 * setup) / steps <= limit
 
 
 @pytest.mark.parametrize("schedule", ["explore", "greedy", "default"])
