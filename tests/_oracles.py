@@ -155,6 +155,39 @@ def mrp_value(p, r, gamma):
     return np.linalg.solve(np.eye(n) - gamma * np.asarray(p), np.asarray(r))
 
 
+def projected_finish(p, reward, phi, m, gamma):
+    """The projected fixed point of the chain with kernel rows ``p`` and
+    rewards ``reward`` on the basis ``phi`` with weighted projector ``m``, by
+    the expression ``linfa._finish`` once held:
+    ``solve(I - gamma M P Phi, M r)``, ``I`` from ``np.eye``."""
+    return np.linalg.solve(np.eye(m.shape[0]) - gamma * (m @ (p @ phi)), m @ reward)
+
+
+# The damped power iteration's L1 step tolerance and iteration cap.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 200_000
+
+
+def power_stationary(p):
+    """Stationary law of the chain with kernel rows ``p`` by damped power
+    iteration on ``(I + p) / 2`` from uniform weights, with the ergodicity
+    rule ``linfa.stationary_distribution`` once had: returns ``(weights,
+    ergodic)``, ``ergodic`` False where the L1 step did not reach
+    ``POWER_TOL`` within ``POWER_MAX_ITER`` iterations or some weight is at
+    most 1e-9.  The weights are the iteration's own either way."""
+    ns = len(p)
+    lazy = 0.5 * (np.eye(ns) + p)
+    w = np.full(ns, 1.0 / ns)
+    for _ in range(POWER_MAX_ITER):
+        w, prev = w @ lazy, w
+        if np.abs(w - prev).sum() <= POWER_TOL:
+            break
+    else:
+        return w / w.sum(), False
+    w = w / w.sum()
+    return w, bool((w > 1e-9).all())
+
+
 def best_single_shot_value(game, n_budget=1):
     """Brute-force optimum of a one-player game whose action budget is 1.
 

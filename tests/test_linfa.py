@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy_free_bisect import bisect_scalar
@@ -5,7 +7,7 @@ from scipy_free_bisect import bisect_scalar
 import impulsegames as ig
 from impulsegames import linfa, solver
 
-from _oracles import loop_fit, sweep_projected_iteration
+from _oracles import loop_fit, power_stationary, projected_finish, sweep_projected_iteration
 from conftest import randomly_masked
 
 
@@ -279,6 +281,50 @@ def test_stationary_distribution_self_loop(g1):
     res = ig.stationary_distribution(g1, policy)
     assert res.ergodic and np.allclose(res.weights, [1.0])
 
+
+
+@lru_cache(maxsize=None)
+def _equilibrium(case):
+    """A game and its value: ``duopolyG``, the default duopoly at grid ``G``, or
+    ``randomS``, a seeded random game of ``S`` states with two actions a player."""
+    if case.startswith("duopoly"):
+        game = ig.build_duopoly_game(ig.DuopolyParams(grid_size=int(case[len("duopoly"):])))
+    else:
+        ns = int(case[len("random"):])
+        game = ig.random_game(ns, 2, 2, seed=ns)
+    return game, ig.solve(game, tol=1e-10).value
+
+
+@pytest.mark.parametrize("case", ["duopoly9", "duopoly11", "random5", "random12", "random30",
+                                  "random50", "random81"])
+def test_stationary_distribution_matches_the_power_iteration(case):
+    # The equilibrium chain's law against the damped power iteration the
+    # library once ran: the same flag, and the weights within 1e-10.
+    game, value = _equilibrium(case)
+    policy = ig.extract_policy(game, value)
+    want, ergodic = power_stationary(solver._executed_chain(game, *policy.executed_actions)[0])
+    got = ig.stationary_distribution(game, policy)
+    assert got.ergodic == ergodic
+    if ergodic:
+        np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("combinator", ["T", "F"])
+@pytest.mark.parametrize("features", [1, 3, 8, 20, None], ids=["1", "3", "8", "20", "full"])
+@pytest.mark.parametrize("case", ["random24", "random36", "random50", "random64", "random81",
+                                  "duopoly9", "duopoly11"])
+def test_the_projected_finish_keeps_its_bits(case, features, combinator):
+    # The finish's solve, bit for bit the expression it once held, on a random
+    # basis and weights at the policy the nesting picks at the projected value.
+    game, value = _equilibrium(case)
+    ns = game.num_states
+    rng = np.random.default_rng([ns, features or ns])
+    basis = ig.FeatureBasis(rng.normal(size=(ns, features or ns)))
+    phi, m = basis.matrix, linfa._projector(basis, rng.uniform(0.5, 2.0, ns))
+    policy = linfa._nest_policy(solver.operator_terms(game, phi @ (m @ value)), combinator)
+    p, reward = solver._executed_chain(game, *policy.executed_actions)
+    got = linfa._finish(game, phi, m, policy)
+    assert got.tobytes() == projected_finish(p, reward, phi, m, game.discount).tobytes()
 
 @pytest.mark.parametrize("combinator", ["T", "F"])
 @pytest.mark.parametrize("case", ["duopoly", "masked-30x3x2"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import impulsegames as ig
-from _oracles import loop_chain, loop_intervention_times
+from _oracles import loop_chain, loop_intervention_times, power_stationary
 from conftest import randomly_masked
 from impulsegames import solver
 
@@ -232,6 +232,16 @@ def test_stationary_distribution_is_the_law_of_the_loop_chain(kind, seed):
     assert ergodic
     np.testing.assert_allclose(weights, _stationary_law(p), rtol=0, atol=1e-9)
 
+
+
+@pytest.mark.parametrize("kind,seed", CASES)
+def test_stationary_distribution_matches_the_power_iteration(kind, seed):
+    game = _game(kind, seed)
+    policy = _two_array_policy(game.mask1, game.mask2, np.random.default_rng(seed))
+    want, ergodic = power_stationary(loop_chain(game, policy.p1_action, policy.p2_action)[0])
+    got = ig.stationary_distribution(game, policy)
+    assert got.ergodic and ergodic
+    np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-10)
 
 @pytest.mark.parametrize("caps", [None, (1, 2), (2, 1)])
 @pytest.mark.parametrize("kind,seed", CASES)
