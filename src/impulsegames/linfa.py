@@ -14,8 +14,10 @@ and the game's sampler, :attr:`impulsegames.game.ImpulseGame.sampler_rows`.
 Per policy epoch it draws the trajectory first and then sweeps the weights
 over it.
 Policy chains come from :meth:`impulsegames.game.ImpulseGame.chain_rows`
-through :func:`impulsegames.solver._executed_chain`, so the module reads no
-kernel itself.
+through :func:`impulsegames.solver._executed_chain`, and their solves from
+:func:`impulsegames.solver._chain_law` (the stationary law) and
+:func:`impulsegames.solver._chain_values` (the finish), so the module reads
+no kernel and solves no chain itself.
 
 The weighted projection is factored once per basis and weights
 (:func:`_projector`).  :func:`projected_iteration` runs the fixed-point loop
@@ -39,8 +41,8 @@ import numpy as np
 from .envs import _UNIT, BlockDraws
 from .game import ImpulseGame, _count, _finite_table, cell_index
 from .qlearn import _explore, _greedy, _slots
-from .solver import (EquilibriumPolicy, _combine, _executed_chain, _iterate, _policy, _reduce,
-                     extract_policy, operator_terms, solve)
+from .solver import (EquilibriumPolicy, _chain_law, _chain_values, _combine, _executed_chain,
+                     _iterate, _policy, _reduce, extract_policy, operator_terms, solve)
 
 RANK_TOL = 1e-10
 
@@ -54,8 +56,6 @@ FIT_STEP_POWER = 0.85
 FIT_EPISODE_LEN = 100
 FIT_EPOCH = 1000
 
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITER = 200_000
 PROJECTED_MAX_ITER = 100_000
 
 
@@ -172,17 +172,6 @@ def _nest_policy(t, combinator: str) -> EquilibriumPolicy:
                              p2_action=np.where(t.has2 & (t.m2 > _flipped_inner(t)), t.act2, 0))
 
 
-def _sample_target(game: ImpulseGame, row, combinator: str) -> float:
-    """The selected operator's value at one state from that state's row of
-    net cell values, ``net[s] + gamma * E[v(next) | cell]``: ``"T"`` through
-    the learner's scalar read-off on the row's Python floats (one vectorised
-    call on one row costs more; :func:`fit` builds that row on Python floats
-    itself), ``"F"`` through the one-row :func:`_nest`."""
-    if combinator != "T":
-        return _nest(_reduce(row[None], game.num_actions1), combinator)[0]
-    return _greedy(row.tolist(), game.num_actions1)[0]
-
-
 def apply_operator(game: ImpulseGame, basis: FeatureBasis, r,
                    combinator: str = "F") -> np.ndarray:
     """One application of the selected operator nesting to the field ``Phi r``.
@@ -202,24 +191,15 @@ class StationaryResult(NamedTuple):
 
 
 def stationary_distribution(game: ImpulseGame, policy) -> StationaryResult:
-    """Stationary law of the executed-policy chain by damped power iteration.
-
-    ``ergodic=False`` flags a chain whose iteration did not reach an L1 step of
-    ``STATIONARY_TOL`` in ``STATIONARY_MAX_ITER`` iterations, or whose weights
-    are not strictly positive (transient states); callers then use uniform weights.
-    """
-    ns = game.num_states
-    p, _ = _executed_chain(game, *policy.executed_actions)
-    lazy = 0.5 * (np.eye(ns) + p)
-    w = np.full(ns, 1.0 / ns)
-    for _ in range(STATIONARY_MAX_ITER):
-        w, prev = w @ lazy, w
-        if np.abs(w - prev).sum() <= STATIONARY_TOL:
-            break
-    else:
-        return StationaryResult(weights=w / w.sum(), ergodic=False)
-    w = w / w.sum()
-    return StationaryResult(weights=w, ergodic=bool((w > 1e-9).all()))
+    """Stationary law of the executed-policy chain by one direct solve
+    (:func:`impulsegames.solver._chain_law`), ``ergodic=True`` where the chain
+    has one recurrent class and every weight is above 1e-9; otherwise (a
+    singular system, a transient state, two closed classes, NaN) uniform
+    weights with ``ergodic=False``."""
+    w = _chain_law(_executed_chain(game, *policy.executed_actions)[0])
+    if w is None or not (w > 1e-9).all():
+        return StationaryResult(np.full(game.num_states, 1.0 / game.num_states), False)
+    return StationaryResult(w, True)
 
 
 def projected_iteration(game: ImpulseGame, basis: FeatureBasis, weights, combinator: str = "T",
@@ -257,9 +237,8 @@ def _finish(game: ImpulseGame, phi, m, policy: EquilibriumPolicy):
     with the projector ``M`` and forms no normal equations.
     """
     p, reward = _executed_chain(game, *policy.executed_actions)
-    lhs = np.eye(m.shape[0]) - game.discount * (m @ (p @ phi))
     try:
-        return np.linalg.solve(lhs, m @ reward)
+        return _chain_values(game, m @ (p @ phi), m @ reward)
     except np.linalg.LinAlgError:
         return None
 
@@ -381,7 +360,7 @@ def fit(game: ImpulseGame, basis: FeatureBasis, config: FitConfig,
             if greedy:
                 target = _greedy([x + gamma * v for x, v in zip(nets[s], y.tolist())], na)[0]
             else:
-                target = _sample_target(game, nets[s] + gamma * y, "F")
+                target = _nest(_reduce((nets[s] + gamma * y)[None], na), "F")[0]
             p = phis[s]
             c = (1.0 + t) ** -FIT_STEP_POWER * (target - dot(p, r))
             r += c * p
@@ -418,14 +397,9 @@ def exact_fixed_point(game: ImpulseGame, combinator: str = "T") -> np.ndarray:
 
 def bound_weights(game: ImpulseGame, value, combinator: str = "T") -> StationaryResult:
     """State weights of the bound check at the selected nesting's fixed point
-    ``value``: the stationary law of the chain of the cells that nesting picks
-    there (for ``"T"`` the greedy policy's executed chain), or uniform
-    weights with ``ergodic=False`` when that chain is not ergodic."""
-    w, ergodic = stationary_distribution(game, _nest_policy(operator_terms(game, value),
-                                                            combinator))
-    if not ergodic:
-        w = np.full(game.num_states, 1.0 / game.num_states)
-    return StationaryResult(weights=w, ergodic=ergodic)
+    ``value``: :func:`stationary_distribution` of the chain of the cells that
+    nesting picks there (for ``"T"`` the greedy policy's executed chain)."""
+    return stationary_distribution(game, _nest_policy(operator_terms(game, value), combinator))
 
 
 def verify_bound(game: ImpulseGame, basis: FeatureBasis, r,

@@ -28,8 +28,10 @@ stochastic games, Hoffman & Karp 1966), in :func:`_iterate`, the one loop
 it shares with :func:`impulsegames.linfa.projected_iteration` and with
 :func:`_best_response`, by which :func:`minimax_oracle` certifies a saddle.
 Linear solves on policy chains have one home: :func:`_executed_chain` builds
-the chain, and :func:`_chain_values` holds the one direct solve, shared by
-that finish and :func:`evaluate_policies`.  The finish of an unbudgeted
+the chain, :func:`_chain_values` holds the one direct solve of its values,
+shared by that finish, :func:`evaluate_policies` and the projected finish of
+:func:`impulsegames.linfa.projected_iteration`, and :func:`_chain_law` the
+one solve of its stationary law.  The finish of an unbudgeted
 game first tries GMRES on the chain (:func:`_krylov_values`), which falls
 back to that direct solve by one cost rule; once it falls back, the rest of
 that run's finishes take the direct solve alone.
@@ -604,6 +606,25 @@ def _chain_values(game: ImpulseGame, p, r) -> np.ndarray:
     states = np.arange(p.shape[-1])
     lhs[..., states, states] += 1.0
     return np.linalg.solve(lhs, r[..., None])[..., 0]
+
+
+def _chain_law(p) -> Optional[np.ndarray]:
+    """Stationary law of the chain with kernel rows ``p (S, S)``: one solve of
+    ``(I - p^T) w = 0`` with its last equation replaced by ``sum(w) = 1``
+    (Stewart 1994); None where that system is singular or some state cannot
+    reach the state of largest weight (more than one recurrent class)."""
+    ns = len(p)
+    lhs = np.eye(ns) - p.T
+    lhs[-1] = 1.0
+    try:
+        w = np.linalg.solve(lhs, np.eye(ns)[-1])
+    except np.linalg.LinAlgError:
+        return None
+    reached, front = np.zeros(ns, dtype=bool), [np.argmax(w)]
+    while len(front):  # backwards along the chain's positive entries
+        reached[front] = True
+        front = np.flatnonzero((p[:, front] > 0.0).any(axis=1) & ~reached)
+    return w if reached.all() else None
 
 
 def _batches(n: int, ns: int):

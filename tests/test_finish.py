@@ -91,13 +91,16 @@ def _chain_solve_pieces(path):
 
 
 def test_chain_solves_live_in_the_finish_alone():
-    # Linear solves on policy chains have one home: the one direct solve is
-    # `_chain_values`', and GMRES and its cost rule are read only by the
-    # finish's evaluation.
+    # Linear solves on policy chains have one home, in every module: the
+    # direct solves are `_chain_values`' (a chain's values) and `_chain_law`'s
+    # (its stationary law), and GMRES and its cost rule are read only by the
+    # finish's evaluation.  The one other solve is the projector's triangular
+    # factor, on no chain.
     pieces = {(path.name, *piece) for path in PACKAGE.glob("*.py")
-              for piece in _chain_solve_pieces(path)
-              if path.name == "solver.py" or piece[1] != "linalg.solve"}
+              for piece in _chain_solve_pieces(path)}
     assert pieces == {("solver.py", "_chain_values", "linalg.solve"),
+                      ("solver.py", "_chain_law", "linalg.solve"),
+                      ("linfa.py", "_projector", "linalg.solve"),
                       ("solver.py", "_policy_values", "_krylov_values"),
                       ("solver.py", "_krylov_values", "_gmres"),
                       ("solver.py", "_krylov_values", "KRYLOV_STEP_STATES"),

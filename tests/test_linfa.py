@@ -5,7 +5,7 @@ import pytest
 from scipy_free_bisect import bisect_scalar
 
 import impulsegames as ig
-from impulsegames import linfa, solver
+from impulsegames import linfa, qlearn, solver
 
 from _oracles import loop_fit, power_stationary, projected_finish, sweep_projected_iteration
 from conftest import randomly_masked
@@ -302,11 +302,64 @@ def test_stationary_distribution_matches_the_power_iteration(case):
     # library once ran: the same flag, and the weights within 1e-10.
     game, value = _equilibrium(case)
     policy = ig.extract_policy(game, value)
-    want, ergodic = power_stationary(solver._executed_chain(game, *policy.executed_actions)[0])
+    p, _ = solver._executed_chain(game, *policy.executed_actions)
+    want, ergodic = power_stationary(p)
     got = ig.stationary_distribution(game, policy)
     assert got.ergodic == ergodic
-    if ergodic:
-        np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.weights, want if ergodic else 1.0 / game.num_states,
+                               rtol=0, atol=1e-10)
+    # The law itself matches where the chain is not ergodic too (the duopolies'
+    # equilibrium chains have states of weight below 1e-9).
+    np.testing.assert_allclose(solver._chain_law(p), want, rtol=0, atol=1e-10)
+
+
+def _chain_game(p):
+    """A game of one action a player whose only chain has kernel rows ``p``."""
+    ns = len(p)
+    return ig.ImpulseGame(kernel=np.asarray(p, dtype=float).reshape(ns, 1, 1, ns),
+                          reward=np.zeros((ns, 1, 1)), cost1=np.zeros((ns, 1)),
+                          cost2=np.zeros((ns, 1)), cost_floor=0.1, discount=0.9)
+
+
+def _law(p):
+    null = np.zeros(len(p), dtype=int)
+    return ig.stationary_distribution(_chain_game(p), ig.EquilibriumPolicy(null, null))
+
+
+def test_a_slowly_mixing_chain_gets_its_law():
+    # Switching with probability 1e-7 one way and 2e-7 the other, the chain's
+    # law is (2/3, 1/3); a power iteration stops at its iteration cap far
+    # from it.
+    res = _law([[1.0 - 1e-7, 1e-7], [2e-7, 1.0 - 2e-7]])
+    assert res.ergodic
+    np.testing.assert_allclose(res.weights, [2 / 3, 1 / 3], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("p", [
+    [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+    [[2 / 3, 0, 1 / 3, 0], [0, 2 / 3, 0, 1 / 3], [0.4, 0, 0.6, 0], [0, 0.25, 0, 0.75]],
+], ids=["halves", "interleaved"])
+def test_two_closed_classes_get_uniform_weights(p):
+    # No state is transient, but the law is not unique: a mixture of the two
+    # classes' laws is no more the chain's than another.  The halves make the
+    # balance system singular in floating point; the interleaved classes
+    # {0, 2} and {1, 3} do not, and their solve returns positive weights.
+    res = _law(p)
+    assert not res.ergodic
+    assert res.weights.tolist() == [1.0 / len(p)] * len(p)
+
+
+def test_a_transient_state_gets_uniform_weights():
+    res = _law([[0.0, 0.5, 0.5], [0.0, 0.25, 0.75], [0.0, 0.6, 0.4]])
+    assert not res.ergodic
+    assert res.weights.tolist() == [1 / 3] * 3
+
+
+@pytest.mark.parametrize("p,law", [([[1.0]], [1.0]), ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])],
+                         ids=["one-state", "two-cycle"])
+def test_a_one_state_and_a_periodic_chain_are_ergodic(p, law):
+    res = _law(p)
+    assert res.ergodic and res.weights.tolist() == law
 
 
 @pytest.mark.parametrize("combinator", ["T", "F"])
@@ -326,7 +379,9 @@ def test_the_projected_finish_keeps_its_bits(case, features, combinator):
     got = linfa._finish(game, phi, m, policy)
     assert got.tobytes() == projected_finish(p, reward, phi, m, game.discount).tobytes()
 
-@pytest.mark.parametrize("combinator", ["T", "F"])
+# `fit` reads its "T" target off one row by the learner's scalar nesting on
+# Python floats; its "F" target is the one-row vectorised nesting itself.
+@pytest.mark.parametrize("combinator", ["T"])
 @pytest.mark.parametrize("case", ["duopoly", "masked-30x3x2"])
 def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator):
     game = (ig.build_duopoly_game(ig.DuopolyParams()) if case == "duopoly"
@@ -339,7 +394,7 @@ def test_sample_target_matches_the_one_row_operator_bit_for_bit(case, combinator
         whole = linfa._nest(solver.operator_terms(game, lam), combinator)
         for s in range(game.num_states):
             row = net[s] + game.discount * (kernel[s] @ lam)
-            got = linfa._sample_target(game, row, combinator)
+            got = qlearn._greedy(row.tolist(), game.num_actions1)[0]
             # The vectorised nesting of the same row, bit for bit; the whole-table
             # sweep sums E[v(next)] by another product, so it agrees to rounding.
             want = linfa._nest(solver._reduce(row[None], game.num_actions1), combinator)[0]
@@ -482,16 +537,13 @@ def test_projected_iteration_matches_the_sweep_only_reference(combinator, basis_
 @pytest.mark.parametrize("combinator", ["T", "F"])
 def test_singular_finish_solve_falls_back_to_sweeping(monkeypatch, combinator):
     refused = []
-    solve = np.linalg.solve
 
-    def singular_on_vectors(a, b):
-        # The finish solves for one vector; the projector's factor solves for a matrix.
-        if np.ndim(b) == 1:
-            refused.append(1)
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+    def singular(game, p, r):
+        # The finish's solve is `_chain_values`', refused as a singular system.
+        refused.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(linfa.np.linalg, "solve", singular_on_vectors)
+    monkeypatch.setattr(linfa, "_chain_values", singular)
     for k in range(4):
         game, basis, w = _fit_case(k, "random")
         ref, ref_deltas = sweep_projected_iteration(
