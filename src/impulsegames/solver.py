@@ -616,8 +616,10 @@ def _chain_law(p) -> Optional[np.ndarray]:
     ns = len(p)
     lhs = np.eye(ns) - p.T
     lhs[-1] = 1.0
+    rhs = np.zeros(ns)
+    rhs[-1] = 1.0
     try:
-        w = np.linalg.solve(lhs, np.eye(ns)[-1])
+        w = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         return None
     reached, front = np.zeros(ns, dtype=bool), [np.argmax(w)]

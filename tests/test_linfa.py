@@ -282,7 +282,6 @@ def test_stationary_distribution_self_loop(g1):
     assert res.ergodic and np.allclose(res.weights, [1.0])
 
 
-
 @lru_cache(maxsize=None)
 def _equilibrium(case):
     """A game and its value: ``duopolyG``, the default duopoly at grid ``G``, or
@@ -378,6 +377,7 @@ def test_the_projected_finish_keeps_its_bits(case, features, combinator):
     p, reward = solver._executed_chain(game, *policy.executed_actions)
     got = linfa._finish(game, phi, m, policy)
     assert got.tobytes() == projected_finish(p, reward, phi, m, game.discount).tobytes()
+
 
 # `fit` reads its "T" target off one row by the learner's scalar nesting on
 # Python floats; its "F" target is the one-row vectorised nesting itself.
